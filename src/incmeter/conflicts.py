@@ -3,8 +3,8 @@
 Vertices are tids.  Every satisfying assignment of a constraint contributes
 its image (the set of matched tids) as a candidate edge; a candidate is kept
 only if it is subset-minimal, i.e. no proper subset still violates the same
-constraint.  Because satisfiability only grows with more facts, checking the
-one-smaller subsets is enough.
+constraint.  A violating subset of an image contains the image of a
+satisfying assignment, so the minimal images are the antichain of all images.
 
 Deleting one vertex from every solving edge is exactly what a deletion
 repair must do, so minimum hitting sets of the solving edges are the object
@@ -14,6 +14,7 @@ every measure in this package is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import evaluation
 from .model import ConstraintSet, DenialConstraint, Instance
@@ -60,25 +61,35 @@ class ConflictHypergraph:
                 for e in self.edges]
 
 
-def _minimal_images(instance_facts_by_pred, dc: DenialConstraint,
-                    candidates=None) -> set[frozenset[int]]:
-    """Images of satisfying assignments, reduced to the subset-minimal ones."""
-    by_tid = {}
-    images = set()
-    for assignment in evaluation.iter_satisfying_assignments(
-            instance_facts_by_pred, dc, candidates):
-        for f in assignment:
-            by_tid[f.tid] = f
-        images.add(frozenset(f.tid for f in assignment))
-    minimal = set()
-    for image in images:
-        if len(image) > 1 and any(
-                evaluation.satisfies_somewhere(
-                    [by_tid[t] for t in image if t != drop], dc)
-                for drop in image):
-            continue
-        minimal.add(image)
-    return minimal
+def antichain(sets) -> list:
+    """The subset-minimal members of a collection of sets, duplicates dropped.
+
+    Sets are taken by size and each one kept is filed under its smallest
+    element.  A proper subset of s holds its own smallest element, which is
+    in s, so s is checked only against the sets filed under its elements.
+    """
+    by_min: dict = {}
+    kept = []
+    for _, group in groupby(sorted(set(sets), key=len), key=len):
+        group = [s for s in group
+                 if not any(o < s for t in s for o in by_min.get(t, ()))]
+        for s in group:
+            by_min.setdefault(min(s), []).append(s)
+        kept += group
+    return kept
+
+
+def constraint_edges(index, dc: DenialConstraint, seeds=(None,), known=()) -> list[Hyperedge]:
+    """Minimal violation sets of dc: the antichain of known edges and the
+    images of the assignments under each seed (see iter_satisfying_assignments).
+
+    known must hold dc's minimal violation sets among the facts no seed covers.
+    """
+    images = set(known)
+    for seed in seeds:
+        for assignment in evaluation.iter_satisfying_assignments(index, dc, seed):
+            images.add(frozenset([f.tid for f in assignment]))
+    return [Hyperedge(s, dc.name) for s in antichain(images)]
 
 
 def assemble(vertices, hyperedges, constraint_order=()) -> ConflictHypergraph:
@@ -91,50 +102,32 @@ def assemble(vertices, hyperedges, constraint_order=()) -> ConflictHypergraph:
     edges = tuple(sorted(set(hyperedges),
                          key=lambda e: (order.get(e.constraint, len(order)),
                                         e.constraint, e.key())))
-    tid_sets = sorted({e.tids for e in edges}, key=lambda s: tuple(sorted(s)))
-    solving = []
-    for s in tid_sets:
-        if not any(t < s for t in tid_sets):
-            solving.append(s)
+    solving = sorted(antichain(e.tids for e in edges), key=lambda s: tuple(sorted(s)))
     d = max((len(s) for s in solving), default=0)
     return ConflictHypergraph(frozenset(vertices), edges, tuple(solving), d)
 
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
     """Enumerate all minimal violation sets of the instance."""
-    by_pred = instance.facts_by_predicate()
+    index = evaluation.FactIndex(instance.facts)
     hyperedges = []
     for dc in constraints:
-        for image in _minimal_images(by_pred, dc):
-            hyperedges.append(Hyperedge(image, dc.name))
+        hyperedges += constraint_edges(index, dc)
     return assemble(instance.tids, hyperedges, [c.name for c in constraints])
 
 
-def hypergraph_from_edges(vertices, edge_sets, assume_minimal=False) -> ConflictHypergraph:
-    """Build a hypergraph directly from tid sets (synthetic/benchmark input).
-
-    With assume_minimal the antichain filtering is skipped, which keeps very
-    large random edge collections affordable; callers vouch that no edge
-    contains another.
-    """
+def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
+    """Build a hypergraph directly from tid sets (synthetic/benchmark input)."""
     vertices = frozenset(vertices)
     sets = []
-    seen = set()
     for e in edge_sets:
         s = frozenset(e)
         if not s:
             raise ValueError("empty edge")
         if not s <= vertices:
             raise ValueError(f"edge {sorted(s)} not within vertex set")
-        if s not in seen:
-            seen.add(s)
-            sets.append(s)
-    if assume_minimal:
-        solving = tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
-        edges = tuple(Hyperedge(s, "synthetic") for s in solving)
-        d = max((len(s) for s in solving), default=0)
-        return ConflictHypergraph(vertices, edges, solving, d)
-    return assemble(vertices, [Hyperedge(s, "synthetic") for s in sets], ["synthetic"])
+        sets.append(Hyperedge(s, "synthetic"))
+    return assemble(vertices, sets, ["synthetic"])
 
 
 def vertex_degrees(hg: ConflictHypergraph) -> dict[int, int]:

@@ -1,9 +1,14 @@
-"""Assignment enumeration for denial constraints.
+"""Assignment enumeration for denial constraints: one hash-indexed join engine.
 
-One engine serves consistency checks, conflict detection, and attribute-level
-repairs: matching and comparisons treat the reserved NULL placeholder as
-incomparable (a join or comparison touching NULL never holds), which on
-NULL-free data reduces to ordinary evaluation.
+Consistency checks, conflict detection and cell-level repairs all enumerate
+here.  Each atom is looked up in a hash index over its predicate's facts,
+keyed on the positions fixed when it is reached: its constants and the
+variables earlier atoms bound.  Facts with NULL in a key position are left
+out of the index, so NULL never joins and never matches a constant, and a
+comparison touching NULL never holds.  An optional seed restricts one atom
+to given facts and matches it first; seeding each atom in turn with inserted
+facts finds every assignment that touches one of them, the delta rule of
+counting/DRed view maintenance.
 """
 
 from __future__ import annotations
@@ -40,31 +45,55 @@ def compare_values(a: str, op: str, b: str) -> bool:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _match_into(atom, fact, bindings):
-    """Extend bindings so that atom matches fact; None if impossible.
+class FactIndex:
+    """Facts by predicate, with hash indexes keyed by (predicate, positions).
 
-    Returns the list of variable names newly bound (for backtracking).
-    A fresh variable may bind NULL, but constants never match NULL and a
-    bound variable never unifies with NULL (NULL is not equal to anything,
-    itself included).
+    Indexes are built on first use and shared by every constraint evaluated
+    against the same FactIndex.
     """
-    added = []
-    for term, value in zip(atom.terms, fact.values):
-        if isinstance(term, Const):
-            if value == NULL or term.value != value:
-                break
-        elif term.name in bindings:
-            prev = bindings[term.name]
-            if prev == NULL or value == NULL or prev != value:
-                break
-        else:
-            bindings[term.name] = value
-            added.append(term.name)
-    else:
-        return added
-    for name in added:
-        del bindings[name]
-    return None
+
+    def __init__(self, facts):
+        self._by_pred: dict[str, list] = {}
+        for f in facts:
+            self._by_pred.setdefault(f.predicate, []).append(f)
+        self._indexes: dict[tuple, dict] = {}
+
+    def lookup(self, predicate: str, positions: tuple[int, ...], key: tuple):
+        """Facts of the predicate holding key at the 0-based positions."""
+        index = self._indexes.get((predicate, positions))
+        if index is None:
+            index = self._indexes[predicate, positions] = {}
+            for f in self._by_pred.get(predicate, ()):
+                k = tuple([f.values[p] for p in positions])
+                if NULL not in k:
+                    index.setdefault(k, []).append(f)
+        return index.get(key, ())
+
+
+def _plan(constraint: DenialConstraint, first: int):
+    """Join steps (atom index, predicate, key positions, key terms, fresh
+    (variable, position) pairs, repeats), atom `first` first, the rest in order.
+    A repeat (p, q) is a later occurrence p of the variable the atom binds at q.
+    """
+    order = [first] + [i for i in range(len(constraint.atoms)) if i != first]
+    bound: set[str] = set()
+    steps = []
+    for i in order:
+        atom = constraint.atoms[i]
+        positions, key, repeats = [], [], []
+        fresh: dict[str, int] = {}
+        for p, term in enumerate(atom.terms):
+            if isinstance(term, Const) or term.name in bound:
+                positions.append(p)
+                key.append(term)
+            elif term.name in fresh:
+                repeats.append((p, fresh[term.name]))
+            else:
+                fresh[term.name] = p
+        bound.update(fresh)
+        steps.append((i, atom.predicate, tuple(positions), key, list(fresh.items()),
+                      repeats))
+    return steps
 
 
 def _comparison_holds(cmp: Comparison, bindings) -> bool:
@@ -75,53 +104,43 @@ def _comparison_holds(cmp: Comparison, bindings) -> bool:
     return compare_values(left, cmp.op, right)
 
 
-def iter_satisfying_assignments(facts_by_pred, constraint: DenialConstraint,
-                                candidates=None):
+def iter_satisfying_assignments(index: FactIndex, constraint: DenialConstraint,
+                                seed=None):
     """Yield every assignment (one fact per atom) satisfying the constraint.
 
-    facts_by_pred maps predicate names to fact sequences.  candidates, when
-    given, is a per-atom list overriding the fact pool of individual atoms
-    (entries may be None to keep the default); this is the hook used for
-    delta-restricted enumeration after updates.
+    Assignments are tuples in atom order.  seed, when given, is a pair
+    (atom index, facts): only assignments matching that atom to one of the
+    facts are yielded.  The seed facts must belong to the indexed instance.
     """
-    atoms = constraint.atoms
-    n = len(atoms)
-    pools = []
-    for i, atom in enumerate(atoms):
-        pool = None
-        if candidates is not None:
-            pool = candidates[i]
-        if pool is None:
-            pool = facts_by_pred.get(atom.predicate, ())
-        pools.append(pool)
-    assignment = [None] * n
+    first, seed_index = (0, index) if seed is None else (seed[0], FactIndex(seed[1]))
+    steps = _plan(constraint, first)
+    n = len(steps)
+    assignment = [None] * len(constraint.atoms)
     bindings: dict[str, str] = {}
 
-    def extend(i):
-        if i == n:
+    def extend(k):
+        if k == n:
             if all(_comparison_holds(c, bindings) for c in constraint.comparisons):
                 yield tuple(assignment)
             return
-        atom = atoms[i]
-        for fact in pools[i]:
-            if fact.predicate != atom.predicate:
+        i, predicate, positions, key, binds, repeats = steps[k]
+        source = seed_index if k == 0 else index
+        for fact in source.lookup(predicate, positions,
+                                  tuple([bindings[t.name] if isinstance(t, Var)
+                                         else t.value for t in key])):
+            values = fact.values
+            if any(values[q] == NULL or values[p] != values[q] for p, q in repeats):
                 continue
-            added = _match_into(atom, fact, bindings)
-            if added is None:
-                continue
+            for name, p in binds:
+                bindings[name] = values[p]
             assignment[i] = fact
-            yield from extend(i + 1)
-            for name in added:
-                del bindings[name]
+            yield from extend(k + 1)
 
     yield from extend(0)
 
 
-def satisfies_somewhere(facts, constraint: DenialConstraint) -> bool:
-    """True iff some assignment over the given facts satisfies the constraint."""
-    by_pred: dict[str, list] = {}
-    for f in facts:
-        by_pred.setdefault(f.predicate, []).append(f)
-    for _ in iter_satisfying_assignments(by_pred, constraint):
-        return True
-    return False
+def is_consistent(facts, constraints) -> bool:
+    """True iff no constraint has a satisfying assignment over the facts."""
+    index = FactIndex(facts)
+    return not any(next(iter_satisfying_assignments(index, dc), False)
+                   for dc in constraints)

@@ -577,10 +577,5 @@ def parse_constraints(text: str, schema: Schema) -> ConstraintSet:
 
 def check_consistency(instance: Instance, constraints: ConstraintSet) -> bool:
     """True iff no constraint has a satisfying assignment in the instance."""
-    from . import evaluation
-
-    by_pred = instance.facts_by_predicate()
-    for dc in constraints:
-        for _ in evaluation.iter_satisfying_assignments(by_pred, dc):
-            return False
-    return True
+    from .evaluation import is_consistent
+    return is_consistent(instance.facts, constraints)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import evaluation, exact
+from .conflicts import antichain
 from .errors import ResourceLimitError
 from .measures import MeasureReport
 from .model import NULL, Const, ConstraintSet, DenialConstraint, Fact, Instance
@@ -45,13 +46,7 @@ def eval_with_nulls(facts, constraints: ConstraintSet) -> bool:
     """
     if isinstance(facts, Instance):
         facts = facts.facts
-    by_pred: dict[str, list[Fact]] = {}
-    for f in facts:
-        by_pred.setdefault(f.predicate, []).append(f)
-    for dc in constraints:
-        for _ in evaluation.iter_satisfying_assignments(by_pred, dc):
-            return False
-    return True
+    return evaluation.is_consistent(facts, constraints)
 
 
 def apply_changes(facts, changes) -> tuple[Fact, ...]:
@@ -106,12 +101,12 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
     An empty entry means some violation has no breakable cell at all (a pure
     existence conflict); blanking can never repair such an instance.
     """
-    by_pred = instance.facts_by_predicate()
+    index = evaluation.FactIndex(instance.facts)
     edges: set[frozenset[CellChange]] = set()
     irreparable = False
     for dc in constraints:
         positions = _breaking_positions(dc)
-        for assignment in evaluation.iter_satisfying_assignments(by_pred, dc):
+        for assignment in evaluation.iter_satisfying_assignments(index, dc):
             cells = set()
             for i, fact in enumerate(assignment):
                 for j in positions[i]:
@@ -120,7 +115,7 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
                 irreparable = True
             else:
                 edges.add(frozenset(cells))
-    minimal = [e for e in edges if not any(o < e for o in edges)]
+    minimal = antichain(edges)
     minimal.sort(key=lambda e: tuple(sorted(e)))
     return tuple(minimal), irreparable
 

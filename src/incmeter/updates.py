@@ -1,10 +1,11 @@
 """Instance updates: deltas, incremental conflict maintenance, measure bounds.
 
 A delta inserts rows and deletes tids.  Conflicts are maintained without a
-full rebuild: edges touching a deleted tid are dropped, and new edges are
-found by enumerating only assignments that use at least one inserted fact
-(atom i ranges over new facts, atoms before i over old facts, atoms after i
-over all facts, for each i in turn, so every new assignment is seen once).
+full rebuild: edges touching a deleted tid are dropped, and new edges come
+from the assignments that use at least one inserted fact.  Those are found
+by the delta rule: each atom in turn is seeded with the inserted facts while
+the other atoms are looked up in the updated instance's shared index.  An
+assignment seen under several seeds yields one image.
 
 The bound checks turn the relative update size eps into exact-rational
 sandwich inequalities between the measures before and after the update.
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .conflicts import (ConflictHypergraph, Hyperedge, _minimal_images, assemble,
-                        build_hypergraph, vertex_degrees)
+from .conflicts import (ConflictHypergraph, assemble, build_hypergraph, constraint_edges,
+                        vertex_degrees)
 from .errors import InputError
+from .evaluation import FactIndex
 from .model import NULL, ConstraintSet, Fact, Instance
 
 
@@ -160,21 +162,16 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     """Conflicts of the updated instance, reusing the edges that survive."""
     after = apply_update(instance, delta)
     old_max = max(instance.tids, default=0)
-    surviving = [e for e in hg.edges if not e.tids & delta.deletions]
-    by_pred = after.facts_by_predicate()
     new_facts = [f for f in after.facts if f.tid > old_max]
-    old_facts = [f for f in after.facts if f.tid <= old_max]
-    hyperedges = list(surviving)
-    if new_facts:
-        for dc in constraints:
-            m = len(dc.atoms)
-            images = set()
-            for i in range(m):
-                candidates = [old_facts if k < i else (new_facts if k == i else None)
-                              for k in range(m)]
-                images |= _minimal_images(by_pred, dc, candidates)
-            for image in images:
-                hyperedges.append(Hyperedge(image, dc.name))
+    known: dict[str, list] = {}
+    for e in hg.edges:
+        if not e.tids & delta.deletions:
+            known.setdefault(e.constraint, []).append(e.tids)
+    index = FactIndex(after.facts)
+    hyperedges = []
+    for dc in constraints:
+        seeds = [(i, new_facts) for i in range(len(dc.atoms)) if new_facts]
+        hyperedges += constraint_edges(index, dc, seeds, known.get(dc.name, ()))
     return assemble(after.tids, hyperedges, [c.name for c in constraints])
 
 

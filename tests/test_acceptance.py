@@ -262,15 +262,44 @@ def test_c7_scaling(capsys):
     edge_sets = {frozenset(rng.sample(range(10_000), 3)) for _ in range(50_000)}
 
     def big_local_ratio():
-        hg = hypergraph_from_edges(range(10_000), edge_sets, assume_minimal=True)
+        hg = hypergraph_from_edges(range(10_000), edge_sets)
         return hg, local_ratio_hitting_set(hg)
 
     (hg_big, lr), t_lr = timed(big_local_ratio)
     lr_ok = (all(lr.deleted & e for e in hg_big.solving_edges) and t_lr < 5)
 
-    report(capsys, "C7", "scaling", exact_ok and lr_ok,
+    # conflict detection on 20k rows shaped like the scan benchmark: planted
+    # key groups under an FD, and orders of closed customers; the edge count
+    # is the mixed-B pairs per group plus the orders of closed customers
+    rng = random.Random(11)
+    rel, fd_pairs = [], 0
+    for g in range(200):
+        bs = [rng.choice("xy") for _ in range(rng.randint(2, 6))]
+        fd_pairs += bs.count("x") * bs.count("y")
+        rel += [(f"k{g}", b, f"c{len(rel) + i}") for i, b in enumerate(bs)]
+    while len(rel) < 6000:
+        rel.append((f"a{len(rel)}", rng.choice("xy"), f"c{len(rel)}"))
+    closed = set(rng.sample(range(3000), 150))
+    customers = [rng.randrange(3000) for _ in range(11_000)]
+    join_pairs = sum(c in closed for c in customers)
+    rows = ([("rel", r) for r in rel]
+            + [("cust", (f"u{i}", "closed" if i in closed else "open"))
+               for i in range(3000)]
+            + [("ord", (f"o{i}", f"u{c}")) for i, c in enumerate(customers)])
+    scan_schema = parse_schema("rel(A, B, C)\nord(O, C)\ncust(C, S)\n")
+    scan_cs = parse_constraints(
+        'fd key : rel : A -> B\n'
+        'dc closed : !exists ord(o, c), cust(c, s), s = "closed"\n', scan_schema)
+    scan = Instance(scan_schema, tuple(Fact(i + 1, p, v)
+                                       for i, (p, v) in enumerate(rows)))
+    hg_scan, t_scan = timed(lambda: build_hypergraph(scan, scan_cs))
+    scan_ok = len(hg_scan.edges) == fd_pairs + join_pairs and t_scan < 5
+
+    report(capsys, "C7", "scaling", exact_ok and lr_ok and scan_ok,
            f"200-row exact optimum 15 in {t_exact:.2f}s, "
-           f"{len(edge_sets)}-edge greedy cover in {t_lr:.2f}s")
+           f"{len(edge_sets)}-edge greedy cover in {t_lr:.2f}s, "
+           f"{len(scan)}-row conflict detection ({len(hg_scan.edges)} edges) "
+           f"in {t_scan:.2f}s")
 
 
 def test_c8_complexity_classification(capsys):

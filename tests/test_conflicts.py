@@ -97,7 +97,7 @@ def test_hypergraph_from_edges_validation():
         hypergraph_from_edges([1, 2], [{1, 5}])
     with pytest.raises(ValueError):
         hypergraph_from_edges([1, 2], [set()])
-    fast = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}], assume_minimal=True)
+    fast = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}])
     assert len(fast.solving_edges) == 2
 
 
