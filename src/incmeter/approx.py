@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .conflicts import ConflictHypergraph
 from .errors import ResourceLimitError
-from .exact import RepairSolution
+from .exact import RepairSolution, _take_whole_edges
 
 # the iterative LP solver certifies down to this accuracy
 MIN_EPS = Fraction(1, 1000)
@@ -47,10 +47,7 @@ def local_ratio_hitting_set(hg: ConflictHypergraph) -> RepairSolution:
     The chosen edges are pairwise disjoint, so any hitting set contains one
     vertex from each: the result is at most d times the optimum.
     """
-    chosen: set[int] = set()
-    for edge in hg.solving_edges:
-        if not edge & chosen:
-            chosen |= edge
+    chosen = _take_whole_edges(hg.solving_edges, set())
     return RepairSolution(frozenset(chosen),
                           len(hg.vertices) - len(chosen), "local_ratio", False)
 
@@ -150,10 +147,8 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
     best = None
     for r in range(reps):
         rng = random.Random(1_000_003 * int(seed) + r)
-        picked = {t for t, p in sorted(probs.items()) if rng.random() < p}
-        for edge in hg.solving_edges:
-            if not edge & picked:
-                picked |= edge
+        sample = {t for t, p in sorted(probs.items()) if rng.random() < p}
+        picked = _take_whole_edges(hg.solving_edges, sample)
         if best is None or len(picked) < len(best):
             best = picked
     return RepairSolution(frozenset(best),

@@ -287,11 +287,18 @@ def _resolve_solver(solver_path):
     return resolved
 
 
-def _run(argv):
+def _run(solver_path, flags, text):
+    """Run the solver with flags on text written to a temporary program file."""
+    binary = _resolve_solver(solver_path)
+    with tempfile.NamedTemporaryFile("w", suffix=".dlv", delete=False) as handle:
+        handle.write(text)
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([binary, *flags, handle.name],
+                              capture_output=True, text=True, timeout=120)
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise SolverUnavailableError(f"solver failed to run: {exc}") from exc
+    finally:
+        os.unlink(handle.name)
     return proc.stdout + "\n" + proc.stderr
 
 
@@ -301,27 +308,12 @@ def run_external_solver(program: AspProgram, solver_path=None) -> dict:
     Returns {"dist": int|None, "deleted": frozenset[int], "cost": int|None}.
     Raises SolverUnavailableError when no usable binary is configured.
     """
-    binary = _resolve_solver(solver_path)
-    with tempfile.NamedTemporaryFile("w", suffix=".dlv", delete=False) as handle:
-        handle.write(program.render(include_queries=False))
-        name = handle.name
-    try:
-        output = _run([binary, name])
-    finally:
-        os.unlink(name)
+    output = _run(solver_path, [], program.render(include_queries=False))
     dist, deleted, cost = parse_best_model(output)
     return {"dist": dist, "deleted": deleted, "cost": cost}
 
 
 def run_brave_distances(program: AspProgram, solver_path=None) -> frozenset[int]:
     """Ask the solver, in brave mode, which repair distances are achievable."""
-    binary = _resolve_solver(solver_path)
     queried = replace(program, weak=(), queries=("dist(X)?",))
-    with tempfile.NamedTemporaryFile("w", suffix=".dlv", delete=False) as handle:
-        handle.write(queried.render())
-        name = handle.name
-    try:
-        output = _run([binary, "-brave", name])
-    finally:
-        os.unlink(name)
-    return parse_brave_answers(output)
+    return parse_brave_answers(_run(solver_path, ["-brave"], queried.render()))

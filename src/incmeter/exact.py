@@ -76,7 +76,7 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
         rank_pos[b] = pos
 
     best_mask = _greedy_cover(masks, n, degree)
-    lr = _take_whole_edges(masks)
+    lr = _take_whole_edges(masks, 0)
     if _popcount(lr) < _popcount(best_mask):
         best_mask = lr
 
@@ -157,20 +157,40 @@ def _greedy_cover(masks, n, degree):
     return cover
 
 
-def _take_whole_edges(masks):
-    """Union of a maximal set of pairwise-disjoint edges: a d-approximation."""
-    cover = 0
-    for m in masks:
-        if not m & cover:
-            cover |= m
+def _take_whole_edges(edges, cover):
+    """Add every edge that cover does not meet yet, edges taken in order.
+
+    The edges added are pairwise disjoint and any hitting set needs one
+    element of each, so from an empty start this is the local-ratio
+    d-approximation.  Works on int masks and on tid sets alike; a set
+    passed as cover is extended in place.
+    """
+    for e in edges:
+        if not e & cover:
+            cover |= e
     return cover
+
+
+def _superset_closure(masks, n):
+    """bad[m] = 1 iff some mask lies entirely inside m, for all m < 2^n."""
+    bad = bytearray(1 << n)
+    for m in masks:
+        bad[m] = 1
+    for b in range(n):
+        bit = 1 << b
+        for m in range(1 << n):
+            if m & bit and bad[m ^ bit]:
+                bad[m] = 1
+    return bad
 
 
 def min_hitting_set(hg: ConflictHypergraph,
                     node_budget=DEFAULT_NODE_BUDGET) -> RepairSolution:
-    """Smallest deletion set covering every solving edge; always optimal."""
-    deleted = solve_min_hitting_set(hg.solving_edges, None, node_budget)
-    return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
+    """Smallest deletion set covering every solving edge; always optimal.
+
+    This is the endogenous solve with every tid deletable.
+    """
+    return min_endogenous_hitting_set(hg, hg.vertices, node_budget)
 
 
 def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
@@ -233,18 +253,9 @@ def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
         raise ResourceLimitError(
             f"{a} elements exceed the enumeration limit {max_elements}")
     index = {t: i for i, t in enumerate(active)}
-    masks = [_mask(e, index) for e in edge_sets]
     full = (1 << a) - 1
-    # superset closure: bad[m] = 1 iff some edge lies entirely inside m,
-    # so a hitting mask m covers every edge iff not bad[full ^ m]
-    bad = bytearray(1 << a)
-    for m in masks:
-        bad[m] = 1
-    for b in range(a):
-        bit = 1 << b
-        for m in range(1 << a):
-            if m & bit and bad[m ^ bit]:
-                bad[m] = 1
+    # a mask m hits every edge iff no edge lies inside its complement
+    bad = _superset_closure([_mask(e, index) for e in edge_sets], a)
     out = []
     for m in range(1 << a):
         if bad[full ^ m]:

@@ -60,6 +60,13 @@ class MeasureReport:
         }
 
 
+def _empty_report(kind, witness=exact.RepairSolution(frozenset(), 0, "exact", True),
+                  method="exact", normalization=None) -> MeasureReport:
+    # report 0/1 rather than 0/0 so the value is a well-formed fraction
+    return MeasureReport(kind, 0, 1, True, method, witness, normalization=normalization,
+                         note="empty instance is trivially consistent")
+
+
 def inc_deg_g3(instance: Instance, constraints: ConstraintSet, hypergraph=None,
                solver="exact", eps=Fraction(1, 10), seed=0, reps=5,
                node_budget=exact.DEFAULT_NODE_BUDGET) -> MeasureReport:
@@ -69,12 +76,14 @@ def inc_deg_g3(instance: Instance, constraints: ConstraintSet, hypergraph=None,
     over-approximate by at most a factor d (the latter in expectation).
     """
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
-    n = len(instance)
+    return _g3(hg, len(instance), solver, eps, seed, reps, node_budget)
+
+
+def _g3(hg, n, solver="exact", eps=Fraction(1, 10), seed=0, reps=5,
+        node_budget=exact.DEFAULT_NODE_BUDGET) -> MeasureReport:
+    """inc_deg_g3 of an n-fact instance whose conflicts are hg."""
     if n == 0:
-        # report 0/1 rather than 0/0 so the value is a well-formed fraction
-        sol = exact.RepairSolution(frozenset(), 0, "exact", True)
-        return MeasureReport("g3", 0, 1, True, "exact", sol,
-                             note="empty instance is trivially consistent")
+        return _empty_report("g3")
     if solver == "exact":
         sol = exact.min_hitting_set(hg, node_budget)
     elif solver == "local-ratio":
@@ -101,10 +110,7 @@ def inc_deg_g3_endogenous(instance: Instance, constraints: ConstraintSet,
     n = len(instance)
     endo = instance.effective_endogenous()
     if n == 0:
-        sol = exact.RepairSolution(frozenset(), 0, "exact", True)
-        return MeasureReport("g3_endogenous", 0, 1, True, "exact", sol,
-                             normalization=normalization,
-                             note="empty instance is trivially consistent")
+        return _empty_report("g3_endogenous", normalization=normalization)
     den = n if normalization == "db_size" else len(endo)
     sol = exact.min_endogenous_hitting_set(hg, endo, node_budget)
     if sol is None:
@@ -138,20 +144,8 @@ def measure_count_all(instance: Instance, constraints: ConstraintSet,
             f"instance has {n} facts, subset counting is limited to {limit}")
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
     order = {t: i for i, t in enumerate(instance.tids)}
-    bad = bytearray(1 << n)
-    for e in hg.solving_edges:
-        m = 0
-        for t in e:
-            m |= 1 << order[t]
-        bad[m] = 1
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit and bad[m ^ bit]:
-                bad[m] = 1
-    consistent = (1 << n) - sum(bad)
-    return MeasureReport("count_all", (1 << n) - consistent, 1 << n,
-                         True, "enumeration")
+    bad = exact._superset_closure([exact._mask(e, order) for e in hg.solving_edges], n)
+    return MeasureReport("count_all", sum(bad), 1 << n, True, "enumeration")
 
 
 def measure_jaccard(instance: Instance, constraints: ConstraintSet,
@@ -160,8 +154,7 @@ def measure_jaccard(instance: Instance, constraints: ConstraintSet,
     n = len(instance)
     reps = exact.enumerate_s_repairs(instance, constraints, limit, hypergraph)
     if n == 0:
-        return MeasureReport("jaccard", 0, 1, True, "enumeration", reps,
-                             note="empty instance is trivially consistent")
+        return _empty_report("jaccard", reps, "enumeration")
     core = frozenset(instance.tids)
     for r in reps.repairs:
         core &= r

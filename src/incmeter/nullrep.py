@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import evaluation, exact
 from .conflicts import antichain
 from .errors import ResourceLimitError
-from .measures import MeasureReport
+from .measures import MeasureReport, _empty_report
 from .model import NULL, Const, ConstraintSet, DenialConstraint, Fact, Instance
 
 CELL_LIMIT = 24
@@ -141,10 +141,6 @@ def minimal_null_repairs(instance: Instance, constraints: ConstraintSet,
     edges, irreparable = cell_conflicts(instance, constraints)
     if irreparable:
         return ()
-    candidates = set().union(*edges) if edges else set()
-    if len(candidates) > cell_limit:
-        raise ResourceLimitError(
-            f"{len(candidates)} candidate cells exceed the limit {cell_limit}")
     return exact.enumerate_minimal_hitting_sets(edges, cell_limit)
 
 
@@ -161,9 +157,7 @@ def inc_deg_g3_null(instance: Instance, constraints: ConstraintSet,
     """
     atv = _atv(instance)
     if atv == 0:
-        return MeasureReport("g3_null", 0, 1, True, "exact",
-                             NullRepairSolution(frozenset(), 0),
-                             note="empty instance is trivially consistent")
+        return _empty_report("g3_null", NullRepairSolution(frozenset(), 0))
     sol = min_null_changes(instance, constraints, cell_limit, node_budget)
     if sol is None:
         return MeasureReport("g3_null", atv, atv, True, "exact", None,

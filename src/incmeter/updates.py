@@ -19,12 +19,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact
+from . import exact, measures
 from .conflicts import (ConflictHypergraph, assemble, build_hypergraph, constraint_edges,
                         vertex_degrees)
 from .errors import InputError
 from .evaluation import FactIndex
-from .model import NULL, ConstraintSet, Fact, Instance
+from .model import ConstraintSet, Fact, Instance
 
 
 @dataclass(frozen=True)
@@ -127,33 +127,21 @@ def apply_update(instance: Instance, delta: UpdateDelta) -> Instance:
     """New instance with deletions applied and insertions given fresh tids.
 
     Fresh tids continue above the previous maximum, in insertion order, so
-    existing tids never change meaning.
+    existing tids never change meaning.  The new Instance validates the
+    inserted rows.
     """
-    existing = set(instance.tids)
-    missing = delta.deletions - existing
+    _check_deletions(instance.tids, delta)
+    kept = tuple(f for f in instance.facts if f.tid not in delta.deletions)
+    start = max(instance.tids, default=0) + 1
+    added = tuple(Fact(tid, pred, values)
+                  for tid, (pred, values) in enumerate(delta.insertions, start))
+    return Instance(instance.schema, kept + added, instance.endogenous - delta.deletions)
+
+
+def _check_deletions(tids, delta: UpdateDelta) -> None:
+    missing = delta.deletions.difference(tids)
     if missing:
         raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
-    kept = [f for f in instance.facts if f.tid not in delta.deletions]
-    rows = {(f.predicate, f.values) for f in kept}
-    next_tid = max(existing, default=0) + 1
-    added = []
-    for pred, values in delta.insertions:
-        if pred not in instance.schema:
-            raise InputError(f"insertion into unknown predicate {pred!r}")
-        arity = instance.schema.predicate(pred).arity
-        if len(values) != arity:
-            raise InputError(f"insertion into {pred} has {len(values)} values, "
-                             f"expected {arity}")
-        if any(v == NULL for v in values):
-            raise InputError(f"insertion into {pred} uses the reserved value {NULL}")
-        row = (pred, values)
-        if row in rows:
-            raise InputError(f"insertion duplicates existing row {pred}{values!r}")
-        rows.add(row)
-        added.append(Fact(next_tid, pred, values))
-        next_tid += 1
-    endo = instance.endogenous - delta.deletions
-    return Instance(instance.schema, tuple(kept) + tuple(added), endo)
 
 
 def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
@@ -175,11 +163,20 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     return assemble(after.tids, hyperedges, [c.name for c in constraints])
 
 
-def _exact_measure(instance: Instance, hg: ConflictHypergraph, node_budget) -> Fraction:
-    if len(instance) == 0:
-        return Fraction(0)
-    sol = exact.min_hitting_set(hg, node_budget)
-    return Fraction(len(sol.deleted), len(instance))
+def _measures_before_after(instance: Instance, delta: UpdateDelta,
+                           constraints: ConstraintSet, node_budget, hg_before, hg_after):
+    """hg_before and the exact measures before and after the delta.
+
+    The updated instance is not rebuilt: hg_after's vertices are its tids.
+    """
+    _check_deletions(instance.tids, delta)
+    if hg_before is None:
+        hg_before = build_hypergraph(instance, constraints)
+    if hg_after is None:
+        hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
+    before = measures._g3(hg_before, len(instance), node_budget=node_budget)
+    after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
+    return hg_before, before.value, after.value
 
 
 def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
@@ -194,14 +191,9 @@ def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_insert_only:
         raise InputError("insertion bounds need a pure insertion delta")
-    if hg_before is None:
-        hg_before = build_hypergraph(instance, constraints)
-    if hg_after is None:
-        hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
-    after_instance = apply_update(instance, delta)
+    _, before, after = _measures_before_after(
+        instance, delta, constraints, node_budget, hg_before, hg_after)
     n = len(instance)
-    before = _exact_measure(instance, hg_before, node_budget)
-    after = _exact_measure(after_instance, hg_after, node_budget)
     if n == 0:
         return BoundCheckReport("insert", Fraction(0), before, after, False, ())
     eps = Fraction(len(delta.insertions), n)
@@ -228,14 +220,9 @@ def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_delete_only:
         raise InputError("deletion bounds need a pure deletion delta")
-    if hg_before is None:
-        hg_before = build_hypergraph(instance, constraints)
-    if hg_after is None:
-        hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
-    after_instance = apply_update(instance, delta)
+    hg_before, before, after = _measures_before_after(
+        instance, delta, constraints, node_budget, hg_before, hg_after)
     n = len(instance)
-    before = _exact_measure(instance, hg_before, node_budget)
-    after = _exact_measure(after_instance, hg_after, node_budget)
     degrees = vertex_degrees(hg_before)
     isolated = all(degrees.get(t, 0) == 0 for t in delta.deletions)
     if n == 0:

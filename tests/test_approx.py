@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from incmeter.approx import (local_ratio_hitting_set, lp_fractional_cover,
-                             randomized_rounding_hitting_set)
+from incmeter.approx import (FractionalCover, local_ratio_hitting_set,
+                             lp_fractional_cover, randomized_rounding_hitting_set)
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.errors import ResourceLimitError
 from incmeter.exact import min_hitting_set
@@ -122,3 +122,12 @@ def test_rounding_on_single_edge_always_deletes_one_vertex():
     for seed in range(10):
         sol = randomized_rounding_hitting_set(hg, seed=seed)
         assert sol.deleted & {1, 2}
+
+
+def test_rounding_repair_pass_takes_unhit_edges_whole():
+    # an all-zero cover samples no vertex, so the repair pass alone decides
+    # and takes unhit edges whole in canonical order, as local ratio does
+    hg = hypergraph_from_edges([1, 2, 3, 4], [{1, 2}, {2, 3}, {3, 4}])
+    zero = FractionalCover({t: Fraction(0) for t in hg.vertices}, Fraction(0), Fraction(0))
+    sol = randomized_rounding_hitting_set(hg, seed=3, cover=zero)
+    assert sol.deleted == local_ratio_hitting_set(hg).deleted == frozenset({1, 2, 3, 4})

@@ -164,6 +164,14 @@ def test_bounds_reject_wrong_direction(pqr):
         check_deletion_bounds(inst, parse_delta("+ p(z)\n"), cs)
 
 
+def test_deletion_bounds_reject_unknown_tid_with_prebuilt_hypergraphs(pqr):
+    _, cs, inst = pqr
+    hg = build_hypergraph(inst, cs)
+    with pytest.raises(InputError, match="99"):
+        check_deletion_bounds(inst, parse_delta("- 99\n"), cs,
+                              hg_before=hg, hg_after=hg)
+
+
 def test_bounds_inapplicable_outside_premises(pqr):
     schema, cs, inst = pqr
     # deleting everything: eps = 1
