@@ -8,7 +8,8 @@ yields a feasible fractional cover together with an integer dual packing
 whose scaled value certifies the (1 + eps) guarantee with exact rationals.
 Randomized rounding of the fractional cover, with a deterministic pass
 adding any still-uncovered edge wholesale, gives repairs within a factor d
-in expectation.
+in expectation.  That pass fires only on a caller-supplied cover: the cover
+from lp_fractional_cover is feasible, so every edge keeps its heaviest vertex.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
     Each vertex is kept with probability min(1, d * weight); a deterministic
     pass then adds every vertex of any edge the sample missed, so the result
     always hits all edges.  Runs are seeded reproducibly from (seed, rep).
+    Under the cover from lp_fractional_cover each edge's heaviest vertex has
+    weight >= 1/|e| >= 1/d, so it is kept with probability 1 (up to float
+    rounding) and the pass fires only on a caller-supplied cover.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")

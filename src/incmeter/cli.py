@@ -150,6 +150,11 @@ def _measure_payload(report: measures.MeasureReport) -> dict:
 
 
 def _cmd_measure(args) -> int:
+    # checked here rather than in the argparse types so that the error follows --format
+    if args.reps < 1:
+        raise InputError(f"--reps must be at least 1, got {args.reps}")
+    if args.eps <= 0:
+        raise InputError(f"--eps must be positive, got {args.eps}")
     start = time.perf_counter()
     _, constraints, instance = _load_bundle(args)
     if args.semantics == "tuple":

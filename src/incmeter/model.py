@@ -129,7 +129,7 @@ class Instance:
 
     An optional endogenous set marks the tids the application is allowed to
     delete; an empty set means no partition was declared, in which case every
-    fact counts as endogenous.
+    fact counts as endogenous.  `tids` holds the tids in ascending order.
     """
 
     schema: Schema
@@ -137,49 +137,44 @@ class Instance:
     endogenous: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.facts, key=lambda f: f.tid))
+        try:
+            ordered = tuple(sorted(self.facts, key=lambda f: f.tid))
+        except TypeError:  # e.g. tid None next to 1: the loop rejects the first non-int
+            ordered = tuple(f for f in self.facts if not isinstance(f.tid, int))
         object.__setattr__(self, "facts", ordered)
-        seen_tids = set()
+        arity = {p.name: p.arity for p in self.schema.predicates}
+        by_tid: dict[int, Fact] = {}
         seen_rows = set()
-        by_pred: dict[str, list[Fact]] = {}
         for f in ordered:
             if not isinstance(f.tid, int) or f.tid < 1:
                 raise InputError(f"tid must be a positive integer, got {f.tid!r}")
-            if f.tid in seen_tids:
+            if f.tid in by_tid:
                 raise InputError(f"duplicate tid {f.tid}")
-            seen_tids.add(f.tid)
-            pred = self.schema.predicate(f.predicate)
-            if len(f.values) != pred.arity:
+            by_tid[f.tid] = f
+            if len(f.values) != arity.get(f.predicate):
+                n = self.schema.predicate(f.predicate).arity  # raises if unknown
                 raise InputError(
-                    f"fact {f} has {len(f.values)} values, {f.predicate} expects {pred.arity}")
-            if any(v == NULL for v in f.values):
+                    f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
+            if NULL in f.values:
                 raise InputError(f"fact {f} uses the reserved value {NULL}")
             row = (f.predicate, f.values)
             if row in seen_rows:
                 raise InputError(f"duplicate row {f.predicate}{f.values!r}")
             seen_rows.add(row)
-            by_pred.setdefault(f.predicate, []).append(f)
-        stray = self.endogenous - seen_tids
+        stray = self.endogenous.difference(by_tid)
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
-        object.__setattr__(self, "_by_pred", {p: tuple(fs) for p, fs in by_pred.items()})
-        object.__setattr__(self, "_by_tid", {f.tid: f for f in ordered})
+        object.__setattr__(self, "_by_tid", by_tid)
+        object.__setattr__(self, "tids", tuple(by_tid))
 
     def __len__(self):
         return len(self.facts)
-
-    @property
-    def tids(self) -> tuple[int, ...]:
-        return tuple(f.tid for f in self.facts)
 
     def fact(self, tid: int) -> Fact:
         try:
             return self._by_tid[tid]
         except KeyError:
             raise InputError(f"no fact with tid {tid}") from None
-
-    def facts_by_predicate(self) -> dict[str, tuple[Fact, ...]]:
-        return dict(self._by_pred)
 
     def effective_endogenous(self) -> frozenset[int]:
         # no declared partition means everything may be touched
@@ -208,7 +203,6 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     if unknown:
         raise InputError(f"csv source for unknown predicate(s): {sorted(unknown)}")
     facts = []
-    next_tid = 1
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
             continue
@@ -236,17 +230,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
                 raise InputError(f"{name}: row has {len(row)} fields, expected {pred.arity}",
                                  line=idx)
             values = tuple(row)
-            if any(v == NULL for v in values):
+            if NULL in values:
                 raise InputError(f"{name}: the value {NULL} is reserved", line=idx)
             if values in seen:
                 raise InputError(f"{name}: duplicate row {values!r}", line=idx)
             seen.add(values)
-            facts.append(Fact(next_tid, name, values))
-            next_tid += 1
-    endo = frozenset()
-    if endogenous_tids is not None:
-        endo = frozenset(int(t) for t in endogenous_tids)
-    return Instance(schema, tuple(facts), endo)
+            facts.append(Fact(len(facts) + 1, name, values))
+    return Instance(schema, tuple(facts), frozenset(map(int, endogenous_tids or ())))
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def apply_update(instance: Instance, delta: UpdateDelta) -> Instance:
     """
     _check_deletions(instance.tids, delta)
     kept = tuple(f for f in instance.facts if f.tid not in delta.deletions)
-    start = max(instance.tids, default=0) + 1
+    start = instance.tids[-1] + 1 if instance.tids else 1
     added = tuple(Fact(tid, pred, values)
                   for tid, (pred, values) in enumerate(delta.insertions, start))
     return Instance(instance.schema, kept + added, instance.endogenous - delta.deletions)
@@ -149,8 +149,8 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
                            constraints: ConstraintSet) -> ConflictHypergraph:
     """Conflicts of the updated instance, reusing the edges that survive."""
     after = apply_update(instance, delta)
-    old_max = max(instance.tids, default=0)
-    new_facts = [f for f in after.facts if f.tid > old_max]
+    # fresh tids sort last, so the inserted facts end the tid-ordered facts
+    new_facts = after.facts[len(after) - len(delta.insertions):]
     known: dict[str, list] = {}
     for e in hg.edges:
         if not e.tids & delta.deletions:

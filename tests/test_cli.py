@@ -236,6 +236,12 @@ def test_error_rendering_follows_format(tmp_path, capsys):
     assert err["error"] == "input" and "schema file" in err["message"]
     assert main(bad + ["--format", "text"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # out-of-range solver flags are bad input, not a library traceback
+    for flag, message in (("--reps=0", "--reps must be at least 1, got 0"),
+                          ("--eps=0", "--eps must be positive, got 0"),
+                          ("--eps=-1/2", "--eps must be positive, got -1/2")):
+        assert main(["measure", "--solver", "randomized", flag] + base) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
     monkey_free = ["emit-asp", "--execute", "--solver-path", "/no/such"] + base
     assert main(monkey_free) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "solver-unavailable"

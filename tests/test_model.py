@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -136,22 +137,32 @@ def test_load_instance_errors():
 def test_missing_predicate_loads_empty():
     schema = parse_schema("p(A)\nq(A, B)\n")
     inst = load_instance({"p": "A\nx\n"}, schema)
-    assert inst.facts_by_predicate().get("q") is None
+    assert [(f.tid, f.predicate) for f in inst.facts] == [(1, "p")]
     assert len(inst) == 1
 
 
 def test_instance_validation():
     schema = parse_schema("p(A)\n")
-    with pytest.raises(InputError):
-        Instance(schema, (Fact(1, "p", ("a",)), Fact(1, "p", ("b",))))
-    with pytest.raises(InputError):
-        Instance(schema, (Fact(0, "p", ("a",)),))
-    with pytest.raises(InputError):
-        Instance(schema, (Fact(1, "p", ("a", "b")),))
-    with pytest.raises(InputError):
-        Instance(schema, (Fact(1, "nope", ("a",)),))
-    with pytest.raises(InputError):
-        Instance(schema, (Fact(1, "p", ("a",)),), frozenset({9}))
+    cases = [
+        ((Fact(1, "p", ("a",)), Fact(1, "p", ("b",))), (), "duplicate tid 1"),
+        ((Fact(0, "p", ("a",)),), (), "tid must be a positive integer, got 0"),
+        # the smallest invalid tid is reported, whatever the input order
+        ((Fact(0, "p", ("a",)), Fact(-3, "p", ("b",))), (),
+         "tid must be a positive integer, got -3"),
+        ((Fact("a", "p", ("x",)), Fact(1, "p", ("y",))), (),
+         "tid must be a positive integer, got 'a'"),
+        ((Fact(1, "p", ("y",)), Fact(None, "p", ("x",))), (),
+         "tid must be a positive integer, got None"),
+        ((Fact(1, "p", ("a", "b")),), (), "fact p[1](a, b) has 2 values, p expects 1"),
+        ((Fact(1, "nope", ("a",)),), (), "unknown predicate 'nope'"),
+        ((Fact(1, "p", ("a",)), Fact(2, "p", ("NULL",))), (),
+         "fact p[2](NULL) uses the reserved value NULL"),
+        ((Fact(2, "p", ("a",)), Fact(1, "p", ("a",))), (), "duplicate row p('a',)"),
+        ((Fact(1, "p", ("a",)),), (9,), "endogenous tids not present in instance: [9]"),
+    ]
+    for facts, endogenous, message in cases:
+        with pytest.raises(InputError, match=re.escape(message) + r"\Z"):
+            Instance(schema, facts, frozenset(endogenous))
     inst = Instance(schema, (Fact(2, "p", ("b",)), Fact(1, "p", ("a",))))
     assert inst.tids == (1, 2)  # normalized to tid order
 

@@ -55,6 +55,13 @@ def test_apply_update_assigns_fresh_tids(pqr):
     assert after.fact(6).predicate == "p" and after.fact(6).values == ("z",)
     # the original instance is untouched
     assert inst.tids == (1, 2, 3, 4)
+    # deleting the top tid does not let a fresh fact reuse it
+    top = parse_delta("- 4\n+ p(z)\n")
+    after = apply_update(inst, top)
+    assert after.tids == (1, 2, 3, 5)
+    assert after.fact(5).values == ("z",)
+    assert incremental_hypergraph(build_hypergraph(inst, cs), inst, top, cs) == \
+        build_hypergraph(after, cs)
 
 
 def test_apply_update_validation(pqr):
