@@ -149,12 +149,18 @@ def _measure_payload(report: measures.MeasureReport) -> dict:
     return payload
 
 
-def _cmd_measure(args) -> int:
-    # checked here rather than in the argparse types so that the error follows --format
-    if args.reps < 1:
-        raise InputError(f"--reps must be at least 1, got {args.reps}")
-    if args.eps <= 0:
+def _check_ranges(args) -> None:
+    """Refuse out-of-range numeric flags as bad input."""
+    for flag, least in (("node_budget", 0), ("enum_limit", 0), ("reps", 1)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise InputError(f"--{flag.replace('_', '-')} must be at least {least}, "
+                             f"got {value}")
+    if getattr(args, "eps", 1) <= 0:
         raise InputError(f"--eps must be positive, got {args.eps}")
+
+
+def _cmd_measure(args) -> int:
     start = time.perf_counter()
     _, constraints, instance = _load_bundle(args)
     if args.semantics == "tuple":
@@ -342,12 +348,16 @@ def _fail(fmt: str, exc: IncMeterError) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # usage errors surface before --format is known; report those as text
+    # an explicit --format is read first so that usage errors follow it;
+    # without one they are reported as text
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", default="text")
     fmt = "text"
     try:
-        args = parser.parse_args(argv)
-        fmt = getattr(args, "format", "text")
+        fmt = pre.parse_known_args(argv)[0].format
+        args = build_parser().parse_args(argv)
+        fmt = args.format
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         _fail(fmt, exc)

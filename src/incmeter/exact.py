@@ -1,11 +1,12 @@
 """Exact minimum hitting sets and repair enumeration over conflict hypergraphs.
 
-The search is a bounded branch-and-bound tree: branch on a smallest unhit
-edge, try its vertices in descending degree order, prune with a greedy
+The minimum comes from a bounded branch-and-bound tree: branch on a smallest
+unhit edge, try its vertices in descending degree order, prune with a greedy
 disjoint-edge matching lower bound.  With edge sizes bounded by d the tree
 has at most d^k nodes for answer size k, so small covers are found quickly
 even on large instances.  An explicit node budget turns pathological inputs
-into a clean error instead of a silent timeout or a wrong answer.
+into a clean error instead of a silent timeout or a wrong answer.  All
+minimal hitting sets are built edge by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .conflicts import ConflictHypergraph, build_hypergraph
+from .conflicts import ConflictHypergraph, antichain, build_hypergraph
 from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
@@ -75,10 +76,8 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     for pos, b in enumerate(rank):
         rank_pos[b] = pos
 
-    best_mask = _greedy_cover(masks, n, degree)
-    lr = _take_whole_edges(masks, 0)
-    if _popcount(lr) < _popcount(best_mask):
-        best_mask = lr
+    # min keeps the greedy cover on ties
+    best_mask = min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=_popcount)
 
     best = [best_mask, _popcount(best_mask)]
     nodes = [0]
@@ -96,9 +95,10 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     def branch(cover, size):
         nodes[0] += 1
         if nodes[0] > node_budget:
+            # the root packing is certified: each disjoint edge needs its own element
             raise ResourceLimitError(
                 f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                best_size=best[1], lower_bound=None)
+                best_size=best[1], lower_bound=lower_bound(0))
         pick = -1
         pick_size = n + 1
         for m in masks:
@@ -142,10 +142,10 @@ def _popcount(mask):
     return bin(mask).count("1")
 
 
-def _greedy_cover(masks, n, degree):
+def _greedy_cover(masks):
     """Repeatedly take the vertex hitting the most unhit edges."""
     cover = 0
-    remaining = [m for m in masks]
+    remaining = masks
     while remaining:
         counts = {}
         for m in remaining:
@@ -169,19 +169,6 @@ def _take_whole_edges(edges, cover):
         if not e & cover:
             cover |= e
     return cover
-
-
-def _superset_closure(masks, n):
-    """bad[m] = 1 iff some mask lies entirely inside m, for all m < 2^n."""
-    bad = bytearray(1 << n)
-    for m in masks:
-        bad[m] = 1
-    for b in range(n):
-        bit = 1 << b
-        for m in range(1 << n):
-            if m & bit and bad[m ^ bit]:
-                bad[m] = 1
-    return bad
 
 
 def min_hitting_set(hg: ConflictHypergraph,
@@ -230,9 +217,7 @@ def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,
     Exhaustive over the conflicting tids, hence gated by an instance-size
     limit.  Facts outside every conflict belong to every repair.
     """
-    if len(instance) > limit:
-        raise ResourceLimitError(
-            f"instance has {len(instance)} facts, repair enumeration is limited to {limit}")
+    _check_size(len(instance), limit, "repair enumeration")
     hg = hypergraph or build_hypergraph(instance, constraints)
     all_tids = set(instance.tids)
     repairs = [frozenset(all_tids - deleted)
@@ -244,27 +229,30 @@ def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,
 def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
     """All minimal sets meeting every edge, canonically ordered.
 
-    Exhaustive over the union of the edges (2^n masks with a superset-closure
-    sweep), hence capped by max_elements.
+    Berge's rule: of the minimal hitting sets of the edges so far, those
+    meeting the next edge stay and the others grow by each of its elements;
+    the antichain of these is the answer for one more edge.  Capped by the
+    number of elements in the edges.
     """
-    active = sorted(set().union(*edge_sets)) if edge_sets else []
-    a = len(active)
-    if a > max_elements:
+    _gated_union(edge_sets, max_elements)
+    sets = [frozenset()]
+    for e in edge_sets:
+        sets = antichain([s for s in sets if s & e]
+                         + [s | {v} for s in sets if not s & e for v in e])
+    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def _check_size(n, limit, what):
+    if n > limit:
+        raise ResourceLimitError(f"instance has {n} facts, {what} is limited to {limit}")
+
+
+def _gated_union(edge_sets, max_elements=22):
+    union = set().union(*edge_sets)
+    if len(union) > max_elements:
         raise ResourceLimitError(
-            f"{a} elements exceed the enumeration limit {max_elements}")
-    index = {t: i for i, t in enumerate(active)}
-    full = (1 << a) - 1
-    # a mask m hits every edge iff no edge lies inside its complement
-    bad = _superset_closure([_mask(e, index) for e in edge_sets], a)
-    out = []
-    for m in range(1 << a):
-        if bad[full ^ m]:
-            continue
-        if any(not bad[full ^ (m ^ (1 << b))] for b in _bits(m)):
-            continue  # some element is redundant
-        out.append(frozenset(active[b] for b in _bits(m)))
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(out)
+            f"{len(union)} elements exceed the enumeration limit {max_elements}")
+    return union
 
 
 def enumerate_c_repairs(instance: Instance, constraints: ConstraintSet,

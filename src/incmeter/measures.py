@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import approx, exact
 from .conflicts import build_hypergraph
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .model import ConstraintSet, Instance
 
 ENUM_LIMIT = 16
@@ -135,27 +135,38 @@ def measure_count_all(instance: Instance, constraints: ConstraintSet,
                       limit=ENUM_LIMIT, hypergraph=None) -> MeasureReport:
     """Share of sub-instances that are inconsistent.
 
-    A sub-instance is consistent exactly when it contains no conflict whole,
-    so consistent subsets are counted by a superset-closure sweep.
+    A sub-instance is inconsistent exactly when its part inside the a
+    conflicting tids holds some conflict whole, so a superset-closure sweep
+    over those tids counts 2^(n-a) sub-instances per inconsistent mask.
     """
     n = len(instance)
-    if n > limit:
-        raise ResourceLimitError(
-            f"instance has {n} facts, subset counting is limited to {limit}")
+    exact._check_size(n, limit, "subset counting")
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
-    order = {t: i for i, t in enumerate(instance.tids)}
-    bad = exact._superset_closure([exact._mask(e, order) for e in hg.solving_edges], n)
-    return MeasureReport("count_all", sum(bad), 1 << n, True, "enumeration")
+    order = {t: i for i, t in enumerate(set().union(*hg.solving_edges))}
+    a = len(order)
+    bad = bytearray(1 << a)
+    for e in hg.solving_edges:
+        bad[exact._mask(e, order)] = 1
+    for b in range(a):
+        bit = 1 << b
+        for m in range(1 << a):
+            if m & bit and bad[m ^ bit]:
+                bad[m] = 1
+    return MeasureReport("count_all", sum(bad) << (n - a), 1 << n, True, "enumeration")
 
 
 def measure_jaccard(instance: Instance, constraints: ConstraintSet,
                     limit=ENUM_LIMIT, hypergraph=None) -> MeasureReport:
-    """Jaccard distance between the instance and what all repairs agree on."""
+    """Jaccard distance between the instance and what all repairs agree on.
+
+    The solving edges are an antichain, so each tid v of an edge e lies in a
+    minimal hitting set: (V - e) | {v} hits every edge, and any minimal one
+    inside it keeps v to hit e.  So the repairs agree on the conflict-free facts.
+    """
     n = len(instance)
-    reps = exact.enumerate_s_repairs(instance, constraints, limit, hypergraph)
+    exact._check_size(n, limit, "repair enumeration")
+    hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
+    conflicting = exact._gated_union(hg.solving_edges)
     if n == 0:
-        return _empty_report("jaccard", reps, "enumeration")
-    core = frozenset(instance.tids)
-    for r in reps.repairs:
-        core &= r
-    return MeasureReport("jaccard", n - len(core), n, True, "enumeration", reps)
+        return _empty_report("jaccard", None, "enumeration")
+    return MeasureReport("jaccard", len(conflicting), n, True, "enumeration")

@@ -23,7 +23,7 @@ from incmeter.exact import (brute_force_min_hitting_set, enumerate_c_repairs,
                             enumerate_s_repairs, min_hitting_set)
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
 from incmeter.model import Fact, Instance, parse_constraints, parse_schema
-from incmeter.nullrep import inc_deg_g3_null
+from incmeter.nullrep import inc_deg_g3_null, minimal_null_repairs
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph)
 
@@ -295,11 +295,23 @@ def test_c7_scaling(capsys):
     hg_scan, t_scan = timed(lambda: build_hypergraph(scan, scan_cs))
     scan_ok = len(hg_scan.edges) == fd_pairs + join_pairs and t_scan < 5
 
-    report(capsys, "C7", "scaling", exact_ok and lr_ok and scan_ok,
+    # all minimal blankings at the 24-cell gate: 6 symmetric pairs r(i, j),
+    # r(j, i), each conflict broken by one of its 4 cells, so 4^6 answers
+    sym_schema = parse_schema("r(A, B)\n")
+    sym_cs = parse_constraints("dc c : !exists r(x, y), r(y, x), x != y\n", sym_schema)
+    sym = Instance(sym_schema, tuple(
+        [Fact(i + 1, "r", (str(i), str(99 - i))) for i in range(6)]
+        + [Fact(i + 7, "r", (str(99 - i), str(i))) for i in range(6)]))
+    blankings, t_null = timed(lambda: minimal_null_repairs(sym, sym_cs))
+    null_ok = (len(blankings) == 4 ** 6 and all(len(b) == 6 for b in blankings)
+               and t_null < 5)
+
+    report(capsys, "C7", "scaling", exact_ok and lr_ok and scan_ok and null_ok,
            f"200-row exact optimum 15 in {t_exact:.2f}s, "
            f"{len(edge_sets)}-edge greedy cover in {t_lr:.2f}s, "
            f"{len(scan)}-row conflict detection ({len(hg_scan.edges)} edges) "
-           f"in {t_scan:.2f}s")
+           f"in {t_scan:.2f}s, {len(blankings)} minimal 24-cell blankings "
+           f"in {t_null:.2f}s")
 
 
 def test_c8_complexity_classification(capsys):

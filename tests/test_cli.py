@@ -236,11 +236,18 @@ def test_error_rendering_follows_format(tmp_path, capsys):
     assert err["error"] == "input" and "schema file" in err["message"]
     assert main(bad + ["--format", "text"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    # out-of-range solver flags are bad input, not a library traceback
-    for flag, message in (("--reps=0", "--reps must be at least 1, got 0"),
-                          ("--eps=0", "--eps must be positive, got 0"),
-                          ("--eps=-1/2", "--eps must be positive, got -1/2")):
-        assert main(["measure", "--solver", "randomized", flag] + base) == 1
+    # out-of-range flags are bad input, not a library traceback or a budget
+    # error; an explicit --format also covers errors raised while parsing
+    for argv, message in (
+            (["measure", "--reps=0"], "--reps must be at least 1, got 0"),
+            (["measure", "--eps=0"], "--eps must be positive, got 0"),
+            (["measure", "--eps=-1/2"], "--eps must be positive, got -1/2"),
+            (["measure", "--node-budget", "-5"], "--node-budget must be at least 0, got -5"),
+            (["repairs", "--enum-limit", "-1"], "--enum-limit must be at least 0, got -1"),
+            (["alt-measures", "--enum-limit=-1"], "--enum-limit must be at least 0, got -1"),
+            (["measure", "--format", "json", "--eps", "abc"], "not a fraction: 'abc'"),
+            (["measure", "--format=json", "--bogus"], "unrecognized arguments: --bogus")):
+        assert main(argv + base) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
     monkey_free = ["emit-asp", "--execute", "--solver-path", "/no/such"] + base
     assert main(monkey_free) == 1

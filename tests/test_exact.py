@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -87,6 +88,8 @@ def test_node_budget_exhaustion_reports_best_found():
         min_hitting_set(hg, node_budget=5)
     assert info.value.best_size is not None
     assert all(i in str(info.value) for i in ("budget",))
+    optimum = len(min_hitting_set(hg).deleted)
+    assert 0 < info.value.lower_bound <= optimum <= info.value.best_size
 
 
 def test_generic_solver_handles_restricted_universe():
@@ -125,6 +128,38 @@ def test_enumerate_minimal_hitting_sets_small():
     with pytest.raises(ResourceLimitError):
         enumerate_minimal_hitting_sets([{i, i + 1} for i in range(0, 60, 2)],
                                        max_elements=22)
+
+
+def _brute_minimal_hitting_sets(edges):
+    # every subset of the union that hits each edge while no subset one
+    # element smaller does (hitting is upward closed, so that is minimality)
+    union = sorted(set().union(*edges))
+    hits = lambda s: all(s & e for e in edges)
+    found = [frozenset(c) for k in range(len(union) + 1)
+             for c in itertools.combinations(union, k)
+             if hits(set(c)) and not any(hits(set(c) - {v}) for v in c)]
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def test_enumerate_minimal_hitting_sets_matches_subset_oracle():
+    rng = random.Random(5)
+    shapes = {"empty edge": 0, "duplicate": 0, "singleton": 0, "non-antichain": 0}
+    for _ in range(300):
+        edges = [set(rng.sample(range(1, 11), rng.randint(1, 4)))
+                 for _ in range(rng.randint(0, 8))]
+        if edges and rng.random() < 0.3:
+            edges.append(set(rng.choice(edges)))
+        if rng.random() < 0.05:
+            edges.insert(rng.randint(0, len(edges)), set())
+        shapes["empty edge"] += set() in edges
+        shapes["duplicate"] += len(set(map(frozenset, edges))) < len(edges)
+        shapes["singleton"] += any(len(e) == 1 for e in edges)
+        shapes["non-antichain"] += any(e < f for e in edges for f in edges)
+        got = enumerate_minimal_hitting_sets(edges)
+        assert list(got) == _brute_minimal_hitting_sets(edges)
+        if set() in edges:
+            assert got == ()
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_s_repairs_pqr(pqr):

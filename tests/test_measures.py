@@ -10,7 +10,7 @@ from incmeter.exact import enumerate_s_repairs
 from incmeter.measures import (inc_deg_g3, inc_deg_g3_endogenous,
                                measure_count_all, measure_count_srep,
                                measure_jaccard)
-from incmeter.model import Instance, check_consistency
+from incmeter.model import Fact, Instance, check_consistency
 
 from conftest import random_bundle
 
@@ -112,17 +112,33 @@ def test_count_srep_fd(fd):
     assert rep.value == Fraction(1, 4)
 
 
+def _inconsistent_subsets(inst, cs):
+    # independent oracle: check every sub-instance directly
+    tids = list(inst.tids)
+    return sum(
+        1 for r in range(len(tids) + 1)
+        for keep in itertools.combinations(tids, r)
+        if not check_consistency(inst.restrict(keep), cs))
+
+
 def test_count_all_fd(fd):
     _, cs, inst = fd
     rep = measure_count_all(inst, cs)
     assert (rep.numerator, rep.denominator) == (3, 8)
-    # independent oracle: count the consistent subsets directly
-    tids = list(inst.tids)
-    consistent = sum(
-        1 for r in range(len(tids) + 1)
-        for keep in itertools.combinations(tids, r)
-        if check_consistency(inst.restrict(keep), cs))
-    assert rep.numerator == 2 ** len(tids) - consistent
+    assert rep.numerator == _inconsistent_subsets(inst, cs)
+
+
+def test_count_all_with_conflict_free_facts(pqr):
+    # conflicts {1,3} and {1,4}; p(e) and the added p facts are in none, so
+    # 3 of the 7 facts conflict and each inconsistent mask stands for 2^4
+    schema, cs, inst = pqr
+    extra = (Fact(5, "p", ("f",)), Fact(6, "p", ("g",)), Fact(7, "q", ("z", "h")))
+    wide = Instance(schema, inst.facts + extra)
+    edges = build_hypergraph(wide, cs).solving_edges
+    assert edges == (frozenset({1, 3}), frozenset({1, 4}))
+    rep = measure_count_all(wide, cs)
+    assert (rep.numerator, rep.denominator) == (3 * 2 ** 4, 2 ** 7)
+    assert rep.numerator == _inconsistent_subsets(wide, cs)
 
 
 def test_count_all_matches_direct_count_on_random_instances():
@@ -130,13 +146,8 @@ def test_count_all_matches_direct_count_on_random_instances():
     for _ in range(30):
         cs, inst = random_bundle(rng, max_rows=7)
         rep = measure_count_all(inst, cs)
-        tids = list(inst.tids)
-        consistent = sum(
-            1 for r in range(len(tids) + 1)
-            for keep in itertools.combinations(tids, r)
-            if check_consistency(inst.restrict(keep), cs))
-        assert rep.numerator == 2 ** len(tids) - consistent
-        assert rep.denominator == 2 ** len(tids)
+        assert rep.numerator == _inconsistent_subsets(inst, cs)
+        assert rep.denominator == 2 ** len(inst.tids)
 
 
 def test_jaccard(pqr, fd):
