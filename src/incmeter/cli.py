@@ -341,8 +341,13 @@ def _error_code(exc: IncMeterError) -> str:
 
 def _fail(fmt: str, exc: IncMeterError) -> None:
     if fmt == "json":
-        print(json.dumps({"error": _error_code(exc), "message": str(exc)}),
-              file=sys.stderr)
+        payload = {"error": _error_code(exc), "message": str(exc)}
+        # an exhausted budget still brackets the optimum: [lower_bound, best_size]
+        for key in ("best_size", "lower_bound"):
+            value = getattr(exc, key, None)
+            if value is not None:
+                payload[key] = value
+        print(json.dumps(payload), file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)
 

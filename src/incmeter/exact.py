@@ -1,12 +1,16 @@
 """Exact minimum hitting sets and repair enumeration over conflict hypergraphs.
 
-The minimum comes from a bounded branch-and-bound tree: branch on a smallest
+The minimum is solved one connected component at a time.  One union-find
+pass splits the deduplicated edges, and each component, taken in order of its
+smallest element, gets its own branch-and-bound tree: branch on a smallest
 unhit edge, try its vertices in descending degree order, prune with a greedy
-disjoint-edge matching lower bound.  With edge sizes bounded by d the tree
-has at most d^k nodes for answer size k, so small covers are found quickly
-even on large instances.  An explicit node budget turns pathological inputs
-into a clean error instead of a silent timeout or a wrong answer.  All
-minimal hitting sets are built edge by edge with Berge's rule.
+disjoint-edge packing lower bound.  With edge sizes bounded by d a tree has
+at most d^k nodes for a component answer of size k, and the answer is the
+union of the component answers.  One node budget counts the nodes of all
+trees together, so pathological inputs end in a clean error instead of a
+silent timeout or a wrong answer; the error brackets the whole optimum by the
+exact sizes of the solved components and [packing, incumbent] of the rest.
+All minimal hitting sets are built edge by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -44,28 +48,71 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
 
     edge_sets is a sequence of element sets (any sortable hashable elements).
     allowed, when given, restricts which elements may be picked; an edge with
-    no allowed element makes the problem infeasible (None).  Raises
-    ResourceLimitError when the branch tree exceeds node_budget.
+    no allowed element makes the problem infeasible (None).  Each connected
+    component is solved on its own, in order of its smallest element, and the
+    answer is the union.  Raises ResourceLimitError when the search nodes of
+    all components together exceed node_budget; its best_size and lower_bound
+    then bracket the optimum of the whole problem.
     """
     edges = {frozenset(e) for e in edge_sets}
-    if not edges:
-        return frozenset()
-    universe = sorted(set().union(*edges))
     if allowed is not None:
-        allowed = frozenset(allowed)
-        universe = [u for u in universe if u in allowed]
         # restricting each edge to pickable elements preserves the problem
-        restricted = []
-        for e in edges:
-            r = e & allowed
-            if not r:
-                return None
-            restricted.append(r)
-        edges = set(restricted)
-    index = {u: i for i, u in enumerate(universe)}
-    masks = sorted({_mask(e, index) for e in edges})
-    n = len(universe)
+        allowed = frozenset(allowed)
+        edges = {e & allowed for e in edges}
+    if frozenset() in edges:
+        return None
+    components = [_index(c) for c in _components(edges)]
+    nodes = [0]
+    chosen = []
+    for i, (universe, masks) in enumerate(components):
+        try:
+            cover = _branch_and_bound(masks, len(universe), nodes, node_budget)
+        except ResourceLimitError as exc:
+            # solved components are exact; the rest contribute [packing, incumbent]
+            rest = [m for _, m in components[i + 1:]]
+            raise ResourceLimitError(
+                str(exc),
+                best_size=len(chosen) + exc.best_size
+                + sum(_popcount(_incumbent(m)) for m in rest),
+                lower_bound=len(chosen) + exc.lower_bound
+                + sum(_packing(m, 0) for m in rest)) from None
+        chosen.extend(universe[b] for b in _bits(cover))
+    return frozenset(chosen)
 
+
+def _components(edges):
+    """The edges grouped into connected components, by smallest element."""
+    incident = {}
+    for e in edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    seen = set()
+    components = []
+    for v in sorted(incident):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, component = [v], set()
+        while stack:
+            for e in incident[stack.pop()]:
+                if e not in component:
+                    component.add(e)
+                    fresh = e - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+        components.append(component)
+    return components
+
+
+def _index(edges):
+    """The sorted elements of edges, and each edge as a bit mask over them."""
+    universe = sorted(set().union(*edges))
+    index = {u: i for i, u in enumerate(universe)}
+    return universe, sorted({_mask(e, index) for e in edges})
+
+
+def _branch_and_bound(masks, n, nodes, node_budget):
+    """Smallest cover of masks over n bits; nodes[0] counts the search nodes."""
     degree = [0] * n
     for m in masks:
         for b in _bits(m):
@@ -76,21 +123,8 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     for pos, b in enumerate(rank):
         rank_pos[b] = pos
 
-    # min keeps the greedy cover on ties
-    best_mask = min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=_popcount)
-
+    best_mask = _incumbent(masks)
     best = [best_mask, _popcount(best_mask)]
-    nodes = [0]
-
-    def lower_bound(cover):
-        lb = 0
-        blocked = 0
-        for m in masks:
-            if m & cover or m & blocked:
-                continue
-            lb += 1
-            blocked |= m
-        return lb
 
     def branch(cover, size):
         nodes[0] += 1
@@ -98,7 +132,7 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
             # the root packing is certified: each disjoint edge needs its own element
             raise ResourceLimitError(
                 f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                best_size=best[1], lower_bound=lower_bound(0))
+                best_size=best[1], lower_bound=_packing(masks, 0))
         pick = -1
         pick_size = n + 1
         for m in masks:
@@ -115,13 +149,30 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
             return
         if size + 1 >= best[1]:
             return
-        if size + lower_bound(cover) >= best[1]:
+        if size + _packing(masks, cover) >= best[1]:
             return
         for b in sorted(_bits(pick), key=lambda b: rank_pos[b]):
             branch(cover | (1 << b), size + 1)
 
     branch(0, 0)
-    return frozenset(universe[b] for b in _bits(best[0]))
+    return best[0]
+
+
+def _incumbent(masks):
+    """The smaller of the greedy and the whole-edge cover; greedy on ties."""
+    return min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=_popcount)
+
+
+def _packing(masks, cover):
+    """Edges missed by cover and pairwise disjoint, each needing its own element."""
+    lb = 0
+    blocked = 0
+    for m in masks:
+        if m & cover or m & blocked:
+            continue
+        lb += 1
+        blocked |= m
+    return lb
 
 
 def _mask(elements, index):

@@ -1,6 +1,7 @@
 """Shared fixtures: worked-example bundles and a seeded random corpus."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -90,6 +91,25 @@ def random_bundle(rng: random.Random, max_rows=12):
         sources["s"] = "A\n" + "".join(f"{a}\n" for (a,) in sorted(rows_s))
     instance = load_instance(sources, RANDOM_SCHEMA)
     return constraints, instance
+
+
+def fd_key_groups(rng: random.Random, n):
+    """rel(A, B, C) under A -> B: n rows, n/4 keys, 3 B values, and its optimum.
+
+    Under one FD each key group is a component of its own whose conflict
+    graph is complete multipartite, so a smallest repair keeps one largest
+    B-class of every group (Livshits, Kimelfeld and Roy, PODS 2018).
+    """
+    schema = parse_schema("rel(A, B, C)\n")
+    constraints = parse_constraints("fd key : rel : A -> B\n", schema)
+    rows = [(f"k{rng.randrange(n // 4)}", f"b{rng.randrange(3)}", f"c{i}")
+            for i in range(n)]
+    instance = Instance(schema, tuple(Fact(i + 1, "rel", r) for i, r in enumerate(rows)))
+    classes = {}
+    for a, b, _ in rows:
+        classes.setdefault(a, Counter())[b] += 1
+    optimum = sum(sum(c.values()) - max(c.values()) for c in classes.values())
+    return constraints, instance, optimum
 
 
 class CorpusItem:

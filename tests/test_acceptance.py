@@ -27,6 +27,8 @@ from incmeter.nullrep import inc_deg_g3_null, minimal_null_repairs
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph)
 
+from conftest import fd_key_groups
+
 GOLDEN = Path(__file__).parent / "golden" / "repair_program_reference.lp"
 
 
@@ -306,12 +308,19 @@ def test_c7_scaling(capsys):
     null_ok = (len(blankings) == 4 ** 6 and all(len(b) == 6 for b in blankings)
                and t_null < 5)
 
-    report(capsys, "C7", "scaling", exact_ok and lr_ok and scan_ok and null_ok,
+    # the exact solver against the single-FD closed form at 10^4 rows
+    fd_cs, fd_inst, fd_opt = fd_key_groups(random.Random(1), 10_000)
+    fd_sol, t_fd = timed(lambda: min_hitting_set(build_hypergraph(fd_inst, fd_cs)))
+    fd_ok = len(fd_sol.deleted) == fd_opt and t_fd < 5
+
+    report(capsys, "C7", "scaling",
+           exact_ok and lr_ok and scan_ok and null_ok and fd_ok,
            f"200-row exact optimum 15 in {t_exact:.2f}s, "
            f"{len(edge_sets)}-edge greedy cover in {t_lr:.2f}s, "
            f"{len(scan)}-row conflict detection ({len(hg_scan.edges)} edges) "
            f"in {t_scan:.2f}s, {len(blankings)} minimal 24-cell blankings "
-           f"in {t_null:.2f}s")
+           f"in {t_null:.2f}s, {len(fd_inst)}-row single-FD optimum {fd_opt} "
+           f"(closed form) in {t_fd:.2f}s")
 
 
 def test_c8_complexity_classification(capsys):

@@ -258,6 +258,10 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
     assert main(["measure", "--node-budget", "0"] + base) == 2
     assert "budget" in capsys.readouterr().err
+    assert main(["measure", "--node-budget", "0", "--format", "json"] + base) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "resource-limit"
+    assert 0 < error["lower_bound"] <= error["best_size"]
     assert main(["measure", "--solver", "randomized", "--eps", "1/5000"] + base) == 2
 
 

@@ -11,7 +11,7 @@ from incmeter.exact import (brute_force_min_hitting_set, enumerate_c_repairs,
                             solve_min_hitting_set)
 from incmeter.model import check_consistency
 
-from conftest import random_bundle
+from conftest import fd_key_groups, random_bundle
 
 
 def test_pqr_minimum(pqr):
@@ -90,6 +90,55 @@ def test_node_budget_exhaustion_reports_best_found():
     assert all(i in str(info.value) for i in ("budget",))
     optimum = len(min_hitting_set(hg).deleted)
     assert 0 < info.value.lower_bound <= optimum <= info.value.best_size
+
+
+def test_single_fd_matches_the_closed_form():
+    for seed in range(1, 6):
+        cs, inst, optimum = fd_key_groups(random.Random(seed), 1000)
+        hg = build_hypergraph(inst, cs)
+        sol = min_hitting_set(hg)
+        assert len(sol.deleted) == optimum
+        assert all(sol.deleted & e for e in hg.solving_edges)
+
+
+def _hard_block(offset=0):
+    # one connected 3-uniform component whose optimum (10) lies strictly
+    # between its root packing (8) and its greedy incumbent (11)
+    rng = random.Random(1)
+    return [{v + offset for v in rng.sample(range(30), 3)} for _ in range(45)]
+
+
+def _interval(edges, node_budget):
+    with pytest.raises(ResourceLimitError) as info:
+        solve_min_hitting_set(edges, node_budget=node_budget)
+    return info.value.lower_bound, info.value.best_size
+
+
+def test_exhaustion_across_components_brackets_the_whole_optimum():
+    block = _hard_block()
+    opt = len(solve_min_hitting_set(block))
+    packing, incumbent = _interval(block, 0)
+    assert packing < opt < incumbent
+    # the search is deterministic, so the smallest budget that solves one
+    # block is the number of nodes its tree takes
+    lo, hi = 1, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            solve_min_hitting_set(block, node_budget=mid)
+            hi = mid
+        except ResourceLimitError:
+            lo = mid + 1
+    nodes = lo
+    copies = [e for k in range(3) for e in _hard_block(30 * k)]
+    assert len(solve_min_hitting_set(copies, node_budget=3 * nodes)) == 3 * opt
+    # components go by smallest element, so a budget of k trees and a half
+    # finishes k copies and runs out inside the next one
+    for finished in range(3):
+        lower, best = _interval(copies, finished * nodes + nodes // 2)
+        assert lower <= 3 * opt <= best
+        assert lower >= finished * opt + (3 - finished) * packing
+        assert best <= finished * opt + (3 - finished) * incumbent
 
 
 def test_generic_solver_handles_restricted_universe():
