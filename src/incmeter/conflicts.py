@@ -13,7 +13,7 @@ every measure in this package is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import evaluation
@@ -38,13 +38,17 @@ class ConflictHypergraph:
     edges keeps one entry per (constraint, tid set) pair.  solving_edges is
     the deduplicated antichain across constraints: supersets of other edges
     are dropped since any hitting set already covers them.  d is the largest
-    solving edge size (0 when the instance is consistent).
+    solving edge size (0 when the instance is consistent).  _solved holds the
+    exact minimum hitting set once it is found, with the search nodes it took
+    (see exact.min_hitting_set); it takes no part in equality.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
     d: int
+    _solved: tuple | None = field(default=None, init=False, compare=False, repr=False,
+                                  hash=False)
 
     @property
     def is_consistent(self) -> bool:

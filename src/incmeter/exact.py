@@ -1,15 +1,16 @@
 """Exact minimum hitting sets and repair enumeration over conflict hypergraphs.
 
-The minimum is solved one connected component at a time.  One union-find
-pass splits the deduplicated edges, and each component, taken in order of its
-smallest element, gets its own branch-and-bound tree: branch on a smallest
-unhit edge, try its vertices in descending degree order, prune with a greedy
-disjoint-edge packing lower bound.  With edge sizes bounded by d a tree has
-at most d^k nodes for a component answer of size k, and the answer is the
-union of the component answers.  One node budget counts the nodes of all
-trees together, so pathological inputs end in a clean error instead of a
-silent timeout or a wrong answer; the error brackets the whole optimum by the
-exact sizes of the solved components and [packing, incumbent] of the rest.
+The minimum is solved one connected component at a time.  A graph traversal
+from vertices to their edges splits the deduplicated edges, and each
+component, taken in order of its smallest element, gets its own
+branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
+descending degree order, prune with a greedy disjoint-edge packing lower
+bound.  With edge sizes bounded by d a tree has at most d^k nodes for a
+component answer of size k, and the answer is the union of the component
+answers.  One node budget counts the nodes of all trees together, so
+pathological inputs end in a clean error instead of a silent timeout or a
+wrong answer; the error brackets the whole optimum by the exact sizes of the
+solved components and [packing, incumbent] of the rest.
 All minimal hitting sets are built edge by edge with Berge's rule.
 """
 
@@ -54,13 +55,18 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     all components together exceed node_budget; its best_size and lower_bound
     then bracket the optimum of the whole problem.
     """
+    return _solve(edge_sets, allowed, node_budget)[0]
+
+
+def _solve(edge_sets, allowed, node_budget):
+    """solve_min_hitting_set's answer and the search nodes it took."""
     edges = {frozenset(e) for e in edge_sets}
     if allowed is not None:
         # restricting each edge to pickable elements preserves the problem
         allowed = frozenset(allowed)
         edges = {e & allowed for e in edges}
     if frozenset() in edges:
-        return None
+        return None, 0
     components = [_index(c) for c in _components(edges)]
     nodes = [0]
     chosen = []
@@ -77,7 +83,7 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
                 lower_bound=len(chosen) + exc.lower_bound
                 + sum(_packing(m, 0) for m in rest)) from None
         chosen.extend(universe[b] for b in _bits(cover))
-    return frozenset(chosen)
+    return frozenset(chosen), nodes[0]
 
 
 def _components(edges):
@@ -226,9 +232,17 @@ def min_hitting_set(hg: ConflictHypergraph,
                     node_budget=DEFAULT_NODE_BUDGET) -> RepairSolution:
     """Smallest deletion set covering every solving edge; always optimal.
 
-    This is the endogenous solve with every tid deletable.
+    This is the endogenous solve with every tid deletable.  The answer is
+    kept on hg with the search nodes it took.  The search is deterministic,
+    so a later call whose budget covers those nodes returns it unsearched;
+    a smaller budget searches again and fails as a fresh solve would.
     """
-    return min_endogenous_hitting_set(hg, hg.vertices, node_budget)
+    if hg._solved is not None and node_budget >= hg._solved[1]:
+        return hg._solved[0]
+    deleted, nodes = _solve(hg.solving_edges, None, node_budget)
+    sol = RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
+    object.__setattr__(hg, "_solved", (sol, nodes))
+    return sol
 
 
 def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,

@@ -151,21 +151,57 @@ class Instance:
             if f.tid in by_tid:
                 raise InputError(f"duplicate tid {f.tid}")
             by_tid[f.tid] = f
-            if len(f.values) != arity.get(f.predicate):
-                n = self.schema.predicate(f.predicate).arity  # raises if unknown
-                raise InputError(
-                    f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
-            if NULL in f.values:
-                raise InputError(f"fact {f} uses the reserved value {NULL}")
-            row = (f.predicate, f.values)
-            if row in seen_rows:
-                raise InputError(f"duplicate row {f.predicate}{f.values!r}")
-            seen_rows.add(row)
+            self._check_row(f, arity, seen_rows)
         stray = self.endogenous.difference(by_tid)
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
         object.__setattr__(self, "_by_tid", by_tid)
         object.__setattr__(self, "tids", tuple(by_tid))
+
+    def _check_row(self, f: Fact, arity, rows) -> None:
+        """Reject f if its row is malformed or already in rows; else add it."""
+        if len(f.values) != arity.get(f.predicate):
+            n = self.schema.predicate(f.predicate).arity  # raises if unknown
+            raise InputError(
+                f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
+        if NULL in f.values:
+            raise InputError(f"fact {f} uses the reserved value {NULL}")
+        row = (f.predicate, f.values)
+        if row in rows:
+            raise InputError(f"duplicate row {f.predicate}{f.values!r}")
+        rows.add(row)
+
+    def derive(self, insertions, deletions) -> "Instance":
+        """This instance with the deletions dropped and the insertions added.
+
+        deletions must be tids of this instance.  insertions are
+        (predicate, values) rows; they get fresh tids above the current
+        maximum, in order, and are the only facts checked, with the same
+        errors as a fresh Instance.  The set of live rows is built on the
+        first derivation and handed on, so a chain of derivations checks no
+        fact twice.
+        """
+        rows = getattr(self, "_rows", None)
+        if rows is None:
+            rows = {(f.predicate, f.values) for f in self.facts}
+            object.__setattr__(self, "_rows", rows)
+        rows = set(rows)
+        by_tid = dict(self._by_tid)
+        for t in deletions:
+            f = by_tid.pop(t)
+            rows.discard((f.predicate, f.values))
+        arity = {p.name: p.arity for p in self.schema.predicates}
+        start = self.tids[-1] + 1 if self.tids else 1
+        for tid, (predicate, values) in enumerate(insertions, start):
+            f = Fact(tid, predicate, values)
+            self._check_row(f, arity, rows)
+            by_tid[tid] = f
+        # the inserted rows are checked above, so __init__ and its full check are skipped
+        child = object.__new__(Instance)
+        child.__dict__.update(schema=self.schema, facts=tuple(by_tid.values()),
+                              endogenous=self.endogenous.difference(deletions),
+                              tids=tuple(by_tid), _by_tid=by_tid, _rows=rows)
+        return child
 
     def __len__(self):
         return len(self.facts)
@@ -341,19 +377,6 @@ class ConstraintSet:
 
     def __len__(self):
         return len(self.constraints)
-
-    @property
-    def max_atoms(self) -> int:
-        """Largest atom count over the set; bounds every conflict's size."""
-        return max((len(c.atoms) for c in self.constraints), default=0)
-
-    def restricted_to(self, names) -> "ConstraintSet":
-        """Keep only the constraints whose names appear in `names`."""
-        wanted = set(names)
-        missing = wanted - {c.name for c in self.constraints}
-        if missing:
-            raise InputError(f"unknown constraint name: {sorted(missing)[0]}")
-        return ConstraintSet(tuple(c for c in self.constraints if c.name in wanted))
 
 
 # ---------------------------------------------------------------------------

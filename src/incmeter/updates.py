@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact, measures
-from .conflicts import (ConflictHypergraph, assemble, build_hypergraph, constraint_edges,
-                        vertex_degrees)
+from .conflicts import ConflictHypergraph, assemble, build_hypergraph, constraint_edges
 from .errors import InputError
 from .evaluation import FactIndex
-from .model import ConstraintSet, Fact, Instance
+from .model import ConstraintSet, Instance
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,12 @@ def apply_update(instance: Instance, delta: UpdateDelta) -> Instance:
     """New instance with deletions applied and insertions given fresh tids.
 
     Fresh tids continue above the previous maximum, in insertion order, so
-    existing tids never change meaning.  The new Instance validates the
-    inserted rows.
+    existing tids never change meaning.  Only the deleted tids and the
+    inserted rows are checked: the facts the delta leaves alone were checked
+    when the instance was built and are not checked again.
     """
     _check_deletions(instance.tids, delta)
-    kept = tuple(f for f in instance.facts if f.tid not in delta.deletions)
-    start = instance.tids[-1] + 1 if instance.tids else 1
-    added = tuple(Fact(tid, pred, values)
-                  for tid, (pred, values) in enumerate(delta.insertions, start))
-    return Instance(instance.schema, kept + added, instance.endogenous - delta.deletions)
+    return instance.derive(delta.insertions, delta.deletions)
 
 
 def _check_deletions(tids, delta: UpdateDelta) -> None:
@@ -223,8 +219,7 @@ def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
     hg_before, before, after = _measures_before_after(
         instance, delta, constraints, node_budget, hg_before, hg_after)
     n = len(instance)
-    degrees = vertex_degrees(hg_before)
-    isolated = all(degrees.get(t, 0) == 0 for t in delta.deletions)
+    isolated = all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
     if n == 0:
         return BoundCheckReport("delete", Fraction(0), before, after, False, (), isolated)
     eps = Fraction(len(delta.deletions), n)

@@ -5,9 +5,15 @@ import pytest
 from incmeter.conflicts import (build_hypergraph, hypergraph_from_edges,
                                 vertex_degrees)
 from incmeter.errors import InputError
-from incmeter.model import check_consistency, load_instance, parse_constraints, parse_schema
+from incmeter.model import (ConstraintSet, check_consistency, load_instance, parse_constraints,
+                            parse_schema)
 
 from conftest import random_bundle
+
+
+def _only(cs, name):
+    """The one constraint of cs called name, as a constraint set."""
+    return ConstraintSet(tuple(c for c in cs if c.name == name))
 
 
 def test_pqr_hypergraph(pqr):
@@ -74,7 +80,7 @@ def test_non_minimal_assignment_images_are_dropped():
         assert not check_consistency(inst.restrict(e.tids), cs)
         for t in e.tids:
             assert check_consistency(inst.restrict(e.tids - {t}),
-                                     cs.restricted_to((e.constraint,)))
+                                     _only(cs, e.constraint))
 
 
 def test_cross_constraint_superset_is_pruned_from_solving_edges():
@@ -119,7 +125,7 @@ def test_minimality_property_on_random_instances():
         cs, inst = random_bundle(rng)
         hg = build_hypergraph(inst, cs)
         for e in hg.edges[:6]:
-            sub = cs.restricted_to((e.constraint,))
+            sub = _only(cs, e.constraint)
             assert not check_consistency(inst.restrict(e.tids), sub)
             for t in e.tids:
                 assert check_consistency(inst.restrict(e.tids - {t}), sub)

@@ -141,6 +141,28 @@ def test_exhaustion_across_components_brackets_the_whole_optimum():
         assert best <= finished * opt + (3 - finished) * incumbent
 
 
+def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search():
+    def block():
+        return hypergraph_from_edges(range(30), _hard_block())
+
+    hg = block()
+    first = min_hitting_set(hg)
+    assert min_hitting_set(hg) is first
+    assert hg == block() and hash(hg) == hash(block())
+    nodes = hg._solved[1]
+    assert min_hitting_set(hg, node_budget=nodes) is first
+    # a budget the recorded search would overrun fails as on a fresh copy
+    with pytest.raises(ResourceLimitError) as memo:
+        min_hitting_set(hg, node_budget=nodes - 1)
+    with pytest.raises(ResourceLimitError) as fresh:
+        min_hitting_set(block(), node_budget=nodes - 1)
+    assert (memo.value.best_size, memo.value.lower_bound) == \
+        (fresh.value.best_size, fresh.value.lower_bound)
+    assert memo.value.lower_bound <= len(first.deleted) <= memo.value.best_size
+    assert min_hitting_set(block(), node_budget=nodes) == first
+    assert min_hitting_set(hg) is first
+
+
 def test_generic_solver_handles_restricted_universe():
     edges = [{1, 2}, {2, 3}]
     assert solve_min_hitting_set(edges) == frozenset({2})

@@ -50,7 +50,7 @@ def test_parse_dc_shapes():
     assert c3.atoms[0].terms[1] == Const("lit")
     assert c4.atoms[0].terms[0] == Const("Upper")
     assert c1.atoms[1].terms[0] == Var("x")
-    assert cs.max_atoms == 2
+    assert [len(c.atoms) for c in cs] == [2, 1, 2, 1]
 
 
 def test_parse_dc_errors():

@@ -6,7 +6,7 @@ import pytest
 
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError
-from incmeter.model import Instance
+from incmeter.model import Fact, Instance
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
                               parse_delta)
@@ -226,3 +226,102 @@ def test_bounds_hold_on_random_updates():
             assert rep.all_hold()
             checked_del += 1
     assert checked_ins > 50 and checked_del > 50
+
+
+def _fresh_after(inst, delta):
+    """The updated instance built from scratch: every fact validated again."""
+    missing = delta.deletions.difference(inst.tids)
+    if missing:
+        raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
+    start = inst.tids[-1] + 1 if inst.tids else 1
+    facts = [f for f in inst.facts if f.tid not in delta.deletions]
+    facts += [Fact(tid, pred, values)
+              for tid, (pred, values) in enumerate(delta.insertions, start)]
+    return Instance(inst.schema, tuple(facts), inst.endogenous - delta.deletions)
+
+
+def _outcome(update, inst, delta):
+    try:
+        return update(inst, delta), None
+    except InputError as exc:
+        return None, str(exc)
+
+
+def test_derived_instances_match_fresh_ones_along_random_delta_chains():
+    """Each step of a delta chain is checked against the instance built anew.
+
+    Rows deleted earlier in the chain come back, rows inserted two deltas
+    earlier come again, and some rows or tids are malformed; the derived
+    instance must accept and reject exactly what a fresh build does.
+    """
+    rng = random.Random(4242)
+    domain = ["a", "b", "c", "d", "e"]
+    seen = dict.fromkeys(("reinserted", "dup_of_two_back", "accepted"), 0)
+    # an error message fragment for each way a delta can be rejected
+    reasons = {"duplicate row": 0, "reserved value": 0, "values,": 0,
+               "unknown predicate": 0, "cannot delete": 0}
+    for _ in range(200):
+        _, inst = random_bundle(rng)
+        if inst.tids and rng.random() < 0.5:
+            part = rng.sample(inst.tids, rng.randint(1, len(inst.tids)))
+            inst = Instance(inst.schema, inst.facts, frozenset(part))
+        gone, inserted = [], []  # rows deleted so far; rows inserted per delta
+        while len(inserted) < 10:  # ten accepted deltas, with the rejected between
+            rows = []
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.random()
+                if kind < 0.15 and gone:
+                    rows.append(rng.choice(gone))
+                elif kind < 0.3 and len(inserted) >= 2 and inserted[-2]:
+                    rows.append(rng.choice(inserted[-2]))
+                elif kind < 0.35:
+                    rows.append(rng.choice([("r", ("a", "NULL")), ("s", ("a", "b")),
+                                            ("t", ("a",)), ("r", ("a",))]))
+                elif kind < 0.7:
+                    rows.append(("r", (rng.choice(domain), rng.choice(domain))))
+                else:
+                    rows.append(("s", (rng.choice(domain),)))
+            deletions = set(rng.sample(inst.tids, min(len(inst.tids), rng.randint(0, 2))))
+            if rng.random() < 0.05:
+                deletions.add(inst.tids[-1] + 7 if inst.tids else 7)
+            delta = UpdateDelta(tuple(rows), frozenset(deletions))
+            want, want_err = _outcome(_fresh_after, inst, delta)
+            got, got_err = _outcome(apply_update, inst, delta)
+            assert got_err == want_err
+            kept = {(f.predicate, f.values) for f in inst.facts if f.tid not in deletions}
+            if len(inserted) >= 2 and kept & set(rows) & set(inserted[-2]):
+                assert got_err is not None
+                seen["dup_of_two_back"] += got_err.startswith("duplicate row")
+            if want is None:
+                reasons[next(r for r in reasons if r in want_err)] += 1
+                continue
+            seen["accepted"] += 1
+            seen["reinserted"] += any(r in gone for r in rows)
+            assert got == want
+            assert got.facts == want.facts and got.tids == want.tids
+            assert got.endogenous == want.endogenous
+            assert got.effective_endogenous() == want.effective_endogenous()
+            assert all(got.fact(t) == want.fact(t) for t in want.tids)
+            for t in deletions:
+                with pytest.raises(InputError):
+                    got.fact(t)
+            gone += [(inst.fact(t).predicate, inst.fact(t).values) for t in deletions]
+            inserted.append(rows)
+            inst = got
+    # every case the docstring names happened often
+    assert all(n > 100 for n in seen.values()), seen
+    assert all(n > 20 for n in reasons.values()), reasons
+
+
+def test_a_derivation_validates_no_fact_again(pqr, monkeypatch):
+    _, _, inst = pqr
+    calls = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(Instance, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    Instance(inst.schema, inst.facts)
+    assert len(calls) == 1
+    after = apply_update(inst, parse_delta("+ q(e, w)\n- 2\n"))
+    after = apply_update(after, parse_delta("+ p(z)\n"))
+    assert len(calls) == 1
+    assert after.tids == (1, 3, 4, 5, 6)
