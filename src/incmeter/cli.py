@@ -62,13 +62,15 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5)
 
+    enum_limit = dict(type=int, default=measures.ENUM_LIMIT,
+                      help="most conflicting facts to enumerate over (default: %(default)s)")
     p = sub.add_parser("repairs", parents=[common], help="enumerate repairs")
     p.add_argument("--enumerate", choices=("s", "c"), default="s", dest="which")
-    p.add_argument("--enum-limit", type=int, default=measures.ENUM_LIMIT)
+    p.add_argument("--enum-limit", **enum_limit)
 
     p = sub.add_parser("alt-measures", parents=[common],
                        help="counting and Jaccard measure variants")
-    p.add_argument("--enum-limit", type=int, default=measures.ENUM_LIMIT)
+    p.add_argument("--enum-limit", **enum_limit)
 
     p = sub.add_parser("emit-asp", parents=[common],
                        help="emit the repair logic program")
@@ -218,6 +220,9 @@ def _cmd_alt_measures(args) -> int:
         measures.measure_count_all(instance, constraints, args.enum_limit, hg),
         measures.measure_jaccard(instance, constraints, args.enum_limit, hg),
     ]
+    # 2^|D| denominators outgrow the default cap of 4300 digits on printing an int
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     payload = {"command": "alt-measures",
                "measures": [_measure_payload(r) for r in reports],
                "elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
@@ -254,11 +259,9 @@ def _cmd_update(args) -> int:
     delta = updates.parse_delta(_read(args.delta, "delta"))
     hg_before = build_hypergraph(instance, constraints)
     hg_after = updates.incremental_hypergraph(hg_before, instance, delta, constraints)
-    after = updates.apply_update(instance, delta)
-    before_m = measures.inc_deg_g3(instance, constraints, hg_before,
-                                   node_budget=args.node_budget)
-    after_m = measures.inc_deg_g3(after, constraints, hg_after,
-                                  node_budget=args.node_budget)
+    size_after = len(hg_after.vertices)
+    before_m = measures._g3(hg_before, len(instance), node_budget=args.node_budget)
+    after_m = measures._g3(hg_after, size_after, node_budget=args.node_budget)
     bounds = None
     if args.check_bounds:
         if delta.is_insert_only:
@@ -273,14 +276,14 @@ def _cmd_update(args) -> int:
     payload = {
         "command": "update",
         "size_before": len(instance),
-        "size_after": len(after),
+        "size_after": size_after,
         "measure_before": _measure_payload(before_m),
         "measure_after": _measure_payload(after_m),
         "bounds": bounds.to_json_dict() if bounds else None,
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     lines = [
-        f"size: {len(instance)} -> {len(after)}",
+        f"size: {len(instance)} -> {size_after}",
         f"measure: {before_m.numerator}/{before_m.denominator} -> "
         f"{after_m.numerator}/{after_m.denominator}",
     ]

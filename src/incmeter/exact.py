@@ -279,14 +279,13 @@ def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,
                         limit=16, hypergraph=None) -> RepairSet:
     """All subset-maximal consistent sub-instances, as kept tid sets.
 
-    Exhaustive over the conflicting tids, hence gated by an instance-size
-    limit.  Facts outside every conflict belong to every repair.
+    Exhaustive over the conflicting tids, hence gated by limit on their
+    number.  Facts outside every conflict belong to every repair.
     """
-    _check_size(len(instance), limit, "repair enumeration")
     hg = hypergraph or build_hypergraph(instance, constraints)
     all_tids = set(instance.tids)
     repairs = [frozenset(all_tids - deleted)
-               for deleted in enumerate_minimal_hitting_sets(hg.solving_edges)]
+               for deleted in enumerate_minimal_hitting_sets(hg.solving_edges, limit)]
     repairs.sort(key=lambda r: tuple(sorted(r)))
     return RepairSet(tuple(repairs), "s")
 
@@ -307,12 +306,7 @@ def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-def _check_size(n, limit, what):
-    if n > limit:
-        raise ResourceLimitError(f"instance has {n} facts, {what} is limited to {limit}")
-
-
-def _gated_union(edge_sets, max_elements=22):
+def _gated_union(edge_sets, max_elements):
     union = set().union(*edge_sets)
     if len(union) > max_elements:
         raise ResourceLimitError(

@@ -137,12 +137,11 @@ def measure_count_all(instance: Instance, constraints: ConstraintSet,
 
     A sub-instance is inconsistent exactly when its part inside the a
     conflicting tids holds some conflict whole, so a superset-closure sweep
-    over those tids counts 2^(n-a) sub-instances per inconsistent mask.
+    over those tids counts 2^(n-a) sub-instances per inconsistent mask; limit caps a.
     """
     n = len(instance)
-    exact._check_size(n, limit, "subset counting")
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
-    order = {t: i for i, t in enumerate(set().union(*hg.solving_edges))}
+    order = {t: i for i, t in enumerate(exact._gated_union(hg.solving_edges, limit))}
     a = len(order)
     bad = bytearray(1 << a)
     for e in hg.solving_edges:
@@ -162,11 +161,11 @@ def measure_jaccard(instance: Instance, constraints: ConstraintSet,
     The solving edges are an antichain, so each tid v of an edge e lies in a
     minimal hitting set: (V - e) | {v} hits every edge, and any minimal one
     inside it keeps v to hit e.  So the repairs agree on the conflict-free facts.
+    This enumerates nothing; limit is unused, kept for positional callers.
     """
     n = len(instance)
-    exact._check_size(n, limit, "repair enumeration")
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
-    conflicting = exact._gated_union(hg.solving_edges)
+    conflicting = set().union(*hg.solving_edges)
     if n == 0:
         return _empty_report("jaccard", None, "enumeration")
     return MeasureReport("jaccard", len(conflicting), n, True, "enumeration")

@@ -141,7 +141,6 @@ class Instance:
             ordered = tuple(sorted(self.facts, key=lambda f: f.tid))
         except TypeError:  # e.g. tid None next to 1: the loop rejects the first non-int
             ordered = tuple(f for f in self.facts if not isinstance(f.tid, int))
-        object.__setattr__(self, "facts", ordered)
         arity = {p.name: p.arity for p in self.schema.predicates}
         by_tid: dict[int, Fact] = {}
         seen_rows = set()
@@ -152,11 +151,16 @@ class Instance:
                 raise InputError(f"duplicate tid {f.tid}")
             by_tid[f.tid] = f
             self._check_row(f, arity, seen_rows)
+        self._index(by_tid)
+
+    def _index(self, by_tid, **rows) -> "Instance":
+        """Set facts, tids and the tid map from by_tid, checked facts in tid order."""
         stray = self.endogenous.difference(by_tid)
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
-        object.__setattr__(self, "_by_tid", by_tid)
-        object.__setattr__(self, "tids", tuple(by_tid))
+        self.__dict__.update(facts=tuple(by_tid.values()), tids=tuple(by_tid),
+                             _by_tid=by_tid, **rows)
+        return self
 
     def _check_row(self, f: Fact, arity, rows) -> None:
         """Reject f if its row is malformed or already in rows; else add it."""
@@ -198,10 +202,9 @@ class Instance:
             by_tid[tid] = f
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
-        child.__dict__.update(schema=self.schema, facts=tuple(by_tid.values()),
-                              endogenous=self.endogenous.difference(deletions),
-                              tids=tuple(by_tid), _by_tid=by_tid, _rows=rows)
-        return child
+        child.__dict__.update(schema=self.schema,
+                              endogenous=self.endogenous.difference(deletions))
+        return child._index(by_tid, _rows=rows)
 
     def __len__(self):
         return len(self.facts)
@@ -238,7 +241,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     unknown = set(csv_sources) - set(schema.predicate_names)
     if unknown:
         raise InputError(f"csv source for unknown predicate(s): {sorted(unknown)}")
-    facts = []
+    by_tid: dict[int, Fact] = {}
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
             continue
@@ -271,8 +274,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
             if values in seen:
                 raise InputError(f"{name}: duplicate row {values!r}", line=idx)
             seen.add(values)
-            facts.append(Fact(len(facts) + 1, name, values))
-    return Instance(schema, tuple(facts), frozenset(map(int, endogenous_tids or ())))
+            tid = len(by_tid) + 1
+            by_tid[tid] = Fact(tid, name, values)
+    # every row is checked above, so __init__ and its second check are skipped
+    instance = object.__new__(Instance)
+    instance.__dict__.update(schema=schema,
+                             endogenous=frozenset(map(int, endogenous_tids or ())))
+    return instance._index(by_tid)
 
 
 # ---------------------------------------------------------------------------

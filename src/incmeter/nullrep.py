@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import evaluation, exact
 from .conflicts import antichain
-from .errors import ResourceLimitError
 from .measures import MeasureReport, _empty_report
 from .model import NULL, Const, ConstraintSet, DenialConstraint, Fact, Instance
 
@@ -121,16 +120,14 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
 
 
 def min_null_changes(instance: Instance, constraints: ConstraintSet,
-                     cell_limit=CELL_LIMIT,
                      node_budget=exact.DEFAULT_NODE_BUDGET):
-    """Smallest set of cells to blank, or None when blanking cannot repair."""
+    """Smallest set of cells to blank, or None when blanking cannot repair.
+
+    Past node_budget the ResourceLimitError brackets the smallest blanking.
+    """
     edges, irreparable = cell_conflicts(instance, constraints)
     if irreparable:
         return None
-    candidates = set().union(*edges) if edges else set()
-    if len(candidates) > cell_limit:
-        raise ResourceLimitError(
-            f"{len(candidates)} candidate cells exceed the limit {cell_limit}")
     changes = exact.solve_min_hitting_set(edges, None, node_budget)
     return NullRepairSolution(frozenset(changes), _atv(instance))
 
@@ -149,7 +146,6 @@ def _atv(instance: Instance) -> int:
 
 
 def inc_deg_g3_null(instance: Instance, constraints: ConstraintSet,
-                    cell_limit=CELL_LIMIT,
                     node_budget=exact.DEFAULT_NODE_BUDGET) -> MeasureReport:
     """Fraction of cells a smallest consistency-restoring blanking touches.
 
@@ -158,7 +154,7 @@ def inc_deg_g3_null(instance: Instance, constraints: ConstraintSet,
     atv = _atv(instance)
     if atv == 0:
         return _empty_report("g3_null", NullRepairSolution(frozenset(), 0))
-    sol = min_null_changes(instance, constraints, cell_limit, node_budget)
+    sol = min_null_changes(instance, constraints, node_budget)
     if sol is None:
         return MeasureReport("g3_null", atv, atv, True, "exact", None,
                              note="some conflict has no breakable cell; "

@@ -297,8 +297,8 @@ def test_c7_scaling(capsys):
     hg_scan, t_scan = timed(lambda: build_hypergraph(scan, scan_cs))
     scan_ok = len(hg_scan.edges) == fd_pairs + join_pairs and t_scan < 5
 
-    # all minimal blankings at the 24-cell gate: 6 symmetric pairs r(i, j),
-    # r(j, i), each conflict broken by one of its 4 cells, so 4^6 answers
+    # all minimal blankings at the 24-cell enumeration cap: 6 symmetric pairs
+    # r(i, j), r(j, i), each conflict broken by one of its 4 cells, so 4^6 answers
     sym_schema = parse_schema("r(A, B)\n")
     sym_cs = parse_constraints("dc c : !exists r(x, y), r(y, x), x != y\n", sym_schema)
     sym = Instance(sym_schema, tuple(
@@ -312,15 +312,20 @@ def test_c7_scaling(capsys):
     fd_cs, fd_inst, fd_opt = fd_key_groups(random.Random(1), 10_000)
     fd_sol, t_fd = timed(lambda: min_hitting_set(build_hypergraph(fd_inst, fd_cs)))
     fd_ok = len(fd_sol.deleted) == fd_opt and t_fd < 5
+    # blanking meets the same closed form: a smallest vertex cover, one cell each
+    fd_null, t_fd_null = timed(lambda: inc_deg_g3_null(fd_inst, fd_cs))
+    fd_null_ok = ((fd_null.numerator, fd_null.denominator) == (fd_opt, 3 * len(fd_inst))
+                  and t_fd_null < 5)
 
     report(capsys, "C7", "scaling",
-           exact_ok and lr_ok and scan_ok and null_ok and fd_ok,
+           exact_ok and lr_ok and scan_ok and null_ok and fd_ok and fd_null_ok,
            f"200-row exact optimum 15 in {t_exact:.2f}s, "
            f"{len(edge_sets)}-edge greedy cover in {t_lr:.2f}s, "
            f"{len(scan)}-row conflict detection ({len(hg_scan.edges)} edges) "
            f"in {t_scan:.2f}s, {len(blankings)} minimal 24-cell blankings "
            f"in {t_null:.2f}s, {len(fd_inst)}-row single-FD optimum {fd_opt} "
-           f"(closed form) in {t_fd:.2f}s")
+           f"(closed form) in {t_fd:.2f}s, blanking {fd_null.numerator} of "
+           f"{fd_null.denominator} cells in {t_fd_null:.2f}s")
 
 
 def test_c8_complexity_classification(capsys):

@@ -123,6 +123,22 @@ def test_alt_measures(tmp_path, capsys):
     assert by_kind["jaccard"]["decimal"] == 1.0
 
 
+def test_alt_measures_print_the_counts_of_a_large_instance(tmp_path, capsys):
+    # 3 conflicting facts among 15 004: count_all is 3 * 2^15001 / 2^15004,
+    # whose terms have more than the 4300 digits Python prints by default
+    csvs = dict(PQR_CSVS, p="A\na\ne\n" + "".join(f"x{i}\n" for i in range(15_000)))
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, csvs)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        assert main(["alt-measures", "--format", "text"] + base) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"count_all = {3 << 15_001}/{1 << 15_004} (0.375)"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert lines[2] == "jaccard = 3/15004 (0.000199947)"
+
+
 def test_conflicts(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
     payload = run_json(capsys, ["conflicts"] + base)

@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from incmeter.cli import main
+from incmeter.model import load_instance, parse_constraints, parse_schema
+from incmeter.nullrep import CellChange, apply_changes, cell_conflicts, eval_with_nulls
 
 from test_cli import (FD_CONSTRAINTS, FD_CSVS, FD_SCHEMA, NULL_CONSTRAINTS, NULL_CSVS,
                       NULL_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS, PQR_SCHEMA, write_bundle)
@@ -75,10 +77,9 @@ COMMANDS = {
     "update-delete": ["update", "--check-bounds", "--delta", "{delete}"],
 }
 
-# the seeded bundle is past the 24-cell and 16-fact enumeration limits, so
-# these cases exit 2 and their golden file holds the error line
-LIMITED = {("seeded", "measure-null"), ("seeded", "repairs-s"),
-           ("seeded", "repairs-c"), ("seeded", "alt-measures")}
+# 52 of the seeded bundle's facts conflict, past the enumeration limit of 16,
+# so these cases exit 2 and their golden file holds the error line
+LIMITED = {("seeded", "repairs-s"), ("seeded", "repairs-c"), ("seeded", "alt-measures")}
 
 CASES = sorted((b, c) for b in BUNDLES for c in COMMANDS)
 
@@ -119,6 +120,24 @@ def test_seeded_bundle_separates_local_ratio_from_exact():
     exact, local_ratio = golden("measure-exact"), golden("measure-local-ratio")
     assert exact["denominator"] == 60
     assert local_ratio["numerator"] > exact["numerator"]
+
+
+def test_seeded_null_golden_is_a_certified_optimum():
+    # pairwise-disjoint cell conflicts each need a blanked cell of their own,
+    # so a packing as large as the recorded blanking proves it smallest
+    golden = json.loads((GOLDEN / "seeded.measure-null.json").read_text())
+    schema = parse_schema(SEEDED_SCHEMA)
+    cs = parse_constraints(SEEDED_CONSTRAINTS, schema)
+    instance = load_instance(SEEDED_CSVS, schema)
+    edges, _ = cell_conflicts(instance, cs)
+    blocked, packing = set(), 0
+    for e in edges:
+        if not e & blocked:
+            packing += 1
+            blocked |= e
+    changes = [CellChange(c["tid"], c["position"]) for c in golden["witness_changes"]]
+    assert packing == golden["numerator"] == len(changes) == 19
+    assert eval_with_nulls(apply_changes(instance, changes), cs)
 
 
 def record():

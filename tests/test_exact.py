@@ -268,6 +268,8 @@ def test_s_repairs_are_maximal_consistent_subsets():
 
 
 def test_enumeration_respects_size_gate(pqr):
+    # 3 of pqr's 4 facts conflict, and only those are enumerated over
     _, cs, inst = pqr
     with pytest.raises(ResourceLimitError):
-        enumerate_s_repairs(inst, cs, limit=3)
+        enumerate_s_repairs(inst, cs, limit=2)
+    assert len(enumerate_s_repairs(inst, cs, limit=3).repairs) == 2

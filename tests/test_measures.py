@@ -184,10 +184,32 @@ def test_variant_measures_on_consistent_data(pqr):
 
 
 def test_enumeration_gate_applies(fd):
+    # all 3 facts conflict; Jaccard enumerates nothing, so it has no gate
     _, cs, inst = fd
-    for fn in (measure_count_srep, measure_count_all, measure_jaccard):
+    for fn in (measure_count_srep, measure_count_all):
         with pytest.raises(ResourceLimitError):
             fn(inst, cs, limit=2)
+    assert measure_jaccard(inst, cs, limit=2) == measure_jaccard(inst, cs, limit=3)
+
+
+def test_enumeration_gate_counts_conflicting_facts_only(pqr):
+    # 20 conflict-free p facts take pqr from 4 to 24 facts, past the default
+    # limit of 16, while the 3 conflicting facts stay under it
+    schema, cs, inst = pqr
+    extra = 20
+    wide = Instance(schema, inst.facts + tuple(
+        Fact(5 + i, "p", (f"x{i}",)) for i in range(extra)))
+    free = set(range(5, 5 + extra)) | {2}
+    reps = enumerate_s_repairs(wide, cs)
+    assert [sorted(r) for r in reps.repairs] == [sorted(free | {1}),
+                                                 sorted(free | {3, 4})]
+    count_srep = measure_count_srep(wide, cs)
+    assert (count_srep.numerator, count_srep.denominator) == (2, 2 ** 24)
+    count_all = measure_count_all(wide, cs)
+    narrow = measure_count_all(inst, cs)
+    assert (count_all.numerator, count_all.denominator) == (
+        narrow.numerator << extra, narrow.denominator << extra)
+    assert measure_jaccard(wide, cs).value == Fraction(3, 24)
 
 
 def test_report_json_shape(pqr):

@@ -108,6 +108,22 @@ def test_load_instance_tid_assignment_is_deterministic():
     assert inst.facts == again.facts
 
 
+def test_load_instance_checks_each_row_once(monkeypatch):
+    schema = parse_schema("p(A)\nq(A, B)\nr(A, C)\n")
+    sources = {"r": "A,C\na,c\n", "p": "A\na\ne\n", "q": "A,B\na,b\n"}
+    calls = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(Instance, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    inst = load_instance(sources, schema, [2, 4])
+    assert not calls
+    # the same instance as a checked build, and without the row set of a derivation
+    fresh = Instance(schema, inst.facts, frozenset({2, 4}))
+    assert inst == fresh and inst.tids == fresh.tids == (1, 2, 3, 4)
+    assert [inst.fact(t) for t in inst.tids] == list(fresh.facts)
+    assert not hasattr(inst, "_rows")
+
+
 def test_load_instance_accepts_bytes_and_streams():
     schema = parse_schema("p(A)\n")
     a = load_instance({"p": b"A\nx\n"}, schema)

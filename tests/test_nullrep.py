@@ -12,7 +12,7 @@ from incmeter.nullrep import (CellChange, apply_changes, cell_conflicts,
                               eval_with_nulls, inc_deg_g3_null,
                               min_null_changes, minimal_null_repairs)
 
-from conftest import random_bundle
+from conftest import fd_key_groups, random_bundle
 
 
 def as_pairs(changes):
@@ -111,14 +111,28 @@ def test_consistent_and_empty_instances(nullb):
     assert "consistent" in empty.note
 
 
-def test_cell_limit_gate():
+def test_many_cells_are_solved_and_the_node_budget_brackets_them():
+    # 30 symmetric pairs r(i, j), r(j, i): 120 cells, 30 disjoint conflicts
     schema = parse_schema("r(A, B)\n")
     cs = parse_constraints("dc c : !exists r(x, y), r(y, x), x != y\n", schema)
     rows = [Fact(i + 1, "r", (str(i), str(99 - i))) for i in range(30)] + \
            [Fact(i + 31, "r", (str(99 - i), str(i))) for i in range(30)]
     inst = Instance(schema, tuple(rows))
-    with pytest.raises(ResourceLimitError):
-        min_null_changes(inst, cs, cell_limit=4)
+    rep = inc_deg_g3_null(inst, cs)
+    assert (rep.numerator, rep.denominator) == (30, 120)
+    assert eval_with_nulls(apply_changes(inst, rep.witness.changes), cs)
+    with pytest.raises(ResourceLimitError) as info:
+        min_null_changes(inst, cs, node_budget=5)
+    assert info.value.lower_bound <= 30 <= info.value.best_size
+
+
+def test_single_fd_blanking_matches_the_closed_form():
+    # each conflict is {t1.A, t1.B, t2.A, t2.B}, so a smallest blanking takes
+    # one cell of each fact in a smallest vertex cover: the deletion optimum
+    for seed in range(1, 4):
+        cs, inst, optimum = fd_key_groups(random.Random(seed), 1000)
+        rep = inc_deg_g3_null(inst, cs)
+        assert (rep.numerator, rep.denominator) == (optimum, 3 * len(inst))
 
 
 def test_blanking_never_creates_new_violations():
