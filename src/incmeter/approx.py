@@ -1,27 +1,25 @@
 """Approximate minimum hitting sets: local ratio, fractional LP, rounding.
 
-Every conflict has at most d tids, so taking a whole unhit edge at a time
-(local ratio) is a d-approximation.  The fractional relaxation is solved by
-an iterative length/weight scheme: vertex lengths grow multiplicatively
-along minimum-length edges until every edge reaches unit length, which
-yields a feasible fractional cover together with an integer dual packing
-whose scaled value certifies the (1 + eps) guarantee with exact rationals.
-Randomized rounding of the fractional cover, with a deterministic pass
-adding any still-uncovered edge wholesale, gives repairs within a factor d
-in expectation.  That pass fires only on a caller-supplied cover: the cover
-from lp_fractional_cover is feasible, so every edge keeps its heaviest vertex.
+Every conflict has at most d tids.  Local ratio (Bar-Yehuda and Even, 1985)
+takes unhit edges whole, a d-approximation.  The LP is solved per component
+of the exact core: vertex lengths grow multiplicatively along minimum-length
+edges until all reach 1, giving a feasible cover and an integer dual packing
+that certify the (1 + eps) gap in exact rationals.  Threshold rounding
+(Williamson and Shmoys, 2011, section 1.7) keeps S = {v : d * w_v >= alpha}
+for a uniform alpha in (0, 1]: each v with probability min(1, d * w_v), so
+E|S| <= d * objective, and each edge's heaviest vertex always.  _prune then
+drops redundant vertices from both answers, so these bounds still hold.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .conflicts import ConflictHypergraph
 from .errors import ResourceLimitError
-from .exact import RepairSolution, _take_whole_edges
+from .exact import RepairSolution, _components, _take_whole_edges
 
 # the iterative LP solver certifies down to this accuracy
 MIN_EPS = Fraction(1, 1000)
@@ -43,23 +41,21 @@ class FractionalCover:
 
 
 def local_ratio_hitting_set(hg: ConflictHypergraph) -> RepairSolution:
-    """Take every vertex of each still-unhit edge, in canonical edge order.
+    """Take each still-unhit edge whole, in canonical edge order, then _prune.
 
-    The chosen edges are pairwise disjoint, so any hitting set contains one
-    vertex from each: the result is at most d times the optimum.
+    Any hitting set needs one vertex of each edge taken, as they are pairwise
+    disjoint: the result is minimal and at most d times the optimum.
     """
-    chosen = _take_whole_edges(hg.solving_edges, set())
-    return RepairSolution(frozenset(chosen),
-                          len(hg.vertices) - len(chosen), "local_ratio", False)
+    chosen = _prune(hg.solving_edges, _take_whole_edges(hg.solving_edges, set()))
+    return RepairSolution(frozenset(chosen), len(hg.vertices) - len(chosen), "local_ratio", False)
 
 
 def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> FractionalCover:
     """Near-optimal fractional cover of the solving edges.
 
-    Runs the multiplicative length scheme with shrinking internal step sizes
-    until the exact-rational duality certificate
-    objective <= (1 + eps) * dual_bound holds.  eps below 1/1000 is refused:
-    the iteration count needed to certify tighter gaps is not supported.
+    Each component shrinks the length scheme's step size until its exact
+    certificate objective <= (1 + eps) * dual_bound holds, and so do the sums.
+    eps below 1/1000 is refused: certifying tighter gaps takes too many steps.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -67,27 +63,28 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     if eps < MIN_EPS:
         raise ResourceLimitError(
             f"certified approximation below {MIN_EPS} is not supported")
-    edges = [tuple(sorted(e)) for e in hg.solving_edges]
     weights = {t: Fraction(0) for t in sorted(hg.vertices)}
-    if not edges:
-        return FractionalCover(weights, Fraction(0), Fraction(0))
-
-    inner = float(eps) / 3.0
-    for _ in range(12):
-        lengths, duals = _length_scheme(edges, inner)
-        cover, objective, dual_bound = _rationalize(edges, lengths, duals)
-        if objective <= (1 + eps) * dual_bound:
-            weights.update(cover)
-            return FractionalCover(weights, objective, dual_bound)
-        inner /= 2.0
-    raise ResourceLimitError("fractional cover failed to certify its gap")
+    objective = dual_bound = Fraction(0)
+    for component in _components(hg.solving_edges):
+        edges = sorted(tuple(sorted(e)) for e in component)
+        inner = float(eps) / 3.0
+        for _ in range(12):
+            cover, part, bound = _rationalize(edges, *_length_scheme(edges, inner))
+            if part <= (1 + eps) * bound:
+                break
+            inner /= 2.0
+        else:
+            raise ResourceLimitError("fractional cover failed to certify its gap")
+        weights.update(cover)
+        objective += part
+        dual_bound += bound
+    return FractionalCover(weights, objective, dual_bound)
 
 
 def _length_scheme(edges, inner):
     """Grow vertex lengths along minimum-length edges until all reach 1."""
     vertices = sorted({t for e in edges for t in e})
-    nv = len(vertices)
-    delta = (1.0 + inner) * ((1.0 + inner) * max(nv, 2)) ** (-1.0 / inner)
+    delta = (1.0 + inner) * ((1.0 + inner) * max(len(vertices), 2)) ** (-1.0 / inner)
     delta = max(delta, 1e-300)
     lengths = {t: delta for t in vertices}
     duals = [0] * len(edges)
@@ -117,43 +114,55 @@ def _length_scheme(edges, inner):
 def _rationalize(edges, lengths, duals):
     """Exact feasible cover from float lengths plus exact dual bound."""
     frac = {t: Fraction(v) for t, v in lengths.items()}
-    edge_sums = [sum(frac[t] for t in e) for e in edges]
-    scale = min(edge_sums)
+    scale = min(sum(frac[t] for t in e) for e in edges)
     cover = {t: v / scale for t, v in frac.items()}
     objective = sum(cover.values(), Fraction(0))
     congestion = {}
     for y, e in zip(duals, edges):
         for t in e:
             congestion[t] = congestion.get(t, 0) + y
-    kappa = max(congestion.values(), default=0)
-    total = sum(duals)
-    dual_bound = Fraction(total, kappa) if kappa else Fraction(0)
+    kappa = max(congestion.values())
+    dual_bound = Fraction(sum(duals), kappa) if kappa else Fraction(0)
     return cover, objective, dual_bound
 
 
 def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
                                     seed=0, reps=5, cover=None) -> RepairSolution:
-    """Round the fractional cover reps times and keep the smallest valid set.
+    """Round the fractional cover by threshold reps times; keep the smallest.
 
-    Each vertex is kept with probability min(1, d * weight); a deterministic
-    pass then adds every vertex of any edge the sample missed, so the result
-    always hits all edges.  Runs are seeded reproducibly from (seed, rep).
-    Under the cover from lp_fractional_cover each edge's heaviest vertex has
-    weight >= 1/|e| >= 1/d, so it is kept with probability 1 (up to float
-    rounding) and the pass fires only on a caller-supplied cover.
+    Try r keeps {v : d * w_v >= alpha}, in exact rationals, for a uniform
+    alpha in (0, 1] seeded from (seed, r); an edge a caller's cover leaves
+    unhit is taken whole; then _prune.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if cover is None:
         cover = lp_fractional_cover(hg, eps)
-    d = hg.d
-    probs = {t: min(1.0, d * float(w)) for t, w in cover.weights.items() if w > 0}
-    best = None
-    for r in range(reps):
-        rng = random.Random(1_000_003 * int(seed) + r)
-        sample = {t for t, p in sorted(probs.items()) if rng.random() < p}
-        picked = _take_whole_edges(hg.solving_edges, sample)
-        if best is None or len(picked) < len(best):
-            best = picked
-    return RepairSolution(frozenset(best),
-                          len(hg.vertices) - len(best), "randomized", False)
+
+    def rounded(r):
+        alpha = Fraction(1.0 - random.Random(1_000_003 * int(seed) + r).random())
+        sample = {t for t, w in cover.weights.items() if hg.d * w >= alpha}
+        return _prune(hg.solving_edges, _take_whole_edges(hg.solving_edges, sample))
+
+    best = min(map(rounded, range(reps)), key=len)
+    return RepairSolution(frozenset(best), len(hg.vertices) - len(best), "randomized", False)
+
+
+def _prune(edges, cover):
+    """Drop, in place, each vertex whose every edge holds another of cover.
+
+    Vertices on fewer edges go first, smaller tid on ties (in an FD key
+    group: the largest B-class, which a smallest repair keeps).  A vertex
+    kept is the only one on some edge, so the result is a minimal cover.
+    """
+    hits = [len(e & cover) for e in edges]
+    through = {t: [] for t in cover}
+    for i, e in enumerate(edges):
+        for t in e & cover:
+            through[t].append(i)
+    for t in sorted(cover, key=lambda t: (len(through[t]), t)):
+        if all(hits[i] > 1 for i in through[t]):
+            cover.discard(t)
+            for i in through[t]:
+                hits[i] -= 1
+    return cover

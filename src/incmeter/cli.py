@@ -20,7 +20,7 @@ from . import aspgen, exact, measures, nullrep, updates
 from .conflicts import build_hypergraph, vertex_degrees
 from .errors import (IncMeterError, InputError, ResourceLimitError,
                      SolverUnavailableError)
-from .model import Instance, load_instance, parse_constraints, parse_schema
+from .model import load_instance, parse_constraints, parse_schema
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,9 +58,10 @@ def build_parser() -> _Parser:
     p.add_argument("--semantics", choices=("tuple", "endogenous", "null"),
                    default="tuple")
     p.add_argument("--normalization", choices=("db", "endogenous"), default="db")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 10))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--eps", type=_fraction, default=Fraction(1, 10),
+                   help="randomized: certified LP gap (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="randomized: seed of the thresholds")
+    p.add_argument("--reps", type=int, default=5, help="randomized: thresholds tried, best kept")
 
     enum_limit = dict(type=int, default=measures.ENUM_LIMIT,
                       help="most conflicting facts to enumerate over (default: %(default)s)")

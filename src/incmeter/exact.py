@@ -217,10 +217,10 @@ def _greedy_cover(masks):
 def _take_whole_edges(edges, cover):
     """Add every edge that cover does not meet yet, edges taken in order.
 
-    The edges added are pairwise disjoint and any hitting set needs one
-    element of each, so from an empty start this is the local-ratio
-    d-approximation.  Works on int masks and on tid sets alike; a set
-    passed as cover is extended in place.
+    The edges added are pairwise disjoint, so from an empty start the result
+    is at most d times the optimum (local ratio, before its prune); rounding
+    repairs a caller's cover with it.  Works on int masks and tid sets; a
+    set passed as cover is extended in place.
     """
     for e in edges:
         if not e & cover:

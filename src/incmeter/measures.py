@@ -72,8 +72,8 @@ def inc_deg_g3(instance: Instance, constraints: ConstraintSet, hypergraph=None,
                node_budget=exact.DEFAULT_NODE_BUDGET) -> MeasureReport:
     """Fraction of facts removed by a smallest consistency-restoring deletion.
 
-    solver "exact" certifies the optimum; "local-ratio" and "randomized"
-    over-approximate by at most a factor d (the latter in expectation).
+    solver "exact" certifies the optimum; "local-ratio" (within a factor d)
+    and "randomized" (in expectation) return minimal deletion sets.
     """
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
     return _g3(hg, len(instance), solver, eps, seed, reps, node_budget)

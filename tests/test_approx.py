@@ -59,6 +59,19 @@ def test_triangle_fractional_beats_integral():
     assert cover.dual_bound <= Fraction(3, 2)
 
 
+def test_cover_is_solved_per_component():
+    parts = [[{1, 2}, {2, 3}, {1, 3}], [{4, 5}, {5, 6}, {4, 6}], [{7, 8}]]
+    eps = Fraction(1, 10)
+    whole = lp_fractional_cover(hypergraph_from_edges(range(1, 10), sum(parts, [])), eps)
+    alone = [lp_fractional_cover(hypergraph_from_edges(set().union(*p), p), eps) for p in parts]
+    for cover in alone:
+        assert all(whole.weights[t] == w for t, w in cover.weights.items())
+    assert whole.weights[9] == 0
+    assert whole.objective == sum(c.objective for c in alone)
+    assert whole.dual_bound == sum(c.dual_bound for c in alone)
+    assert whole.objective <= (1 + eps) * whole.dual_bound
+
+
 def test_empty_hypergraph_has_zero_cover():
     hg = hypergraph_from_edges([1, 2], [])
     cover = lp_fractional_cover(hg)
@@ -92,8 +105,39 @@ def test_local_ratio_stays_within_d_times_optimum():
 
 def test_local_ratio_takes_whole_edges_in_order():
     hg = hypergraph_from_edges([1, 2, 3, 4], [{1, 2}, {2, 3}, {3, 4}])
-    # {1,2} is taken whole, {2,3} is then hit, {3,4} is taken whole
-    assert local_ratio_hitting_set(hg).deleted == frozenset({1, 2, 3, 4})
+    # {1,2} is taken whole, {2,3} is then hit, {3,4} is taken whole; the
+    # prune then drops 1 and 4, each on one edge that 2 or 3 also hits
+    assert local_ratio_hitting_set(hg).deleted == frozenset({2, 3})
+
+
+def test_pruned_local_ratio_can_stay_above_the_optimum():
+    # found by brute force over graphs on up to five vertices: the 4-cycle
+    # 1-2-4-3 with the pendant edge {4,5}; {1,2} and {3,4} are taken whole
+    # and only 1 is redundant, while {1,4} hits every edge
+    hg = hypergraph_from_edges(range(1, 6), [{1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}])
+    pruned, opt = local_ratio_hitting_set(hg).deleted, min_hitting_set(hg).deleted
+    assert pruned == frozenset({2, 3, 4}) and opt == frozenset({1, 4})
+    assert len(opt) < len(pruned) <= hg.d * len(opt)
+
+
+def _is_minimal_hitting_set(deleted, edges):
+    return (all(deleted & s for s in edges)
+            and all(any(s & deleted == {t} for s in edges) for t in deleted))
+
+
+def test_approximate_answers_are_minimal_hitting_sets():
+    rng = random.Random(61)
+    for _ in range(60):
+        cs, inst = random_bundle(rng)
+        hg = build_hypergraph(inst, cs)
+        cover = lp_fractional_cover(hg)
+        threshold = {t for t, w in cover.weights.items() if hg.d * w >= 1}
+        assert _is_minimal_hitting_set(local_ratio_hitting_set(hg).deleted, hg.solving_edges)
+        for seed in range(4):
+            sol = randomized_rounding_hitting_set(hg, seed=seed, reps=2, cover=cover)
+            assert _is_minimal_hitting_set(sol.deleted, hg.solving_edges)
+            # alpha <= 1, so every sample lies within the threshold set
+            assert sol.deleted <= threshold
 
 
 def test_randomized_rounding_is_valid_and_deterministic():
@@ -117,17 +161,16 @@ def test_randomized_rounding_reuses_a_precomputed_cover():
 
 def test_rounding_on_single_edge_always_deletes_one_vertex():
     hg = hypergraph_from_edges([1, 2], [{1, 2}])
-    # d * weight = 2 * 1/2 = 1, so both vertices have probability 1 and the
-    # best-of runs keep whichever suffices after repair; validity is the claim
+    # d * weight = 2 * 1/2 = 1 >= alpha, so every sample is {1, 2}; both lie
+    # on one edge and the prune drops the smaller tid first
     for seed in range(10):
-        sol = randomized_rounding_hitting_set(hg, seed=seed)
-        assert sol.deleted & {1, 2}
+        assert randomized_rounding_hitting_set(hg, seed=seed).deleted == frozenset({2})
 
 
 def test_rounding_repair_pass_takes_unhit_edges_whole():
-    # an all-zero cover samples no vertex, so the repair pass alone decides
-    # and takes unhit edges whole in canonical order, as local ratio does
+    # an all-zero cover samples no vertex, so the repair pass takes unhit
+    # edges whole in canonical order and the prune follows, as in local ratio
     hg = hypergraph_from_edges([1, 2, 3, 4], [{1, 2}, {2, 3}, {3, 4}])
     zero = FractionalCover({t: Fraction(0) for t in hg.vertices}, Fraction(0), Fraction(0))
     sol = randomized_rounding_hitting_set(hg, seed=3, cover=zero)
-    assert sol.deleted == local_ratio_hitting_set(hg).deleted == frozenset({1, 2, 3, 4})
+    assert sol.deleted == local_ratio_hitting_set(hg).deleted == frozenset({2, 3})

@@ -117,9 +117,14 @@ def test_seeded_bundle_separates_local_ratio_from_exact():
     def golden(command):
         return json.loads((GOLDEN / f"seeded.{command}.json").read_text())
 
+    # the pruned local-ratio answer may reach the optimum, so the recorded
+    # method and certification, not the sizes, show which solver ran (the
+    # strict gap is pinned on a library case in test_approx.py)
     exact, local_ratio = golden("measure-exact"), golden("measure-local-ratio")
-    assert exact["denominator"] == 60
-    assert local_ratio["numerator"] > exact["numerator"]
+    assert exact["denominator"] == local_ratio["denominator"] == 60
+    assert (exact["method"], exact["exact"]) == ("exact", True)
+    assert (local_ratio["method"], local_ratio["exact"]) == ("local_ratio", False)
+    assert exact["numerator"] <= local_ratio["numerator"]
 
 
 def test_seeded_null_golden_is_a_certified_optimum():
