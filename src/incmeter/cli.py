@@ -115,8 +115,7 @@ def _load_bundle(args):
     endo_path = Path(args.endogenous) if args.endogenous else data_dir / "endogenous.txt"
     if args.endogenous or endo_path.is_file():
         endo = _parse_endogenous(_read(str(endo_path), "endogenous"))
-    instance = load_instance(sources, schema, endo)
-    return schema, constraints, instance
+    return constraints, load_instance(sources, schema, endo)
 
 
 def _parse_endogenous(text: str) -> list[int]:
@@ -132,7 +131,8 @@ def _parse_endogenous(text: str) -> list[int]:
     return tids
 
 
-def _emit(payload: dict, args, text_lines) -> None:
+def _emit(args, start: float, payload: dict, text_lines) -> None:
+    payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -141,15 +141,12 @@ def _emit(payload: dict, args, text_lines) -> None:
 
 
 def _measure_payload(report: measures.MeasureReport) -> dict:
-    payload = report.to_json_dict()
-    payload["normalization"] = report.normalization
-    payload["note"] = report.note
     changes = None
     if isinstance(report.witness, nullrep.NullRepairSolution):
         changes = [{"tid": c.tid, "position": c.position}
                    for c in sorted(report.witness.changes)]
-    payload["witness_changes"] = changes
-    return payload
+    return {**report.to_json_dict(), "normalization": report.normalization,
+            "note": report.note, "witness_changes": changes}
 
 
 def _check_ranges(args) -> None:
@@ -163,9 +160,7 @@ def _check_ranges(args) -> None:
         raise InputError(f"--eps must be positive, got {args.eps}")
 
 
-def _cmd_measure(args) -> int:
-    start = time.perf_counter()
-    _, constraints, instance = _load_bundle(args)
+def _cmd_measure(args, constraints, instance):
     if args.semantics == "tuple":
         report = measures.inc_deg_g3(instance, constraints, solver=args.solver,
                                      eps=args.eps, seed=args.seed, reps=args.reps,
@@ -178,9 +173,7 @@ def _cmd_measure(args) -> int:
     else:
         report = nullrep.inc_deg_g3_null(instance, constraints,
                                          node_budget=args.node_budget)
-    payload = {"command": "measure"}
-    payload.update(_measure_payload(report))
-    payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
+    payload = {"command": "measure", **_measure_payload(report)}
     lines = [f"{report.kind} = {report.numerator}/{report.denominator}"
              f" ({float(report.value):.6g})",
              f"method: {report.method}  exact: {report.exact}"]
@@ -191,51 +184,41 @@ def _cmd_measure(args) -> int:
             f"{c['tid']}:{c['position']}" for c in payload["witness_changes"]))
     if report.note:
         lines.append("note: " + report.note)
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_repairs(args) -> int:
-    start = time.perf_counter()
-    _, constraints, instance = _load_bundle(args)
+def _cmd_repairs(args, constraints, instance):
     if args.which == "s":
         reps = exact.enumerate_s_repairs(instance, constraints, args.enum_limit)
     else:
         reps = exact.enumerate_c_repairs(instance, constraints, args.enum_limit)
     listed = [sorted(r) for r in reps.repairs]
     payload = {"command": "repairs", "kind": reps.kind, "count": len(listed),
-               "repairs": listed,
-               "elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
+               "repairs": listed}
     lines = [f"{reps.kind}-repairs: {len(listed)}"]
     lines += ["  {" + ", ".join(map(str, r)) + "}" for r in listed]
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_alt_measures(args) -> int:
-    start = time.perf_counter()
-    _, constraints, instance = _load_bundle(args)
+def _cmd_alt_measures(args, constraints, instance):
     hg = build_hypergraph(instance, constraints)
     reports = [
         measures.measure_count_srep(instance, constraints, args.enum_limit, hg),
         measures.measure_count_all(instance, constraints, args.enum_limit, hg),
         measures.measure_jaccard(instance, constraints, args.enum_limit, hg),
     ]
-    # 2^|D| denominators outgrow the default cap of 4300 digits on printing an int
+    # 2^|D| denominators outgrow the default cap of 4300 digits on printing an
+    # int; main puts the process-wide cap back once the output is printed
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     payload = {"command": "alt-measures",
-               "measures": [_measure_payload(r) for r in reports],
-               "elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
+               "measures": [_measure_payload(r) for r in reports]}
     lines = [f"{r.kind} = {r.numerator}/{r.denominator} ({float(r.value):.6g})"
              for r in reports]
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_conflicts(args) -> int:
-    start = time.perf_counter()
-    _, constraints, instance = _load_bundle(args)
+def _cmd_conflicts(args, constraints, instance):
     hg = build_hypergraph(instance, constraints)
     degrees = vertex_degrees(hg)
     payload = {
@@ -246,34 +229,25 @@ def _cmd_conflicts(args) -> int:
                   for e in hg.edges],
         "solving_edges": [sorted(s) for s in hg.solving_edges],
         "d": hg.d,
-        "max_degree": hg.max_degree,
+        "max_degree": max(degrees.values(), default=0),
         "degrees": {str(t): n for t, n in degrees.items()},
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
-    _emit(payload, args, hg.dump_lines())
-    return 0
+    return payload, hg.dump_lines()
 
 
-def _cmd_update(args) -> int:
-    start = time.perf_counter()
-    _, constraints, instance = _load_bundle(args)
+def _cmd_update(args, constraints, instance):
     delta = updates.parse_delta(_read(args.delta, "delta"))
-    hg_before = build_hypergraph(instance, constraints)
-    hg_after = updates.incremental_hypergraph(hg_before, instance, delta, constraints)
-    size_after = len(hg_after.vertices)
-    before_m = measures._g3(hg_before, len(instance), node_budget=args.node_budget)
-    after_m = measures._g3(hg_after, size_after, node_budget=args.node_budget)
+    if args.check_bounds and not (delta.is_insert_only or delta.is_delete_only):
+        # refused before anything is solved
+        raise InputError("--check-bounds needs a pure insertion or pure deletion delta")
+    hg_before, hg_after, before_m, after_m = updates._measure_delta(
+        instance, delta, constraints, args.node_budget)
     bounds = None
-    if args.check_bounds:
-        if delta.is_insert_only:
-            bounds = updates.check_insertion_bounds(
-                instance, delta, constraints, args.node_budget, hg_before, hg_after)
-        elif delta.is_delete_only:
-            bounds = updates.check_deletion_bounds(
-                instance, delta, constraints, args.node_budget, hg_before, hg_after)
-        else:
-            raise InputError("--check-bounds needs a pure insertion or pure "
-                             "deletion delta")
+    if args.check_bounds:  # reuses both hypergraphs and their solves
+        check = (updates.check_insertion_bounds if delta.is_insert_only
+                 else updates.check_deletion_bounds)
+        bounds = check(instance, delta, constraints, args.node_budget, hg_before, hg_after)
+    size_after = len(hg_after.vertices)
     payload = {
         "command": "update",
         "size_before": len(instance),
@@ -281,7 +255,6 @@ def _cmd_update(args) -> int:
         "measure_before": _measure_payload(before_m),
         "measure_after": _measure_payload(after_m),
         "bounds": bounds.to_json_dict() if bounds else None,
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     lines = [
         f"size: {len(instance)} -> {size_after}",
@@ -292,37 +265,34 @@ def _cmd_update(args) -> int:
         lines.append(f"epsilon: {bounds.epsilon}  applicable: {bounds.applicable}")
         for b in bounds.bounds:
             lines.append(f"  {b.name}: {b.lhs} <= {b.rhs}  holds: {b.holds}")
-    _emit(payload, args, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_emit_asp(args) -> int:
-    _, constraints, instance = _load_bundle(args)
+def _cmd_emit_asp(args, constraints, instance):
     program = aspgen.emit_repair_program(instance, constraints, style=args.style,
                                          with_count=not args.no_count,
                                          with_weak=not args.no_weak)
     text = program.render()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
+    elif not args.execute:
+        sys.stdout.write(text)
+        return None
     execution = None
     if args.execute:
         result = aspgen.run_external_solver(program, args.solver_path)
         execution = {"dist": result["dist"],
                      "deleted": sorted(result["deleted"]),
                      "cost": result["cost"]}
-    if args.output or args.execute:
-        payload = {"command": "emit-asp",
-                   "output": args.output,
-                   "statements": len(program.facts) + len(program.rules)
-                   + len(program.counting) + len(program.weak),
-                   "execution": execution}
-        lines = [f"wrote {args.output}" if args.output else "program not written"]
-        if execution:
-            lines.append(f"dist: {execution['dist']}  deleted: {execution['deleted']}")
-        _emit(payload, args, lines)
-    else:
-        sys.stdout.write(text)
-    return 0
+    payload = {"command": "emit-asp",
+               "output": args.output,
+               "statements": len(program.facts) + len(program.rules)
+               + len(program.counting) + len(program.weak),
+               "execution": execution}
+    lines = [f"wrote {args.output}" if args.output else "program not written"]
+    if execution:
+        lines.append(f"dist: {execution['dist']}  deleted: {execution['deleted']}")
+    return payload, lines
 
 
 _COMMANDS = {
@@ -362,18 +332,27 @@ def main(argv=None) -> int:
     pre = _Parser(add_help=False)
     pre.add_argument("--format", default="text")
     fmt = "text"
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         fmt = pre.parse_known_args(argv)[0].format
         args = build_parser().parse_args(argv)
         fmt = args.format
         _check_ranges(args)
-        return _COMMANDS[args.command](args)
+        start = time.perf_counter()
+        constraints, instance = _load_bundle(args)
+        out = _COMMANDS[args.command](args, constraints, instance)
+        if out is not None:
+            _emit(args, start, *out)
+        return 0
     except ResourceLimitError as exc:
         _fail(fmt, exc)
         return 2
     except IncMeterError as exc:
         _fail(fmt, exc)
         return 1
+    finally:
+        if cap is not None:  # a command may lift the process-wide digit cap
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

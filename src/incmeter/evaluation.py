@@ -13,11 +13,7 @@ counting/DRed view maintenance.
 
 from __future__ import annotations
 
-import re
-
-from .model import NULL, Comparison, Const, DenialConstraint, Var
-
-_INT_RE = re.compile(r"-?\d+\Z")
+from .model import _INT_RE, NULL, Comparison, Const, DenialConstraint, Var
 
 
 def compare_values(a: str, op: str, b: str) -> bool:

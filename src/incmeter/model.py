@@ -185,6 +185,9 @@ class Instance:
         first derivation and handed on, so a chain of derivations checks no
         fact twice.
         """
+        missing = set(deletions).difference(self._by_tid)
+        if missing:
+            raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         rows = getattr(self, "_rows", None)
         if rows is None:
             rows = {(f.predicate, f.values) for f in self.facts}
@@ -350,9 +353,7 @@ class DenialConstraint:
     def __post_init__(self):
         if not self.atoms:
             raise InputError(f"constraint {self.name}: at least one atom is required")
-        atom_vars = set()
-        for a in self.atoms:
-            atom_vars |= a.variables()
+        atom_vars = self.variables()
         for c in self.comparisons:
             loose = c.variables() - atom_vars
             if loose:

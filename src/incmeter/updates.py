@@ -7,8 +7,11 @@ by the delta rule: each atom in turn is seeded with the inserted facts while
 the other atoms are looked up in the updated instance's shared index.  An
 assignment seen under several seeds yields one image.
 
-The bound checks turn the relative update size eps into exact-rational
-sandwich inequalities between the measures before and after the update.
+One private path measures both sides of a delta: it builds or reuses the
+hypergraph before and, incrementally, the one after, and takes the exact
+measure of each.  `incmeter update` and both bound checks go through it; the
+checks then turn the relative update size eps into exact-rational sandwich
+inequalities between the two measures, in one body for either direction.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ class UpdateDelta:
     deletions: frozenset[int]
 
     @property
-    def is_insert_only(self):
-        return not self.deletions and self.insertions
+    def is_insert_only(self) -> bool:
+        return not self.deletions and bool(self.insertions)
 
     @property
-    def is_delete_only(self):
-        return not self.insertions and self.deletions
+    def is_delete_only(self) -> bool:
+        return not self.insertions and bool(self.deletions)
 
 
 @dataclass(frozen=True)
@@ -127,17 +130,9 @@ def apply_update(instance: Instance, delta: UpdateDelta) -> Instance:
 
     Fresh tids continue above the previous maximum, in insertion order, so
     existing tids never change meaning.  Only the deleted tids and the
-    inserted rows are checked: the facts the delta leaves alone were checked
-    when the instance was built and are not checked again.
+    inserted rows are checked (see Instance.derive).
     """
-    _check_deletions(instance.tids, delta)
     return instance.derive(delta.insertions, delta.deletions)
-
-
-def _check_deletions(tids, delta: UpdateDelta) -> None:
-    missing = delta.deletions.difference(tids)
-    if missing:
-        raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
 
 
 def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
@@ -159,20 +154,46 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     return assemble(after.tids, hyperedges, [c.name for c in constraints])
 
 
-def _measures_before_after(instance: Instance, delta: UpdateDelta,
-                           constraints: ConstraintSet, node_budget, hg_before, hg_after):
-    """hg_before and the exact measures before and after the delta.
+def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
+                   node_budget, hg_before=None, hg_after=None):
+    """Both hypergraphs of the delta and the exact g3 report on each side.
 
-    The updated instance is not rebuilt: hg_after's vertices are its tids.
+    Missing hypergraphs are built, hg_after incrementally from hg_before; the
+    updated instance is not rebuilt, since hg_after's vertices are its tids.
     """
-    _check_deletions(instance.tids, delta)
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
         hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
+    elif not delta.deletions <= hg_before.vertices:
+        instance.derive((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
-    return hg_before, before.value, after.value
+    return hg_before, hg_after, before, after
+
+
+def _bound_report(direction, instance, delta, constraints, node_budget,
+                  hg_before, hg_after) -> BoundCheckReport:
+    """Either bound check on a pure delta of eps = changed rows/|D|."""
+    hg_before, _, before, after = _measure_delta(
+        instance, delta, constraints, node_budget, hg_before, hg_after)
+    before, after = before.value, after.value
+    isolated = None
+    if direction == "delete":
+        isolated = all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
+    n = len(instance)
+    eps = Fraction(len(delta.insertions) + len(delta.deletions), n) if n else Fraction(0)
+    if not 0 < eps < 1:
+        return BoundCheckReport(direction, eps, before, after, False, (), isolated)
+    scaled = after / (1 - eps)
+    if direction == "insert":
+        bounds = [("upper", after, before + eps / (1 + eps)), ("lower", before, scaled)]
+    else:
+        bounds = [("upper", after, before / (1 - eps)), ("lower", before, scaled + eps)]
+        if isolated:
+            bounds.append(("lower_isolated", before, scaled))
+    return BoundCheckReport(direction, eps, before, after, True,
+                            tuple(BoundInequality(*b) for b in bounds), isolated)
 
 
 def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
@@ -187,19 +208,8 @@ def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_insert_only:
         raise InputError("insertion bounds need a pure insertion delta")
-    _, before, after = _measures_before_after(
-        instance, delta, constraints, node_budget, hg_before, hg_after)
-    n = len(instance)
-    if n == 0:
-        return BoundCheckReport("insert", Fraction(0), before, after, False, ())
-    eps = Fraction(len(delta.insertions), n)
-    if eps >= 1:
-        return BoundCheckReport("insert", eps, before, after, False, ())
-    bounds = (
-        BoundInequality("upper", after, before + eps / (1 + eps)),
-        BoundInequality("lower", before, after / (1 - eps)),
-    )
-    return BoundCheckReport("insert", eps, before, after, True, bounds)
+    return _bound_report("insert", instance, delta, constraints, node_budget,
+                         hg_before, hg_after)
 
 
 def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
@@ -216,19 +226,5 @@ def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_delete_only:
         raise InputError("deletion bounds need a pure deletion delta")
-    hg_before, before, after = _measures_before_after(
-        instance, delta, constraints, node_budget, hg_before, hg_after)
-    n = len(instance)
-    isolated = all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
-    if n == 0:
-        return BoundCheckReport("delete", Fraction(0), before, after, False, (), isolated)
-    eps = Fraction(len(delta.deletions), n)
-    if eps >= 1:
-        return BoundCheckReport("delete", eps, before, after, False, (), isolated)
-    bounds = [
-        BoundInequality("upper", after, before / (1 - eps)),
-        BoundInequality("lower", before, after / (1 - eps) + eps),
-    ]
-    if isolated:
-        bounds.append(BoundInequality("lower_isolated", before, after / (1 - eps)))
-    return BoundCheckReport("delete", eps, before, after, True, tuple(bounds), isolated)
+    return _bound_report("delete", instance, delta, constraints, node_budget,
+                         hg_before, hg_after)

@@ -3,6 +3,8 @@ import stat
 import subprocess
 import sys
 
+import pytest
+
 from incmeter.cli import main
 
 PQR_SCHEMA = "p(A)\nq(A, B)\nr(A, C)\n"
@@ -128,10 +130,12 @@ def test_alt_measures_print_the_counts_of_a_large_instance(tmp_path, capsys):
     # whose terms have more than the 4300 digits Python prints by default
     csvs = dict(PQR_CSVS, p="A\na\ne\n" + "".join(f"x{i}\n" for i in range(15_000)))
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, csvs)
+    assert main(["alt-measures", "--format", "text"] + base) == 0
+    lines = capsys.readouterr().out.splitlines()
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # main put its cap back, so the expected line lifts it too
+        sys.set_int_max_str_digits(0)
     try:
-        assert main(["alt-measures", "--format", "text"] + base) == 0
-        lines = capsys.readouterr().out.splitlines()
         assert lines[1] == f"count_all = {3 << 15_001}/{1 << 15_004} (0.375)"
     finally:
         if limit is not None:
@@ -174,6 +178,24 @@ def test_update_mixed_delta_rejects_bounds(tmp_path, capsys):
     assert ok["bounds"] is None and ok["size_after"] == 4
     assert main(["update", "--delta", str(delta), "--check-bounds"] + base) == 1
     assert "pure insertion or pure deletion" in capsys.readouterr().err
+    # refused before anything is solved, so no budget can run out first
+    assert main(["update", "--delta", str(delta), "--check-bounds",
+                 "--node-budget", "0", "--format", "json"] + base) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no process-wide cap on printing ints")
+@pytest.mark.parametrize("cap", [4300, 5000])
+def test_alt_measures_put_the_digit_cap_back(tmp_path, capsys, cap):
+    base = write_bundle(tmp_path, FD_SCHEMA, FD_CONSTRAINTS, FD_CSVS)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cap)
+    try:
+        run_json(capsys, ["alt-measures"] + base)
+        assert sys.get_int_max_str_digits() == cap
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_emit_asp_stdout_is_raw_program(tmp_path, capsys):
@@ -190,6 +212,7 @@ def test_emit_asp_output_file(tmp_path, capsys):
     target = tmp_path / "program.lp"
     payload = run_json(capsys, ["emit-asp", "--output", str(target),
                                 "--no-weak"] + base)
+    assert set(payload) == {"command", "output", "statements", "execution", "elapsed_ms"}
     assert payload["output"] == str(target)
     assert payload["execution"] is None
     text = target.read_text()

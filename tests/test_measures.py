@@ -37,9 +37,10 @@ def test_g3_consistent_and_empty(pqr):
     ok = inc_deg_g3(inst.restrict({2, 3, 4}), cs)
     assert ok.value == 0 and ok.numerator == 0
     assert (ok.numerator, ok.denominator) == (0, 3)
-    empty = inc_deg_g3(Instance(schema, ()), cs)
-    assert (empty.numerator, empty.denominator) == (0, 1)
-    assert "consistent" in empty.note
+    for measure in (inc_deg_g3, inc_deg_g3_endogenous, measure_jaccard):
+        empty = measure(Instance(schema, ()), cs)
+        assert (empty.numerator, empty.denominator) == (0, 1)
+        assert "consistent" in empty.note
 
 
 def test_g3_value_definition_on_random_instances():

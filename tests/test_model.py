@@ -6,8 +6,8 @@ import pytest
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
 from incmeter.model import (Atom, Comparison, Const, ConstraintSet, DenialConstraint,
-                            Fact, Instance, Var, check_consistency, load_instance,
-                            parse_constraints, parse_schema)
+                            Fact, Instance, Predicate, Var, check_consistency,
+                            load_instance, parse_constraints, parse_schema)
 
 
 def test_parse_schema_basics():
@@ -73,6 +73,48 @@ def test_parse_dc_errors():
         parse_constraints("dc c : !exists p(x)\ndc c : !exists q(x, y)", schema)
     with pytest.raises(InputError):
         parse_constraints("nonsense", schema)
+
+
+_SCHEMA = parse_schema("p(A)\nq(A, B)\nrel(A, B, C)\n")
+
+
+def _parse(text):
+    return lambda: parse_constraints(text, _SCHEMA)
+
+
+@pytest.mark.parametrize("build,message,line,column", [
+    pytest.param(_parse("dc c : !exists p(x) @"), "unexpected character '@'", 1, 21,
+                 id="character"),
+    pytest.param(_parse("dc c : !exists p(x"), "unexpected end of line", 1, None,
+                 id="end-of-line"),
+    pytest.param(_parse("dc c : !exists p(,)"), "expected a term, got ','", 1, 18,
+                 id="term"),
+    pytest.param(_parse("dc c : !exists p(x), x y"),
+                 "expected a comparison operator, got 'y'", 1, 24, id="operator"),
+    pytest.param(_parse("dc c : !forall p(x)"),
+                 "expected 'exists' after '!', got 'forall'", 1, 9, id="exists"),
+    pytest.param(_parse("fd f : nosuch : A -> B"), "unknown predicate 'nosuch'", 1, 8,
+                 id="fd-predicate"),
+    pytest.param(_parse("fd f : rel : A -> B C"), "unexpected trailing input 'C'", 1, 21,
+                 id="fd-trailing"),
+    pytest.param(_parse("fd f : rel : A, A -> B"), "duplicate attribute in determinant",
+                 1, None, id="fd-determinant"),
+    pytest.param(lambda: Predicate("1p", ("A",)), "invalid predicate name '1p'",
+                 None, None, id="predicate-name"),
+    pytest.param(lambda: Predicate("p", ()), "predicate p has no attributes",
+                 None, None, id="predicate-no-attributes"),
+    pytest.param(lambda: Predicate("p", ("A", "b c")),
+                 "invalid attribute name 'b c' in predicate p", None, None,
+                 id="predicate-attribute"),
+    # comment-only lines are skipped but still counted
+    pytest.param(_parse("# a note\n   # another\nnonsense"),
+                 "expected 'dc' or 'fd', got 'nonsense'", 3, 1, id="after-comments"),
+])
+def test_input_errors_report_message_and_place(build, message, line, column):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value).endswith(message)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_fd_expansion_matches_manual_dc():

@@ -28,10 +28,11 @@ def test_parse_delta_forms():
 
 
 def test_parse_delta_direction_flags():
-    assert parse_delta("+ p(a)\n").is_insert_only
-    assert parse_delta("- 3\n").is_delete_only
+    insert, delete = parse_delta("+ p(a)\n"), parse_delta("- 3\n")
+    assert insert.is_insert_only is True and insert.is_delete_only is False
+    assert delete.is_delete_only is True and delete.is_insert_only is False
     empty = parse_delta("# nothing\n")
-    assert not empty.is_insert_only and not empty.is_delete_only
+    assert empty.is_insert_only is False and empty.is_delete_only is False
 
 
 def test_parse_delta_errors():
@@ -81,6 +82,15 @@ def test_apply_update_validation(pqr):
     # re-inserting a row whose tid was deleted is allowed
     redo = apply_update(inst, parse_delta("- 1\n+ p(a)\n"))
     assert redo.fact(5).values == ("a",)
+
+
+def test_derive_rejects_unknown_tids(pqr):
+    _, _, inst = pqr
+    with pytest.raises(InputError) as info:
+        inst.derive((), {99})
+    assert str(info.value) == "cannot delete unknown tid(s) [99]"
+    with pytest.raises(InputError, match=r"\[7, 99\]"):
+        inst.derive((("p", ("z",)),), {1, 7, 99})
 
 
 def test_apply_update_shrinks_endogenous(pqr):
