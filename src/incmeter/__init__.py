@@ -15,10 +15,9 @@ from .conflicts import (ConflictHypergraph, Hyperedge, build_hypergraph,
                         hypergraph_from_edges, vertex_degrees)
 from .errors import (IncMeterError, InputError, ResourceLimitError,
                      SolverUnavailableError)
-from .exact import (RepairSet, RepairSolution, brute_force_min_hitting_set,
-                    enumerate_c_repairs, enumerate_minimal_hitting_sets,
-                    enumerate_s_repairs, min_endogenous_hitting_set,
-                    min_hitting_set, solve_min_hitting_set)
+from .exact import (RepairSet, RepairSolution, enumerate_c_repairs,
+                    enumerate_minimal_hitting_sets, enumerate_s_repairs,
+                    min_endogenous_hitting_set, min_hitting_set, solve_min_hitting_set)
 from .measures import (MeasureReport, inc_deg_g3, inc_deg_g3_endogenous,
                        measure_count_all, measure_count_srep, measure_jaccard)
 from .model import (NULL, Atom, Comparison, Const, ConstraintSet, DenialConstraint,

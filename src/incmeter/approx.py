@@ -82,33 +82,41 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
 
 
 def _length_scheme(edges, inner):
-    """Grow vertex lengths along minimum-length edges until all reach 1."""
+    """Grow vertex lengths along minimum-length edges until all reach 1.
+
+    An iteration costs one argmin over the edge sums, done in C by min and
+    list.index (the first minimal edge), plus d * max-degree float updates.
+    """
     vertices = sorted({t for e in edges for t in e})
+    position = {t: i for i, t in enumerate(vertices)}
     delta = (1.0 + inner) * ((1.0 + inner) * max(len(vertices), 2)) ** (-1.0 / inner)
     delta = max(delta, 1e-300)
-    lengths = {t: delta for t in vertices}
+    lengths = [delta] * len(vertices)
     duals = [0] * len(edges)
-    incident = {t: [] for t in vertices}
+    incident = [[] for _ in vertices]
     for j, e in enumerate(edges):
         for t in e:
-            incident[t].append(j)
-    sums = [sum(lengths[t] for t in e) for e in edges]
+            incident[position[t]].append(j)
+    # per edge, the (vertex, edges through it) pairs its growth step updates
+    steps = [[(position[t], incident[position[t]]) for t in e] for e in edges]
+    sums = [sum(delta for _ in e) for e in edges]
     grow = 1.0 + inner
     # each pass raises the minimum edge sum; bounded by the usual
     # O(m log(1/delta) / log(1+inner)) iteration count
     while True:
-        best = min(range(len(edges)), key=lambda i: sums[i])
-        if sums[best] >= 1.0:
+        low = min(sums)
+        if low >= 1.0:
             break
+        best = sums.index(low)
         duals[best] += 1
-        for t in edges[best]:
-            old = lengths[t]
+        for v, touched in steps[best]:
+            old = lengths[v]
             new = old * grow
-            lengths[t] = new
+            lengths[v] = new
             diff = new - old
-            for j in incident[t]:
+            for j in touched:
                 sums[j] += diff
-    return lengths, duals
+    return dict(zip(vertices, lengths)), duals
 
 
 def _rationalize(edges, lengths, duals):

@@ -16,7 +16,6 @@ All minimal hitting sets are built edge by edge with Berge's rule.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .conflicts import ConflictHypergraph, antichain, build_hypergraph
@@ -256,23 +255,6 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
     if deleted is None:
         return None
     return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
-
-
-def brute_force_min_hitting_set(hg: ConflictHypergraph, max_active=22) -> RepairSolution:
-    """Reference solver: try all subsets by ascending size, lexicographic order."""
-    active = sorted(set().union(*hg.solving_edges)) if hg.solving_edges else []
-    if len(active) > max_active:
-        raise ResourceLimitError(
-            f"{len(active)} conflicting tids exceed the brute-force limit {max_active}")
-    index = {t: i for i, t in enumerate(active)}
-    masks = [_mask(e, index) for e in hg.solving_edges]
-    for k in range(len(active) + 1):
-        for combo in itertools.combinations(active, k):
-            m = _mask(combo, index)
-            if all(m & e for e in masks):
-                return RepairSolution(frozenset(combo),
-                                      len(hg.vertices) - k, "brute", True)
-    raise AssertionError("unreachable: the full active set hits every edge")
 
 
 def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,

@@ -1,12 +1,14 @@
-"""Shared fixtures: worked-example bundles and a seeded random corpus."""
+"""Shared fixtures: worked-example bundles, a seeded random corpus, oracles."""
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from incmeter.conflicts import build_hypergraph
-from incmeter.exact import brute_force_min_hitting_set, min_hitting_set
+from incmeter.errors import ResourceLimitError
+from incmeter.exact import RepairSolution, min_hitting_set
 from incmeter.model import Fact, Instance, load_instance, parse_constraints, parse_schema
 
 # --- small hand-checked bundles -------------------------------------------
@@ -110,6 +112,19 @@ def fd_key_groups(rng: random.Random, n):
         classes.setdefault(a, Counter())[b] += 1
     optimum = sum(sum(c.values()) - max(c.values()) for c in classes.values())
     return constraints, instance, optimum
+
+
+def brute_force_min_hitting_set(hg, max_active=22) -> RepairSolution:
+    """Reference solver: try all subsets by ascending size, lexicographic order."""
+    active = sorted(set().union(*hg.solving_edges)) if hg.solving_edges else []
+    if len(active) > max_active:
+        raise ResourceLimitError(
+            f"{len(active)} conflicting tids exceed the brute-force limit {max_active}")
+    for k in range(len(active) + 1):
+        for combo in itertools.combinations(active, k):
+            if all(e.intersection(combo) for e in hg.solving_edges):
+                return RepairSolution(frozenset(combo), len(hg.vertices) - k, "brute", True)
+    raise AssertionError("unreachable: the full active set hits every edge")
 
 
 class CorpusItem:

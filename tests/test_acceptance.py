@@ -19,15 +19,14 @@ from incmeter.approx import local_ratio_hitting_set, randomized_rounding_hitting
 from incmeter.aspgen import (emit_repair_program, normalize_tokens,
                              run_brave_distances, run_external_solver)
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
-from incmeter.exact import (brute_force_min_hitting_set, enumerate_c_repairs,
-                            enumerate_s_repairs, min_hitting_set)
+from incmeter.exact import enumerate_c_repairs, enumerate_s_repairs, min_hitting_set
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
 from incmeter.model import Fact, Instance, parse_constraints, parse_schema
 from incmeter.nullrep import inc_deg_g3_null, minimal_null_repairs
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph)
 
-from conftest import fd_key_groups
+from conftest import brute_force_min_hitting_set, fd_key_groups
 
 GOLDEN = Path(__file__).parent / "golden" / "repair_program_reference.lp"
 

@@ -1,15 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from incmeter import approx
 from incmeter.approx import (FractionalCover, local_ratio_hitting_set,
                              lp_fractional_cover, randomized_rounding_hitting_set)
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.errors import ResourceLimitError
-from incmeter.exact import min_hitting_set
+from incmeter.exact import _components, min_hitting_set
 
-from conftest import random_bundle
+from conftest import fd_key_groups, random_bundle
 
 
 def test_single_edge_cover_is_symmetric():
@@ -174,3 +176,137 @@ def test_rounding_repair_pass_takes_unhit_edges_whole():
     zero = FractionalCover({t: Fraction(0) for t in hg.vertices}, Fraction(0), Fraction(0))
     sol = randomized_rounding_hitting_set(hg, seed=3, cover=zero)
     assert sol.deleted == local_ratio_hitting_set(hg).deleted == frozenset({2, 3})
+
+
+def _reference_length_scheme(edges, inner):
+    """The length scheme as first written: a keyed min over the edge indices.
+
+    Kept frozen so that faster loops can be held to its exact floats.
+    """
+    vertices = sorted({t for e in edges for t in e})
+    delta = (1.0 + inner) * ((1.0 + inner) * max(len(vertices), 2)) ** (-1.0 / inner)
+    delta = max(delta, 1e-300)
+    lengths = {t: delta for t in vertices}
+    duals = [0] * len(edges)
+    incident = {t: [] for t in vertices}
+    for j, e in enumerate(edges):
+        for t in e:
+            incident[t].append(j)
+    sums = [sum(lengths[t] for t in e) for e in edges]
+    grow = 1.0 + inner
+    while True:
+        best = min(range(len(edges)), key=lambda i: sums[i])
+        if sums[best] >= 1.0:
+            break
+        duals[best] += 1
+        for t in edges[best]:
+            old = lengths[t]
+            new = old * grow
+            lengths[t] = new
+            diff = new - old
+            for j in incident[t]:
+                sums[j] += diff
+    return lengths, duals
+
+
+def _uniform_edges(rng, vertices, edges, d):
+    """`edges` distinct random d-subsets of 1..vertices, as the LP sorts them."""
+    out = set()
+    while len(out) < edges:
+        out.add(tuple(sorted(rng.sample(range(1, vertices + 1), d))))
+    return sorted(out)
+
+
+def _length_scheme_inputs():
+    """Seeded random 2- and 3-uniform hypergraphs and FD key-group components."""
+    rng = random.Random(404)
+    inputs = []
+    for _ in range(160):
+        d = rng.choice((2, 3))
+        vertices = rng.randint(d, 16)
+        inputs.append(_uniform_edges(rng, vertices, rng.randint(
+            1, min(40, math.comb(vertices, d))), d))
+    while len(inputs) < 220:
+        constraints, instance, _ = fd_key_groups(rng, rng.randint(8, 40))
+        hg = build_hypergraph(instance, constraints)
+        inputs += [sorted(tuple(sorted(e)) for e in c) for c in _components(hg.solving_edges)]
+    return inputs
+
+
+LENGTH_SCHEME_INPUTS = _length_scheme_inputs()
+
+
+@pytest.mark.parametrize("rung", [3, 6, 12])
+def test_length_scheme_matches_the_reference_bit_for_bit(rung):
+    # the retry ladder of lp_fractional_cover at eps = 1; finer steps only
+    # take longer, and the pinned count below covers the default eps
+    inner = 1.0 / rung
+    assert len(LENGTH_SCHEME_INPUTS) >= 200
+    for edges in LENGTH_SCHEME_INPUTS:
+        lengths, duals = approx._length_scheme(edges, inner)
+        want_lengths, want_duals = _reference_length_scheme(edges, inner)
+        assert list(lengths.items()) == list(want_lengths.items())
+        assert duals == want_duals and sum(duals) == sum(want_duals)
+
+
+def test_length_scheme_iteration_count_is_pinned():
+    # a benchmark-shaped 3-uniform graph, 16 vertices and 40 edges, at the
+    # first rung of the default eps = 1/10
+    edges = _uniform_edges(random.Random(2), 16, 40, 3)
+    lengths, duals = approx._length_scheme(edges, 0.1 / 3)
+    assert (lengths, duals) == _reference_length_scheme(edges, 0.1 / 3)
+    assert sum(duals) == 13508
+
+
+def test_lp_cover_matches_the_reference_length_scheme(monkeypatch):
+    rng = random.Random(405)
+    hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(60))]
+    got = [lp_fractional_cover(hg) for hg in hgs]
+    monkeypatch.setattr(approx, "_length_scheme", _reference_length_scheme)
+    for hg, cover in zip(hgs, got):
+        want = lp_fractional_cover(hg)
+        assert cover.weights == want.weights
+        assert (cover.objective, cover.dual_bound) == (want.objective, want.dual_bound)
+
+
+def _record_inner(monkeypatch, length_scheme=approx._length_scheme):
+    inners = []
+
+    def recorded(edges, inner):
+        inners.append(inner)
+        return length_scheme(edges, inner)
+
+    monkeypatch.setattr(approx, "_length_scheme", recorded)
+    return inners
+
+
+def test_certification_retries_at_half_the_step(monkeypatch):
+    tri = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
+    eps = Fraction(1, 10)
+    inners = _record_inner(monkeypatch)
+    rationalize = approx._rationalize
+    certificates = []
+
+    def first_fails(edges, lengths, duals):
+        cover, objective, bound = rationalize(edges, lengths, duals)
+        certificates.append((objective, bound))
+        # a zero dual bound certifies no positive objective
+        return cover, objective, bound if len(certificates) > 1 else Fraction(0)
+
+    monkeypatch.setattr(approx, "_rationalize", first_fails)
+    cover = lp_fractional_cover(tri, eps)
+    assert inners == [float(eps) / 3.0, float(eps) / 6.0]
+    assert (cover.objective, cover.dual_bound) == certificates[1]
+    assert cover.objective <= (1 + eps) * cover.dual_bound
+
+
+def test_certification_gives_up_after_twelve_passes(monkeypatch):
+    hg = hypergraph_from_edges([1, 2], [{1, 2}])
+    first = approx._length_scheme([(1, 2)], 1.0 / 3.0)
+    # the finest rungs would take billions of steps: reuse the first result
+    inners = _record_inner(monkeypatch, lambda edges, inner: first)
+    monkeypatch.setattr(approx, "_rationalize",
+                        lambda edges, lengths, duals: ({}, Fraction(1), Fraction(0)))
+    with pytest.raises(ResourceLimitError, match="fractional cover failed to certify its gap"):
+        lp_fractional_cover(hg, eps=Fraction(1))
+    assert inners == [1.0 / 3.0 / 2 ** k for k in range(12)]

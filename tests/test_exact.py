@@ -5,13 +5,12 @@ import pytest
 
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.errors import ResourceLimitError
-from incmeter.exact import (brute_force_min_hitting_set, enumerate_c_repairs,
-                            enumerate_minimal_hitting_sets, enumerate_s_repairs,
-                            min_endogenous_hitting_set, min_hitting_set,
-                            solve_min_hitting_set)
+from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
+                            enumerate_s_repairs, min_endogenous_hitting_set,
+                            min_hitting_set, solve_min_hitting_set)
 from incmeter.model import check_consistency
 
-from conftest import fd_key_groups, random_bundle
+from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle
 
 
 def test_pqr_minimum(pqr):
