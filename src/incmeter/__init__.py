@@ -9,8 +9,7 @@ logic programs whose optimal answer sets are the minimum repairs.
 
 from .approx import (FractionalCover, local_ratio_hitting_set, lp_fractional_cover,
                      randomized_rounding_hitting_set)
-from .aspgen import (AspProgram, emit_repair_program, normalize_tokens,
-                     run_brave_distances, run_external_solver)
+from .aspgen import AspProgram, emit_repair_program, run_brave_distances, run_external_solver
 from .conflicts import (ConflictHypergraph, Hyperedge, build_hypergraph,
                         hypergraph_from_edges, vertex_degrees)
 from .errors import (IncMeterError, InputError, ResourceLimitError,
@@ -21,11 +20,10 @@ from .exact import (RepairSet, RepairSolution, enumerate_c_repairs,
 from .measures import (MeasureReport, inc_deg_g3, inc_deg_g3_endogenous,
                        measure_count_all, measure_count_srep, measure_jaccard)
 from .model import (NULL, Atom, Comparison, Const, ConstraintSet, DenialConstraint,
-                    Fact, Instance, Predicate, Schema, Var, check_consistency,
-                    load_instance, parse_constraints, parse_schema)
-from .nullrep import (CellChange, NullRepairSolution, apply_changes, cell_conflicts,
-                      eval_with_nulls, inc_deg_g3_null, min_null_changes,
-                      minimal_null_repairs)
+                    Fact, Instance, Predicate, Schema, Var, load_instance,
+                    parse_constraints, parse_schema)
+from .nullrep import (CellChange, NullRepairSolution, cell_conflicts, inc_deg_g3_null,
+                      min_null_changes, minimal_null_repairs)
 from .updates import (BoundCheckReport, BoundInequality, UpdateDelta, apply_update,
                       check_deletion_bounds, check_insertion_bounds,
                       incremental_hypergraph, parse_delta)

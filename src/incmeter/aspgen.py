@@ -44,12 +44,9 @@ class AspProgram:
     rules: tuple[str, ...]
     counting: tuple[str, ...]
     weak: tuple[str, ...]
-    queries: tuple[str, ...] = ()
 
-    def render(self, include_queries: bool = True) -> str:
-        sections = [self.facts, self.rules, self.counting, self.weak]
-        if include_queries:
-            sections.append(self.queries)
+    def render(self) -> str:
+        sections = (self.facts, self.rules, self.counting, self.weak)
         blocks = ["\n".join(lines) for lines in sections if lines]
         return "\n\n".join(blocks) + "\n"
 
@@ -191,50 +188,7 @@ def _constraint_rules(dc, style, maxint):
 
 
 # ---------------------------------------------------------------------------
-# token normalization (for golden comparisons) and external solving
-
-_NORM_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%.*)
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<punct>:-|:~|\#\w+|!=|<=|>=|==|=|<|>|\{|\}|\(|\)|,|\.|\?|;|\||:|-|\+|\*|/)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>\d+)
-    """,
-    re.VERBOSE,
-)
-
-_VARIABLE_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
-
-
-def normalize_tokens(text: str) -> tuple[str, ...]:
-    """Lex a program and rename each statement's variables by first use.
-
-    Statements end at '.' or '?'.  The result is whitespace- and
-    variable-naming-insensitive, which is what golden comparisons need.
-    """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _NORM_TOKEN_RE.match(text, pos)
-        if not m:
-            raise InputError(f"unexpected character {text[pos]!r} in program text")
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group()))
-        pos = m.end()
-    out = []
-    renames: dict[str, str] = {}
-    for kind, tok in tokens:
-        if kind == "ident" and _VARIABLE_RE.match(tok):
-            if tok not in renames:
-                renames[tok] = f"V{len(renames)}"
-            out.append(renames[tok])
-        else:
-            out.append(tok)
-        if tok in (".", "?"):
-            renames = {}
-    return tuple(out)
+# external solving
 
 
 def _best_model_section(output: str):
@@ -308,12 +262,12 @@ def run_external_solver(program: AspProgram, solver_path=None) -> dict:
     Returns {"dist": int|None, "deleted": frozenset[int], "cost": int|None}.
     Raises SolverUnavailableError when no usable binary is configured.
     """
-    output = _run(solver_path, [], program.render(include_queries=False))
+    output = _run(solver_path, [], program.render())
     dist, deleted, cost = parse_best_model(output)
     return {"dist": dist, "deleted": deleted, "cost": cost}
 
 
 def run_brave_distances(program: AspProgram, solver_path=None) -> frozenset[int]:
     """Ask the solver, in brave mode, which repair distances are achievable."""
-    queried = replace(program, weak=(), queries=("dist(X)?",))
-    return parse_brave_answers(_run(solver_path, ["-brave"], queried.render()))
+    text = replace(program, weak=()).render() + "\ndist(X)?\n"
+    return parse_brave_answers(_run(solver_path, ["-brave"], text))

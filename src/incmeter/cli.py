@@ -63,7 +63,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="randomized: seed of the thresholds")
     p.add_argument("--reps", type=int, default=5, help="randomized: thresholds tried, best kept")
 
-    enum_limit = dict(type=int, default=measures.ENUM_LIMIT,
+    enum_limit = dict(type=int, default=exact.ENUM_LIMIT,
                       help="most conflicting facts to enumerate over (default: %(default)s)")
     p = sub.add_parser("repairs", parents=[common], help="enumerate repairs")
     p.add_argument("--enumerate", choices=("s", "c"), default="s", dest="which")

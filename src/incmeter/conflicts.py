@@ -54,11 +54,6 @@ class ConflictHypergraph:
     def is_consistent(self) -> bool:
         return not self.solving_edges
 
-    @property
-    def max_degree(self) -> int:
-        degs = vertex_degrees(self)
-        return max(degs.values(), default=0)
-
     def dump_lines(self) -> list[str]:
         """Diagnostic dump: one line per edge, `<constraint>: tid,tid,...`."""
         return [f"{e.constraint}: {','.join(str(t) for t in e.key())}"

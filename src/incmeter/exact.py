@@ -23,6 +23,8 @@ from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# most conflicting facts that repair enumeration and count_all range over
+ENUM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
 
 
 def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,
-                        limit=16, hypergraph=None) -> RepairSet:
+                        limit=ENUM_LIMIT, hypergraph=None) -> RepairSet:
     """All subset-maximal consistent sub-instances, as kept tid sets.
 
     Exhaustive over the conflicting tids, hence gated by limit on their
@@ -297,7 +299,7 @@ def _gated_union(edge_sets, max_elements):
 
 
 def enumerate_c_repairs(instance: Instance, constraints: ConstraintSet,
-                        limit=16, hypergraph=None) -> RepairSet:
+                        limit=ENUM_LIMIT, hypergraph=None) -> RepairSet:
     """The maximum-cardinality repairs: largest kept sets among the maximal ones."""
     s = enumerate_s_repairs(instance, constraints, limit, hypergraph)
     top = max((len(r) for r in s.repairs), default=0)

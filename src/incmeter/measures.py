@@ -18,8 +18,6 @@ from .conflicts import build_hypergraph
 from .errors import InputError
 from .model import ConstraintSet, Instance
 
-ENUM_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -124,7 +122,7 @@ def inc_deg_g3_endogenous(instance: Instance, constraints: ConstraintSet,
 
 
 def measure_count_srep(instance: Instance, constraints: ConstraintSet,
-                       limit=ENUM_LIMIT, hypergraph=None) -> MeasureReport:
+                       limit=exact.ENUM_LIMIT, hypergraph=None) -> MeasureReport:
     """Number of subset-maximal repairs over the number of sub-instances."""
     reps = exact.enumerate_s_repairs(instance, constraints, limit, hypergraph)
     return MeasureReport("count_srep", len(reps.repairs), 2 ** len(instance),
@@ -132,7 +130,7 @@ def measure_count_srep(instance: Instance, constraints: ConstraintSet,
 
 
 def measure_count_all(instance: Instance, constraints: ConstraintSet,
-                      limit=ENUM_LIMIT, hypergraph=None) -> MeasureReport:
+                      limit=exact.ENUM_LIMIT, hypergraph=None) -> MeasureReport:
     """Share of sub-instances that are inconsistent.
 
     A sub-instance is inconsistent exactly when its part inside the a
@@ -155,7 +153,7 @@ def measure_count_all(instance: Instance, constraints: ConstraintSet,
 
 
 def measure_jaccard(instance: Instance, constraints: ConstraintSet,
-                    limit=ENUM_LIMIT, hypergraph=None) -> MeasureReport:
+                    limit=exact.ENUM_LIMIT, hypergraph=None) -> MeasureReport:
     """Jaccard distance between the instance and what all repairs agree on.
 
     The solving edges are an antichain, so each tid v of an edge e lies in a

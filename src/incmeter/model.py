@@ -185,7 +185,8 @@ class Instance:
         first derivation and handed on, so a chain of derivations checks no
         fact twice.
         """
-        missing = set(deletions).difference(self._by_tid)
+        deletions = set(deletions)
+        missing = deletions.difference(self._by_tid)
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         rows = getattr(self, "_rows", None)
@@ -224,13 +225,6 @@ class Instance:
             return frozenset(self._by_tid)
         return self.endogenous
 
-    def restrict(self, keep_tids) -> "Instance":
-        """Sub-instance consisting of the given tids (endogenous set restricted too)."""
-        keep = frozenset(keep_tids)
-        return Instance(self.schema,
-                        tuple(f for f in self.facts if f.tid in keep),
-                        self.endogenous & keep)
-
 
 def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance:
     """Build an instance from per-predicate CSV sources.
@@ -239,7 +233,8 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     object).  Each CSV carries a header row that must match the predicate's
     attributes exactly.  Predicates without a source are loaded empty.  Tids
     are assigned deterministically: predicates in ascending name order, then
-    file row order, counting from 1.
+    file row order, counting from 1.  endogenous_tids holds ints or decimal
+    strings.
     """
     unknown = set(csv_sources) - set(schema.predicate_names)
     if unknown:
@@ -282,8 +277,16 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     # every row is checked above, so __init__ and its second check are skipped
     instance = object.__new__(Instance)
     instance.__dict__.update(schema=schema,
-                             endogenous=frozenset(map(int, endogenous_tids or ())))
+                             endogenous=frozenset(map(_tid, endogenous_tids or ())))
     return instance._index(by_tid)
+
+
+def _tid(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INT_RE.match(value):
+        return int(value)
+    raise InputError(f"not a tid: {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +335,7 @@ class Comparison:
             raise InputError(f"unsupported comparison operator {self.op!r}")
 
     def variables(self) -> set[str]:
-        out = set()
-        for t in (self.left, self.right):
-            if isinstance(t, Var):
-                out.add(t.name)
-        return out
+        return {t.name for t in (self.left, self.right) if isinstance(t, Var)}
 
     def __str__(self):
         return f"{self.left} {self.op} {self.right}"
@@ -362,10 +361,7 @@ class DenialConstraint:
                     "appear only in comparisons")
 
     def variables(self) -> set[str]:
-        out = set()
-        for a in self.atoms:
-            out |= a.variables()
-        return out
+        return set().union(*(a.variables() for a in self.atoms))
 
     def __str__(self):
         parts = [str(a) for a in self.atoms] + [str(c) for c in self.comparisons]
@@ -443,24 +439,36 @@ class _LineParser:
         self.i += 1
         return tok
 
-    def expect(self, kind, text=None):
+    def expect(self, kind):
         tok = self.next()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text or kind
-            raise InputError(f"expected {want!r}, got {tok[1]!r}", line=tok[2], column=tok[3])
+        if tok[0] != kind:
+            raise InputError(f"expected {kind!r}, got {tok[1]!r}", line=tok[2], column=tok[3])
         return tok
 
     def at_end(self):
         return self.i >= len(self.tokens)
 
+    def comma_list(self, read) -> list:
+        """One or more items, each taken by read(), separated by commas."""
+        items = [read()]
+        while self.peek() and self.peek()[0] == "comma":
+            self.next()
+            items.append(read())
+        return items
+
+    def parse_predicate(self, schema):
+        """A predicate of the schema, with its token for error positions."""
+        tok = self.expect("ident")
+        if tok[1] not in schema:
+            raise InputError(f"unknown predicate {tok[1]!r}", line=tok[2], column=tok[3])
+        return schema.predicate(tok[1]), tok
+
     def parse_term(self):
         tok = self.next()
         kind, text = tok[0], tok[1]
-        if kind == "ident":
-            if text[0].islower():
-                return Var(text)
-            return Const(text)
-        if kind == "number":
+        if kind == "ident" and text[0].islower():
+            return Var(text)
+        if kind in ("ident", "number"):
             return Const(text)
         if kind == "string":
             body = text[1:-1]
@@ -468,23 +476,15 @@ class _LineParser:
         raise InputError(f"expected a term, got {text!r}", line=tok[2], column=tok[3])
 
     def parse_atom(self, schema):
-        nametok = self.expect("ident")
-        predname = nametok[1]
-        if predname not in schema:
-            raise InputError(f"unknown predicate {predname!r}",
-                             line=nametok[2], column=nametok[3])
+        pred, nametok = self.parse_predicate(schema)
         self.expect("lpar")
-        terms = [self.parse_term()]
-        while self.peek() and self.peek()[0] == "comma":
-            self.next()
-            terms.append(self.parse_term())
+        terms = self.comma_list(self.parse_term)
         self.expect("rpar")
-        pred = schema.predicate(predname)
         if len(terms) != pred.arity:
             raise InputError(
-                f"{predname} takes {pred.arity} terms, got {len(terms)}",
+                f"{pred.name} takes {pred.arity} terms, got {len(terms)}",
                 line=nametok[2], column=nametok[3])
-        return Atom(predname, tuple(terms))
+        return Atom(pred.name, tuple(terms))
 
     def parse_comparison(self):
         left = self.parse_term()
@@ -497,14 +497,10 @@ class _LineParser:
 
 
 def _looks_like_atom(parser: _LineParser) -> bool:
-    tok = parser.peek()
-    nxt = parser.tokens[parser.i + 1] if parser.i + 1 < len(parser.tokens) else None
-    return tok is not None and tok[0] == "ident" and nxt is not None and nxt[0] == "lpar"
+    return [t[0] for t in parser.tokens[parser.i:parser.i + 2]] == ["ident", "lpar"]
 
 
-def _parse_dc_line(parser: _LineParser, schema: Schema) -> DenialConstraint:
-    nametok = parser.expect("ident")
-    parser.expect("colon")
+def _parse_dc_body(parser: _LineParser, schema: Schema, name: str) -> DenialConstraint:
     parser.expect("bang")
     kw = parser.expect("ident")
     if kw[1] != "exists":
@@ -522,36 +518,26 @@ def _parse_dc_line(parser: _LineParser, schema: Schema) -> DenialConstraint:
             atoms.append(parser.parse_atom(schema))
         else:
             comparisons.append(parser.parse_comparison())
-    return DenialConstraint(nametok[1], tuple(atoms), tuple(comparisons))
+    return DenialConstraint(name, tuple(atoms), tuple(comparisons))
 
 
-def _parse_fd_line(parser: _LineParser, schema: Schema) -> DenialConstraint:
-    nametok = parser.expect("ident")
+def _parse_fd_body(parser: _LineParser, schema: Schema, name: str) -> DenialConstraint:
+    pred, _ = parser.parse_predicate(schema)
     parser.expect("colon")
-    predtok = parser.expect("ident")
-    if predtok[1] not in schema:
-        raise InputError(f"unknown predicate {predtok[1]!r}",
-                         line=predtok[2], column=predtok[3])
-    pred = schema.predicate(predtok[1])
-    parser.expect("colon")
-    det = [parser.expect("ident")[1]]
-    while parser.peek() and parser.peek()[0] == "comma":
-        parser.next()
-        det.append(parser.expect("ident")[1])
+    det = [tok[1] for tok in parser.comma_list(lambda: parser.expect("ident"))]
     parser.expect("arrow")
-    deptok = parser.expect("ident")
-    dep = deptok[1]
+    dep = parser.expect("ident")[1]
     if not parser.at_end():
         tok = parser.peek()
         raise InputError(f"unexpected trailing input {tok[1]!r}", line=tok[2], column=tok[3])
     for a in det + [dep]:
         if a not in pred.attributes:
-            raise InputError(f"{pred.name} has no attribute {a!r}", line=nametok[2])
+            raise InputError(f"{pred.name} has no attribute {a!r}", line=parser.lineno)
     if len(det) != len(set(det)):
-        raise InputError("duplicate attribute in determinant", line=nametok[2])
+        raise InputError("duplicate attribute in determinant", line=parser.lineno)
     if dep in det:
-        raise InputError("dependent attribute also listed in determinant", line=nametok[2])
-    return _expand_fd(nametok[1], pred, tuple(det), dep)
+        raise InputError("dependent attribute also listed in determinant", line=parser.lineno)
+    return _expand_fd(name, pred, tuple(det), dep)
 
 
 def _expand_fd(name: str, pred: Predicate, det: tuple[str, ...], dep: str) -> DenialConstraint:
@@ -574,6 +560,9 @@ def _expand_fd(name: str, pred: Predicate, det: tuple[str, ...], dep: str) -> De
     return DenialConstraint(name, atoms, (Comparison(Var("y1"), "!=", Var("y2")),))
 
 
+_STATEMENTS = {"dc": _parse_dc_body, "fd": _parse_fd_body}
+
+
 def parse_constraints(text: str, schema: Schema) -> ConstraintSet:
     """Parse a constraint file: one `dc` or `fd` statement per line.
 
@@ -587,17 +576,11 @@ def parse_constraints(text: str, schema: Schema) -> ConstraintSet:
             continue
         parser = _LineParser(tokens, lineno)
         head = parser.next()
-        if head[0] == "ident" and head[1] == "dc":
-            constraints.append(_parse_dc_line(parser, schema))
-        elif head[0] == "ident" and head[1] == "fd":
-            constraints.append(_parse_fd_line(parser, schema))
-        else:
+        parse_body = _STATEMENTS.get(head[1])
+        if parse_body is None:
             raise InputError(f"expected 'dc' or 'fd', got {head[1]!r}",
                              line=head[2], column=head[3])
+        name = parser.expect("ident")[1]
+        parser.expect("colon")
+        constraints.append(parse_body(parser, schema, name))
     return ConstraintSet(tuple(constraints))
-
-
-def check_consistency(instance: Instance, constraints: ConstraintSet) -> bool:
-    """True iff no constraint has a satisfying assignment in the instance."""
-    from .evaluation import is_consistent
-    return is_consistent(instance.facts, constraints)

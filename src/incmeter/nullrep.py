@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import evaluation, exact
 from .conflicts import antichain
 from .measures import MeasureReport, _empty_report
-from .model import NULL, Const, ConstraintSet, DenialConstraint, Fact, Instance
+from .model import Const, ConstraintSet, DenialConstraint, Instance
 
 CELL_LIMIT = 24
 
@@ -35,41 +35,6 @@ class NullRepairSolution:
 
     changes: frozenset[CellChange]
     atv: int  # total number of cells in the instance
-
-
-def eval_with_nulls(facts, constraints: ConstraintSet) -> bool:
-    """Consistency of facts that may contain NULL cells.
-
-    NULL joins with nothing and compares with nothing; a variable occurring
-    in a single position may still bind it harmlessly.
-    """
-    if isinstance(facts, Instance):
-        facts = facts.facts
-    return evaluation.is_consistent(facts, constraints)
-
-
-def apply_changes(facts, changes) -> tuple[Fact, ...]:
-    """Facts with NULL written into the changed cells."""
-    if isinstance(facts, Instance):
-        facts = facts.facts
-    blank: dict[int, set[int]] = {}
-    for c in changes:
-        blank.setdefault(c.tid, set()).add(c.position)
-    out = []
-    for f in facts:
-        positions = blank.pop(f.tid, None)
-        if positions:
-            for p in positions:
-                if not 1 <= p <= len(f.values):
-                    raise KeyError(f"tid {f.tid} has no position {p}")
-            values = tuple(NULL if i in positions else v
-                           for i, v in enumerate(f.values, start=1))
-            out.append(Fact(f.tid, f.predicate, values))
-        else:
-            out.append(f)
-    if blank:
-        raise KeyError(f"no fact with tid {sorted(blank)[0]}")
-    return tuple(out)
 
 
 def _breaking_positions(dc: DenialConstraint) -> dict[int, set[int]]:

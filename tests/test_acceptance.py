@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from incmeter.approx import local_ratio_hitting_set, randomized_rounding_hitting_set
-from incmeter.aspgen import (emit_repair_program, normalize_tokens,
-                             run_brave_distances, run_external_solver)
+from incmeter.aspgen import emit_repair_program, run_brave_distances, run_external_solver
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.exact import enumerate_c_repairs, enumerate_s_repairs, min_hitting_set
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
@@ -27,6 +26,7 @@ from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph)
 
 from conftest import brute_force_min_hitting_set, fd_key_groups
+from oracles import normalize_tokens
 
 GOLDEN = Path(__file__).parent / "golden" / "repair_program_reference.lp"
 

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from incmeter.aspgen import (AspProgram, emit_repair_program, normalize_tokens,
-                             parse_best_model, parse_brave_answers,
-                             run_brave_distances, run_external_solver)
+from incmeter.aspgen import (AspProgram, emit_repair_program, parse_best_model,
+                             parse_brave_answers, run_brave_distances, run_external_solver)
 from incmeter.errors import InputError, SolverUnavailableError
 from incmeter.model import Fact, Instance, Predicate, Schema, parse_constraints, parse_schema
+
+from oracles import normalize_tokens
 
 GOLDEN = Path(__file__).parent / "golden" / "repair_program_reference.lp"
 
@@ -114,9 +115,7 @@ def test_render_separates_sections_with_blank_lines(pqr):
     text = program.render()
     assert text.endswith(".\n") or text.endswith(").\n")
     assert "\n\n" in text
-    q = AspProgram(("a.",), (), (), (), queries=("dist(X)?",))
-    assert q.render() == "a.\n\ndist(X)?\n"
-    assert q.render(include_queries=False) == "a.\n"
+    assert AspProgram(("a.",), (), (), ("b.",)).render() == "a.\n\nb.\n"
 
 
 def test_normalize_tokens_properties():
@@ -167,12 +166,16 @@ def test_solver_resolution_failures(pqr, monkeypatch):
 
 
 def fake_solver(tmp_path) -> str:
+    """A stand-in solver that keeps its program file as brave.lp or best.lp."""
     script = tmp_path / "fakedlv"
     script.write_text(
         "#!/bin/sh\n"
+        "for last; do :; done\n"
         'if [ "$1" = "-brave" ]; then\n'
+        f'  cp "$last" "{tmp_path}/brave.lp"\n'
         "  echo 'dist(1), dist(2)'\n"
         "else\n"
+        f'  cp "$last" "{tmp_path}/best.lp"\n'
         "  cat <<'EOF'\n" + CANNED_BEST + "EOF\n"
         "fi\n")
     script.chmod(script.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
@@ -186,3 +189,16 @@ def test_external_solver_round_trip(pqr, tmp_path):
     result = run_external_solver(program, solver_path=binary)
     assert result == {"dist": 1, "deleted": frozenset({1}), "cost": 1}
     assert run_brave_distances(program, solver_path=binary) == frozenset({1, 2})
+
+
+def test_solver_gets_the_program_of_its_mode(pqr, tmp_path):
+    _, cs, inst = pqr
+    program = emit_repair_program(inst, cs)
+    binary = fake_solver(tmp_path)
+    run_external_solver(program, solver_path=binary)
+    run_brave_distances(program, solver_path=binary)
+    best = (tmp_path / "best.lp").read_text()
+    brave = (tmp_path / "brave.lp").read_text()
+    assert best.endswith("\n\n:~ del(T).\n") and "?" not in best
+    # brave mode drops the weak constraint and asks the query in its place
+    assert brave == best.replace(":~ del(T).", "dist(X)?")

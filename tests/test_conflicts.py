@@ -5,10 +5,10 @@ import pytest
 from incmeter.conflicts import (build_hypergraph, hypergraph_from_edges,
                                 vertex_degrees)
 from incmeter.errors import InputError
-from incmeter.model import (ConstraintSet, check_consistency, load_instance, parse_constraints,
-                            parse_schema)
+from incmeter.model import ConstraintSet, load_instance, parse_constraints, parse_schema
 
 from conftest import random_bundle
+from oracles import consistent, restrict
 
 
 def _only(cs, name):
@@ -25,7 +25,7 @@ def test_pqr_hypergraph(pqr):
     assert hg.solving_edges == (frozenset({1, 3}), frozenset({1, 4}))
     assert hg.d == 2
     assert not hg.is_consistent
-    assert hg.max_degree == 2
+    assert vertex_degrees(hg) == {1: 2, 2: 0, 3: 1, 4: 1}
 
 
 def test_fd_hypergraph(fd):
@@ -43,7 +43,7 @@ def test_degrees_include_isolated_vertices(pqr):
 
 def test_consistent_instance_has_no_edges(pqr):
     _, cs, inst = pqr
-    hg = build_hypergraph(inst.restrict({2, 3, 4}), cs)
+    hg = build_hypergraph(restrict(inst, {2, 3, 4}), cs)
     assert hg.edges == ()
     assert hg.is_consistent
     assert hg.d == 0
@@ -77,10 +77,9 @@ def test_non_minimal_assignment_images_are_dropped():
     # every listed image is genuinely minimal: the whole edge violates, each
     # proper subset obtained by dropping one tid does not
     for e in hg.edges:
-        assert not check_consistency(inst.restrict(e.tids), cs)
+        assert not consistent(restrict(inst, e.tids), cs)
         for t in e.tids:
-            assert check_consistency(inst.restrict(e.tids - {t}),
-                                     _only(cs, e.constraint))
+            assert consistent(restrict(inst, e.tids - {t}), _only(cs, e.constraint))
 
 
 def test_cross_constraint_superset_is_pruned_from_solving_edges():
@@ -126,11 +125,11 @@ def test_minimality_property_on_random_instances():
         hg = build_hypergraph(inst, cs)
         for e in hg.edges[:6]:
             sub = _only(cs, e.constraint)
-            assert not check_consistency(inst.restrict(e.tids), sub)
+            assert not consistent(restrict(inst, e.tids), sub)
             for t in e.tids:
-                assert check_consistency(inst.restrict(e.tids - {t}), sub)
+                assert consistent(restrict(inst, e.tids - {t}), sub)
             checked += 1
         for s in hg.solving_edges:
-            assert not check_consistency(inst.restrict(s), cs)
+            assert not consistent(restrict(inst, s), cs)
             assert not any(other < s for other in hg.solving_edges)
     assert checked > 100

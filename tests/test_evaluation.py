@@ -12,7 +12,9 @@ import random
 from incmeter.evaluation import FactIndex, is_consistent, iter_satisfying_assignments
 from incmeter.model import (NULL, Const, Fact, Instance, Var, parse_constraints,
                             parse_schema)
-from incmeter.nullrep import CellChange, apply_changes
+from incmeter.nullrep import CellChange
+
+from oracles import apply_changes
 
 SCHEMA = parse_schema("r(A, B)\ns(A)\nt(A, B, C)\n")
 

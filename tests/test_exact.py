@@ -8,9 +8,9 @@ from incmeter.errors import ResourceLimitError
 from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
                             min_hitting_set, solve_min_hitting_set)
-from incmeter.model import check_consistency
 
 from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle
+from oracles import consistent, restrict
 
 
 def test_pqr_minimum(pqr):
@@ -31,7 +31,7 @@ def test_fd_minimum(fd):
 
 def test_empty_hypergraph_needs_no_deletions(pqr):
     _, cs, inst = pqr
-    hg = build_hypergraph(inst.restrict({2, 3, 4}), cs)
+    hg = build_hypergraph(restrict(inst, {2, 3, 4}), cs)
     sol = min_hitting_set(hg)
     assert sol.deleted == frozenset()
     assert sol.repair_size == 3
@@ -257,10 +257,10 @@ def test_s_repairs_are_maximal_consistent_subsets():
         reps = enumerate_s_repairs(inst, cs)
         tids = set(inst.tids)
         for kept in reps.repairs:
-            assert check_consistency(inst.restrict(kept), cs)
+            assert consistent(restrict(inst, kept), cs)
             # adding back any removed fact must break consistency again
             for extra in tids - set(kept):
-                assert not check_consistency(inst.restrict(set(kept) | {extra}), cs)
+                assert not consistent(restrict(inst, set(kept) | {extra}), cs)
         if len(reps.repairs) > 1:
             seen_multi += 1
     assert seen_multi > 10

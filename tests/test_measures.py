@@ -10,9 +10,10 @@ from incmeter.exact import enumerate_s_repairs
 from incmeter.measures import (inc_deg_g3, inc_deg_g3_endogenous,
                                measure_count_all, measure_count_srep,
                                measure_jaccard)
-from incmeter.model import Fact, Instance, check_consistency
+from incmeter.model import Fact, Instance
 
 from conftest import random_bundle
+from oracles import consistent, restrict
 
 
 def test_g3_pqr(pqr):
@@ -34,7 +35,7 @@ def test_g3_fd(fd):
 
 def test_g3_consistent_and_empty(pqr):
     schema, cs, inst = pqr
-    ok = inc_deg_g3(inst.restrict({2, 3, 4}), cs)
+    ok = inc_deg_g3(restrict(inst, {2, 3, 4}), cs)
     assert ok.value == 0 and ok.numerator == 0
     assert (ok.numerator, ok.denominator) == (0, 3)
     for measure in (inc_deg_g3, inc_deg_g3_endogenous, measure_jaccard):
@@ -52,7 +53,7 @@ def test_g3_value_definition_on_random_instances():
         tids = list(inst.tids)
         best_kept = 0
         for r in range(len(tids), -1, -1):
-            if any(check_consistency(inst.restrict(keep), cs)
+            if any(consistent(restrict(inst, keep), cs)
                    for keep in itertools.combinations(tids, r)):
                 best_kept = r
                 break
@@ -119,7 +120,7 @@ def _inconsistent_subsets(inst, cs):
     return sum(
         1 for r in range(len(tids) + 1)
         for keep in itertools.combinations(tids, r)
-        if not check_consistency(inst.restrict(keep), cs))
+        if not consistent(restrict(inst, keep), cs))
 
 
 def test_count_all_fd(fd):
@@ -177,7 +178,7 @@ def test_jaccard_agrees_with_repair_core():
 
 def test_variant_measures_on_consistent_data(pqr):
     _, cs, inst = pqr
-    ok = inst.restrict({2, 3, 4})
+    ok = restrict(inst, {2, 3, 4})
     # a consistent instance has exactly one maximal consistent subset: itself
     assert measure_count_srep(ok, cs).value == Fraction(1, 8)
     assert measure_count_all(ok, cs).value == 0

@@ -6,8 +6,10 @@ import pytest
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
 from incmeter.model import (Atom, Comparison, Const, ConstraintSet, DenialConstraint,
-                            Fact, Instance, Predicate, Var, check_consistency,
-                            load_instance, parse_constraints, parse_schema)
+                            Fact, Instance, Predicate, Var, load_instance,
+                            parse_constraints, parse_schema)
+
+from oracles import consistent, restrict
 
 
 def test_parse_schema_basics():
@@ -123,11 +125,11 @@ def test_fd_expansion_matches_manual_dc():
     manual = parse_constraints(
         "dc f : !exists rel(x, y1, z1), rel(x, y2, z2), y1 != y2\n", schema)
     inst = load_instance({"rel": "A,B,C\na,b,c\na,d,c\ne,b,c\n"}, schema)
-    assert not check_consistency(inst, sugar)
-    assert not check_consistency(inst, manual)
+    assert not consistent(inst, sugar)
+    assert not consistent(inst, manual)
     ok = load_instance({"rel": "A,B,C\na,b,c\na,b,d\ne,x,c\n"}, schema)
-    assert check_consistency(ok, sugar)
-    assert check_consistency(ok, manual)
+    assert consistent(ok, sugar)
+    assert consistent(ok, manual)
 
 
 def test_multi_attribute_determinant():
@@ -135,8 +137,8 @@ def test_multi_attribute_determinant():
     cs = parse_constraints("fd f : t : A, B -> C\n", schema)
     bad = load_instance({"t": "A,B,C\na,b,c\na,b,d\n"}, schema)
     good = load_instance({"t": "A,B,C\na,b,c\na,x,d\n"}, schema)
-    assert not check_consistency(bad, cs)
-    assert check_consistency(good, cs)
+    assert not consistent(bad, cs)
+    assert consistent(good, cs)
 
 
 def test_load_instance_tid_assignment_is_deterministic():
@@ -190,6 +192,27 @@ def test_load_instance_errors():
         load_instance({"p": ""}, schema)  # missing header
     with pytest.raises(InputError):
         load_instance({"p": "A\nx\n"}, schema, endogenous_tids=[7])
+
+
+@pytest.mark.parametrize("tids, endogenous", [
+    ([1, 2], {1, 2}),
+    (["2", 1], {1, 2}),
+    (["x"], "not a tid: 'x'"),
+    ([1.5], "not a tid: 1.5"),
+    (["1.0"], "not a tid: '1.0'"),
+    ([" 1"], "not a tid: ' 1'"),
+    ([True], "not a tid: True"),
+    ([None], "not a tid: None"),
+])
+def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogenous):
+    schema = parse_schema("p(A)\n")
+    if isinstance(endogenous, set):
+        inst = load_instance({"p": "A\nx\ny\n"}, schema, endogenous_tids=tids)
+        assert inst.endogenous == endogenous
+        return
+    with pytest.raises(InputError) as info:
+        load_instance({"p": "A\nx\ny\n"}, schema, endogenous_tids=tids)
+    assert str(info.value) == endogenous
 
 
 def test_missing_predicate_loads_empty():
@@ -261,13 +284,13 @@ def test_constraint_constructor_guards():
 
 def test_check_consistency(pqr, fd):
     _, cs, inst = pqr
-    assert not check_consistency(inst, cs)
-    assert check_consistency(inst.restrict({2, 3, 4}), cs)
-    assert check_consistency(inst.restrict({1, 2}), cs)
+    assert not consistent(inst, cs)
+    assert consistent(restrict(inst, {2, 3, 4}), cs)
+    assert consistent(restrict(inst, {1, 2}), cs)
     _, cs2, inst2 = fd
-    assert not check_consistency(inst2, cs2)
-    assert check_consistency(inst2.restrict({1, 3}), cs2)
-    assert check_consistency(inst2.restrict({2}), cs2)
+    assert not consistent(inst2, cs2)
+    assert consistent(restrict(inst2, {1, 3}), cs2)
+    assert consistent(restrict(inst2, {2}), cs2)
 
 
 def test_constraint_str_reparses():

@@ -8,11 +8,11 @@ from incmeter.errors import ResourceLimitError
 from incmeter.measures import inc_deg_g3
 from incmeter.model import (NULL, Fact, Instance, parse_constraints,
                             parse_schema)
-from incmeter.nullrep import (CellChange, apply_changes, cell_conflicts,
-                              eval_with_nulls, inc_deg_g3_null,
+from incmeter.nullrep import (CellChange, cell_conflicts, inc_deg_g3_null,
                               min_null_changes, minimal_null_repairs)
 
 from conftest import fd_key_groups, random_bundle
+from oracles import apply_changes, consistent, restrict
 
 
 def as_pairs(changes):
@@ -41,7 +41,7 @@ def test_applying_the_solution_restores_consistency(nullb):
     _, cs, inst = nullb
     sol = min_null_changes(inst, cs)
     fixed = apply_changes(inst, sol.changes)
-    assert eval_with_nulls(fixed, cs)
+    assert consistent(fixed, cs)
     blanked = {f.tid: f for f in fixed}[2]
     assert blanked.values[0] == NULL
 
@@ -49,9 +49,9 @@ def test_applying_the_solution_restores_consistency(nullb):
 def test_minimality_of_each_blanking_set(nullb):
     _, cs, inst = nullb
     for r in minimal_null_repairs(inst, cs):
-        assert eval_with_nulls(apply_changes(inst, r), cs)
+        assert consistent(apply_changes(inst, r), cs)
         for drop in r:
-            assert not eval_with_nulls(apply_changes(inst, r - {drop}), cs)
+            assert not consistent(apply_changes(inst, r - {drop}), cs)
 
 
 def test_null_join_semantics():
@@ -59,20 +59,20 @@ def test_null_join_semantics():
     cs = parse_constraints("dc c : !exists s(x), r(x, y)\n", schema)
     facts = (Fact(1, "s", ("a",)), Fact(2, "r", (NULL, "b")))
     # NULL never joins, so the conflict is gone
-    assert eval_with_nulls(facts, cs)
+    assert consistent(facts, cs)
     alive = (Fact(1, "s", ("a",)), Fact(2, "r", ("a", NULL)))
     # y occurs once, so binding it to NULL is harmless: still violating
-    assert not eval_with_nulls(alive, cs)
+    assert not consistent(alive, cs)
 
 
 def test_null_comparison_and_constant_semantics():
     schema = parse_schema("t(A, B)\n")
     lt = parse_constraints("dc c : !exists t(x, y), x < y\n", schema)
-    assert eval_with_nulls((Fact(1, "t", (NULL, "b")),), lt)
-    assert not eval_with_nulls((Fact(1, "t", ("a", "b")),), lt)
+    assert consistent((Fact(1, "t", (NULL, "b")),), lt)
+    assert not consistent((Fact(1, "t", ("a", "b")),), lt)
     const = parse_constraints('dc c : !exists t("a", y)\n', schema)
-    assert eval_with_nulls((Fact(1, "t", (NULL, "b")),), const)
-    assert not eval_with_nulls((Fact(1, "t", ("a", "b")),), const)
+    assert consistent((Fact(1, "t", (NULL, "b")),), const)
+    assert not consistent((Fact(1, "t", ("a", "b")),), const)
 
 
 def test_breaking_cells_cover_constants_joins_and_comparisons():
@@ -85,7 +85,7 @@ def test_breaking_cells_cover_constants_joins_and_comparisons():
     assert [as_pairs(e) for e in edges] == [[(1, 1), (1, 2)]]
     sol = min_null_changes(inst, cs)
     assert len(sol.changes) == 1
-    assert eval_with_nulls(apply_changes(inst, sol.changes), cs)
+    assert consistent(apply_changes(inst, sol.changes), cs)
 
 
 def test_pure_existence_conflict_is_irreparable():
@@ -103,7 +103,7 @@ def test_pure_existence_conflict_is_irreparable():
 
 def test_consistent_and_empty_instances(nullb):
     schema, cs, inst = nullb
-    ok = inst.restrict({1, 3, 4, 5})
+    ok = restrict(inst, {1, 3, 4, 5})
     rep = inc_deg_g3_null(ok, cs)
     assert rep.value == 0 and rep.denominator == 7
     empty = inc_deg_g3_null(Instance(schema, ()), cs)
@@ -120,7 +120,7 @@ def test_many_cells_are_solved_and_the_node_budget_brackets_them():
     inst = Instance(schema, tuple(rows))
     rep = inc_deg_g3_null(inst, cs)
     assert (rep.numerator, rep.denominator) == (30, 120)
-    assert eval_with_nulls(apply_changes(inst, rep.witness.changes), cs)
+    assert consistent(apply_changes(inst, rep.witness.changes), cs)
     with pytest.raises(ResourceLimitError) as info:
         min_null_changes(inst, cs, node_budget=5)
     assert info.value.lower_bound <= 30 <= info.value.best_size
@@ -145,9 +145,9 @@ def test_blanking_never_creates_new_violations():
             continue
         all_cells = [CellChange(f.tid, p + 1)
                      for f in inst.facts for p in range(len(f.values))]
-        before = eval_with_nulls(inst.facts, cs)
+        before = consistent(inst.facts, cs)
         picks = rng.sample(all_cells, min(3, len(all_cells)))
-        after = eval_with_nulls(apply_changes(inst, picks), cs)
+        after = consistent(apply_changes(inst, picks), cs)
         if before:
             assert after
 
@@ -167,7 +167,7 @@ def test_min_null_changes_matches_subset_oracle():
         best = None
         for k in range(len(cells) + 1):
             for combo in itertools.combinations(cells, k):
-                if eval_with_nulls(apply_changes(inst, combo), cs):
+                if consistent(apply_changes(inst, combo), cs):
                     best = k
                     break
             if best is not None:

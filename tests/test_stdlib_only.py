@@ -1,10 +1,12 @@
 """The package imports nothing outside the standard library."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "incmeter"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "incmeter"
 
 
 def test_package_imports_only_the_standard_library():
@@ -39,3 +41,14 @@ def test_modules_use_every_module_level_import():
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert not unused
+
+
+def test_readme_library_use_names_every_export():
+    # a test-only helper re-exported from __init__.py shows up here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert exported
+    assert [name for name in exported if not re.search(rf"`{name}`", section)] == []

@@ -12,6 +12,7 @@ from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               parse_delta)
 
 from conftest import random_bundle
+from oracles import restrict
 
 
 def test_parse_delta_forms():
@@ -91,6 +92,14 @@ def test_derive_rejects_unknown_tids(pqr):
     assert str(info.value) == "cannot delete unknown tid(s) [99]"
     with pytest.raises(InputError, match=r"\[7, 99\]"):
         inst.derive((("p", ("z",)),), {1, 7, 99})
+
+
+def test_derive_takes_a_repeated_tid_once(pqr):
+    _, _, inst = pqr
+    assert inst.derive((), [2, 2]) == inst.derive((), [2])
+    with pytest.raises(InputError) as info:
+        inst.derive((), [99, 2, 99])
+    assert str(info.value) == "cannot delete unknown tid(s) [99]"
 
 
 def test_apply_update_shrinks_endogenous(pqr):
@@ -199,7 +208,7 @@ def test_bounds_inapplicable_outside_premises(pqr):
     rep2 = check_insertion_bounds(empty, parse_delta("+ p(a)\n"), cs)
     assert not rep2.applicable and rep2.bounds == ()
     # inserting as many rows as the instance holds: eps = 1
-    small = inst.restrict({1})
+    small = restrict(inst, {1})
     rep3 = check_insertion_bounds(small, parse_delta("+ p(z)\n"), cs)
     assert not rep3.applicable
 
