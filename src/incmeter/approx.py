@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conflicts import ConflictHypergraph
-from .errors import ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .exact import RepairSolution, _components, _take_whole_edges
 
 # the iterative LP solver certifies down to this accuracy
@@ -59,7 +59,7 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     """
     eps = Fraction(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     if eps < MIN_EPS:
         raise ResourceLimitError(
             f"certified approximation below {MIN_EPS} is not supported")
@@ -143,7 +143,7 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
     unhit is taken whole; then _prune.
     """
     if reps < 1:
-        raise ValueError("reps must be at least 1")
+        raise InputError("reps must be at least 1")
     if cover is None:
         cover = lp_fractional_cover(hg, eps)
 

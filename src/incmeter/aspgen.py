@@ -29,7 +29,7 @@ from .model import Const, ConstraintSet, Instance
 RESERVED_HEADS = ("del", "numDel", "cardPred", "cardDB", "cardRepDB", "cardRep", "dist")
 
 _BARE_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_BARE_INT_RE = re.compile(r"(?:0|[1-9]\d*)\Z")
+_BARE_INT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")  # \d would match non-ASCII digits
 
 # user variables are drawn from this pool in first-occurrence order; tid
 # variables are named T, T2, T3, ... so the pools can never collide

@@ -18,9 +18,8 @@ from pathlib import Path
 
 from . import aspgen, exact, measures, nullrep, updates
 from .conflicts import build_hypergraph, vertex_degrees
-from .errors import (IncMeterError, InputError, ResourceLimitError,
-                     SolverUnavailableError)
-from .model import load_instance, parse_constraints, parse_schema
+from .errors import IncMeterError, InputError
+from .model import _tid, load_instance, parse_constraints, parse_schema
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,23 +120,30 @@ def _load_bundle(args):
 def _parse_endogenous(text: str) -> list[int]:
     tids = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            tids.append(int(line))
-        except ValueError:
-            raise InputError(f"not a tid: {line!r}", line=lineno) from None
+        if line := raw.split("#", 1)[0].strip():
+            try:
+                tids.append(_tid(line))
+            except InputError as exc:
+                raise InputError(str(exc), line=lineno) from None
     return tids
 
 
 def _emit(args, start: float, payload: dict, text_lines) -> None:
     payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    # 2^|D| counts outgrow the default cap of 4300 digits on printing an int:
+    # lift the process-wide cap (0 is none) while printing, lazy lines included
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _measure_payload(report: measures.MeasureReport) -> dict:
@@ -207,14 +213,10 @@ def _cmd_alt_measures(args, constraints, instance):
         measures.measure_count_all(instance, constraints, args.enum_limit, hg),
         measures.measure_jaccard(instance, constraints, args.enum_limit, hg),
     ]
-    # 2^|D| denominators outgrow the default cap of 4300 digits on printing an
-    # int; main puts the process-wide cap back once the output is printed
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     payload = {"command": "alt-measures",
                "measures": [_measure_payload(r) for r in reports]}
-    lines = [f"{r.kind} = {r.numerator}/{r.denominator} ({float(r.value):.6g})"
-             for r in reports]
+    lines = (f"{r.kind} = {r.numerator}/{r.denominator} ({float(r.value):.6g})"
+             for r in reports)  # lazy, so _emit formats the counts uncapped
     return payload, lines
 
 
@@ -305,17 +307,9 @@ _COMMANDS = {
 }
 
 
-def _error_code(exc: IncMeterError) -> str:
-    if isinstance(exc, ResourceLimitError):
-        return "resource-limit"
-    if isinstance(exc, SolverUnavailableError):
-        return "solver-unavailable"
-    return "input"
-
-
 def _fail(fmt: str, exc: IncMeterError) -> None:
     if fmt == "json":
-        payload = {"error": _error_code(exc), "message": str(exc)}
+        payload = {"error": exc.code, "message": str(exc)}
         # an exhausted budget still brackets the optimum: [lower_bound, best_size]
         for key in ("best_size", "lower_bound"):
             value = getattr(exc, key, None)
@@ -332,7 +326,6 @@ def main(argv=None) -> int:
     pre = _Parser(add_help=False)
     pre.add_argument("--format", default="text")
     fmt = "text"
-    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         fmt = pre.parse_known_args(argv)[0].format
         args = build_parser().parse_args(argv)
@@ -344,15 +337,9 @@ def main(argv=None) -> int:
         if out is not None:
             _emit(args, start, *out)
         return 0
-    except ResourceLimitError as exc:
-        _fail(fmt, exc)
-        return 2
     except IncMeterError as exc:
         _fail(fmt, exc)
-        return 1
-    finally:
-        if cap is not None:  # a command may lift the process-wide digit cap
-            sys.set_int_max_str_digits(cap)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import evaluation
+from .errors import InputError
 from .model import ConstraintSet, DenialConstraint, Instance
 
 
@@ -122,9 +123,9 @@ def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
     for e in edge_sets:
         s = frozenset(e)
         if not s:
-            raise ValueError("empty edge")
+            raise InputError("empty edge")
         if not s <= vertices:
-            raise ValueError(f"edge {sorted(s)} not within vertex set")
+            raise InputError(f"edge {sorted(s)} not within vertex set")
         sets.append(Hyperedge(s, "synthetic"))
     return assemble(vertices, sets, ["synthetic"])
 

@@ -2,11 +2,17 @@
 
 
 class IncMeterError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    code names the error in the CLI's JSON output, exit_status the CLI's exit status.
+    """
+
+    code = "input"
+    exit_status = 1
 
 
 class InputError(IncMeterError):
-    """Malformed user input: schema, constraints, CSV data, deltas, CLI flags.
+    """Bad input: schema, constraints, CSV data, deltas, CLI flags, arguments.
 
     Carries an optional (line, column) position for parser diagnostics.
     """
@@ -29,6 +35,9 @@ class ResourceLimitError(IncMeterError):
     abandonment, so callers can report partial progress honestly.
     """
 
+    code = "resource-limit"
+    exit_status = 2
+
     def __init__(self, message, best_size=None, lower_bound=None):
         self.best_size = best_size
         self.lower_bound = lower_bound
@@ -37,3 +46,5 @@ class ResourceLimitError(IncMeterError):
 
 class SolverUnavailableError(IncMeterError):
     """An optional external solver binary was requested but is not usable."""
+
+    code = "solver-unavailable"

@@ -13,6 +13,7 @@ counting/DRed view maintenance.
 
 from __future__ import annotations
 
+from .errors import InputError
 from .model import _INT_RE, NULL, Comparison, Const, DenialConstraint, Var
 
 
@@ -38,7 +39,7 @@ def compare_values(a: str, op: str, b: str) -> bool:
         return x > y
     if op == ">=":
         return x >= y
-    raise ValueError(f"unknown operator {op!r}")
+    raise InputError(f"unknown operator {op!r}")
 
 
 class FactIndex:

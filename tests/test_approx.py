@@ -8,7 +8,7 @@ from incmeter import approx
 from incmeter.approx import (FractionalCover, local_ratio_hitting_set,
                              lp_fractional_cover, randomized_rounding_hitting_set)
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
-from incmeter.errors import ResourceLimitError
+from incmeter.errors import InputError, ResourceLimitError
 from incmeter.exact import _components, min_hitting_set
 
 from conftest import fd_key_groups, random_bundle
@@ -84,10 +84,12 @@ def test_empty_hypergraph_has_zero_cover():
 
 def test_eps_validation():
     hg = hypergraph_from_edges([1, 2], [{1, 2}])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         lp_fractional_cover(hg, eps=Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         lp_fractional_cover(hg, eps=Fraction(-1, 2))
+    with pytest.raises(InputError):
+        randomized_rounding_hitting_set(hg, reps=0)
     with pytest.raises(ResourceLimitError):
         lp_fractional_cover(hg, eps=Fraction(1, 5000))
 

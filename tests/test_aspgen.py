@@ -82,7 +82,8 @@ def test_maxint_tracks_instance_size_and_tids():
 def test_value_rendering():
     schema = parse_schema("p(A)\n")
     cs = parse_constraints("dc c : !exists p(x), p(y), x != y\n", schema)
-    rows = ("ok", "Upper", "has space", "99", "150", "007", 'quo"te', "back\\slash")
+    rows = ("ok", "Upper", "has space", "99", "150", "007", 'quo"te', "back\\slash",
+            "1\u0663")
     inst = Instance(schema, tuple(Fact(i + 1, "p", (v,)) for i, v in enumerate(rows)))
     facts = emit_repair_program(inst, cs).facts
     assert facts[0] == "p(1,ok)."
@@ -93,6 +94,23 @@ def test_value_rendering():
     assert facts[5] == 'p(6,"007").'  # leading zero is not a DLV integer
     assert facts[6] == 'p(7,"quo\\"te").'
     assert facts[7] == 'p(8,"back\\\\slash").'
+    assert facts[8] == 'p(9,"1\u0663").'  # int("1\u0663") == 13, but not a DLV integer
+
+
+@pytest.mark.parametrize("style, rules", [
+    ("disjunctive", ['p_a(T, X, "a b", d) v q_a(T2, X, Y, d) :- '
+                     'p(T, X, "a b"), q(T2, X, Y), Y != 7.']),
+    ("normal", ['p_a(T, X, "a b", d) :- p(T, X, "a b"), q(T2, X, Y), Y != 7, '
+                'not q_a(T2, X, Y, d).',
+                'q_a(T, X, Y, d) :- q(T, X, Y), p(T2, X, "a b"), Y != 7, '
+                'not p_a(T2, X, "a b", d).']),
+])
+def test_constraint_constants_render_as_values(style, rules):
+    schema = parse_schema("p(A, B)\nq(A, B)\n")
+    cs = parse_constraints('dc c : !exists p(x, "a b"), q(x, y), y != 7\n', schema)
+    program = emit_repair_program(Instance(schema, ()), cs, style=style)
+    assert list(program.rules[:len(rules)]) == rules
+    assert program.rules[len(rules)].startswith("p_a(T, X, Y, s) :- ")
 
 
 def test_predicate_name_restrictions():
@@ -152,7 +170,7 @@ def test_parse_brave_answers_variants():
     assert parse_brave_answers("nothing\n") == frozenset()
 
 
-def test_solver_resolution_failures(pqr, monkeypatch):
+def test_solver_resolution_failures(pqr, monkeypatch, tmp_path):
     _, cs, inst = pqr
     program = emit_repair_program(inst, cs)
     monkeypatch.delenv("INCMETER_ASP_SOLVER", raising=False)
@@ -163,6 +181,12 @@ def test_solver_resolution_failures(pqr, monkeypatch):
     monkeypatch.setenv("INCMETER_ASP_SOLVER", "/also/missing")
     with pytest.raises(SolverUnavailableError):
         run_brave_distances(program)
+    # executable but not a program: no #! line, so exec fails with ENOEXEC
+    script = tmp_path / "noshebang"
+    script.write_text("echo 'Best model: {}'\n")
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    with pytest.raises(SolverUnavailableError, match="^solver failed to run: "):
+        run_external_solver(program, solver_path=str(script))
 
 
 def fake_solver(tmp_path) -> str:

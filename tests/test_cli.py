@@ -252,6 +252,17 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert "not a tid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endogenous, message", [
+    ("1_0\n", "line 1: not a tid: '1_0'"),  # int() reads it as 10
+    ("1\n\n# deletable\n+3  # comment\n", "line 4: not a tid: '+3'"),
+])
+def test_endogenous_file_takes_the_tids_load_instance_takes(tmp_path, capsys,
+                                                            endogenous, message):
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS, endogenous)
+    assert main(["measure", "--semantics", "endogenous", "--format", "text"] + base) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_measure_empty_data_directory(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, {})
     payload = run_json(capsys, ["measure"] + base)

@@ -98,9 +98,9 @@ def test_hypergraph_from_edges_validation():
     hg = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 2, 3}])
     assert [sorted(s) for s in hg.solving_edges] == [[1, 2], [2, 3]]
     assert hg.d == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         hypergraph_from_edges([1, 2], [{1, 5}])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         hypergraph_from_edges([1, 2], [set()])
     fast = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}])
     assert len(fast.solving_edges) == 2

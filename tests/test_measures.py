@@ -7,7 +7,7 @@ import pytest
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.exact import enumerate_s_repairs
-from incmeter.measures import (inc_deg_g3, inc_deg_g3_endogenous,
+from incmeter.measures import (MeasureReport, inc_deg_g3, inc_deg_g3_endogenous,
                                measure_count_all, measure_count_srep,
                                measure_jaccard)
 from incmeter.model import Fact, Instance
@@ -42,6 +42,8 @@ def test_g3_consistent_and_empty(pqr):
         empty = measure(Instance(schema, ()), cs)
         assert (empty.numerator, empty.denominator) == (0, 1)
         assert "consistent" in empty.note
+    # a zero denominator reads as 0, not a ZeroDivisionError
+    assert MeasureReport("g3", 0, 0, True, "exact").value == 0
 
 
 def test_g3_value_definition_on_random_instances():

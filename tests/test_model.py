@@ -150,6 +150,9 @@ def test_load_instance_tid_assignment_is_deterministic():
         (1, "p", ("a",)), (2, "p", ("e",)), (3, "q", ("a", "b")), (4, "r", ("a", "c"))]
     again = load_instance(sources, schema)
     assert inst.facts == again.facts
+    # a blank line is skipped and takes no tid
+    gapped = load_instance(dict(sources, p="A\na\n\ne\n"), schema)
+    assert gapped.facts == inst.facts
 
 
 def test_load_instance_checks_each_row_once(monkeypatch):
@@ -201,6 +204,8 @@ def test_load_instance_errors():
     ([1.5], "not a tid: 1.5"),
     (["1.0"], "not a tid: '1.0'"),
     ([" 1"], "not a tid: ' 1'"),
+    (["1_0"], "not a tid: '1_0'"),
+    (["+3"], "not a tid: '+3'"),
     ([True], "not a tid: True"),
     ([None], "not a tid: None"),
 ])
@@ -267,6 +272,8 @@ def test_comparison_semantics():
     assert compare_values("-2", "<", "1")
     assert compare_values("b", ">", "a")
     assert compare_values("3", "<=", "3")
+    with pytest.raises(InputError):
+        compare_values("1", "<>", "2")
 
 
 def test_constraint_constructor_guards():

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+from incmeter import errors
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "incmeter"
 
@@ -52,3 +54,16 @@ def test_readme_library_use_names_every_export():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
     assert exported
     assert [name for name in exported if not re.search(rf"`{name}`", section)] == []
+
+
+def test_readme_exit_codes_name_every_error_code_and_status():
+    # a new error class, or a changed code or exit status, shows up here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.IncMeterError)]
+    assert classes
+    missing = [c.code for c in classes if f"`{c.code}`" not in paragraph]
+    missing += [c.exit_status for c in classes
+                if not re.search(rf"\b{c.exit_status} ", paragraph)]
+    assert missing == []
