@@ -204,10 +204,10 @@ def test_load_instance_errors():
     ([1.5], "not a tid: 1.5"),
     (["1.0"], "not a tid: '1.0'"),
     ([" 1"], "not a tid: ' 1'"),
-    (["1_0"], "not a tid: '1_0'"),
-    (["+3"], "not a tid: '+3'"),
     ([True], "not a tid: True"),
     ([None], "not a tid: None"),
+    (["1_0"], "not a tid: '1_0'"),
+    (["+3"], "not a tid: '+3'"),
 ])
 def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogenous):
     schema = parse_schema("p(A)\n")
