@@ -10,6 +10,7 @@ go to stderr with exit code 1 for bad input and 2 for exhausted budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,7 +37,10 @@ def _fraction(text: str) -> Fraction:
         raise InputError(f"not a fraction: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The incmeter argument parser, built once per process: parsing leaves
+    it unchanged, so every call of main shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--schema", required=True, help="schema file")
     common.add_argument("--constraints", required=True, help="constraint file")

@@ -39,9 +39,16 @@ class ConflictHypergraph:
     edges keeps one entry per (constraint, tid set) pair.  solving_edges is
     the deduplicated antichain across constraints: supersets of other edges
     are dropped since any hitting set already covers them.  d is the largest
-    solving edge size (0 when the instance is consistent).  _solved holds the
-    exact minimum hitting set once it is found, with the search nodes it took
-    (see exact.min_hitting_set); it takes no part in equality.
+    solving edge size (0 when the instance is consistent).
+
+    Three private fields carry work for later calls and take no part in
+    equality.  _solved holds the exact minimum hitting set once it is found,
+    with the search nodes it took.  _optima maps each component (the frozenset
+    of its solving edges) to its minimum cover and search nodes, from this
+    hypergraph's solve or, until then, from its parent's (see
+    exact.min_hitting_set).  _index is the evaluation.FactIndex the edges were
+    found with, None for a hypergraph built from edge sets; an update derives
+    the next index from it (see updates.incremental_hypergraph).
     """
 
     vertices: frozenset[int]
@@ -50,6 +57,10 @@ class ConflictHypergraph:
     d: int
     _solved: tuple | None = field(default=None, init=False, compare=False, repr=False,
                                   hash=False)
+    _optima: dict | None = field(default=None, init=False, compare=False, repr=False,
+                                 hash=False)
+    _index: evaluation.FactIndex | None = field(default=None, init=False, compare=False,
+                                                repr=False, hash=False)
 
     @property
     def is_consistent(self) -> bool:
@@ -113,7 +124,14 @@ def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> Conflict
     hyperedges = []
     for dc in constraints:
         hyperedges += constraint_edges(index, dc)
-    return assemble(instance.tids, hyperedges, [c.name for c in constraints])
+    return _carry(assemble(instance.tids, hyperedges, [c.name for c in constraints]), index)
+
+
+def _carry(hg: ConflictHypergraph, index, optima=None) -> ConflictHypergraph:
+    """hg with the index it was built with and the component optima handed to it."""
+    object.__setattr__(hg, "_index", index)
+    object.__setattr__(hg, "_optima", optima)
+    return hg
 
 
 def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:

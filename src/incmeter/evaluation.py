@@ -46,25 +46,61 @@ class FactIndex:
     """Facts by predicate, with hash indexes keyed by (predicate, positions).
 
     Indexes are built on first use and shared by every constraint evaluated
-    against the same FactIndex.
+    against the same FactIndex.  An index never changes once built: derive
+    hands the built indexes on to the index of an updated instance and
+    rewrites only the buckets a delta touches, as new lists.
     """
 
     def __init__(self, facts):
-        self._by_pred: dict[str, list] = {}
-        for f in facts:
-            self._by_pred.setdefault(f.predicate, []).append(f)
+        self._facts = facts
+        self._by_pred: dict[str, list] | None = None
         self._indexes: dict[tuple, dict] = {}
 
     def lookup(self, predicate: str, positions: tuple[int, ...], key: tuple):
         """Facts of the predicate holding key at the 0-based positions."""
         index = self._indexes.get((predicate, positions))
         if index is None:
+            if self._by_pred is None:
+                self._by_pred = {}
+                for f in self._facts:
+                    self._by_pred.setdefault(f.predicate, []).append(f)
             index = self._indexes[predicate, positions] = {}
             for f in self._by_pred.get(predicate, ()):
                 k = tuple([f.values[p] for p in positions])
                 if NULL not in k:
                     index.setdefault(k, []).append(f)
         return index.get(key, ())
+
+    def derive(self, facts, deleted, inserted) -> "FactIndex":
+        """The index of facts: these facts without deleted, inserted appended.
+
+        inserted must carry tids above every other fact's, so each bucket
+        stays in tid order, as a fresh index over facts would hold it.  Built
+        indexes are handed on; in those of a touched predicate, each bucket a
+        deleted or inserted fact keys is replaced by a new list, so this index
+        and its buckets stay as they are.
+        """
+        child = FactIndex(facts)
+        child._indexes = dict(self._indexes)
+        for (predicate, positions), old in self._indexes.items():
+            gone = [f for f in deleted if f.predicate == predicate]
+            new = [f for f in inserted if f.predicate == predicate]
+            if not gone and not new:
+                continue
+            index = child._indexes[predicate, positions] = dict(old)
+            for f in gone:
+                k = tuple([f.values[p] for p in positions])
+                if k in index:
+                    bucket = [g for g in index[k] if g.tid != f.tid]
+                    if bucket:
+                        index[k] = bucket
+                    else:
+                        del index[k]
+            for f in new:
+                k = tuple([f.values[p] for p in positions])
+                if NULL not in k:
+                    index[k] = [*index.get(k, ()), f]
+        return child
 
 
 def _plan(constraint: DenialConstraint, first: int):

@@ -10,7 +10,9 @@ component answer of size k, and the answer is the union of the component
 answers.  One node budget counts the nodes of all trees together, so
 pathological inputs end in a clean error instead of a silent timeout or a
 wrong answer; the error brackets the whole optimum by the exact sizes of the
-solved components and [packing, incumbent] of the rest.
+solved components and [packing, incumbent] of the rest.  The optimum and
+node count of each component are recorded by its edge set, so a component an
+update left unchanged is not searched again, while its nodes still count.
 All minimal hitting sets are built edge by edge with Berge's rule.
 """
 
@@ -59,32 +61,52 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     return _solve(edge_sets, allowed, node_budget)[0]
 
 
-def _solve(edge_sets, allowed, node_budget):
-    """solve_min_hitting_set's answer and the search nodes it took."""
+def _solve(edge_sets, allowed, node_budget, known=None):
+    """solve_min_hitting_set's answer, the search nodes it took, and the record
+    of each component: its edge set mapped to its cover and search nodes.
+
+    known holds such records, of this problem or another; a component found
+    there is not searched again, but its recorded nodes still count.  Each
+    component's search is deterministic, so the answer, the node count and
+    an exhausted budget's bracket are those of a search of every component.
+    """
     edges = {frozenset(e) for e in edge_sets}
     if allowed is not None:
         # restricting each edge to pickable elements preserves the problem
         allowed = frozenset(allowed)
         edges = {e & allowed for e in edges}
     if frozenset() in edges:
-        return None, 0
-    components = [_index(c) for c in _components(edges)]
+        return None, 0, {}
+    components = [frozenset(c) for c in _components(edges)]
+    known = known or {}
+    record = {}
     nodes = [0]
     chosen = []
-    for i, (universe, masks) in enumerate(components):
-        try:
-            cover = _branch_and_bound(masks, len(universe), nodes, node_budget)
-        except ResourceLimitError as exc:
-            # solved components are exact; the rest contribute [packing, incumbent]
-            rest = [m for _, m in components[i + 1:]]
-            raise ResourceLimitError(
-                str(exc),
-                best_size=len(chosen) + exc.best_size
-                + sum(_popcount(_incumbent(m)) for m in rest),
-                lower_bound=len(chosen) + exc.lower_bound
-                + sum(_packing(m, 0) for m in rest)) from None
-        chosen.extend(universe[b] for b in _bits(cover))
-    return frozenset(chosen), nodes[0]
+    for i, component in enumerate(components):
+        cover, taken = known.get(component, (None, 0))
+        if cover is not None and nodes[0] + taken <= node_budget:
+            nodes[0] += taken
+        else:
+            # unrecorded, or recorded with more nodes than the budget has left:
+            # search, so that the budget runs out where a fresh solve's does
+            start = nodes[0]
+            universe, masks = _index(component)
+            try:
+                cover = _branch_and_bound(masks, len(universe), nodes, node_budget)
+            except ResourceLimitError as exc:
+                # solved components are exact; the rest contribute [packing, incumbent]
+                rest = [_index(c)[1] for c in components[i + 1:]]
+                raise ResourceLimitError(
+                    str(exc),
+                    best_size=len(chosen) + exc.best_size
+                    + sum(_popcount(_incumbent(m)) for m in rest),
+                    lower_bound=len(chosen) + exc.lower_bound
+                    + sum(_packing(m, 0) for m in rest)) from None
+            cover = tuple(universe[b] for b in _bits(cover))
+            taken = nodes[0] - start
+        record[component] = cover, taken
+        chosen.extend(cover)
+    return frozenset(chosen), nodes[0], record
 
 
 def _components(edges):
@@ -236,13 +258,16 @@ def min_hitting_set(hg: ConflictHypergraph,
     This is the endogenous solve with every tid deletable.  The answer is
     kept on hg with the search nodes it took.  The search is deterministic,
     so a later call whose budget covers those nodes returns it unsearched;
-    a smaller budget searches again and fails as a fresh solve would.
+    a smaller budget searches again and fails as a fresh solve would.  The
+    components' optima handed to hg by an update are reused the same way,
+    and replaced by the record of this solve, so one generation is handed on.
     """
     if hg._solved is not None and node_budget >= hg._solved[1]:
         return hg._solved[0]
-    deleted, nodes = _solve(hg.solving_edges, None, node_budget)
+    deleted, nodes, record = _solve(hg.solving_edges, None, node_budget, hg._optima)
     sol = RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
     object.__setattr__(hg, "_solved", (sol, nodes))
+    object.__setattr__(hg, "_optima", record)
     return sol
 
 

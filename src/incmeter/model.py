@@ -23,7 +23,7 @@ NULL = "NULL"
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_RE = re.compile(r"-?\d+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")  # ASCII only: \d also matches other scripts
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ _TOKEN_RE = re.compile(
       | (?P<rpar>\))
       | (?P<comma>,)
       | (?P<colon>:)
-      | (?P<number>-?\d+)
+      | (?P<number>-?[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<string>"(?:[^"\\]|\\.)*")
     """,

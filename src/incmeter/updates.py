@@ -4,8 +4,12 @@ A delta inserts rows and deletes tids.  Conflicts are maintained without a
 full rebuild: edges touching a deleted tid are dropped, and new edges come
 from the assignments that use at least one inserted fact.  Those are found
 by the delta rule: each atom in turn is seeded with the inserted facts while
-the other atoms are looked up in the updated instance's shared index.  An
-assignment seen under several seeds yields one image.
+the other atoms are looked up in the updated instance's index.  An
+assignment seen under several seeds yields one image.  That index is derived
+from the one the hypergraph before carries, rewriting only the buckets of
+the deleted and inserted facts, and the new hypergraph carries it on with
+the per-component optima of the one before, so the next solve searches only
+the components the delta changed (see exact.min_hitting_set).
 
 One private path measures both sides of a delta: it builds or reuses the
 hypergraph before and, incrementally, the one after, and takes the exact
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact, measures
-from .conflicts import ConflictHypergraph, assemble, build_hypergraph, constraint_edges
+from .conflicts import (ConflictHypergraph, _carry, assemble, build_hypergraph,
+                        constraint_edges)
 from .errors import InputError
 from .evaluation import FactIndex
 from .model import ConstraintSet, Instance
@@ -91,7 +96,7 @@ class BoundCheckReport:
 
 
 _INSERT_RE = re.compile(r"\+\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\Z")
-_DELETE_RE = re.compile(r"-\s*(\d+)\s*\Z")
+_DELETE_RE = re.compile(r"-\s*([0-9]+)\s*\Z")
 
 
 def parse_delta(text: str) -> UpdateDelta:
@@ -138,7 +143,12 @@ def apply_update(instance: Instance, delta: UpdateDelta) -> Instance:
 def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
                            delta: UpdateDelta,
                            constraints: ConstraintSet) -> ConflictHypergraph:
-    """Conflicts of the updated instance, reusing the edges that survive."""
+    """Conflicts of the updated instance, reusing the edges that survive.
+
+    hg must be the hypergraph of instance.  The updated instance's index is
+    derived from hg's, and hg's component optima are handed on for the next
+    solve to reuse; hg itself is left as it is.
+    """
     after = apply_update(instance, delta)
     # fresh tids sort last, so the inserted facts end the tid-ordered facts
     new_facts = after.facts[len(after) - len(delta.insertions):]
@@ -146,12 +156,17 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     for e in hg.edges:
         if not e.tids & delta.deletions:
             known.setdefault(e.constraint, []).append(e.tids)
-    index = FactIndex(after.facts)
+    if hg._index is None:
+        index = FactIndex(after.facts)
+    else:
+        gone = [instance.fact(t) for t in delta.deletions]
+        index = hg._index.derive(after.facts, gone, new_facts)
     hyperedges = []
     for dc in constraints:
         seeds = [(i, new_facts) for i in range(len(dc.atoms)) if new_facts]
         hyperedges += constraint_edges(index, dc, seeds, known.get(dc.name, ()))
-    return assemble(after.tids, hyperedges, [c.name for c in constraints])
+    return _carry(assemble(after.tids, hyperedges, [c.name for c in constraints]),
+                  index, hg._optima)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,

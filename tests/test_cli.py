@@ -321,3 +321,28 @@ def test_console_script_round_trip(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["numerator"] == 1
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no parsed flag may carry over
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
+    runs = (["measure", "--solver", "randomized"] + base, ["measure"] + base,
+            ["measure", "--format", "text"] + base, ["measure", "--solver", "nope"] + base)
+
+    def payload(out):
+        # elapsed_ms is the one field that differs between runs
+        return {k: v for k, v in json.loads(out).items() if k != "elapsed_ms"}
+
+    for argv in runs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "incmeter.cli"] + argv,
+                               capture_output=True, text=True)
+        assert (code, err) == (fresh.returncode, fresh.stderr)
+        if code != 0:
+            assert out == fresh.stdout == ""
+            assert "invalid choice: 'nope'" in err
+        elif "text" in argv:
+            assert out == fresh.stdout
+        else:
+            assert payload(out) == payload(fresh.stdout)

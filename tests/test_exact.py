@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
+from incmeter import exact
+from incmeter.conflicts import _carry, build_hypergraph, hypergraph_from_edges
 from incmeter.errors import ResourceLimitError
 from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
@@ -160,6 +161,36 @@ def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search():
     assert memo.value.lower_bound <= len(first.deleted) <= memo.value.best_size
     assert min_hitting_set(block(), node_budget=nodes) == first
     assert min_hitting_set(hg) is first
+
+
+def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
+    # three hard blocks, then the same graph with the last block changed
+    # and a new component: two blocks are reused and two searched
+    blocks = [_hard_block(30 * k) for k in range(3)]
+    parent = hypergraph_from_edges(range(100), [e for b in blocks for e in b])
+    min_hitting_set(parent)
+    edges = blocks[0] + blocks[1] + blocks[2][1:] + [{95, 96}, {96, 97}]
+
+    def child(optima):
+        return _carry(hypergraph_from_edges(range(100), edges), None, optima)
+
+    searched = []
+    search = exact._branch_and_bound
+    monkeypatch.setattr(exact, "_branch_and_bound",
+                        lambda masks, *a: searched.append(masks) or search(masks, *a))
+    reused, fresh = child(parent._optima), child(None)
+    assert min_hitting_set(reused) == min_hitting_set(fresh)
+    assert len(searched) == 4 + 2
+    nodes = fresh._solved[1]
+    assert reused._solved[1] == nodes
+    # budgets running out in the first block, the second, the last node
+    for budget in (nodes // 10, nodes // 2, nodes - 1):
+        with pytest.raises(ResourceLimitError) as got:
+            min_hitting_set(child(parent._optima), node_budget=budget)
+        with pytest.raises(ResourceLimitError) as want:
+            min_hitting_set(child(None), node_budget=budget)
+        assert (got.value.best_size, got.value.lower_bound) == \
+            (want.value.best_size, want.value.lower_bound)
 
 
 def test_generic_solver_handles_restricted_universe():

@@ -87,6 +87,8 @@ def _parse(text):
 @pytest.mark.parametrize("build,message,line,column", [
     pytest.param(_parse("dc c : !exists p(x) @"), "unexpected character '@'", 1, 21,
                  id="character"),
+    pytest.param(_parse("dc c : !exists p(x), x < \u0663"),
+                 "unexpected character '\u0663'", 1, 26, id="non-ascii-digit"),
     pytest.param(_parse("dc c : !exists p(x"), "unexpected end of line", 1, None,
                  id="end-of-line"),
     pytest.param(_parse("dc c : !exists p(,)"), "expected a term, got ','", 1, 18,
@@ -208,6 +210,7 @@ def test_load_instance_errors():
     ([None], "not a tid: None"),
     (["1_0"], "not a tid: '1_0'"),
     (["+3"], "not a tid: '+3'"),
+    (["\u0663"], "not a tid: '\u0663'"),  # ARABIC-INDIC DIGIT THREE
 ])
 def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogenous):
     schema = parse_schema("p(A)\n")
@@ -272,6 +275,9 @@ def test_comparison_semantics():
     assert compare_values("-2", "<", "1")
     assert compare_values("b", ">", "a")
     assert compare_values("3", "<=", "3")
+    # integers are ASCII digits: other scripts' digits compare as text
+    assert compare_values("\u0663", ">", "10")
+    assert str(Const("\u0663")) == '"\u0663"' and str(Const("-03")) == "-03"
     with pytest.raises(InputError):
         compare_values("1", "<>", "2")
 

@@ -6,6 +6,8 @@ import pytest
 
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError
+from incmeter.evaluation import FactIndex
+from incmeter.exact import min_hitting_set
 from incmeter.model import Fact, Instance
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
@@ -37,7 +39,7 @@ def test_parse_delta_direction_flags():
 
 
 def test_parse_delta_errors():
-    for bad in ("+ q()", "+ q(", "+ q", "- abc", "-", "~ junk", "q(a)"):
+    for bad in ("+ q()", "+ q(", "+ q", "- abc", "-", "- \u0663", "~ junk", "q(a)"):
         with pytest.raises(InputError):
             parse_delta(bad + "\n")
     err = None
@@ -266,12 +268,42 @@ def _outcome(update, inst, delta):
         return None, str(exc)
 
 
+def _buckets(index):
+    """Every bucket of every index built so far, each as a sorted fact list."""
+    return {pk: {k: sorted(b) for k, b in built.items()}
+            for pk, built in index._indexes.items()}
+
+
+def _check_carried_state(hg_before, inst, delta, cs, after):
+    """The hypergraph handed on along a chain against one built anew.
+
+    Its edges, its index's built buckets (as multisets) and its solve must
+    equal those of a fresh build; deriving it twice gives equal results and
+    leaves hg_before's index as it was.
+    """
+    before = _buckets(hg_before._index)
+    hg = incremental_hypergraph(hg_before, inst, delta, cs)
+    assert incremental_hypergraph(hg_before, inst, delta, cs) == hg
+    assert _buckets(hg_before._index) == before
+    fresh = build_hypergraph(after, cs)
+    assert hg == fresh
+    index = FactIndex(after.facts)
+    for (predicate, positions), built in _buckets(hg._index).items():
+        index.lookup(predicate, positions, ())
+        assert built == _buckets(index)[predicate, positions]
+    assert min_hitting_set(hg) == min_hitting_set(fresh)
+    assert hg._solved[1] == fresh._solved[1]
+    return hg
+
+
 def test_derived_instances_match_fresh_ones_along_random_delta_chains():
     """Each step of a delta chain is checked against the instance built anew.
 
     Rows deleted earlier in the chain come back, rows inserted two deltas
     earlier come again, and some rows or tids are malformed; the derived
-    instance must accept and reject exactly what a fresh build does.
+    instance must accept and reject exactly what a fresh build does.  The
+    hypergraph, index and component optima each step hands on are checked
+    against a fresh build too (see _check_carried_state).
     """
     rng = random.Random(4242)
     domain = ["a", "b", "c", "d", "e"]
@@ -280,10 +312,12 @@ def test_derived_instances_match_fresh_ones_along_random_delta_chains():
     reasons = {"duplicate row": 0, "reserved value": 0, "values,": 0,
                "unknown predicate": 0, "cannot delete": 0}
     for _ in range(200):
-        _, inst = random_bundle(rng)
+        cs, inst = random_bundle(rng)
         if inst.tids and rng.random() < 0.5:
             part = rng.sample(inst.tids, rng.randint(1, len(inst.tids)))
             inst = Instance(inst.schema, inst.facts, frozenset(part))
+        hg = build_hypergraph(inst, cs)
+        min_hitting_set(hg)
         gone, inserted = [], []  # rows deleted so far; rows inserted per delta
         while len(inserted) < 10:  # ten accepted deltas, with the rejected between
             rows = []
@@ -324,6 +358,7 @@ def test_derived_instances_match_fresh_ones_along_random_delta_chains():
             for t in deletions:
                 with pytest.raises(InputError):
                     got.fact(t)
+            hg = _check_carried_state(hg, inst, delta, cs, got)
             gone += [(inst.fact(t).predicate, inst.fact(t).values) for t in deletions]
             inserted.append(rows)
             inst = got
