@@ -53,9 +53,13 @@ def local_ratio_hitting_set(hg: ConflictHypergraph) -> RepairSolution:
 def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> FractionalCover:
     """Near-optimal fractional cover of the solving edges.
 
-    Each component shrinks the length scheme's step size until its exact
-    certificate objective <= (1 + eps) * dual_bound holds, and so do the sums.
-    eps below 1/1000 is refused: certifying tighter gaps takes too many steps.
+    Each component runs the length scheme at step min(eps, 1), halving it
+    until its exact certificate objective <= (1 + eps) * dual_bound holds,
+    and so do the sums.  The textbook step eps/3 bounds the gap in the worst
+    case; as the gap is checked exactly, the optimistic start is safe, and
+    it certifies at once with far fewer iterations on the graphs seen.  A
+    step of 1 or more would take no step at all.  eps below 1/1000 is
+    refused: certifying tighter gaps takes too many steps.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -67,7 +71,7 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     objective = dual_bound = Fraction(0)
     for component in _components(hg.solving_edges):
         edges = sorted(tuple(sorted(e)) for e in component)
-        inner = float(eps) / 3.0
+        inner = float(min(eps, 1))
         for _ in range(12):
             cover, part, bound = _rationalize(edges, *_length_scheme(edges, inner))
             if part <= (1 + eps) * bound:

@@ -238,10 +238,10 @@ def _length_scheme_inputs():
 LENGTH_SCHEME_INPUTS = _length_scheme_inputs()
 
 
-@pytest.mark.parametrize("rung", [3, 6, 12])
+@pytest.mark.parametrize("rung", [1, 2, 4])
 def test_length_scheme_matches_the_reference_bit_for_bit(rung):
-    # the retry ladder of lp_fractional_cover at eps = 1; finer steps only
-    # take longer, and the pinned count below covers the default eps
+    # the first rungs of lp_fractional_cover's retry ladder at eps = 1; finer
+    # steps only take longer, and the pinned count below covers the default eps
     inner = 1.0 / rung
     assert len(LENGTH_SCHEME_INPUTS) >= 200
     for edges in LENGTH_SCHEME_INPUTS:
@@ -255,9 +255,9 @@ def test_length_scheme_iteration_count_is_pinned():
     # a benchmark-shaped 3-uniform graph, 16 vertices and 40 edges, at the
     # first rung of the default eps = 1/10
     edges = _uniform_edges(random.Random(2), 16, 40, 3)
-    lengths, duals = approx._length_scheme(edges, 0.1 / 3)
-    assert (lengths, duals) == _reference_length_scheme(edges, 0.1 / 3)
-    assert sum(duals) == 13508
+    lengths, duals = approx._length_scheme(edges, 0.1)
+    assert (lengths, duals) == _reference_length_scheme(edges, 0.1)
+    assert sum(duals) == 1542
 
 
 def test_lp_cover_matches_the_reference_length_scheme(monkeypatch):
@@ -297,18 +297,50 @@ def test_certification_retries_at_half_the_step(monkeypatch):
 
     monkeypatch.setattr(approx, "_rationalize", first_fails)
     cover = lp_fractional_cover(tri, eps)
-    assert inners == [float(eps) / 3.0, float(eps) / 6.0]
+    assert inners == [float(eps), float(eps) / 2.0]
     assert (cover.objective, cover.dual_bound) == certificates[1]
     assert cover.objective <= (1 + eps) * cover.dual_bound
 
 
 def test_certification_gives_up_after_twelve_passes(monkeypatch):
     hg = hypergraph_from_edges([1, 2], [{1, 2}])
-    first = approx._length_scheme([(1, 2)], 1.0 / 3.0)
+    first = approx._length_scheme([(1, 2)], 1.0)
     # the finest rungs would take billions of steps: reuse the first result
     inners = _record_inner(monkeypatch, lambda edges, inner: first)
     monkeypatch.setattr(approx, "_rationalize",
                         lambda edges, lengths, duals: ({}, Fraction(1), Fraction(0)))
     with pytest.raises(ResourceLimitError, match="fractional cover failed to certify its gap"):
         lp_fractional_cover(hg, eps=Fraction(1))
-    assert inners == [1.0 / 3.0 / 2 ** k for k in range(12)]
+    assert inners == [1.0 / 2 ** k for k in range(12)]
+
+
+def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
+    # the gap is checked exactly, so the ladder may start at step eps; a
+    # retry on these graphs would double or triple the LP's cost unseen
+    inners = _record_inner(monkeypatch)
+    rng = random.Random(406)
+    hgs = [hypergraph_from_edges(range(1, 17), _uniform_edges(rng, 16, 40, 3))
+           for _ in range(20)]
+    while len(hgs) < 40:
+        constraints, instance, _ = fd_key_groups(rng, rng.randint(8, 40))
+        hgs.append(build_hypergraph(instance, constraints))
+    for hg in hgs:
+        del inners[:]
+        cover = lp_fractional_cover(hg)
+        assert inners == [0.1] * len(_components(hg.solving_edges))
+        assert cover.objective <= Fraction(11, 10) * cover.dual_bound
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(10), Fraction(10 ** 4),
+                                 Fraction(10 ** 30)])
+def test_large_eps_certifies(eps):
+    # a step above 1 would start with every edge sum at 1 or more and take
+    # no step, leaving a zero dual bound on every rung
+    # the first inputs are the random 2- and 3-uniform graphs
+    hgs = [hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])]
+    hgs += [hypergraph_from_edges(set().union(*e), e) for e in LENGTH_SCHEME_INPUTS[:30]]
+    for hg in hgs:
+        cover = lp_fractional_cover(hg, eps)
+        assert all(sum(cover.weights[t] for t in s) >= 1 for s in hg.solving_edges)
+        assert 0 < cover.dual_bound <= len(min_hitting_set(hg).deleted)
+        assert cover.objective <= (1 + eps) * cover.dual_bound

@@ -315,6 +315,15 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
     assert main(["measure", "--solver", "randomized", "--eps", "1/5000"] + base) == 2
 
 
+def test_large_eps_is_accepted(tmp_path, capsys):
+    # 1e400 is past the float range, and a step above 1 would be too coarse
+    # for the LP to take any
+    base = write_bundle(tmp_path, FD_SCHEMA, FD_CONSTRAINTS, FD_CSVS)
+    for eps in ("10000", "1e400"):
+        payload = run_json(capsys, ["measure", "--solver", "randomized", "--eps", eps] + base)
+        assert payload["exact"] is False and payload["numerator"] >= 1
+
+
 def test_console_script_round_trip(tmp_path):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
     proc = subprocess.run([sys.executable, "-m", "incmeter.cli", "measure"] + base,
