@@ -99,7 +99,10 @@ def _read(path_str: str, what: str) -> str:
     path = Path(path_str)
     if not path.is_file():
         raise InputError(f"{what} file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from None
 
 
 def _load_bundle(args):
@@ -113,7 +116,7 @@ def _load_bundle(args):
         name = path.stem
         if name not in schema:
             raise InputError(f"{path.name} does not match any schema predicate")
-        sources[name] = path.read_text(encoding="utf-8")
+        sources[name] = _read(str(path), "csv")
     endo = None
     endo_path = Path(args.endogenous) if args.endogenous else data_dir / "endogenous.txt"
     if args.endogenous or endo_path.is_file():
@@ -280,7 +283,10 @@ def _cmd_emit_asp(args, constraints, instance):
                                          with_weak=not args.no_weak)
     text = program.render()
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write --output file: {exc}") from None
     elif not args.execute:
         sys.stdout.write(text)
         return None

@@ -103,16 +103,16 @@ def constraint_edges(index, dc: DenialConstraint, seeds=(None,), known=()) -> li
     return [Hyperedge(s, dc.name) for s in antichain(images)]
 
 
-def assemble(vertices, hyperedges, constraint_order=()) -> ConflictHypergraph:
+def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
     """Canonicalize edges and compute the solving antichain and d.
 
-    Edges are assumed subset-minimal within their own constraint; supersets
-    across constraints (and duplicates) are dropped from solving_edges here.
+    constraint_order names every edge's constraint, each once; edges go by
+    it, then by their tids.  Edges are assumed subset-minimal within their
+    own constraint; supersets across constraints (and duplicates) are
+    dropped from solving_edges here.
     """
     order = {name: i for i, name in enumerate(constraint_order)}
-    edges = tuple(sorted(set(hyperedges),
-                         key=lambda e: (order.get(e.constraint, len(order)),
-                                        e.constraint, e.key())))
+    edges = tuple(sorted(set(hyperedges), key=lambda e: (order[e.constraint], e.key())))
     solving = sorted(antichain(e.tids for e in edges), key=lambda s: tuple(sorted(s)))
     d = max((len(s) for s in solving), default=0)
     return ConflictHypergraph(frozenset(vertices), edges, tuple(solving), d)

@@ -5,6 +5,7 @@ from vertices to their edges splits the deduplicated edges, and each
 component, taken in order of its smallest element, gets its own
 branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
 descending degree order, prune with a greedy disjoint-edge packing lower
+bound.  A node makes one pass over the edges for both its pick and its
 bound.  With edge sizes bounded by d a tree has at most d^k nodes for a
 component answer of size k, and the answer is the union of the component
 answers.  One node budget counts the nodes of all trees together, so
@@ -99,9 +100,9 @@ def _solve(edge_sets, allowed, node_budget, known=None):
                 raise ResourceLimitError(
                     str(exc),
                     best_size=len(chosen) + exc.best_size
-                    + sum(_popcount(_incumbent(m)) for m in rest),
+                    + sum(_incumbent(m).bit_count() for m in rest),
                     lower_bound=len(chosen) + exc.lower_bound
-                    + sum(_packing(m, 0) for m in rest)) from None
+                    + sum(_scan(m, 0)[1] for m in rest)) from None
             cover = tuple(universe[b] for b in _bits(cover))
             taken = nodes[0] - start
         record[component] = cover, taken
@@ -153,7 +154,7 @@ def _branch_and_bound(masks, n, nodes, node_budget):
         rank_pos[b] = pos
 
     best_mask = _incumbent(masks)
-    best = [best_mask, _popcount(best_mask)]
+    best = [best_mask, best_mask.bit_count()]
 
     def branch(cover, size):
         nodes[0] += 1
@@ -161,24 +162,14 @@ def _branch_and_bound(masks, n, nodes, node_budget):
             # the root packing is certified: each disjoint edge needs its own element
             raise ResourceLimitError(
                 f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                best_size=best[1], lower_bound=_packing(masks, 0))
-        pick = -1
-        pick_size = n + 1
-        for m in masks:
-            if m & cover:
-                continue
-            c = _popcount(m)
-            if c < pick_size:
-                pick, pick_size = m, c
-                if c == 1:
-                    break
+                best_size=best[1], lower_bound=_scan(masks, 0)[1])
+        pick, packed = _scan(masks, cover)
         if pick == -1:
             if size < best[1]:
                 best[0], best[1] = cover, size
             return
-        if size + 1 >= best[1]:
-            return
-        if size + _packing(masks, cover) >= best[1]:
+        # an unhit edge makes packed at least 1
+        if size + packed >= best[1]:
             return
         for b in sorted(_bits(pick), key=lambda b: rank_pos[b]):
             branch(cover | (1 << b), size + 1)
@@ -189,19 +180,25 @@ def _branch_and_bound(masks, n, nodes, node_budget):
 
 def _incumbent(masks):
     """The smaller of the greedy and the whole-edge cover; greedy on ties."""
-    return min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=_popcount)
+    return min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=int.bit_count)
 
 
-def _packing(masks, cover):
-    """Edges missed by cover and pairwise disjoint, each needing its own element."""
-    lb = 0
-    blocked = 0
+def _scan(masks, cover):
+    """One pass over the masks that cover misses, in order: the first smallest
+    of them (-1 if none), and how many of them a greedy pass takes pairwise
+    disjoint, each needing its own element."""
+    pick, pick_size = -1, 0
+    packed = blocked = 0
     for m in masks:
-        if m & cover or m & blocked:
+        if m & cover:
             continue
-        lb += 1
-        blocked |= m
-    return lb
+        c = m.bit_count()
+        if pick == -1 or c < pick_size:
+            pick, pick_size = m, c
+        if not m & blocked:
+            packed += 1
+            blocked |= m
+    return pick, packed
 
 
 def _mask(elements, index):
@@ -216,10 +213,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask):
-    return bin(mask).count("1")
 
 
 def _greedy_cover(masks):

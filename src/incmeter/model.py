@@ -245,13 +245,12 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
             continue
         pred = schema.predicate(name)
         raw = csv_sources[name]
-        if isinstance(raw, bytes):
-            text = raw.decode("utf-8")
-        elif isinstance(raw, str):
-            text = raw
-        else:
-            data = raw.read()
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        try:
+            text = raw if isinstance(raw, (str, bytes)) else raw.read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{name}: csv source is not UTF-8: {exc}") from None
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise InputError(f"{name}: empty csv, expected a header row")

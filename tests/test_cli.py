@@ -252,6 +252,32 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert "not a tid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["schema.txt", "constraints.txt", "data/q.csv",
+                                    "data/endogenous.txt", "delta.txt"])
+def test_a_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, target):
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS, endogenous="1\n")
+    delta = tmp_path / "delta.txt"
+    delta.write_text("+ q(e, w)\n")
+    bad = tmp_path / target
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    assert main(["update", "--delta", str(delta), "--format", "json"] + base) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert err["message"].startswith("cannot read ") and str(bad) in err["message"]
+
+
+@pytest.mark.parametrize("output", ["data", "missing/program.lp"],
+                         ids=["directory", "missing parent"])
+def test_emit_asp_output_that_cannot_be_written_is_bad_input(tmp_path, capsys, output):
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
+    target = tmp_path / output
+    assert main(["emit-asp", "--output", str(target), "--format", "json"] + base) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input"
+    assert err["message"].startswith("cannot write --output file: ")
+    assert str(target) in err["message"]
+
+
 @pytest.mark.parametrize("endogenous, message", [
     ("1_0\n", "line 1: not a tid: '1_0'"),  # int() reads it as 10
     ("1\n\n# deletable\n+3  # comment\n", "line 4: not a tid: '+3'"),

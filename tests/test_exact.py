@@ -193,6 +193,109 @@ def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
             (want.value.best_size, want.value.lower_bound)
 
 
+def _reference_popcount(mask):
+    return bin(mask).count("1")
+
+
+def _reference_packing(masks, cover):
+    lb = 0
+    blocked = 0
+    for m in masks:
+        if m & cover or m & blocked:
+            continue
+        lb += 1
+        blocked |= m
+    return lb
+
+
+def _reference_branch_and_bound(masks, n, nodes, node_budget):
+    """The search as first written: one pass to pick the edge, one to pack.
+
+    Kept frozen so that a faster node can be held to its covers, node
+    counts and exhaustion brackets.
+    """
+    degree = [0] * n
+    for m in masks:
+        for b in exact._bits(m):
+            degree[b] += 1
+    rank = sorted(range(n), key=lambda b: (-degree[b], b))
+    rank_pos = [0] * n
+    for pos, b in enumerate(rank):
+        rank_pos[b] = pos
+
+    best_mask = min(exact._greedy_cover(masks), exact._take_whole_edges(masks, 0),
+                    key=_reference_popcount)
+    best = [best_mask, _reference_popcount(best_mask)]
+
+    def branch(cover, size):
+        nodes[0] += 1
+        if nodes[0] > node_budget:
+            raise ResourceLimitError(
+                f"hitting-set search exceeded the node budget ({node_budget} nodes)",
+                best_size=best[1], lower_bound=_reference_packing(masks, 0))
+        pick = -1
+        pick_size = n + 1
+        for m in masks:
+            if m & cover:
+                continue
+            c = _reference_popcount(m)
+            if c < pick_size:
+                pick, pick_size = m, c
+                if c == 1:
+                    break
+        if pick == -1:
+            if size < best[1]:
+                best[0], best[1] = cover, size
+            return
+        if size + 1 >= best[1]:
+            return
+        if size + _reference_packing(masks, cover) >= best[1]:
+            return
+        for b in sorted(exact._bits(pick), key=lambda b: rank_pos[b]):
+            branch(cover | (1 << b), size + 1)
+
+    branch(0, 0)
+    return best[0]
+
+
+def _search_corpus():
+    """Seeded 2- and 3-uniform graphs, graphs with edges of one to three
+    elements, and the hard block beside a copy of itself."""
+    rng = random.Random(16)
+    graphs = [_hard_block(), _hard_block() + _hard_block(30)]
+    shapes = [(3, 16, 40), (3, 24, 70), (2, 24, 50), (2, 30, 70), (2, 60, 45)]
+    for d, vertices, edges in shapes * 2:
+        graphs.append([set(rng.sample(range(vertices), d)) for _ in range(edges)])
+    for _ in range(4):
+        graphs.append([set(rng.sample(range(24), rng.choice((1, 2, 2, 3, 3, 3))))
+                       for _ in range(60)])
+    return graphs
+
+
+def _outcome(edges, node_budget):
+    try:
+        cover, nodes, _ = exact._solve(edges, None, node_budget)
+    except ResourceLimitError as exc:
+        return exc.best_size, exc.lower_bound
+    return cover, nodes
+
+
+def test_search_matches_the_reference_branch_and_bound(monkeypatch):
+    graphs = _search_corpus()
+    for edges in graphs:
+        masks = exact._index([frozenset(e) for e in edges])[1]
+        assert exact._scan(masks, 0)[1] == _reference_packing(masks, 0) > 0
+    budget = 10 ** 6
+    got = [_outcome(edges, budget) for edges in graphs]
+    cuts = [(nodes // 10, nodes // 2, nodes - 1) for _, nodes in got]
+    got_cut = [[_outcome(edges, b) for b in cut] for edges, cut in zip(graphs, cuts)]
+    monkeypatch.setattr(exact, "_branch_and_bound", _reference_branch_and_bound)
+    for edges, outcome, cut, outcome_cut in zip(graphs, got, cuts, got_cut):
+        assert outcome == _outcome(edges, budget)
+        # (best_size, lower_bound) where the budget runs out
+        assert outcome_cut == [_outcome(edges, b) for b in cut]
+
+
 def test_generic_solver_handles_restricted_universe():
     edges = [{1, 2}, {2, 3}]
     assert solve_min_hitting_set(edges) == frozenset({2})

@@ -199,6 +199,16 @@ def test_load_instance_errors():
         load_instance({"p": "A\nx\n"}, schema, endogenous_tids=[7])
 
 
+@pytest.mark.parametrize("source", [
+    b"A\n\xff\n",
+    io.BytesIO(b"A\n\xff\n"),
+    io.TextIOWrapper(io.BytesIO(b"A\n\xff\n"), encoding="utf-8"),
+], ids=["bytes", "binary stream", "text stream"])
+def test_load_instance_refuses_a_source_that_is_not_utf8(source):
+    with pytest.raises(InputError, match="^p: csv source is not UTF-8"):
+        load_instance({"p": source}, parse_schema("p(A)"))
+
+
 @pytest.mark.parametrize("tids, endogenous", [
     ([1, 2], {1, 2}),
     (["2", 1], {1, 2}),
