@@ -170,10 +170,3 @@ def iter_satisfying_assignments(index: FactIndex, constraint: DenialConstraint,
             yield from extend(k + 1)
 
     yield from extend(0)
-
-
-def is_consistent(facts, constraints) -> bool:
-    """True iff no constraint has a satisfying assignment over the facts."""
-    index = FactIndex(facts)
-    return not any(next(iter_satisfying_assignments(index, dc), False)
-                   for dc in constraints)

@@ -6,15 +6,17 @@ component, taken in order of its smallest element, gets its own
 branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
 descending degree order, prune with a greedy disjoint-edge packing lower
 bound.  A node makes one pass over the edges for both its pick and its
-bound.  With edge sizes bounded by d a tree has at most d^k nodes for a
-component answer of size k, and the answer is the union of the component
-answers.  One node budget counts the nodes of all trees together, so
-pathological inputs end in a clean error instead of a silent timeout or a
-wrong answer; the error brackets the whole optimum by the exact sizes of the
-solved components and [packing, incumbent] of the rest.  The optimum and
-node count of each component are recorded by its edge set, so a component an
-update left unchanged is not searched again, while its nodes still count.
-All minimal hitting sets are built edge by edge with Berge's rule.
+bound.  The tree is searched depth first from an explicit stack, so its
+depth has no recursion limit.  With edge sizes bounded by d a tree has at
+most d^k nodes for a component answer of size k, and the answer is the union
+of the component answers.  One node budget counts the nodes of all trees
+together, so pathological inputs end in a clean error instead of a silent
+timeout or a wrong answer; the error brackets the whole optimum by the exact
+sizes of the solved components and [packing, incumbent] of the rest.  The
+optimum and node count of each component are recorded by its edge set, so a
+component an update left unchanged is not searched again, while its nodes
+still count.  All minimal hitting sets are built edge by edge with Berge's
+rule.
 """
 
 from __future__ import annotations
@@ -81,33 +83,30 @@ def _solve(edge_sets, allowed, node_budget, known=None):
     components = [frozenset(c) for c in _components(edges)]
     known = known or {}
     record = {}
-    nodes = [0]
+    nodes = 0
     chosen = []
     for i, component in enumerate(components):
         cover, taken = known.get(component, (None, 0))
-        if cover is not None and nodes[0] + taken <= node_budget:
-            nodes[0] += taken
-        else:
+        if cover is None or nodes + taken > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
             # search, so that the budget runs out where a fresh solve's does
-            start = nodes[0]
             universe, masks = _index(component)
             try:
-                cover = _branch_and_bound(masks, len(universe), nodes, node_budget)
+                found, taken = _branch_and_bound(masks, len(universe), node_budget - nodes)
             except ResourceLimitError as exc:
                 # solved components are exact; the rest contribute [packing, incumbent]
                 rest = [_index(c)[1] for c in components[i + 1:]]
                 raise ResourceLimitError(
-                    str(exc),
+                    f"hitting-set search exceeded the node budget ({node_budget} nodes)",
                     best_size=len(chosen) + exc.best_size
                     + sum(_incumbent(m).bit_count() for m in rest),
                     lower_bound=len(chosen) + exc.lower_bound
                     + sum(_scan(m, 0)[1] for m in rest)) from None
-            cover = tuple(universe[b] for b in _bits(cover))
-            taken = nodes[0] - start
+            cover = tuple(universe[b] for b in _bits(found))
+        nodes += taken
         record[component] = cover, taken
         chosen.extend(cover)
-    return frozenset(chosen), nodes[0], record
+    return frozenset(chosen), nodes, record
 
 
 def _components(edges):
@@ -141,41 +140,35 @@ def _index(edges):
     return universe, sorted({_mask(e, index) for e in edges})
 
 
-def _branch_and_bound(masks, n, nodes, node_budget):
-    """Smallest cover of masks over n bits; nodes[0] counts the search nodes."""
+def _branch_and_bound(masks, n, budget):
+    """Smallest cover of masks over n bits and the search nodes it took; past
+    budget nodes, a ResourceLimitError brackets this component's optimum."""
     degree = [0] * n
     for m in masks:
         for b in _bits(m):
             degree[b] += 1
-    # branch order inside an edge: highest degree first, index breaks ties
-    rank = sorted(range(n), key=lambda b: (-degree[b], b))
-    rank_pos = [0] * n
-    for pos, b in enumerate(rank):
-        rank_pos[b] = pos
-
-    best_mask = _incumbent(masks)
-    best = [best_mask, best_mask.bit_count()]
-
-    def branch(cover, size):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
+    best = _incumbent(masks)
+    best_size = best.bit_count()
+    nodes = 0
+    stack = [(0, 0)]
+    while stack:
+        cover, size = stack.pop()
+        nodes += 1
+        if nodes > budget:
             # the root packing is certified: each disjoint edge needs its own element
-            raise ResourceLimitError(
-                f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                best_size=best[1], lower_bound=_scan(masks, 0)[1])
+            raise ResourceLimitError("node budget exceeded", best_size=best_size,
+                                     lower_bound=_scan(masks, 0)[1])
         pick, packed = _scan(masks, cover)
         if pick == -1:
-            if size < best[1]:
-                best[0], best[1] = cover, size
-            return
+            if size < best_size:
+                best, best_size = cover, size
         # an unhit edge makes packed at least 1
-        if size + packed >= best[1]:
-            return
-        for b in sorted(_bits(pick), key=lambda b: rank_pos[b]):
-            branch(cover | (1 << b), size + 1)
-
-    branch(0, 0)
-    return best[0]
+        elif size + packed < best_size:
+            # branch order inside an edge: highest degree first, lower index on
+            # ties; pushed last to first, so the first child is searched first
+            for b in reversed(sorted(_bits(pick), key=lambda b: -degree[b])):
+                stack.append((cover | (1 << b), size + 1))
+    return best, nodes
 
 
 def _incumbent(masks):

@@ -143,14 +143,14 @@ class Instance:
             ordered = tuple(f for f in self.facts if not isinstance(f.tid, int))
         arity = {p.name: p.arity for p in self.schema.predicates}
         by_tid: dict[int, Fact] = {}
-        seen_rows = set()
+        rows: dict[str, set] = {}
         for f in ordered:
             if not isinstance(f.tid, int) or f.tid < 1:
                 raise InputError(f"tid must be a positive integer, got {f.tid!r}")
             if f.tid in by_tid:
                 raise InputError(f"duplicate tid {f.tid}")
             by_tid[f.tid] = f
-            self._check_row(f, arity, seen_rows)
+            self._check_row(f, arity, rows.setdefault(f.predicate, set()))
         self._index(by_tid)
 
     def _index(self, by_tid, **rows) -> "Instance":
@@ -163,17 +163,17 @@ class Instance:
         return self
 
     def _check_row(self, f: Fact, arity, rows) -> None:
-        """Reject f if its row is malformed or already in rows; else add it."""
+        """Reject f if its row is malformed or already in rows, the value
+        tuples of its predicate; else add it."""
         if len(f.values) != arity.get(f.predicate):
             n = self.schema.predicate(f.predicate).arity  # raises if unknown
             raise InputError(
                 f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
         if NULL in f.values:
             raise InputError(f"fact {f} uses the reserved value {NULL}")
-        row = (f.predicate, f.values)
-        if row in rows:
+        if f.values in rows:
             raise InputError(f"duplicate row {f.predicate}{f.values!r}")
-        rows.add(row)
+        rows.add(f.values)
 
     def derive(self, insertions, deletions) -> "Instance":
         """This instance with the deletions dropped and the insertions added.
@@ -191,18 +191,20 @@ class Instance:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         rows = getattr(self, "_rows", None)
         if rows is None:
-            rows = {(f.predicate, f.values) for f in self.facts}
+            rows = {}
+            for f in self.facts:
+                rows.setdefault(f.predicate, set()).add(f.values)
             object.__setattr__(self, "_rows", rows)
-        rows = set(rows)
+        rows = {p: set(values) for p, values in rows.items()}
         by_tid = dict(self._by_tid)
         for t in deletions:
             f = by_tid.pop(t)
-            rows.discard((f.predicate, f.values))
+            rows[f.predicate].discard(f.values)
         arity = {p.name: p.arity for p in self.schema.predicates}
         start = self.tids[-1] + 1 if self.tids else 1
         for tid, (predicate, values) in enumerate(insertions, start):
             f = Fact(tid, predicate, values)
-            self._check_row(f, arity, rows)
+            self._check_row(f, arity, rows.setdefault(predicate, set()))
             by_tid[tid] = f
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
@@ -239,6 +241,10 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     unknown = set(csv_sources) - set(schema.predicate_names)
     if unknown:
         raise InputError(f"csv source for unknown predicate(s): {sorted(unknown)}")
+    # every row is checked here, so __init__ and its second check are skipped
+    instance = object.__new__(Instance)
+    instance.__dict__.update(schema=schema)
+    arity = {p.name: p.arity for p in schema.predicates}
     by_tid: dict[int, Fact] = {}
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
@@ -262,21 +268,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         for idx, row in enumerate(rows[1:], start=2):
             if not row:
                 continue  # stray blank line
-            if len(row) != pred.arity:
-                raise InputError(f"{name}: row has {len(row)} fields, expected {pred.arity}",
-                                 line=idx)
-            values = tuple(row)
-            if NULL in values:
-                raise InputError(f"{name}: the value {NULL} is reserved", line=idx)
-            if values in seen:
-                raise InputError(f"{name}: duplicate row {values!r}", line=idx)
-            seen.add(values)
-            tid = len(by_tid) + 1
-            by_tid[tid] = Fact(tid, name, values)
-    # every row is checked above, so __init__ and its second check are skipped
-    instance = object.__new__(Instance)
-    instance.__dict__.update(schema=schema,
-                             endogenous=frozenset(map(_tid, endogenous_tids or ())))
+            f = Fact(len(by_tid) + 1, name, tuple(row))
+            try:
+                instance._check_row(f, arity, seen)
+            except InputError as exc:
+                raise InputError(f"{name}: {exc}", line=idx) from None
+            by_tid[f.tid] = f
+    instance.__dict__.update(endogenous=frozenset(map(_tid, endogenous_tids or ())))
     return instance._index(by_tid)
 
 

@@ -1,7 +1,10 @@
 """Shared fixtures: worked-example bundles, a seeded random corpus, oracles."""
 
+import contextlib
+import inspect
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -112,6 +115,18 @@ def fd_key_groups(rng: random.Random, n):
         classes.setdefault(a, Counter())[b] += 1
     optimum = sum(sum(c.values()) - max(c.values()) for c in classes.values())
     return constraints, instance, optimum
+
+
+@contextlib.contextmanager
+def shallow_stack(levels=100):
+    """Allow only `levels` Python frames above the caller's, so that code
+    recursing as deep as its data fails fast with RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + levels)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def brute_force_min_hitting_set(hg, max_active=22) -> RepairSolution:

@@ -3,7 +3,7 @@
 import re
 
 from incmeter.errors import InputError
-from incmeter.evaluation import is_consistent
+from incmeter.evaluation import FactIndex, iter_satisfying_assignments
 from incmeter.model import NULL, Fact, Instance
 
 
@@ -15,7 +15,8 @@ def consistent(facts, cs) -> bool:
     """
     if isinstance(facts, Instance):
         facts = facts.facts
-    return is_consistent(facts, cs)
+    index = FactIndex(facts)
+    return not any(next(iter_satisfying_assignments(index, dc), False) for dc in cs)
 
 
 def restrict(inst: Instance, keep) -> Instance:

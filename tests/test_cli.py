@@ -7,6 +7,8 @@ import pytest
 
 from incmeter.cli import main
 
+from conftest import shallow_stack
+
 PQR_SCHEMA = "p(A)\nq(A, B)\nr(A, C)\n"
 PQR_CONSTRAINTS = ("dc no_pq : !exists p(x), q(x, y)\n"
                    "dc no_pr : !exists p(x), r(x, y)\n")
@@ -339,6 +341,23 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
     assert error["error"] == "resource-limit"
     assert 0 < error["lower_bound"] <= error["best_size"]
     assert main(["measure", "--solver", "randomized", "--eps", "1/5000"] + base) == 2
+
+
+def test_a_deep_search_exits_2_with_its_bracket(tmp_path, capsys):
+    # group a_i is a triangle under A -> B; B -> C joins its last row to the
+    # next group's first: 150 triangles in a chain, 599 edges, optimum 300
+    rows = ["A,B,C"]
+    for i in range(150):
+        before = f"b{i - 1}" if i else "start"
+        rows += [f"a{i},{before},1", f"a{i},g{i},0", f"a{i},b{i},0"]
+    base = write_bundle(tmp_path, FD_SCHEMA, "fd f1 : rel : A -> B\nfd f2 : rel : B -> C\n",
+                        {"rel": "\n".join(rows) + "\n"})
+    with shallow_stack():
+        code = main(["measure", "--node-budget", "1000", "--format", "json"] + base)
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "resource-limit"
+    assert (error["best_size"], error["lower_bound"]) == (300, 225)
 
 
 def test_large_eps_is_accepted(tmp_path, capsys):

@@ -10,7 +10,7 @@ from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
                             min_hitting_set, solve_min_hitting_set)
 
-from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle
+from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle, shallow_stack
 from oracles import consistent, restrict
 
 
@@ -258,6 +258,13 @@ def _reference_branch_and_bound(masks, n, nodes, node_budget):
     return best[0]
 
 
+def _reference_search(masks, n, budget):
+    """The frozen search behind the current contract: (cover, nodes)."""
+    box = [0]
+    cover = _reference_branch_and_bound(masks, n, box, budget)
+    return cover, box[0]
+
+
 def _search_corpus():
     """Seeded 2- and 3-uniform graphs, graphs with edges of one to three
     elements, and the hard block beside a copy of itself."""
@@ -289,11 +296,30 @@ def test_search_matches_the_reference_branch_and_bound(monkeypatch):
     got = [_outcome(edges, budget) for edges in graphs]
     cuts = [(nodes // 10, nodes // 2, nodes - 1) for _, nodes in got]
     got_cut = [[_outcome(edges, b) for b in cut] for edges, cut in zip(graphs, cuts)]
-    monkeypatch.setattr(exact, "_branch_and_bound", _reference_branch_and_bound)
+    monkeypatch.setattr(exact, "_branch_and_bound", _reference_search)
     for edges, outcome, cut, outcome_cut in zip(graphs, got, cuts, got_cut):
         assert outcome == _outcome(edges, budget)
         # (best_size, lower_bound) where the budget runs out
         assert outcome_cut == [_outcome(edges, b) for b in cut]
+
+
+def _triangle_chain(count):
+    """count triangles on {3i, 3i+1, 3i+2}, each joined to the next by {3i+2, 3i+3}."""
+    edges = []
+    for i in range(count):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [{a, b}, {a, c}, {b, c}]
+        if i + 1 < count:
+            edges.append({c, c + 1})
+    return edges
+
+
+def test_a_search_deeper_than_the_stack_ends_at_the_node_budget():
+    # each triangle needs 2, and {3i+1, 3i+2} per triangle covers every
+    # connector: the optimum is 300, and a dive towards it is 300 levels deep
+    with shallow_stack(), pytest.raises(ResourceLimitError) as exc:
+        solve_min_hitting_set(_triangle_chain(150), node_budget=1000)
+    assert exc.value.lower_bound <= 300 <= exc.value.best_size
 
 
 def test_generic_solver_handles_restricted_universe():

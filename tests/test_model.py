@@ -199,6 +199,17 @@ def test_load_instance_errors():
         load_instance({"p": "A\nx\n"}, schema, endogenous_tids=[7])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A,B\na,b\nx\n", "line 3: q: fact q[2](x) has 1 values, q expects 2"),
+    ("A,B\na,b\nc,NULL\n", "line 3: q: fact q[2](c, NULL) uses the reserved value NULL"),
+    ("A,B\na,b\nc,d\na,b\n", "line 4: q: duplicate row q('a', 'b')"),
+], ids=["arity", "reserved value", "duplicate row"])
+def test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line(text, message):
+    # a loaded row gets the check of a constructed row or an inserted delta row
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_instance({"q": text}, parse_schema("p(A)\nq(A, B)\n"))
+
+
 @pytest.mark.parametrize("source", [
     b"A\n\xff\n",
     io.BytesIO(b"A\n\xff\n"),
@@ -264,6 +275,17 @@ def test_instance_validation():
             Instance(schema, facts, frozenset(endogenous))
     inst = Instance(schema, (Fact(2, "p", ("b",)), Fact(1, "p", ("a",))))
     assert inst.tids == (1, 2)  # normalized to tid order
+
+
+def test_equal_values_under_two_predicates_are_two_rows():
+    schema = parse_schema("q(A, B)\nr(A, B)\n")
+    inst = load_instance({"q": "A,B\na,b\n", "r": "A,B\na,b\n"}, schema)
+    assert Instance(schema, inst.facts) == inst
+    child = inst.derive([("q", ("c", "d")), ("r", ("c", "d"))], [1])
+    # a deleted row may come back; a live row of the other predicate is no clash
+    assert len(child.derive([("q", ("a", "b"))], [])) == 4
+    with pytest.raises(InputError, match=re.escape("duplicate row r('a', 'b')")):
+        child.derive([("r", ("a", "b"))], [])
 
 
 def test_effective_endogenous_defaults_to_everything():

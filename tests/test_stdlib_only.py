@@ -45,6 +45,20 @@ def test_modules_use_every_module_level_import():
     assert not unused
 
 
+def test_only_evaluations_extend_calls_itself():
+    # a recursion as deep as the data ends in RecursionError past about 1000
+    # levels; extend's depth is one constraint's atom count.  Only calls by
+    # plain name count: super().__init__ and a.variables() are not recursion
+    recursive = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name for call in ast.walk(node)):
+                recursive.append(f"{path.stem}.{node.name}")
+    assert recursive == ["evaluation.extend"]
+
+
 def test_readme_library_use_names_every_export():
     # a test-only helper re-exported from __init__.py shows up here
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
