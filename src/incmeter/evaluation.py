@@ -3,18 +3,20 @@
 Consistency checks, conflict detection and cell-level repairs all enumerate
 here.  Each atom is looked up in a hash index over its predicate's facts,
 keyed on the positions fixed when it is reached: its constants and the
-variables earlier atoms bound.  Facts with NULL in a key position are left
-out of the index, so NULL never joins and never matches a constant, and a
-comparison touching NULL never holds.  An optional seed restricts one atom
-to given facts and matches it first; seeding each atom in turn with inserted
-facts finds every assignment that touches one of them, the delta rule of
+variables earlier atoms bound.  An optional seed restricts one atom to given
+facts and matches it first; seeding each atom in turn with inserted facts
+finds every assignment that touches one of them, the delta rule of
 counting/DRed view maintenance.
+
+Facts and constants never hold the reserved blank placeholder: the model
+refuses it in every fact and every constraint, so values join, match and
+compare as plain strings.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .model import _INT_RE, NULL, Comparison, Const, DenialConstraint, Var
+from .model import _INT_RE, Comparison, Const, DenialConstraint, Var
 
 
 def compare_values(a: str, op: str, b: str) -> bool:
@@ -67,8 +69,7 @@ class FactIndex:
             index = self._indexes[predicate, positions] = {}
             for f in self._by_pred.get(predicate, ()):
                 k = tuple([f.values[p] for p in positions])
-                if NULL not in k:
-                    index.setdefault(k, []).append(f)
+                index.setdefault(k, []).append(f)
         return index.get(key, ())
 
     def derive(self, facts, deleted, inserted) -> "FactIndex":
@@ -90,16 +91,14 @@ class FactIndex:
             index = child._indexes[predicate, positions] = dict(old)
             for f in gone:
                 k = tuple([f.values[p] for p in positions])
-                if k in index:
-                    bucket = [g for g in index[k] if g.tid != f.tid]
-                    if bucket:
-                        index[k] = bucket
-                    else:
-                        del index[k]
+                bucket = [g for g in index[k] if g.tid != f.tid]
+                if bucket:
+                    index[k] = bucket
+                else:
+                    del index[k]
             for f in new:
                 k = tuple([f.values[p] for p in positions])
-                if NULL not in k:
-                    index[k] = [*index.get(k, ()), f]
+                index[k] = [*index.get(k, ()), f]
         return child
 
 
@@ -132,8 +131,6 @@ def _plan(constraint: DenialConstraint, first: int):
 def _comparison_holds(cmp: Comparison, bindings) -> bool:
     left = bindings[cmp.left.name] if isinstance(cmp.left, Var) else cmp.left.value
     right = bindings[cmp.right.name] if isinstance(cmp.right, Var) else cmp.right.value
-    if left == NULL or right == NULL:
-        return False
     return compare_values(left, cmp.op, right)
 
 
@@ -162,7 +159,7 @@ def iter_satisfying_assignments(index: FactIndex, constraint: DenialConstraint,
                                   tuple([bindings[t.name] if isinstance(t, Var)
                                          else t.value for t in key])):
             values = fact.values
-            if any(values[q] == NULL or values[p] != values[q] for p, q in repeats):
+            if any(values[p] != values[q] for p, q in repeats):
                 continue
             for name, p in binds:
                 bindings[name] = values[p]

@@ -66,6 +66,7 @@ class Schema:
         if len(names) != len(set(names)):
             raise InputError("duplicate predicate name in schema")
         object.__setattr__(self, "_by_name", {p.name: p for p in self.predicates})
+        object.__setattr__(self, "_arity", {p.name: p.arity for p in self.predicates})
 
     def predicate(self, name: str) -> Predicate:
         try:
@@ -141,7 +142,6 @@ class Instance:
             ordered = tuple(sorted(self.facts, key=lambda f: f.tid))
         except TypeError:  # e.g. tid None next to 1: the loop rejects the first non-int
             ordered = tuple(f for f in self.facts if not isinstance(f.tid, int))
-        arity = {p.name: p.arity for p in self.schema.predicates}
         by_tid: dict[int, Fact] = {}
         rows: dict[str, set] = {}
         for f in ordered:
@@ -150,7 +150,7 @@ class Instance:
             if f.tid in by_tid:
                 raise InputError(f"duplicate tid {f.tid}")
             by_tid[f.tid] = f
-            self._check_row(f, arity, rows.setdefault(f.predicate, set()))
+            self._check_row(f, rows.setdefault(f.predicate, set()))
         self._index(by_tid)
 
     def _index(self, by_tid, **rows) -> "Instance":
@@ -162,10 +162,10 @@ class Instance:
                              _by_tid=by_tid, **rows)
         return self
 
-    def _check_row(self, f: Fact, arity, rows) -> None:
+    def _check_row(self, f: Fact, rows) -> None:
         """Reject f if its row is malformed or already in rows, the value
         tuples of its predicate; else add it."""
-        if len(f.values) != arity.get(f.predicate):
+        if len(f.values) != self.schema._arity.get(f.predicate):
             n = self.schema.predicate(f.predicate).arity  # raises if unknown
             raise InputError(
                 f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
@@ -200,11 +200,10 @@ class Instance:
         for t in deletions:
             f = by_tid.pop(t)
             rows[f.predicate].discard(f.values)
-        arity = {p.name: p.arity for p in self.schema.predicates}
         start = self.tids[-1] + 1 if self.tids else 1
         for tid, (predicate, values) in enumerate(insertions, start):
             f = Fact(tid, predicate, values)
-            self._check_row(f, arity, rows.setdefault(predicate, set()))
+            self._check_row(f, rows.setdefault(predicate, set()))
             by_tid[tid] = f
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
@@ -244,7 +243,6 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     # every row is checked here, so __init__ and its second check are skipped
     instance = object.__new__(Instance)
     instance.__dict__.update(schema=schema)
-    arity = {p.name: p.arity for p in schema.predicates}
     by_tid: dict[int, Fact] = {}
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
@@ -270,7 +268,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
                 continue  # stray blank line
             f = Fact(len(by_tid) + 1, name, tuple(row))
             try:
-                instance._check_row(f, arity, seen)
+                instance._check_row(f, seen)
             except InputError as exc:
                 raise InputError(f"{name}: {exc}", line=idx) from None
             by_tid[f.tid] = f
@@ -356,6 +354,10 @@ class DenialConstraint:
                 raise InputError(
                     f"constraint {self.name}: unsafe variable(s) {sorted(loose)} "
                     "appear only in comparisons")
+        terms = [t for a in self.atoms for t in a.terms]
+        terms += [t for c in self.comparisons for t in (c.left, c.right)]
+        if Const(NULL) in terms:
+            raise InputError(f"constraint {self.name}: the value {NULL} is reserved")
 
     def variables(self) -> set[str]:
         return set().union(*(a.variables() for a in self.atoms))

@@ -1,22 +1,64 @@
-"""Test oracles: independent checks the package itself has no use for."""
+"""Test oracles: independent checks the package itself has no use for.
 
+They share no code with the package's join engine: constraints are matched
+by a brute-force product over each atom's facts.
+"""
+
+import itertools
+import operator
 import re
 
 from incmeter.errors import InputError
-from incmeter.evaluation import FactIndex, iter_satisfying_assignments
-from incmeter.model import NULL, Fact, Instance
+from incmeter.model import NULL, Const, Fact, Instance, Var
+
+OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+       ">": operator.gt, ">=": operator.ge}
+
+_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def holds(term, bindings, op, other):
+    """Strings compare as strings; order on two integers is numeric."""
+    left = bindings[term.name] if isinstance(term, Var) else term.value
+    right = bindings[other.name] if isinstance(other, Var) else other.value
+    if NULL in (left, right):
+        return False
+    if op not in ("=", "!=") and all(_INTEGER_RE.match(v) for v in (left, right)):
+        left, right = int(left), int(right)
+    return OPS[op](left, right)
+
+
+def brute_force(facts, dc):
+    """Assignments from the product of per-atom pools, matched term by term.
+
+    NULL joins with nothing, matches no constant and compares with nothing;
+    a variable occurring in a single position may still bind it harmlessly.
+    """
+    pools = [[f for f in facts if f.predicate == a.predicate] for a in dc.atoms]
+    for combo in itertools.product(*pools):
+        bindings, ok = {}, True
+        for atom, fact in zip(dc.atoms, combo):
+            for term, value in zip(atom.terms, fact.values):
+                if isinstance(term, Const):
+                    ok = value != NULL and value == term.value
+                elif term.name in bindings:
+                    prev = bindings[term.name]
+                    ok = NULL not in (prev, value) and prev == value
+                else:
+                    bindings[term.name] = value
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok and all(holds(c.left, bindings, c.op, c.right) for c in dc.comparisons):
+            yield combo
 
 
 def consistent(facts, cs) -> bool:
-    """True iff no constraint of cs matches in facts (an Instance or a fact tuple).
-
-    NULL joins with nothing and compares with nothing; a variable occurring
-    in a single position may still bind it harmlessly.
-    """
+    """True iff no constraint of cs matches in facts (an Instance or a fact tuple)."""
     if isinstance(facts, Instance):
         facts = facts.facts
-    index = FactIndex(facts)
-    return not any(next(iter_satisfying_assignments(index, dc), False) for dc in cs)
+    return not any(next(brute_force(facts, dc), None) for dc in cs)
 
 
 def restrict(inst: Instance, keep) -> Instance:

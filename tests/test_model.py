@@ -5,9 +5,9 @@ import pytest
 
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
-from incmeter.model import (Atom, Comparison, Const, ConstraintSet, DenialConstraint,
-                            Fact, Instance, Predicate, Var, load_instance,
-                            parse_constraints, parse_schema)
+from incmeter.model import (NULL, Atom, Comparison, Const, ConstraintSet,
+                            DenialConstraint, Fact, Instance, Predicate, Var,
+                            load_instance, parse_constraints, parse_schema)
 
 from oracles import consistent, restrict
 
@@ -103,6 +103,14 @@ def _parse(text):
                  id="fd-trailing"),
     pytest.param(_parse("fd f : rel : A, A -> B"), "duplicate attribute in determinant",
                  1, None, id="fd-determinant"),
+    # NULL is the blank a cell repair writes: no constraint may name it
+    pytest.param(_parse("dc c : !exists q(x, NULL)"),
+                 "constraint c: the value NULL is reserved", None, None, id="null-atom"),
+    pytest.param(_parse('dc c : !exists q(x, y), y != "NULL"'),
+                 "constraint c: the value NULL is reserved", None, None,
+                 id="null-comparison"),
+    pytest.param(lambda: DenialConstraint("d", (Atom("q", (Const(NULL), Var("y"))),)),
+                 "constraint d: the value NULL is reserved", None, None, id="null-code"),
     pytest.param(lambda: Predicate("1p", ("A",)), "invalid predicate name '1p'",
                  None, None, id="predicate-name"),
     pytest.param(lambda: Predicate("p", ()), "predicate p has no attributes",

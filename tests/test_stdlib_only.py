@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and the test
+oracles nothing of the package but its model and errors."""
 
 import ast
 import re
@@ -11,21 +12,29 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "incmeter"
 
 
+def _absolute_imports(path):
+    """The modules path imports by absolute name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
 def test_package_imports_only_the_standard_library():
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    outside = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
+    outside = [f"{path.name}: {name}" for path in modules
+               for name in _absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_oracles_share_no_code_with_the_engine():
+    # an oracle that ran on the join engine would check the engine against itself
+    package = {name for name in _absolute_imports(ROOT / "tests" / "oracles.py")
+               if name.split(".")[0] == "incmeter"}
+    assert package <= {"incmeter.model", "incmeter.errors"}
 
 
 def test_modules_use_every_module_level_import():
