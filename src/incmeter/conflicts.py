@@ -21,7 +21,7 @@ from .errors import InputError
 from .model import ConstraintSet, DenialConstraint, Instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
     """A minimal violation set, labeled with the constraint it violates."""
 
@@ -75,31 +75,35 @@ class ConflictHypergraph:
 def antichain(sets) -> list:
     """The subset-minimal members of a collection of sets, duplicates dropped.
 
-    Sets are taken by size and each one kept is filed under its smallest
-    element.  A proper subset of s holds its own smallest element, which is
-    in s, so s is checked only against the sets filed under its elements.
+    Sets are taken by size.  The smallest have no proper subset among them
+    and are all kept.  Each set kept is filed under its smallest element once
+    a larger size follows.  A proper subset of s holds its own smallest
+    element, which is in s, so s is checked only against the sets filed
+    under its elements.
     """
     by_min: dict = {}
-    kept = []
+    kept: list = []
+    last: list = []
     for _, group in groupby(sorted(set(sets), key=len), key=len):
-        group = [s for s in group
-                 if not any(o < s for t in s for o in by_min.get(t, ()))]
-        for s in group:
+        for s in last:
             by_min.setdefault(min(s), []).append(s)
-        kept += group
+        if kept:
+            group = [s for s in group
+                     if not any(o < s for t in s for o in by_min.get(t, ()))]
+        last = list(group)
+        kept += last
     return kept
 
 
-def constraint_edges(index, dc: DenialConstraint, seeds=(None,), known=()) -> list[Hyperedge]:
+def constraint_edges(index, dc: DenialConstraint, inserted=None, known=()) -> list[Hyperedge]:
     """Minimal violation sets of dc: the antichain of known edges and the
-    images of the assignments under each seed (see iter_satisfying_assignments).
+    images of dc's satisfying assignments, or, given inserted facts, of those
+    that match one of them (see evaluation.images).
 
-    known must hold dc's minimal violation sets among the facts no seed covers.
+    known must hold dc's minimal violation sets among the facts not inserted.
     """
-    images = set(known)
-    for seed in seeds:
-        for assignment in evaluation.iter_satisfying_assignments(index, dc, seed):
-            images.add(frozenset([f.tid for f in assignment]))
+    images = evaluation.images(index, dc, inserted)
+    images.update(known)
     return [Hyperedge(s, dc.name) for s in antichain(images)]
 
 

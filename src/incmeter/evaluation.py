@@ -1,12 +1,24 @@
 """Assignment enumeration for denial constraints: one hash-indexed join engine.
 
 Consistency checks, conflict detection and cell-level repairs all enumerate
-here.  Each atom is looked up in a hash index over its predicate's facts,
-keyed on the positions fixed when it is reached: its constants and the
-variables earlier atoms bound.  An optional seed restricts one atom to given
-facts and matches it first; seeding each atom in turn with inserted facts
-finds every assignment that touches one of them, the delta rule of
-counting/DRed view maintenance.
+here, through a join plan compiled once per constraint and seed atom.  Atoms
+are joined most-bound-first: next comes the atom with the most positions
+fixed by constants and bound variables, declared order breaking ties.  A
+comparison `x = "c"` binds x before any atom (`=` is string equality), so
+`ord(o, c), cust(c, s), s = "closed"` starts from the closed customers.  Each
+atom is looked up in a hash table over its predicate's facts, keyed on the
+positions fixed when it is reached; a call fetches each step's table once
+and runs plain nested loops.  Each comparison, and each variable repeated
+inside one atom, is checked at the first step that binds its variables.
+
+An optional seed restricts one atom to given facts and matches it first;
+seeding atoms in turn with inserted facts finds every assignment that touches
+one of them, the delta rule of counting/DRed view maintenance.  Two atoms are
+interchangeable when swapping them, with a renaming of variables, maps the
+constraint onto itself, as the two atoms of an FD do; swapping them in an
+assignment keeps its image.  So images are taken with interchangeable atoms
+matched in ascending tid order, or, under a seed, with one atom of each class
+seeded.  Full assignments, by atom position, are all enumerated.
 
 Facts and constants never hold the reserved blank placeholder: the model
 refuses it in every fact and every constraint, so values join, match and
@@ -15,8 +27,15 @@ compare as plain strings.
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
+
 from .errors import InputError
-from .model import _INT_RE, Comparison, Const, DenialConstraint, Var
+from .model import _INT_RE, Const, DenialConstraint, Var
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+_MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def compare_values(a: str, op: str, b: str) -> bool:
@@ -25,31 +44,30 @@ def compare_values(a: str, op: str, b: str) -> bool:
     Equality is string equality.  Order comparisons use numeric order when
     both sides parse as integers, lexicographic order otherwise.
     """
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if _INT_RE.match(a) and _INT_RE.match(b):
-        x, y = int(a), int(b)
-    else:
-        x, y = a, b
-    if op == "<":
-        return x < y
-    if op == "<=":
-        return x <= y
-    if op == ">":
-        return x > y
-    if op == ">=":
-        return x >= y
-    raise InputError(f"unknown operator {op!r}")
+    if op not in _OPS:
+        raise InputError(f"unknown operator {op!r}")
+    if op not in ("=", "!=") and _INT_RE.match(a) and _INT_RE.match(b):
+        a, b = int(a), int(b)
+    return _OPS[op](a, b)
+
+
+def _test(op):
+    """compare_values(a, op, b) as a function of a and b."""
+    return _OPS[op] if op in ("=", "!=") else lambda a, b: compare_values(a, op, b)
+
+
+def _key(positions):
+    """The key of a row at positions: its one value there, a tuple of several,
+    or () for none."""
+    return operator.itemgetter(*positions) if positions else lambda _: ()
 
 
 class FactIndex:
-    """Facts by predicate, with hash indexes keyed by (predicate, positions).
+    """Facts by predicate, with hash tables keyed by (predicate, positions).
 
-    Indexes are built on first use and shared by every constraint evaluated
-    against the same FactIndex.  An index never changes once built: derive
-    hands the built indexes on to the index of an updated instance and
+    Tables are built on first use and shared by every constraint evaluated
+    against the same FactIndex.  A table never changes once built: derive
+    hands the built tables on to the index of an updated instance and
     rewrites only the buckets a delta touches, as new lists.
     """
 
@@ -58,8 +76,8 @@ class FactIndex:
         self._by_pred: dict[str, list] | None = None
         self._indexes: dict[tuple, dict] = {}
 
-    def lookup(self, predicate: str, positions: tuple[int, ...], key: tuple):
-        """Facts of the predicate holding key at the 0-based positions."""
+    def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
+        """The predicate's facts by their key at the 0-based positions (_key)."""
         index = self._indexes.get((predicate, positions))
         if index is None:
             if self._by_pred is None:
@@ -67,17 +85,17 @@ class FactIndex:
                 for f in self._facts:
                     self._by_pred.setdefault(f.predicate, []).append(f)
             index = self._indexes[predicate, positions] = {}
+            key = _key(positions)
             for f in self._by_pred.get(predicate, ()):
-                k = tuple([f.values[p] for p in positions])
-                index.setdefault(k, []).append(f)
-        return index.get(key, ())
+                index.setdefault(key(f.values), []).append(f)
+        return index
 
     def derive(self, facts, deleted, inserted) -> "FactIndex":
         """The index of facts: these facts without deleted, inserted appended.
 
         inserted must carry tids above every other fact's, so each bucket
         stays in tid order, as a fresh index over facts would hold it.  Built
-        indexes are handed on; in those of a touched predicate, each bucket a
+        tables are handed on; in those of a touched predicate, each bucket a
         deleted or inserted fact keys is replaced by a new list, so this index
         and its buckets stay as they are.
         """
@@ -89,81 +107,183 @@ class FactIndex:
             if not gone and not new:
                 continue
             index = child._indexes[predicate, positions] = dict(old)
+            key = _key(positions)
             for f in gone:
-                k = tuple([f.values[p] for p in positions])
+                k = key(f.values)
                 bucket = [g for g in index[k] if g.tid != f.tid]
                 if bucket:
                     index[k] = bucket
                 else:
                     del index[k]
             for f in new:
-                k = tuple([f.values[p] for p in positions])
+                k = key(f.values)
                 index[k] = [*index.get(k, ()), f]
         return child
 
 
-def _plan(constraint: DenialConstraint, first: int):
-    """Join steps (atom index, predicate, key positions, key terms, fresh
-    (variable, position) pairs, repeats), atom `first` first, the rest in order.
-    A repeat (p, q) is a later occurrence p of the variable the atom binds at q.
+@lru_cache(maxsize=256)
+def _classes(constraint: DenialConstraint) -> tuple[tuple[int, ...], ...]:
+    """The classes of two or more interchangeable atoms, in atom order.
+
+    Comparisons must map onto comparisons, `<` read as `>` with its sides
+    swapped.  Swaps generate every permutation of a class, and each keeps
+    the images of the satisfying assignments.
     """
-    order = [first] + [i for i in range(len(constraint.atoms)) if i != first]
-    bound: set[str] = set()
-    steps = []
-    for i in order:
-        atom = constraint.atoms[i]
-        positions, key, repeats = [], [], []
-        fresh: dict[str, int] = {}
-        for p, term in enumerate(atom.terms):
-            if isinstance(term, Const) or term.name in bound:
+    atoms = constraint.atoms
+    compared = {t for c in constraint.comparisons
+                for t in ((c.left, c.op, c.right), (c.right, _MIRROR[c.op], c.left))}
+
+    def swappable(i, j):
+        rename: dict = {}
+        for k, atom in enumerate(atoms):
+            image = atoms[j if k == i else i if k == j else k]
+            if atom.predicate != image.predicate or any(
+                    s != t if Const in (type(s), type(t)) else rename.setdefault(s, t) != t
+                    for s, t in zip(atom.terms, image.terms)):
+                return False
+        # rename undoes itself, so it is a bijection
+        return {(rename.get(l, l), op, rename.get(r, r)) for l, op, r in compared} == compared
+
+    classes: list[list[int]] = []
+    for j in range(len(atoms)):
+        cls = next((c for c in classes if swappable(c[0], j)), None)
+        if cls:
+            cls.append(j)
+        else:
+            classes.append([j])
+    return tuple(tuple(c) for c in classes if len(c) > 1)
+
+
+@lru_cache(maxsize=256)
+def _plan(constraint: DenialConstraint, first: int | None, ordered: bool):
+    """The compiled join: (steps, initial slot values).
+
+    Variables and constants live in slots of one value list, the constants
+    and the values fixed by `=` filled in from the start.  A step is (atom
+    index, predicate, key positions, key over the slots, binds, checks,
+    after): binds are (slot, position) pairs storing the values of
+    variables, checks are (test, slot, slot) triples that must hold, and
+    after, when ordered, is the atom of the same class matched before, whose
+    tid this atom's may not undercut.  Atom first, if given, is matched first.
+    """
+    atoms = constraint.atoms
+    init: list = []
+    slots: dict = {}
+
+    def slot(term):
+        if term not in slots:
+            slots[term] = len(init)
+            init.append(term.value if isinstance(term, Const) else None)
+        return slots[term]
+
+    bound: set = set()
+    comparisons = []
+    for c in constraint.comparisons:
+        var, const = (c.left, c.right) if isinstance(c.left, Var) else (c.right, c.left)
+        if c.op == "=" and isinstance(const, Const) and isinstance(var, Var) \
+                and var not in bound:
+            bound.add(var)
+            slots[var] = slot(const)
+        else:
+            comparisons.append(c)
+    classes = _classes(constraint) if ordered else ()
+    order, steps = [], []
+    while len(order) < len(atoms):
+        i = first if not order and first is not None else max(
+            (i for i in range(len(atoms)) if i not in order),
+            key=lambda i: (sum(isinstance(t, Const) or t in bound for t in atoms[i].terms), -i))
+        terms = atoms[i].terms
+        positions, key, binds, checks = [], [], [], []
+        for p, term in enumerate(terms):
+            if isinstance(term, Const) or term in bound:
                 positions.append(p)
-                key.append(term)
-            elif term.name in fresh:
-                repeats.append((p, fresh[term.name]))
+                key.append(slot(term))
+            elif term in terms[:p]:  # a repeat inside the atom, tested equal
+                binds.append((len(init), p))
+                checks.append((operator.eq, len(init), slot(term)))
+                init.append(None)
             else:
-                fresh[term.name] = p
-        bound.update(fresh)
-        steps.append((i, atom.predicate, tuple(positions), key, list(fresh.items()),
-                      repeats))
-    return steps
+                binds.append((slot(term), p))
+        bound.update(t for t in terms if isinstance(t, Var))
+        for c in [c for c in comparisons if all(isinstance(t, Const) or t in bound
+                                                for t in (c.left, c.right))]:
+            comparisons.remove(c)
+            checks.append((_test(c.op), slot(c.left), slot(c.right)))
+        cls = next((c for c in classes if i in c), ())
+        after = next((j for j in reversed(order) if j in cls), None)
+        order.append(i)
+        steps.append((i, atoms[i].predicate, tuple(positions), _key(key), tuple(binds),
+                      tuple(checks), after))
+    return tuple(steps), tuple(init)
 
 
-def _comparison_holds(cmp: Comparison, bindings) -> bool:
-    left = bindings[cmp.left.name] if isinstance(cmp.left, Var) else cmp.left.value
-    right = bindings[cmp.right.name] if isinstance(cmp.right, Var) else cmp.right.value
-    return compare_values(left, cmp.op, right)
+def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
+    """Call emit with each satisfying assignment of the _plan, a list of facts
+    by atom position that the next match overwrites; seed, when given, is the
+    FactIndex that atom first is matched in."""
+    steps, init = _plan(constraint, first, ordered)
+    run = [(i, (seed if k == 0 and seed is not None else index).table(predicate, positions),
+            key, binds, checks, after)
+           for k, (i, predicate, positions, key, binds, checks, after) in enumerate(steps)]
+    last = len(run) - 1
+    env = list(init)
+    assignment = [None] * len(constraint.atoms)
+
+    def extend(k):
+        i, table, key, binds, checks, after = run[k]
+        for fact in table.get(key(env), ()):
+            if after is not None and fact.tid < assignment[after].tid:
+                continue
+            values = fact.values
+            for s, p in binds:
+                env[s] = values[p]
+            for test, a, b in checks:
+                if not test(env[a], env[b]):
+                    break
+            else:
+                assignment[i] = fact
+                if k == last:
+                    emit(assignment)
+                else:
+                    extend(k + 1)
+
+    extend(0)
+    # extend refers to itself; dropping it frees at once what the call holds,
+    # emit's output among it, instead of at a later full collection
+    del extend
 
 
 def iter_satisfying_assignments(index: FactIndex, constraint: DenialConstraint,
                                 seed=None):
-    """Yield every assignment (one fact per atom) satisfying the constraint.
+    """Every assignment (one fact per atom) satisfying the constraint.
 
     Assignments are tuples in atom order.  seed, when given, is a pair
     (atom index, facts): only assignments matching that atom to one of the
-    facts are yielded.  The seed facts must belong to the indexed instance.
+    facts are returned.  The seed facts must belong to the indexed instance.
     """
-    first, seed_index = (0, index) if seed is None else (seed[0], FactIndex(seed[1]))
-    steps = _plan(constraint, first)
-    n = len(steps)
-    assignment = [None] * len(constraint.atoms)
-    bindings: dict[str, str] = {}
+    out: list = []
+    first, facts = (None, None) if seed is None else (seed[0], FactIndex(seed[1]))
+    _join(index, constraint, first, False, facts, lambda a: out.append(tuple(a)))
+    return iter(out)
 
-    def extend(k):
-        if k == n:
-            if all(_comparison_holds(c, bindings) for c in constraint.comparisons):
-                yield tuple(assignment)
-            return
-        i, predicate, positions, key, binds, repeats = steps[k]
-        source = seed_index if k == 0 else index
-        for fact in source.lookup(predicate, positions,
-                                  tuple([bindings[t.name] if isinstance(t, Var)
-                                         else t.value for t in key])):
-            values = fact.values
-            if any(values[p] != values[q] for p, q in repeats):
-                continue
-            for name, p in binds:
-                bindings[name] = values[p]
-            assignment[i] = fact
-            yield from extend(k + 1)
 
-    yield from extend(0)
+def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set:
+    """The images (tid sets) of the constraint's satisfying assignments.
+
+    With inserted facts, which must belong to the indexed instance, only the
+    images of the assignments that match one of them.
+    """
+    out: set = set()
+
+    def emit(assignment):
+        out.add(frozenset([f.tid for f in assignment]))
+
+    if inserted is None:
+        _join(index, constraint, None, True, None, emit)
+    else:
+        seed = FactIndex(inserted)
+        skip = {i for cls in _classes(constraint) for i in cls[1:]}
+        for first in range(len(constraint.atoms)):
+            if first not in skip:
+                _join(index, constraint, first, False, seed, emit)
+    return out

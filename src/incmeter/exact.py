@@ -21,6 +21,7 @@ rule.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .conflicts import ConflictHypergraph, antichain, build_hypergraph
@@ -209,17 +210,27 @@ def _bits(mask):
 
 
 def _greedy_cover(masks):
-    """Repeatedly take the vertex hitting the most unhit edges."""
+    """Repeatedly take the vertex hitting the most unhit edges, the lowest on
+    ties.  Each vertex's count of unhit edges falls as they get hit; the heap
+    holds every count a vertex has had, and the stale ones are skipped."""
+    counts, edges = {}, {}
+    for m in masks:
+        for b in _bits(m):
+            counts[b] = counts.get(b, 0) + 1
+            edges.setdefault(b, []).append(m)
+    heap = [(-c, b) for b, c in counts.items()]
+    heapq.heapify(heap)
     cover = 0
-    remaining = masks
-    while remaining:
-        counts = {}
-        for m in remaining:
-            for b in _bits(m):
-                counts[b] = counts.get(b, 0) + 1
-        b = min(counts, key=lambda b: (-counts[b], b))
-        cover |= 1 << b
-        remaining = [m for m in remaining if not m & cover]
+    while heap:
+        c, b = heapq.heappop(heap)
+        if -c == counts[b]:
+            cover |= 1 << b
+            for m in edges[b]:
+                if m & cover == 1 << b:  # b hits m first
+                    for v in _bits(m):
+                        counts[v] -= 1
+                        if v != b and counts[v]:
+                            heapq.heappush(heap, (-counts[v], v))
     return cover
 
 

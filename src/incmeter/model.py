@@ -112,7 +112,7 @@ def parse_schema(text: str) -> Schema:
 # facts and instances
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fact:
     """A ground atom with a tuple id; values are opaque strings."""
 

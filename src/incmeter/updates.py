@@ -163,8 +163,7 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
         index = hg._index.derive(after.facts, gone, new_facts)
     hyperedges = []
     for dc in constraints:
-        seeds = [(i, new_facts) for i in range(len(dc.atoms)) if new_facts]
-        hyperedges += constraint_edges(index, dc, seeds, known.get(dc.name, ()))
+        hyperedges += constraint_edges(index, dc, new_facts, known.get(dc.name, ()))
     return _carry(assemble(after.tids, hyperedges, [c.name for c in constraints]),
                   index, hg._optima)
 

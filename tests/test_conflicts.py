@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from incmeter.conflicts import (build_hypergraph, hypergraph_from_edges,
+from incmeter.conflicts import (antichain, build_hypergraph, hypergraph_from_edges,
                                 vertex_degrees)
 from incmeter.errors import InputError
 from incmeter.model import ConstraintSet, load_instance, parse_constraints, parse_schema
@@ -133,3 +133,15 @@ def test_minimality_property_on_random_instances():
             assert not consistent(restrict(inst, s), cs)
             assert not any(other < s for other in hg.solving_edges)
     assert checked > 100
+
+
+def test_antichain_keeps_exactly_the_minimal_sets_by_size():
+    # one-size families take the path without subset tests; the order is by
+    # size, then that of the deduplicated set, as it always was
+    rng = random.Random(19)
+    for trial in range(400):
+        sizes = [rng.randint(1, 4)] if trial % 4 == 0 else range(1, 5)
+        family = [frozenset(rng.sample(range(9), rng.choice(sizes)))
+                  for _ in range(rng.randint(0, 30))]
+        minimal = {s for s in family if not any(o < s for o in family)}
+        assert antichain(family) == [s for s in sorted(set(family), key=len) if s in minimal]

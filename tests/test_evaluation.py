@@ -1,15 +1,21 @@
-"""Differential tests of the join engine against a brute-force product oracle.
+"""Differential tests of the join engine against a brute-force product oracle
+and against the engine as first written, frozen below.
 
 The constraints cover what the shared corpus's pool lacks: constants in
-atom positions, a variable repeated inside one atom, three-atom joins and
-numeric order comparisons.  The engine's facts hold no NULL: the model
-refuses the reserved value.
+atom positions, a variable repeated inside one atom, three-atom joins,
+numeric order comparisons, comparisons fixing a variable to a constant and
+self-joins whose atoms are interchangeable.  The engine's facts hold no
+NULL: the model refuses the reserved value.
 """
 
+import gc
 import random
+from collections import Counter
 
-from incmeter.evaluation import FactIndex, iter_satisfying_assignments
-from incmeter.model import Fact, Instance, parse_constraints, parse_schema
+from incmeter import evaluation
+from incmeter.evaluation import FactIndex, compare_values, images, iter_satisfying_assignments
+from incmeter.model import (Atom, Comparison, Const, DenialConstraint, Fact, Instance, Var,
+                            parse_constraints, parse_schema)
 
 from oracles import brute_force, consistent
 
@@ -84,3 +90,197 @@ def test_seeded_union_is_the_assignments_touching_the_seed():
             checked += len(want)
     assert checked > 300
 
+
+
+# --- the engine as first written, frozen -------------------------------------
+
+
+class _ReferenceIndex:
+    """Facts by predicate, with hash indexes keyed by (predicate, positions)."""
+
+    def __init__(self, facts):
+        self._facts = facts
+        self._by_pred = None
+        self._indexes = {}
+
+    def lookup(self, predicate, positions, key):
+        index = self._indexes.get((predicate, positions))
+        if index is None:
+            if self._by_pred is None:
+                self._by_pred = {}
+                for f in self._facts:
+                    self._by_pred.setdefault(f.predicate, []).append(f)
+            index = self._indexes[predicate, positions] = {}
+            for f in self._by_pred.get(predicate, ()):
+                k = tuple([f.values[p] for p in positions])
+                index.setdefault(k, []).append(f)
+        return index.get(key, ())
+
+
+def _reference_plan(constraint, first):
+    """Join steps, atom `first` first, the rest in declared order."""
+    order = [first] + [i for i in range(len(constraint.atoms)) if i != first]
+    bound = set()
+    steps = []
+    for i in order:
+        atom = constraint.atoms[i]
+        positions, key, repeats = [], [], []
+        fresh = {}
+        for p, term in enumerate(atom.terms):
+            if isinstance(term, Const) or term.name in bound:
+                positions.append(p)
+                key.append(term)
+            elif term.name in fresh:
+                repeats.append((p, fresh[term.name]))
+            else:
+                fresh[term.name] = p
+        bound.update(fresh)
+        steps.append((i, atom.predicate, tuple(positions), key, list(fresh.items()),
+                      repeats))
+    return steps
+
+
+def _reference_holds(cmp, bindings):
+    left = bindings[cmp.left.name] if isinstance(cmp.left, Var) else cmp.left.value
+    right = bindings[cmp.right.name] if isinstance(cmp.right, Var) else cmp.right.value
+    return compare_values(left, cmp.op, right)
+
+
+def _reference_assignments(facts, constraint, seed=None):
+    """Every satisfying assignment, each comparison checked at the leaf."""
+    index = _ReferenceIndex(facts)
+    first, seed_index = (0, index) if seed is None else (seed[0], _ReferenceIndex(seed[1]))
+    steps = _reference_plan(constraint, first)
+    n = len(steps)
+    assignment = [None] * len(constraint.atoms)
+    bindings = {}
+
+    def extend(k):
+        if k == n:
+            if all(_reference_holds(c, bindings) for c in constraint.comparisons):
+                yield tuple(assignment)
+            return
+        i, predicate, positions, key, binds, repeats = steps[k]
+        source = seed_index if k == 0 else index
+        for fact in source.lookup(predicate, positions,
+                                  tuple([bindings[t.name] if isinstance(t, Var)
+                                         else t.value for t in key])):
+            values = fact.values
+            if any(values[p] != values[q] for p, q in repeats):
+                continue
+            for name, p in binds:
+                bindings[name] = values[p]
+            assignment[i] = fact
+            yield from extend(k + 1)
+
+    yield from extend(0)
+
+
+# --- random constraints against the frozen engine ----------------------------
+
+SHAPED = parse_constraints(
+    "fd key : t : A -> B\n"
+    "fd key2 : t : A, B -> C\n"
+    "dc asym : !exists t(x, y, z), t(x, w, v), y < w\n"
+    "dc sym3 : !exists t(x, a, b), t(x, c, d), t(x, e, f), a != c, c != e, a != e\n"
+    "dc sym_r : !exists r(x, y), r(y, x)\n"
+    "dc sym_const : !exists t(x, y, z), t(x, w, v), y != w, z = 10, v = 10\n"
+    "dc sym_order : !exists t(x, y, z), t(x, w, v), z < v, v > z\n"
+    "dc closed : !exists r(o, c), r(c, s), s = \"a\"\n"
+    "dc fixed_twice : !exists t(x, y, z), z = 9, \"10\" = z, y <= z\n"
+    "dc consts : !exists s(\"a\"), r(\"a\", y), \"b\" != \"c\"\n", SCHEMA)
+
+VARIABLES = ["x", "y", "z", "w"]
+OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+def random_constraint(rng, name):
+    """1-3 atoms over r, s, t with repeated variables and constants, and up to
+    three comparisons, some fixing a variable to a constant."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        predicate = rng.choice("rst")
+        arity = {"r": 2, "s": 1, "t": 3}[predicate]
+        atoms.append(Atom(predicate, tuple(
+            Const(rng.choice(SMALL + NUMBERS)) if rng.random() < 0.15
+            else Var(rng.choice(VARIABLES)) for _ in range(arity))))
+    if rng.random() < 0.3:
+        atoms.append(atoms[-1])  # a self-join of identical atoms
+    names = sorted({t.name for a in atoms for t in a.terms if isinstance(t, Var)})
+
+    def term():
+        if names and rng.random() < 0.75:
+            return Var(rng.choice(names))
+        return Const(rng.choice(SMALL + NUMBERS))
+
+    comparisons = [Comparison(term(), rng.choice(OPS), term())
+                   for _ in range(rng.randint(0, 3))]
+    return DenialConstraint(name, tuple(atoms), tuple(comparisons))
+
+
+def _check_against_reference(facts, dc, seed):
+    """Equal image sets, assignment multisets and seeded results."""
+    index = FactIndex(facts)
+    want = list(_reference_assignments(facts, dc))
+    assert Counter(iter_satisfying_assignments(index, dc)) == Counter(want), dc
+    assert images(index, dc) == {frozenset(f.tid for f in a) for a in want}, dc
+    seeded = set()
+    for i in range(len(dc.atoms)):
+        part = list(_reference_assignments(facts, dc, (i, seed)))
+        assert Counter(iter_satisfying_assignments(index, dc, (i, seed))) == Counter(part)
+        seeded |= {frozenset(f.tid for f in a) for a in part}
+    assert images(index, dc, seed) == seeded, (dc, seed)
+    return len(want)
+
+
+def test_engine_matches_the_frozen_engine_on_random_constraints():
+    rng = random.Random(53)
+    checked = 0
+    for n in range(600):
+        facts = random_instance(rng).facts
+        seed = [f for f in facts if rng.random() < 0.3]
+        for dc in (*SHAPED, random_constraint(rng, f"c{n}")):
+            checked += _check_against_reference(facts, dc, seed)
+    assert checked > 3000
+
+
+def test_engine_matches_the_frozen_engine_on_the_corpus(corpus):
+    rng = random.Random(59)
+    for item in corpus:
+        facts = item.instance.facts
+        seed = [f for f in facts if rng.random() < 0.3]
+        for dc in item.constraints:
+            _check_against_reference(facts, dc, seed)
+
+
+def test_plans_fold_fixed_values_and_pair_interchangeable_atoms():
+    by_name = {dc.name: dc for dc in SHAPED}
+    classes = {name: evaluation._classes(dc) for name, dc in by_name.items()}
+    assert classes == {"key": ((0, 1),), "key2": ((0, 1),), "asym": (),
+                       "sym3": ((0, 1, 2),), "sym_r": ((0, 1),), "sym_const": ((0, 1),),
+                       "sym_order": (), "closed": (), "fixed_twice": (), "consts": ()}
+    # s = "a" fixes s: the plan starts from r(c, "a"), looked up on position 1
+    steps, _ = evaluation._plan(by_name["closed"], None, True)
+    assert [(i, positions) for i, _, positions, *_ in steps] == [(1, (1,)), (0, (1,))]
+    # ordered images match the second atom of an FD pair at or above the first's tid
+    steps, _ = evaluation._plan(by_name["key"], None, True)
+    assert [step[-1] for step in steps] == [None, 0]
+    steps, _ = evaluation._plan(by_name["key"], 1, False)
+    assert [step[-1] for step in steps] == [None, None]
+
+
+def test_a_join_leaves_no_cycle_for_the_collector():
+    # a cycle through the recursive loop would keep each call's output alive
+    # until a full collection, raising the peak memory of a build
+    facts = random_instance(random.Random(61)).facts
+    index = FactIndex(facts)
+    gc.collect()
+    gc.disable()
+    try:
+        for dc in SHAPED:
+            images(index, dc)
+            images(index, dc, facts[:3])
+            list(iter_satisfying_assignments(index, dc))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,6 +6,7 @@ import pytest
 from incmeter import exact
 from incmeter.conflicts import _carry, build_hypergraph, hypergraph_from_edges
 from incmeter.errors import ResourceLimitError
+from incmeter.model import Fact, Instance, parse_constraints, parse_schema
 from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
                             min_hitting_set, solve_min_hitting_set)
@@ -320,6 +321,43 @@ def test_a_search_deeper_than_the_stack_ends_at_the_node_budget():
     with shallow_stack(), pytest.raises(ResourceLimitError) as exc:
         solve_min_hitting_set(_triangle_chain(150), node_budget=1000)
     assert exc.value.lower_bound <= 300 <= exc.value.best_size
+
+
+def _reference_greedy_cover(masks):
+    """The greedy incumbent as first written, recounting the unhit edges after
+    every pick; kept frozen to hold the incremental counts to its picks."""
+    cover = 0
+    remaining = masks
+    while remaining:
+        counts = {}
+        for m in remaining:
+            for b in exact._bits(m):
+                counts[b] = counts.get(b, 0) + 1
+        b = min(counts, key=lambda b: (-counts[b], b))
+        cover |= 1 << b
+        remaining = [m for m in remaining if not m & cover]
+    return cover
+
+
+def _chain_edges(n):
+    """Solving edges of rel(A, B, C) under A -> B and B -> C: n distinct rows
+    over n/4 A values, n/10 B values and 3 C values."""
+    rng = random.Random(n)
+    schema = parse_schema("rel(A, B, C)\n")
+    cs = parse_constraints("fd ab : rel : A -> B\nfd bc : rel : B -> C\n", schema)
+    rows = set()
+    while len(rows) < n:
+        rows.add((f"a{rng.randrange(n // 4)}", f"b{rng.randrange(n // 10)}",
+                  f"c{rng.randrange(3)}"))
+    facts = tuple(Fact(i, "rel", r) for i, r in enumerate(sorted(rows), start=1))
+    return build_hypergraph(Instance(schema, facts), cs).solving_edges
+
+
+def test_greedy_cover_matches_the_reference():
+    graphs = _search_corpus() + [_triangle_chain(40), _chain_edges(200), _chain_edges(300)]
+    for edges in graphs:
+        masks = exact._index([frozenset(e) for e in edges])[1]
+        assert exact._greedy_cover(masks) == _reference_greedy_cover(masks)
 
 
 def test_generic_solver_handles_restricted_universe():

@@ -289,7 +289,7 @@ def _check_carried_state(hg_before, inst, delta, cs, after):
     assert hg == fresh
     index = FactIndex(after.facts)
     for (predicate, positions), built in _buckets(hg._index).items():
-        index.lookup(predicate, positions, ())
+        index.table(predicate, positions)
         assert built == _buckets(index)[predicate, positions]
     assert min_hitting_set(hg) == min_hitting_set(fresh)
     assert hg._solved[1] == fresh._solved[1]
