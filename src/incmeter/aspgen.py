@@ -22,6 +22,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import InputError, SolverUnavailableError
 from .model import Const, ConstraintSet, Instance
@@ -99,10 +100,11 @@ def emit_repair_program(instance: Instance, constraints: ConstraintSet,
     maxint = max(100, len(instance) + 1,
                  max((f.tid for f in instance.facts), default=0) + 1)
 
-    facts = tuple(
-        f"{f.predicate}({f.tid},"
-        f"{','.join(_render_value(v, maxint) for v in f.values)})."
-        for f in instance.facts)
+    text = dict.fromkeys(chain.from_iterable(f.values for f in instance.facts))
+    for value in text:  # each distinct value is rendered once
+        text[value] = _render_value(value, maxint)
+    facts = tuple(f"{p}({tid},{','.join(map(text.__getitem__, values))})."
+                  for tid, p, values in instance.facts)
 
     rules = []
     for dc in constraints:

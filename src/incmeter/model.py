@@ -13,6 +13,10 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, count, groupby, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -112,9 +116,9 @@ def parse_schema(text: str) -> Schema:
 # facts and instances
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Fact:
-    """A ground atom with a tuple id; values are opaque strings."""
+class Fact(NamedTuple):
+    """A ground atom with a tuple id; values are opaque strings.  It equals,
+    hashes and orders as its plain (tid, predicate, values) tuple."""
 
     tid: int
     predicate: str
@@ -122,6 +126,10 @@ class Fact:
 
     def __str__(self):
         return f"{self.predicate}[{self.tid}]({', '.join(self.values)})"
+
+
+# a Fact from a (tid, predicate, values) triple, without the frame of Fact._make
+_fact = partial(tuple.__new__, Fact)
 
 
 @dataclass(frozen=True)
@@ -139,19 +147,14 @@ class Instance:
 
     def __post_init__(self):
         try:
-            ordered = tuple(sorted(self.facts, key=lambda f: f.tid))
-        except TypeError:  # e.g. tid None next to 1: the loop rejects the first non-int
-            ordered = tuple(f for f in self.facts if not isinstance(f.tid, int))
-        by_tid: dict[int, Fact] = {}
-        rows: dict[str, set] = {}
-        for f in ordered:
-            if not isinstance(f.tid, int) or f.tid < 1:
-                raise InputError(f"tid must be a positive integer, got {f.tid!r}")
-            if f.tid in by_tid:
-                raise InputError(f"duplicate tid {f.tid}")
-            by_tid[f.tid] = f
-            self._check_row(f, rows.setdefault(f.predicate, set()))
-        self._index(by_tid)
+            ordered = sorted(self.facts, key=lambda f: f.tid)
+        except TypeError:  # e.g. tid None next to 1: the walk rejects the first non-int
+            ordered = [f for f in self.facts if not isinstance(f.tid, int)]
+        tids = [f.tid for f in ordered]
+        if not all(isinstance(t, int) and t >= 1 for t in tids) or len(set(tids)) < len(tids):
+            self._walk(ordered, {}, 0)  # names the first bad tid or row
+        self._check_facts(ordered, {})
+        self._index(dict(zip(tids, ordered)))
 
     def _index(self, by_tid, **rows) -> "Instance":
         """Set facts, tids and the tid map from by_tid, checked facts in tid order."""
@@ -162,18 +165,50 @@ class Instance:
                              _by_tid=by_tid, **rows)
         return self
 
-    def _check_row(self, f: Fact, rows) -> None:
-        """Reject f if its row is malformed or already in rows, the value
-        tuples of its predicate; else add it."""
-        if len(f.values) != self.schema._arity.get(f.predicate):
-            n = self.schema.predicate(f.predicate).arity  # raises if unknown
-            raise InputError(
-                f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
-        if NULL in f.values:
-            raise InputError(f"fact {f} uses the reserved value {NULL}")
-        if f.values in rows:
-            raise InputError(f"duplicate row {f.predicate}{f.values!r}")
-        rows.add(f.values)
+    def _check_facts(self, facts, rows, where=None) -> None:
+        """Add the rows of facts, whose tids are distinct and positive, to rows,
+        a map from each predicate to the set of its value tuples.  A row must
+        have its predicate's arity, hold no NULL and be new.  Each run of one
+        predicate's facts is checked as a whole; one that fails is walked by
+        _walk, which names the first bad fact."""
+        arity = self.schema._arity
+        at = 0
+        for name, run in groupby(facts, itemgetter(1)):
+            values = list(map(itemgetter(2), run))
+            new = set(values)
+            live = rows.setdefault(name, set())
+            if (len(new) < len(values) or not new.isdisjoint(live)
+                    or not set(map(len, new)) <= {arity.get(name)}
+                    or NULL in chain.from_iterable(new)):
+                self._walk(facts, rows, at, where)
+            live |= new
+            at += len(values)
+
+    def _walk(self, facts, rows, at, where=None) -> None:
+        """Check facts[at:] one at a time against rows, adding each good row,
+        and raise the error of the first bad fact: where(i, error) for
+        facts[i] if where is given."""
+        tids = set()
+        for i in range(at, len(facts)):
+            f = facts[i]
+            try:
+                if not isinstance(f.tid, int) or f.tid < 1:
+                    raise InputError(f"tid must be a positive integer, got {f.tid!r}")
+                if f.tid in tids:
+                    raise InputError(f"duplicate tid {f.tid}")
+                if len(f.values) != self.schema._arity.get(f.predicate):
+                    n = self.schema.predicate(f.predicate).arity  # raises if unknown
+                    raise InputError(
+                        f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
+                if NULL in f.values:
+                    raise InputError(f"fact {f} uses the reserved value {NULL}")
+                live = rows.setdefault(f.predicate, set())
+                if f.values in live:
+                    raise InputError(f"duplicate row {f.predicate}{f.values!r}")
+            except InputError as exc:
+                raise exc if where is None else where(i, exc) from None
+            tids.add(f.tid)
+            live.add(f.values)
 
     def derive(self, insertions, deletions) -> "Instance":
         """This instance with the deletions dropped and the insertions added.
@@ -201,10 +236,9 @@ class Instance:
             f = by_tid.pop(t)
             rows[f.predicate].discard(f.values)
         start = self.tids[-1] + 1 if self.tids else 1
-        for tid, (predicate, values) in enumerate(insertions, start):
-            f = Fact(tid, predicate, values)
-            self._check_row(f, rows.setdefault(predicate, set()))
-            by_tid[tid] = f
+        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, start)]
+        self._check_facts(facts, rows)
+        by_tid.update(zip(count(start), facts))
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
         child.__dict__.update(schema=self.schema,
@@ -243,7 +277,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     # every row is checked here, so __init__ and its second check are skipped
     instance = object.__new__(Instance)
     instance.__dict__.update(schema=schema)
-    by_tid: dict[int, Fact] = {}
+    facts: list[Fact] = []
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
             continue
@@ -262,18 +296,14 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         if header != pred.attributes:
             raise InputError(
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
-        seen = set()
-        for idx, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue  # stray blank line
-            f = Fact(len(by_tid) + 1, name, tuple(row))
-            try:
-                instance._check_row(f, seen)
-            except InputError as exc:
-                raise InputError(f"{name}: {exc}", line=idx) from None
-            by_tid[f.tid] = f
+        body = [tuple(r) for r in rows[1:] if r]  # a stray blank line takes no tid
+        batch = list(map(_fact, zip(count(len(facts) + 1), repeat(name), body)))
+        # a bad batch[i] is on the (i + 2)th nonblank line, the header being the first
+        instance._check_facts(batch, {}, lambda i, exc: InputError(
+            f"{name}: {exc}", line=[k for k, row in enumerate(rows, 1) if row][i + 1]))
+        facts += batch
     instance.__dict__.update(endogenous=frozenset(map(_tid, endogenous_tids or ())))
-    return instance._index(by_tid)
+    return instance._index(dict(zip(count(1), facts)))
 
 
 def _tid(value) -> int:

@@ -11,11 +11,12 @@ the deleted and inserted facts, and the new hypergraph carries it on with
 the per-component optima of the one before, so the next solve searches only
 the components the delta changed (see exact.min_hitting_set).
 
-One private path measures both sides of a delta: it builds or reuses the
-hypergraph before and, incrementally, the one after, and takes the exact
-measure of each.  `incmeter update` and both bound checks go through it; the
-checks then turn the relative update size eps into exact-rational sandwich
-inequalities between the two measures, in one body for either direction.
+One private path measures both sides of a delta: it checks the delta,
+builds or reuses the hypergraph before and solves it, then derives the one
+after incrementally, so that it reuses that solve, and solves it too.
+`incmeter update` and both bound checks go through it; the checks then turn
+the relative update size eps into exact-rational sandwich inequalities
+between the two measures, in one body for either direction.
 """
 
 from __future__ import annotations
@@ -149,7 +150,11 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     derived from hg's, and hg's component optima are handed on for the next
     solve to reuse; hg itself is left as it is.
     """
-    after = apply_update(instance, delta)
+    return _incremental(hg, instance, apply_update(instance, delta), delta, constraints)
+
+
+def _incremental(hg, instance, after, delta, constraints) -> ConflictHypergraph:
+    """incremental_hypergraph, given after, the instance the delta derives."""
     # fresh tids sort last, so the inserted facts end the tid-ordered facts
     new_facts = after.facts[len(after) - len(delta.insertions):]
     known: dict[str, list] = {}
@@ -172,16 +177,21 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
                    node_budget, hg_before=None, hg_after=None):
     """Both hypergraphs of the delta and the exact g3 report on each side.
 
-    Missing hypergraphs are built, hg_after incrementally from hg_before; the
-    updated instance is not rebuilt, since hg_after's vertices are its tids.
+    The delta is checked before anything is solved, so a bad one is refused
+    whatever the budget.  A missing hg_before is built; a missing hg_after is
+    derived from hg_before once hg_before is solved, so that it is handed the
+    optima of the components the delta left alone.  Its vertices are the
+    updated instance's tids, so that instance is not rebuilt.
     """
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
-        hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
+        updated = apply_update(instance, delta)  # raises on a bad delta
     elif not delta.deletions <= hg_before.vertices:
         instance.derive((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
+    if hg_after is None:
+        hg_after = _incremental(hg_before, instance, updated, delta, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 

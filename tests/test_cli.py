@@ -186,6 +186,18 @@ def test_update_mixed_delta_rejects_bounds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
+def test_update_refuses_a_bad_delta_before_any_budget_runs_out(tmp_path, capsys):
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
+    delta = tmp_path / "delta.txt"
+    for text, code, error in (("+ q(e, NULL)\n", 1, "input"), ("- 9\n", 1, "input"),
+                              ("+ q(e, w)\n", 2, "resource-limit")):
+        delta.write_text(text)
+        for extra in ([], ["--check-bounds"]):
+            assert main(["update", "--delta", str(delta), "--node-budget", "0",
+                         "--format", "json"] + extra + base) == code
+            assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no process-wide cap on printing ints")
 @pytest.mark.parametrize("cap", [4300, 5000])

@@ -1,4 +1,6 @@
+import csv
 import io
+import random
 import re
 
 import pytest
@@ -218,6 +220,74 @@ def test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line(text,
         load_instance({"q": text}, parse_schema("p(A)\nq(A, B)\n"))
 
 
+def _rows_in_tid_order(sources):
+    """(tid, predicate, values) of every data row, by the loader's tid rule."""
+    rows = []
+    for name in sorted(sources):
+        for row in list(csv.reader(io.StringIO(sources[name])))[1:]:
+            if row:
+                rows.append((len(rows) + 1, name, tuple(row)))
+    return rows
+
+
+@pytest.mark.parametrize("sources, loaded, built", [
+    pytest.param({"q": "A,B\na,b\nx\nc,d\n"},
+                 "line 3: q: fact q[2](x) has 1 values, q expects 2",
+                 "fact q[2](x) has 1 values, q expects 2", id="arity"),
+    pytest.param({"q": "A,B\na,b\nc,NULL\nd,e\n"},
+                 "line 3: q: fact q[2](c, NULL) uses the reserved value NULL",
+                 "fact q[2](c, NULL) uses the reserved value NULL", id="null"),
+    pytest.param({"q": "A,B\na,b\nc,d\na,b\n"},
+                 "line 4: q: duplicate row q('a', 'b')",
+                 "duplicate row q('a', 'b')", id="duplicate"),
+    # two bad rows in one file: the first one is named, whatever its kind
+    pytest.param({"q": "A,B\na,b\nNULL,c\nx\n"},
+                 "line 3: q: fact q[2](NULL, c) uses the reserved value NULL",
+                 "fact q[2](NULL, c) uses the reserved value NULL", id="null-then-arity"),
+    pytest.param({"q": "A,B\na,b\nx\na,b\n"},
+                 "line 3: q: fact q[2](x) has 1 values, q expects 2",
+                 "fact q[2](x) has 1 values, q expects 2", id="arity-then-duplicate"),
+    pytest.param({"q": "A,B\na,b\na,b\nx,y,z\n"},
+                 "line 3: q: duplicate row q('a', 'b')",
+                 "duplicate row q('a', 'b')", id="duplicate-then-arity"),
+    pytest.param({"q": "A,B\nx,y,z\nc,NULL\n"},
+                 "line 2: q: fact q[1](x, y, z) has 3 values, q expects 2",
+                 "fact q[1](x, y, z) has 3 values, q expects 2", id="first-row"),
+    # blank lines take no tid but keep the line count
+    pytest.param({"q": "A,B\n\na,b\n\n\nc,NULL\n"},
+                 "line 6: q: fact q[2](c, NULL) uses the reserved value NULL",
+                 "fact q[2](c, NULL) uses the reserved value NULL", id="after-blank-lines"),
+    # the second predicate's tids continue from the first's
+    pytest.param({"p": "A\nx\ny\n", "q": "A,B\na,b\nz\n"},
+                 "line 3: q: fact q[4](z) has 1 values, q expects 2",
+                 "fact q[4](z) has 1 values, q expects 2", id="second-predicate"),
+    pytest.param({"p": "A\nx\ny\n", "q": "A,B\na,b\nc,d\na,b\n"},
+                 "line 4: q: duplicate row q('a', 'b')",
+                 "duplicate row q('a', 'b')", id="second-predicate-duplicate"),
+    pytest.param({"p": "A\nx\n\nx\n", "q": "A,B\nz\n"},
+                 "line 4: p: duplicate row p('x',)",
+                 "duplicate row p('x',)", id="first-predicate-wins"),
+])
+def test_a_bad_row_gets_one_message_on_every_path(sources, loaded, built):
+    """A loaded file, a constructed Instance and a derivation name the same row.
+
+    The messages were recorded before rows were checked a relation at a time.
+    """
+    schema = parse_schema("p(A)\nq(A, B)\n")
+    with pytest.raises(InputError) as info:
+        load_instance(sources, schema)
+    assert str(info.value) == loaded
+    assert info.value.line == int(loaded.split(":")[0].removeprefix("line "))
+    rows = _rows_in_tid_order(sources)
+    facts = tuple(Fact(*row) for row in reversed(rows))  # checked in tid order
+    with pytest.raises(InputError) as info:
+        Instance(schema, facts)
+    assert (str(info.value), info.value.line) == (built, None)
+    with pytest.raises(InputError) as info:
+        Instance(schema, ()).derive([(p, v) for _, p, v in rows], [])
+    assert (str(info.value), info.value.line) == (built, None)
+
+
 @pytest.mark.parametrize("source", [
     b"A\n\xff\n",
     io.BytesIO(b"A\n\xff\n"),
@@ -250,6 +320,63 @@ def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogen
     with pytest.raises(InputError) as info:
         load_instance({"p": "A\nx\ny\n"}, schema, endogenous_tids=tids)
     assert str(info.value) == endogenous
+
+
+def _csv_sources(instance):
+    """CSV texts that load back to instance: one file per predicate, in tid order."""
+    files = {}
+    for f in instance.facts:
+        files.setdefault(f.predicate, [instance.schema.predicate(f.predicate).attributes])
+        files[f.predicate].append(f.values)
+    sources = {}
+    for name, rows in files.items():
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        sources[name] = out.getvalue()
+    return sources
+
+
+def test_loading_building_and_deriving_give_one_instance(corpus):
+    rng = random.Random(5)
+    for item in corpus:
+        schema, facts = item.instance.schema, item.instance.facts
+        endogenous = frozenset(rng.sample([f.tid for f in facts], len(facts) // 2))
+        loaded = load_instance(_csv_sources(item.instance), schema, endogenous)
+        built = Instance(schema, facts, endogenous)
+        assert loaded == built
+        assert (loaded.facts, loaded.tids, loaded.endogenous) == \
+            (built.facts, built.tids, built.endogenous)
+        assert all(type(f) is Fact for f in loaded.facts)
+        # the same rows inserted a few at a time, from the empty instance
+        derived = Instance(schema, ())
+        rows = [(f.predicate, f.values) for f in facts]
+        while rows:
+            k = rng.randint(1, 4)
+            derived, rows = derived.derive(rows[:k], []), rows[k:]
+        assert derived == Instance(schema, facts)
+        assert derived.tids == loaded.tids
+        assert [derived.fact(t) for t in derived.tids] == list(loaded.facts)
+
+
+def test_a_fact_is_an_immutable_named_tuple():
+    f = Fact(2, "q", ("a", "b"))
+    for name in Fact._fields:
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    assert Fact._fields == ("tid", "predicate", "values")
+    assert str(f) == "q[2](a, b)"
+    assert repr(f) == "Fact(tid=2, predicate='q', values=('a', 'b'))"
+    # facts order by tid first, then as before by predicate and values
+    facts = [Fact(10, "a", ("a",)), f, Fact(1, "r", ("z",)), Fact(2, "p", ("b",))]
+    assert [(g.tid, g.predicate) for g in sorted(facts)] == [(1, "r"), (2, "p"), (2, "q"),
+                                                              (10, "a")]
+    same = Fact(2, "q", ("a", "b"))
+    assert f == same and hash(f) == hash(same) and f is not same
+    assert f != Fact(2, "q", ("a", "c"))
+    # a fact is its plain tuple, and unpacks as one
+    assert f == (2, "q", ("a", "b")) and hash(f) == hash((2, "q", ("a", "b")))
+    tid, predicate, values = f
+    assert (tid, predicate, values) == (2, "q", ("a", "b"))
 
 
 def test_missing_predicate_loads_empty():

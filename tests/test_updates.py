@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from incmeter import exact
 from incmeter.conflicts import build_hypergraph
-from incmeter.errors import InputError
+from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
 from incmeter.exact import min_hitting_set
 from incmeter.model import Fact, Instance
@@ -13,7 +14,7 @@ from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
                               parse_delta)
 
-from conftest import random_bundle
+from conftest import fd_key_groups, random_bundle
 from oracles import restrict
 
 
@@ -198,6 +199,57 @@ def test_deletion_bounds_reject_unknown_tid_with_prebuilt_hypergraphs(pqr):
     with pytest.raises(InputError, match="99"):
         check_deletion_bounds(inst, parse_delta("- 99\n"), cs,
                               hg_before=hg, hg_after=hg)
+
+
+def _count_searches(monkeypatch):
+    """A list that gets one entry per component search of the exact solver."""
+    searches = []
+    search = exact._branch_and_bound
+    monkeypatch.setattr(exact, "_branch_and_bound",
+                        lambda *args: searches.append(1) or search(*args))
+    return searches
+
+
+@pytest.mark.parametrize("check, text", [
+    (check_insertion_bounds, "+ rel(k0, b9, new)\n"),
+    (check_deletion_bounds, "- 1\n"),
+], ids=["insert", "delete"])
+def test_the_after_side_searches_only_the_components_the_delta_changed(
+        monkeypatch, check, text):
+    cs, inst, optimum = fd_key_groups(random.Random(7), 300)
+    delta = parse_delta(text)
+    hg_before = build_hypergraph(inst, cs)
+    hg_after = build_hypergraph(apply_update(inst, delta), cs)
+    searches = _count_searches(monkeypatch)
+    want = check(inst, delta, cs, hg_before=hg_before, hg_after=hg_after)
+    components = len(searches)  # one search per component on each side
+    assert want.before == Fraction(optimum, 300) and components > 100
+    searches.clear()
+    # the after side is derived once the before side is solved, so it searches
+    # only the one key group the delta touched, not all of them again
+    assert check(inst, delta, cs) == want
+    assert components // 2 < len(searches) <= components // 2 + 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+ rel(k0, NULL, c)\n", "uses the reserved value NULL"),
+    ("+ rel(k0, b0)\n", "has 2 values, rel expects 3"),
+    (None, "duplicate row"),  # the row of tid 1
+    ("+ nope(a)\n", "unknown predicate 'nope'"),
+    ("- 999\n", "cannot delete unknown tid"),
+], ids=["null", "arity", "duplicate", "predicate", "tid"])
+def test_a_bad_delta_is_refused_before_anything_is_solved(monkeypatch, text, message):
+    cs, inst, _ = fd_key_groups(random.Random(7), 300)
+    delta = parse_delta(text or f"+ rel({', '.join(inst.fact(1).values)})\n")
+    check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+    searches = _count_searches(monkeypatch)
+    with pytest.raises(InputError, match=message):
+        check(inst, delta, cs, node_budget=0)
+    assert not searches
+    # a good delta of the same direction runs the budget out
+    good = parse_delta("+ rel(k0, b9, new)\n" if delta.is_insert_only else "- 1\n")
+    with pytest.raises(ResourceLimitError):
+        check(inst, good, cs, node_budget=0)
 
 
 def test_bounds_inapplicable_outside_premises(pqr):
