@@ -2,7 +2,7 @@
 
 Every conflict has at most d tids.  Local ratio (Bar-Yehuda and Even, 1985)
 takes unhit edges whole, a d-approximation.  The LP is solved per component
-of the exact core: vertex lengths grow multiplicatively along minimum-length
+of the hypergraph: vertex lengths grow multiplicatively along minimum-length
 edges until all reach 1, giving a feasible cover and an integer dual packing
 that certify the (1 + eps) gap in exact rationals.  Threshold rounding
 (Williamson and Shmoys, 2011, section 1.7) keeps S = {v : d * w_v >= alpha}
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .conflicts import ConflictHypergraph
 from .errors import InputError, ResourceLimitError
-from .exact import RepairSolution, _components, _take_whole_edges
+from .exact import RepairSolution, _take_whole_edges
 
 # the iterative LP solver certifies down to this accuracy
 MIN_EPS = Fraction(1, 1000)
@@ -57,9 +57,9 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     until its exact certificate objective <= (1 + eps) * dual_bound holds,
     and so do the sums.  The textbook step eps/3 bounds the gap in the worst
     case; as the gap is checked exactly, the optimistic start is safe, and
-    it certifies at once with far fewer iterations on the graphs seen.  A
-    step of 1 or more would take no step at all.  eps below 1/1000 is
-    refused: certifying tighter gaps takes too many steps.
+    it certifies at once with far fewer iterations on the graphs seen.  At
+    step 1 a one-edge component starts at sum 1 already.  eps below 1/1000
+    is refused: certifying tighter gaps takes too many steps.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -69,8 +69,8 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
             f"certified approximation below {MIN_EPS} is not supported")
     weights = {t: Fraction(0) for t in sorted(hg.vertices)}
     objective = dual_bound = Fraction(0)
-    for component in _components(hg.solving_edges):
-        edges = sorted(tuple(sorted(e)) for e in component)
+    for component in hg.components:
+        edges = [tuple(sorted(e)) for e in component]
         inner = float(min(eps, 1))
         for _ in range(12):
             cover, part, bound = _rationalize(edges, *_length_scheme(edges, inner))
@@ -106,11 +106,10 @@ def _length_scheme(edges, inner):
     sums = [sum(delta for _ in e) for e in edges]
     grow = 1.0 + inner
     # each pass raises the minimum edge sum; bounded by the usual
-    # O(m log(1/delta) / log(1+inner)) iteration count
+    # O(m log(1/delta) / log(1+inner)) iteration count.  At least one step
+    # is taken, or the dual bound is 0 (one edge at inner 1 starts at sum 1)
+    low = min(sums)
     while True:
-        low = min(sums)
-        if low >= 1.0:
-            break
         best = sums.index(low)
         duals[best] += 1
         for v, touched in steps[best]:
@@ -120,6 +119,9 @@ def _length_scheme(edges, inner):
             diff = new - old
             for j in touched:
                 sums[j] += diff
+        low = min(sums)
+        if low >= 1.0:
+            break
     return dict(zip(vertices, lengths)), duals
 
 

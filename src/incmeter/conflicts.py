@@ -14,6 +14,7 @@ every measure in this package is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 
 from . import evaluation
@@ -32,6 +33,17 @@ class Hyperedge:
         return tuple(sorted(self.tids))
 
 
+class Component(tuple):
+    """Edges, in their given order.  index, built on first use and kept, is
+    their sorted elements and their distinct bit masks over those, sorted."""
+
+    @cached_property
+    def index(self) -> tuple[list, list[int]]:
+        universe = sorted(set().union(*self))
+        bit = {u: 1 << i for i, u in enumerate(universe)}
+        return universe, sorted({sum(bit[u] for u in e) for e in self})
+
+
 @dataclass(frozen=True)
 class ConflictHypergraph:
     """All minimal violations of an instance, in canonical order.
@@ -41,22 +53,20 @@ class ConflictHypergraph:
     are dropped since any hitting set already covers them.  d is the largest
     solving edge size (0 when the instance is consistent).
 
-    Three private fields carry work for later calls and take no part in
-    equality.  _solved holds the exact minimum hitting set once it is found,
-    with the search nodes it took.  _optima maps each component (the frozenset
-    of its solving edges) to its minimum cover and search nodes, from this
-    hypergraph's solve or, until then, from its parent's (see
-    exact.min_hitting_set).  _index is the evaluation.FactIndex the edges were
-    found with, None for a hypergraph built from edge sets; an update derives
-    the next index from it (see updates.incremental_hypergraph).
+    Three more members carry work for later calls and take no part in
+    equality.  components splits the solving edges on first use and keeps
+    the parts for every solver.  _optima maps each component to its
+    minimum cover and search nodes, from this hypergraph's solve or, until
+    then, from its parent's (see exact.min_hitting_set).  _index is the
+    evaluation.FactIndex the edges were found with, None for a hypergraph
+    built from edge sets; an update derives the next index from it (see
+    updates.incremental_hypergraph).
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
     d: int
-    _solved: tuple | None = field(default=None, init=False, compare=False, repr=False,
-                                  hash=False)
     _optima: dict | None = field(default=None, init=False, compare=False, repr=False,
                                  hash=False)
     _index: evaluation.FactIndex | None = field(default=None, init=False, compare=False,
@@ -65,6 +75,11 @@ class ConflictHypergraph:
     @property
     def is_consistent(self) -> bool:
         return not self.solving_edges
+
+    @cached_property
+    def components(self) -> list[Component]:
+        """The solving edges split into connected components (see split)."""
+        return split(self.solving_edges)
 
     def dump_lines(self) -> list[str]:
         """Diagnostic dump: one line per edge, `<constraint>: tid,tid,...`."""
@@ -93,6 +108,31 @@ def antichain(sets) -> list:
         last = list(group)
         kept += last
     return kept
+
+
+def split(edges) -> list[Component]:
+    """The connected components of a sequence of distinct edges, in order of
+    smallest element; each keeps its edges in their given order."""
+    incident = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(i)
+    seen = set()
+    components = []
+    for v in sorted(incident):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, component = [v], set()
+        while stack:
+            for i in incident[stack.pop()]:
+                if i not in component:
+                    component.add(i)
+                    fresh = edges[i] - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+        components.append(Component([edges[i] for i in sorted(component)]))
+    return components
 
 
 def constraint_edges(index, dc: DenialConstraint, inserted=None, known=()) -> list[Hyperedge]:

@@ -1,7 +1,7 @@
 """Exact minimum hitting sets and repair enumeration over conflict hypergraphs.
 
-The minimum is solved one connected component at a time.  A graph traversal
-from vertices to their edges splits the deduplicated edges, and each
+The minimum is solved one connected component at a time.  A hypergraph
+splits its solving edges once (see conflicts.split), and each
 component, taken in order of its smallest element, gets its own
 branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
 descending degree order, prune with a greedy disjoint-edge packing lower
@@ -13,10 +13,10 @@ of the component answers.  One node budget counts the nodes of all trees
 together, so pathological inputs end in a clean error instead of a silent
 timeout or a wrong answer; the error brackets the whole optimum by the exact
 sizes of the solved components and [packing, incumbent] of the rest.  The
-optimum and node count of each component are recorded by its edge set, so a
-component an update left unchanged is not searched again, while its nodes
-still count.  All minimal hitting sets are built edge by edge with Berge's
-rule.
+optimum and node count of each component are recorded on the hypergraph, so
+a component already solved, or one an update left unchanged, is not searched
+again, while its nodes still count.  All minimal hitting sets are built edge
+by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .conflicts import ConflictHypergraph, antichain, build_hypergraph
+from .conflicts import ConflictHypergraph, antichain, build_hypergraph, split
 from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
@@ -62,26 +62,25 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
     all components together exceed node_budget; its best_size and lower_bound
     then bracket the optimum of the whole problem.
     """
-    return _solve(edge_sets, allowed, node_budget)[0]
-
-
-def _solve(edge_sets, allowed, node_budget, known=None):
-    """solve_min_hitting_set's answer, the search nodes it took, and the record
-    of each component: its edge set mapped to its cover and search nodes.
-
-    known holds such records, of this problem or another; a component found
-    there is not searched again, but its recorded nodes still count.  Each
-    component's search is deterministic, so the answer, the node count and
-    an exhausted budget's bracket are those of a search of every component.
-    """
     edges = {frozenset(e) for e in edge_sets}
     if allowed is not None:
         # restricting each edge to pickable elements preserves the problem
         allowed = frozenset(allowed)
         edges = {e & allowed for e in edges}
     if frozenset() in edges:
-        return None, 0, {}
-    components = [frozenset(c) for c in _components(edges)]
+        return None
+    return _solve(split(list(edges)), node_budget)[0]
+
+
+def _solve(components, node_budget, known=None):
+    """The minimum cover of the components (see conflicts.split), the search
+    nodes it took, and each component's record: its cover and search nodes.
+
+    known holds such records, of this problem or another; a component found
+    there is not searched again, but its recorded nodes still count.  Each
+    component's search is deterministic, so the answer, the node count and
+    an exhausted budget's bracket are those of a search of every component.
+    """
     known = known or {}
     record = {}
     nodes = 0
@@ -91,12 +90,12 @@ def _solve(edge_sets, allowed, node_budget, known=None):
         if cover is None or nodes + taken > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
             # search, so that the budget runs out where a fresh solve's does
-            universe, masks = _index(component)
+            universe, masks = component.index
             try:
                 found, taken = _branch_and_bound(masks, len(universe), node_budget - nodes)
             except ResourceLimitError as exc:
                 # solved components are exact; the rest contribute [packing, incumbent]
-                rest = [_index(c)[1] for c in components[i + 1:]]
+                rest = [c.index[1] for c in components[i + 1:]]
                 raise ResourceLimitError(
                     f"hitting-set search exceeded the node budget ({node_budget} nodes)",
                     best_size=len(chosen) + exc.best_size
@@ -108,37 +107,6 @@ def _solve(edge_sets, allowed, node_budget, known=None):
         record[component] = cover, taken
         chosen.extend(cover)
     return frozenset(chosen), nodes, record
-
-
-def _components(edges):
-    """The edges grouped into connected components, by smallest element."""
-    incident = {}
-    for e in edges:
-        for v in e:
-            incident.setdefault(v, []).append(e)
-    seen = set()
-    components = []
-    for v in sorted(incident):
-        if v in seen:
-            continue
-        seen.add(v)
-        stack, component = [v], set()
-        while stack:
-            for e in incident[stack.pop()]:
-                if e not in component:
-                    component.add(e)
-                    fresh = e - seen
-                    seen |= fresh
-                    stack.extend(fresh)
-        components.append(component)
-    return components
-
-
-def _index(edges):
-    """The sorted elements of edges, and each edge as a bit mask over them."""
-    universe = sorted(set().union(*edges))
-    index = {u: i for i, u in enumerate(universe)}
-    return universe, sorted({_mask(e, index) for e in edges})
 
 
 def _branch_and_bound(masks, n, budget):
@@ -195,13 +163,6 @@ def _scan(masks, cover):
     return pick, packed
 
 
-def _mask(elements, index):
-    m = 0
-    for e in elements:
-        m |= 1 << index[e]
-    return m
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -252,20 +213,16 @@ def min_hitting_set(hg: ConflictHypergraph,
                     node_budget=DEFAULT_NODE_BUDGET) -> RepairSolution:
     """Smallest deletion set covering every solving edge; always optimal.
 
-    This is the endogenous solve with every tid deletable.  The answer is
-    kept on hg with the search nodes it took.  The search is deterministic,
-    so a later call whose budget covers those nodes returns it unsearched;
-    a smaller budget searches again and fails as a fresh solve would.  The
-    components' optima handed to hg by an update are reused the same way,
-    and replaced by the record of this solve, so one generation is handed on.
+    This is the endogenous solve with every tid deletable, over hg's
+    components.  Each component's optimum is recorded on hg with the search
+    nodes it took, replacing the optima an update handed to hg, so one
+    generation is handed on.  A recorded component is not searched again
+    while the budget left covers its nodes; the search is deterministic, so
+    a smaller budget searches again and fails as a fresh solve would.
     """
-    if hg._solved is not None and node_budget >= hg._solved[1]:
-        return hg._solved[0]
-    deleted, nodes, record = _solve(hg.solving_edges, None, node_budget, hg._optima)
-    sol = RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
-    object.__setattr__(hg, "_solved", (sol, nodes))
+    deleted, _, record = _solve(hg.components, node_budget, hg._optima)
     object.__setattr__(hg, "_optima", record)
-    return sol
+    return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
 
 
 def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
@@ -304,7 +261,7 @@ def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
     the antichain of these is the answer for one more edge.  Capped by the
     number of elements in the edges.
     """
-    _gated_union(edge_sets, max_elements)
+    _gate_elements(edge_sets, max_elements)
     sets = [frozenset()]
     for e in edge_sets:
         sets = antichain([s for s in sets if s & e]
@@ -312,12 +269,11 @@ def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-def _gated_union(edge_sets, max_elements):
+def _gate_elements(edge_sets, max_elements):
     union = set().union(*edge_sets)
     if len(union) > max_elements:
         raise ResourceLimitError(
             f"{len(union)} elements exceed the enumeration limit {max_elements}")
-    return union
 
 
 def enumerate_c_repairs(instance: Instance, constraints: ConstraintSet,

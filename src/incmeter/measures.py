@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import approx, exact
-from .conflicts import build_hypergraph
+from .conflicts import Component, build_hypergraph
 from .errors import InputError
 from .model import ConstraintSet, Instance
 
@@ -139,11 +139,12 @@ def measure_count_all(instance: Instance, constraints: ConstraintSet,
     """
     n = len(instance)
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)
-    order = {t: i for i, t in enumerate(exact._gated_union(hg.solving_edges, limit))}
-    a = len(order)
+    exact._gate_elements(hg.solving_edges, limit)
+    universe, masks = Component(hg.solving_edges).index
+    a = len(universe)
     bad = bytearray(1 << a)
-    for e in hg.solving_edges:
-        bad[exact._mask(e, order)] = 1
+    for m in masks:
+        bad[m] = 1
     for b in range(a):
         bit = 1 << b
         for m in range(1 << a):

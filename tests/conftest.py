@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from incmeter import exact
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import ResourceLimitError
 from incmeter.exact import RepairSolution, min_hitting_set
@@ -115,6 +116,15 @@ def fd_key_groups(rng: random.Random, n):
         classes.setdefault(a, Counter())[b] += 1
     optimum = sum(sum(c.values()) - max(c.values()) for c in classes.values())
     return constraints, instance, optimum
+
+
+def count_searches(monkeypatch):
+    """A list that gets one entry per component search of the exact solver."""
+    searches = []
+    search = exact._branch_and_bound
+    monkeypatch.setattr(exact, "_branch_and_bound",
+                        lambda *args: searches.append(1) or search(*args))
+    return searches
 
 
 @contextlib.contextmanager

@@ -66,6 +66,31 @@ def restrict(inst: Instance, keep) -> Instance:
     return inst.derive((), set(inst.tids) - set(keep))
 
 
+def components(edges) -> list[list]:
+    """The connected components of edges, each a list of its edges in the
+    given order, in order of smallest element.
+
+    Union-find over the elements: each edge joins its elements under the
+    smallest root, so every root is the smallest element of its component.
+    """
+    parent = {v: v for e in edges for v in e}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in edges:
+        roots = {root(v) for v in e}
+        for r in roots:
+            parent[r] = min(roots)
+    groups: dict = {}
+    for e in edges:
+        groups.setdefault(root(next(iter(e))), []).append(e)
+    return [groups[r] for r in sorted(groups)]
+
+
 def apply_changes(facts, changes) -> tuple[Fact, ...]:
     """Facts with NULL written into the changed cells."""
     if isinstance(facts, Instance):

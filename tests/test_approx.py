@@ -9,7 +9,7 @@ from incmeter.approx import (FractionalCover, local_ratio_hitting_set,
                              lp_fractional_cover, randomized_rounding_hitting_set)
 from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.errors import InputError, ResourceLimitError
-from incmeter.exact import _components, min_hitting_set
+from incmeter.exact import min_hitting_set
 
 from conftest import fd_key_groups, random_bundle
 
@@ -181,7 +181,8 @@ def test_rounding_repair_pass_takes_unhit_edges_whole():
 
 
 def _reference_length_scheme(edges, inner):
-    """The length scheme as first written: a keyed min over the edge indices.
+    """The length scheme as first written: a keyed min over the edge indices,
+    since changed only to take at least one step.
 
     Kept frozen so that faster loops can be held to its exact floats.
     """
@@ -198,7 +199,7 @@ def _reference_length_scheme(edges, inner):
     grow = 1.0 + inner
     while True:
         best = min(range(len(edges)), key=lambda i: sums[i])
-        if sums[best] >= 1.0:
+        if sums[best] >= 1.0 and any(duals):
             break
         duals[best] += 1
         for t in edges[best]:
@@ -231,7 +232,7 @@ def _length_scheme_inputs():
     while len(inputs) < 220:
         constraints, instance, _ = fd_key_groups(rng, rng.randint(8, 40))
         hg = build_hypergraph(instance, constraints)
-        inputs += [sorted(tuple(sorted(e)) for e in c) for c in _components(hg.solving_edges)]
+        inputs += [[tuple(sorted(e)) for e in c] for c in hg.components]
     return inputs
 
 
@@ -327,8 +328,20 @@ def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
     for hg in hgs:
         del inners[:]
         cover = lp_fractional_cover(hg)
-        assert inners == [0.1] * len(_components(hg.solving_edges))
+        assert inners == [0.1] * len(hg.components)
         assert cover.objective <= Fraction(11, 10) * cover.dual_bound
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(10)])
+def test_one_edge_components_certify_at_the_first_rung(monkeypatch, eps):
+    # at step 1 the start lengths of one edge sum to exactly 1; a rung that
+    # took no step there would have a zero dual bound and need a second rung
+    inners = _record_inner(monkeypatch)
+    for edge in ({1, 2}, {1, 2, 3}):
+        del inners[:]
+        cover = lp_fractional_cover(hypergraph_from_edges(edge, [edge]), eps)
+        assert inners == [1.0]
+        assert cover.objective == cover.dual_bound == 1
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(10), Fraction(10 ** 4),

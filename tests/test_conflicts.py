@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from incmeter import conflicts
+from incmeter.approx import lp_fractional_cover, randomized_rounding_hitting_set
 from incmeter.conflicts import (antichain, build_hypergraph, hypergraph_from_edges,
                                 vertex_degrees)
 from incmeter.errors import InputError
+from incmeter.exact import min_hitting_set
 from incmeter.model import ConstraintSet, load_instance, parse_constraints, parse_schema
 
-from conftest import random_bundle
-from oracles import consistent, restrict
+from conftest import fd_key_groups, random_bundle
+from oracles import components, consistent, restrict
 
 
 def _only(cs, name):
@@ -145,3 +148,31 @@ def test_antichain_keeps_exactly_the_minimal_sets_by_size():
                   for _ in range(rng.randint(0, 30))]
         minimal = {s for s in family if not any(o < s for o in family)}
         assert antichain(family) == [s for s in sorted(set(family), key=len) if s in minimal]
+
+
+def _check_components(hg):
+    """hg's components against the oracle split, with their universes and masks."""
+    assert [list(c) for c in hg.components] == components(hg.solving_edges)
+    for c in hg.components:
+        universe, masks = c.index
+        assert universe == sorted({v for e in c for v in e})
+        bit = {v: 2 ** i for i, v in enumerate(universe)}
+        assert masks == sorted(sum(bit[v] for v in e) for e in c)
+
+
+def test_components_match_an_independent_split(corpus, monkeypatch):
+    for item in corpus:
+        _check_components(item.hg)
+    constraints, instance, _ = fd_key_groups(random.Random(3), 1200)
+    hg = build_hypergraph(instance, constraints)
+    assert len(hg.components) > 200
+    _check_components(hg)
+    # the exact, LP and rounding solvers read one split between them
+    splits = []
+    split = conflicts.split
+    monkeypatch.setattr(conflicts, "split", lambda edges: splits.append(1) or split(edges))
+    hg = build_hypergraph(instance, constraints)
+    min_hitting_set(hg)
+    lp_fractional_cover(hg)
+    randomized_rounding_hitting_set(hg)
+    assert len(splits) == 1

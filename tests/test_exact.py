@@ -4,14 +4,16 @@ import random
 import pytest
 
 from incmeter import exact
-from incmeter.conflicts import _carry, build_hypergraph, hypergraph_from_edges
+from incmeter.conflicts import (Component, _carry, build_hypergraph, hypergraph_from_edges,
+                                split)
 from incmeter.errors import ResourceLimitError
 from incmeter.model import Fact, Instance, parse_constraints, parse_schema
 from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
                             min_hitting_set, solve_min_hitting_set)
 
-from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle, shallow_stack
+from conftest import (brute_force_min_hitting_set, count_searches, fd_key_groups, random_bundle,
+                      shallow_stack)
 from oracles import consistent, restrict
 
 
@@ -142,16 +144,23 @@ def test_exhaustion_across_components_brackets_the_whole_optimum():
         assert best <= finished * opt + (3 - finished) * incumbent
 
 
-def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search():
+def _recorded_nodes(hg):
+    """The search nodes of hg's last solve, from its component record."""
+    return sum(taken for _, taken in hg._optima.values())
+
+
+def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search(monkeypatch):
     def block():
         return hypergraph_from_edges(range(30), _hard_block())
 
     hg = block()
     first = min_hitting_set(hg)
-    assert min_hitting_set(hg) is first
-    assert hg == block() and hash(hg) == hash(block())
-    nodes = hg._solved[1]
-    assert min_hitting_set(hg, node_budget=nodes) is first
+    assert hg == block() and hash(hg) == hash(block()) and repr(hg) == repr(block())
+    nodes = _recorded_nodes(hg)
+    searches = count_searches(monkeypatch)
+    assert min_hitting_set(hg) == first
+    assert min_hitting_set(hg, node_budget=nodes) == first
+    assert not searches
     # a budget the recorded search would overrun fails as on a fresh copy
     with pytest.raises(ResourceLimitError) as memo:
         min_hitting_set(hg, node_budget=nodes - 1)
@@ -161,7 +170,8 @@ def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search():
         (fresh.value.best_size, fresh.value.lower_bound)
     assert memo.value.lower_bound <= len(first.deleted) <= memo.value.best_size
     assert min_hitting_set(block(), node_budget=nodes) == first
-    assert min_hitting_set(hg) is first
+    searches.clear()
+    assert min_hitting_set(hg) == first and not searches
 
 
 def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
@@ -175,15 +185,15 @@ def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
     def child(optima):
         return _carry(hypergraph_from_edges(range(100), edges), None, optima)
 
-    searched = []
-    search = exact._branch_and_bound
-    monkeypatch.setattr(exact, "_branch_and_bound",
-                        lambda masks, *a: searched.append(masks) or search(masks, *a))
+    searches = count_searches(monkeypatch)
     reused, fresh = child(parent._optima), child(None)
     assert min_hitting_set(reused) == min_hitting_set(fresh)
-    assert len(searched) == 4 + 2
-    nodes = fresh._solved[1]
-    assert reused._solved[1] == nodes
+    assert len(searches) == 4 + 2
+    nodes = _recorded_nodes(fresh)
+    assert _recorded_nodes(reused) == nodes
+    searches.clear()
+    assert min_hitting_set(reused, node_budget=nodes) == min_hitting_set(fresh)
+    assert not searches
     # budgets running out in the first block, the second, the last node
     for budget in (nodes // 10, nodes // 2, nodes - 1):
         with pytest.raises(ResourceLimitError) as got:
@@ -280,9 +290,14 @@ def _search_corpus():
     return graphs
 
 
+def _masks(edges):
+    """The distinct edges as sorted bit masks over their sorted elements."""
+    return Component([frozenset(e) for e in edges]).index[1]
+
+
 def _outcome(edges, node_budget):
     try:
-        cover, nodes, _ = exact._solve(edges, None, node_budget)
+        cover, nodes, _ = exact._solve(split(list({frozenset(e) for e in edges})), node_budget)
     except ResourceLimitError as exc:
         return exc.best_size, exc.lower_bound
     return cover, nodes
@@ -291,7 +306,7 @@ def _outcome(edges, node_budget):
 def test_search_matches_the_reference_branch_and_bound(monkeypatch):
     graphs = _search_corpus()
     for edges in graphs:
-        masks = exact._index([frozenset(e) for e in edges])[1]
+        masks = _masks(edges)
         assert exact._scan(masks, 0)[1] == _reference_packing(masks, 0) > 0
     budget = 10 ** 6
     got = [_outcome(edges, budget) for edges in graphs]
@@ -356,7 +371,7 @@ def _chain_edges(n):
 def test_greedy_cover_matches_the_reference():
     graphs = _search_corpus() + [_triangle_chain(40), _chain_edges(200), _chain_edges(300)]
     for edges in graphs:
-        masks = exact._index([frozenset(e) for e in edges])[1]
+        masks = _masks(edges)
         assert exact._greedy_cover(masks) == _reference_greedy_cover(masks)
 
 
