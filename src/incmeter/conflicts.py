@@ -13,9 +13,10 @@ every measure in this package is built on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
 from . import evaluation
 from .errors import InputError
@@ -53,14 +54,19 @@ class ConflictHypergraph:
     are dropped since any hitting set already covers them.  d is the largest
     solving edge size (0 when the instance is consistent).
 
-    Three more members carry work for later calls and take no part in
+    Four more members carry work for later calls and take no part in
     equality.  components splits the solving edges on first use and keeps
-    the parts for every solver.  _optima maps each component to its
+    the parts for every solver.  A hypergraph that an update derives (see
+    derive) is given its components: those the delta did not reach are the
+    parent's own objects, with any masks already built.  _optima maps each component to its
     minimum cover and search nodes, from this hypergraph's solve or, until
     then, from its parent's (see exact.min_hitting_set).  _index is the
     evaluation.FactIndex the edges were found with, None for a hypergraph
     built from edge sets; an update derives the next index from it (see
-    updates.incremental_hypergraph).
+    updates.incremental_hypergraph).  _lookups maps each conflicting tid to
+    its edges and to its component; built on the first update and moved to
+    the derived hypergraph, it is None until then and after.  None of these
+    links a hypergraph to its parent.
     """
 
     vertices: frozenset[int]
@@ -71,6 +77,8 @@ class ConflictHypergraph:
                                  hash=False)
     _index: evaluation.FactIndex | None = field(default=None, init=False, compare=False,
                                                 repr=False, hash=False)
+    _lookups: tuple[dict, dict] | None = field(default=None, init=False, compare=False,
+                                               repr=False, hash=False)
 
     @property
     def is_consistent(self) -> bool:
@@ -135,16 +143,11 @@ def split(edges) -> list[Component]:
     return components
 
 
-def constraint_edges(index, dc: DenialConstraint, inserted=None, known=()) -> list[Hyperedge]:
-    """Minimal violation sets of dc: the antichain of known edges and the
-    images of dc's satisfying assignments, or, given inserted facts, of those
-    that match one of them (see evaluation.images).
-
-    known must hold dc's minimal violation sets among the facts not inserted.
-    """
-    images = evaluation.images(index, dc, inserted)
-    images.update(known)
-    return [Hyperedge(s, dc.name) for s in antichain(images)]
+def constraint_edges(index, dc: DenialConstraint, inserted=None) -> list[Hyperedge]:
+    """Minimal violation sets of dc: the antichain of the images of dc's
+    satisfying assignments, or, given inserted facts, of those that match
+    one of them (see evaluation.images)."""
+    return [Hyperedge(s, dc.name) for s in antichain(evaluation.images(index, dc, inserted))]
 
 
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
@@ -155,11 +158,27 @@ def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
     own constraint; supersets across constraints (and duplicates) are
     dropped from solving_edges here.
     """
+    edges = tuple(sorted(set(hyperedges), key=_edge_key(constraint_order)))
+    solving = sorted(antichain(e.tids for e in edges), key=_canonical)
+    return ConflictHypergraph(frozenset(vertices), edges, tuple(solving),
+                              max(map(len, solving), default=0))
+
+
+def _edge_key(constraint_order):
+    """The canonical sort key of a labeled edge: its constraint's place in
+    constraint_order, then its sorted tids."""
     order = {name: i for i, name in enumerate(constraint_order)}
-    edges = tuple(sorted(set(hyperedges), key=lambda e: (order[e.constraint], e.key())))
-    solving = sorted(antichain(e.tids for e in edges), key=lambda s: tuple(sorted(s)))
-    d = max((len(s) for s in solving), default=0)
-    return ConflictHypergraph(frozenset(vertices), edges, tuple(solving), d)
+    return lambda e: (order[e.constraint], e.key())
+
+
+def _canonical(s):
+    """The canonical sort key of a solving edge: its sorted tids."""
+    return tuple(sorted(s))
+
+
+def _first(component):
+    """A component's smallest element, which its canonically first edge holds."""
+    return min(component[0])
 
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
@@ -176,6 +195,107 @@ def _carry(hg: ConflictHypergraph, index, optima=None) -> ConflictHypergraph:
     object.__setattr__(hg, "_index", index)
     object.__setattr__(hg, "_optima", optima)
     return hg
+
+
+def derive(hg: ConflictHypergraph, vertices, deleted, found,
+           constraint_order) -> ConflictHypergraph:
+    """The hypergraph after a delta, derived from hg, the one before it.
+
+    deleted holds the delta's deleted tids; found holds, for each constraint,
+    its minimal violation sets among the images that hold an inserted tid
+    (see constraint_edges).  Only what the delta reaches is touched:
+    - the edges through a deleted tid go; an edge found stays out if an edge
+      of its constraint that survives is a proper subset of it;
+    - the surviving solving edges stay solving, since every new edge holds
+      an inserted tid; a new edge is solving if it holds no surviving edge
+      and no other new edge;
+    - the components that hold a deleted tid or meet a new solving edge are
+      split again, and the rest are handed on as they are.
+    Surviving edges and components keep their canonical places, and the new
+    ones are put in by key.  hg's tid -> edges and tid -> component maps are
+    moved to the result, so hg builds them again if it is derived from again.
+    """
+    incident, owner = hg._lookups or _build_lookups(hg)
+    object.__setattr__(hg, "_lookups", None)
+    dropped = set()
+    for t in deleted:
+        dropped |= incident.pop(t, set())
+    for e in dropped:
+        for t in e.tids.difference(deleted):
+            edges = incident[t]
+            edges.remove(e)
+            if not edges:
+                del incident[t]
+    added, fresh = [], set()
+    for e in found:
+        below = {o.constraint for t in e.tids for o in incident.get(t, ()) if o.tids < e.tids}
+        if e.constraint not in below:
+            added.append(e)
+            if not below:
+                fresh.add(e.tids)
+    for e in added:
+        for t in e.tids:
+            incident.setdefault(t, set()).add(e)
+    new_solving = antichain(fresh)
+    hit = {}
+    for t in chain(deleted, *new_solving):
+        c = owner.get(t)
+        if c is not None:
+            hit[_first(c)] = c
+    kept, gone = [], []
+    for c in hit.values():
+        for s in c:
+            (kept if s.isdisjoint(deleted) else gone).append(s)
+            for t in s:
+                owner.pop(t, None)
+    parts = split(sorted(kept + new_solving, key=_canonical))
+    for c in parts:
+        for s in c:
+            for t in s:
+                owner[t] = c
+    solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
+    derived = ConflictHypergraph(
+        frozenset(vertices), tuple(_splice(hg.edges, dropped, added, _edge_key(constraint_order))),
+        tuple(solving), max(map(len, solving), default=0))
+    object.__setattr__(derived, "components", _splice(hg.components, hit.values(), parts, _first))
+    object.__setattr__(derived, "_lookups", (incident, owner))
+    return derived
+
+
+def _build_lookups(hg):
+    """Maps from each tid in hg's edges to those labeled edges, and from each
+    tid in its solving edges to its component."""
+    incident, owner = {}, {}
+    for e in hg.edges:
+        for t in e.tids:
+            incident.setdefault(t, set()).add(e)
+    for c in hg.components:
+        for s in c:
+            for t in s:
+                owner[t] = c
+    return incident, owner
+
+
+def _splice(items, drop, add, key):
+    """items, in ascending key order, without those in drop and with those in
+    add put in by key, as a list; the runs between are copied as slices.
+    Keys are distinct, but an item added may have the key of one dropped."""
+    marks = []
+    for dropping, xs in ((True, drop), (False, add)):
+        for x in xs:
+            k = key(x)
+            marks.append((bisect_left(items, k, key=key), dropping, k, x))
+    out, start = [], 0
+    # an item added goes before the item at its place, which may be dropped
+    for at, dropping, _, x in sorted(marks):
+        out += items[start:at]
+        if dropping:
+            start = at + 1
+        else:
+            out.append(x)
+            start = at
+    out += items[start:]
+    return out
 
 
 def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:

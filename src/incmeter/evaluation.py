@@ -28,6 +28,7 @@ compare as plain strings.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import lru_cache
 
 from .errors import InputError
@@ -36,6 +37,7 @@ from .model import _INT_RE, Const, DenialConstraint, Var
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
         ">": operator.gt, ">=": operator.ge}
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_TID = operator.attrgetter("tid")
 
 
 def compare_values(a: str, op: str, b: str) -> bool:
@@ -76,30 +78,40 @@ class FactIndex:
         self._by_pred: dict[str, list] | None = None
         self._indexes: dict[tuple, dict] = {}
 
+    def _grouped(self) -> dict[str, list]:
+        """Each predicate's facts, in tid order, grouped on first use."""
+        if self._by_pred is None:
+            self._by_pred = {}
+            for f in self._facts:
+                self._by_pred.setdefault(f.predicate, []).append(f)
+            self._facts = None
+        return self._by_pred
+
     def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
         """The predicate's facts by their key at the 0-based positions (_key)."""
         index = self._indexes.get((predicate, positions))
         if index is None:
-            if self._by_pred is None:
-                self._by_pred = {}
-                for f in self._facts:
-                    self._by_pred.setdefault(f.predicate, []).append(f)
             index = self._indexes[predicate, positions] = {}
             key = _key(positions)
-            for f in self._by_pred.get(predicate, ()):
+            for f in self._grouped().get(predicate, ()):
                 index.setdefault(key(f.values), []).append(f)
         return index
 
-    def derive(self, facts, deleted, inserted) -> "FactIndex":
-        """The index of facts: these facts without deleted, inserted appended.
+    def derive(self, deleted, inserted) -> "FactIndex":
+        """The index of these facts without deleted and with inserted.
 
         inserted must carry tids above every other fact's, so each bucket
-        stays in tid order, as a fresh index over facts would hold it.  Built
-        tables are handed on; in those of a touched predicate, each bucket a
-        deleted or inserted fact keys is replaced by a new list, so this index
-        and its buckets stay as they are.
+        stays in tid order, as a fresh index would hold it.  Built tables and
+        the facts by predicate are handed on; each list of facts, or bucket of
+        a table, that a deleted or inserted fact belongs to is replaced by a
+        new list, so this index and its buckets stay as they are.
         """
-        child = FactIndex(facts)
+        child = FactIndex(None)
+        by_pred = child._by_pred = dict(self._grouped())
+        for f in deleted:
+            by_pred[f.predicate] = _without(by_pred[f.predicate], f)
+        for f in inserted:
+            by_pred[f.predicate] = [*by_pred.get(f.predicate, ()), f]
         child._indexes = dict(self._indexes)
         for (predicate, positions), old in self._indexes.items():
             gone = [f for f in deleted if f.predicate == predicate]
@@ -110,7 +122,7 @@ class FactIndex:
             key = _key(positions)
             for f in gone:
                 k = key(f.values)
-                bucket = [g for g in index[k] if g.tid != f.tid]
+                bucket = _without(index[k], f)
                 if bucket:
                     index[k] = bucket
                 else:
@@ -119,6 +131,12 @@ class FactIndex:
                 k = key(f.values)
                 index[k] = [*index.get(k, ()), f]
         return child
+
+
+def _without(facts, fact) -> list:
+    """A list of facts in tid order, without fact, as a new list."""
+    i = bisect_left(facts, fact.tid, key=_TID)
+    return facts[:i] + facts[i + 1:]
 
 
 @lru_cache(maxsize=256)

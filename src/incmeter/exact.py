@@ -230,9 +230,14 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
     """Like min_hitting_set but only endogenous tids may be deleted.
 
     Returns None when some conflict contains no endogenous tid at all, in
-    which case no allowed deletion set can restore consistency.
+    which case no allowed deletion set can restore consistency.  When every
+    conflicting tid is endogenous, the default, this is min_hitting_set, so
+    hg's components and their recorded optima are read, not split again.
     """
-    deleted = solve_min_hitting_set(hg.solving_edges, frozenset(endogenous), node_budget)
+    endogenous = frozenset(endogenous)
+    if all(e <= endogenous for e in hg.solving_edges):
+        return min_hitting_set(hg, node_budget)
+    deleted = solve_min_hitting_set(hg.solving_edges, endogenous, node_budget)
     if deleted is None:
         return None
     return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)

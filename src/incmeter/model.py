@@ -210,18 +210,18 @@ class Instance:
             tids.add(f.tid)
             live.add(f.values)
 
-    def derive(self, insertions, deletions) -> "Instance":
-        """This instance with the deletions dropped and the insertions added.
+    def check_delta(self, insertions, deletions) -> list[Fact]:
+        """The facts that the insertions of a delta become, once it is checked.
 
         deletions must be tids of this instance.  insertions are
         (predicate, values) rows; they get fresh tids above the current
-        maximum, in order, and are the only facts checked, with the same
-        errors as a fresh Instance.  The set of live rows is built on the
-        first derivation and handed on, so a chain of derivations checks no
-        fact twice.
+        maximum, in order, and are checked with the same errors as a fresh
+        Instance, a duplicate judged against the rows the deletions leave.
+        The work follows the delta: the set of live rows is built on first
+        use and handed on by derive, so a chain of derivations checks no fact
+        twice.
         """
-        deletions = set(deletions)
-        missing = deletions.difference(self._by_tid)
+        missing = set(deletions).difference(self._by_tid)
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         rows = getattr(self, "_rows", None)
@@ -230,15 +230,33 @@ class Instance:
             for f in self.facts:
                 rows.setdefault(f.predicate, set()).add(f.values)
             object.__setattr__(self, "_rows", rows)
-        rows = {p: set(values) for p, values in rows.items()}
+        start = self.tids[-1] + 1 if self.tids else 1
+        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, start)]
+        gone = {self._by_tid[t][1:] for t in deletions}
+        # the live rows that an inserted row repeats stand in for all of them
+        clash: dict = {}
+        for f in facts:
+            if f.values in rows.get(f.predicate, ()) and f[1:] not in gone:
+                clash.setdefault(f.predicate, set()).add(f.values)
+        self._check_facts(facts, clash)
+        return facts
+
+    def derive(self, insertions, deletions) -> "Instance":
+        """This instance with the deletions dropped and the insertions added.
+
+        Only the delta is checked (see check_delta); the live rows and the
+        tid map are then copied, O(n) at C speed, and handed on.
+        """
+        deletions = set(deletions)
+        facts = self.check_delta(insertions, deletions)
+        rows = {p: set(values) for p, values in self._rows.items()}
         by_tid = dict(self._by_tid)
         for t in deletions:
             f = by_tid.pop(t)
             rows[f.predicate].discard(f.values)
-        start = self.tids[-1] + 1 if self.tids else 1
-        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, start)]
-        self._check_facts(facts, rows)
-        by_tid.update(zip(count(start), facts))
+        for f in facts:
+            rows.setdefault(f.predicate, set()).add(f.values)
+            by_tid[f.tid] = f
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
         child.__dict__.update(schema=self.schema,

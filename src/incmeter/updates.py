@@ -1,15 +1,25 @@
 """Instance updates: deltas, incremental conflict maintenance, measure bounds.
 
-A delta inserts rows and deletes tids.  Conflicts are maintained without a
-full rebuild: edges touching a deleted tid are dropped, and new edges come
-from the assignments that use at least one inserted fact.  Those are found
-by the delta rule: each atom in turn is seeded with the inserted facts while
-the other atoms are looked up in the updated instance's index.  An
-assignment seen under several seeds yields one image.  That index is derived
-from the one the hypergraph before carries, rewriting only the buckets of
-the deleted and inserted facts, and the new hypergraph carries it on with
-the per-component optima of the one before, so the next solve searches only
-the components the delta changed (see exact.min_hitting_set).
+A delta inserts rows and deletes tids.  It is checked in O(delta) (see
+model.Instance.check_delta), and the conflicts after it are derived from
+those before it by the delta rule of counting/DRed view maintenance: keep
+what the delta did not touch.  New edges come from the assignments that use
+at least one inserted fact: each atom in turn is seeded with the inserted
+facts while the other atoms are looked up in the updated instance's index.
+An assignment seen under several seeds yields one image.  That index is
+derived from the one the hypergraph before carries, rewriting only the
+buckets of the deleted and inserted facts.  conflicts.derive then drops the
+edges through a deleted tid, puts the new ones in by key and splits again
+only the components the delta reaches.  The other components are handed on
+as they are, with the per-component optima of the hypergraph before, so the
+next solve searches only the components the delta changed (see
+exact.min_hitting_set).
+
+Some per-delta costs still grow with the instance.  At C speed,
+apply_update copies the tid map and row sets (Instance.derive), the index
+copies each table of a touched predicate, and the vertex set and the edge,
+solving-edge and component sequences are copied around the changes.  The
+solve after a delta still looks up the recorded optimum of every component.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before and solves it, then derives the one
@@ -27,9 +37,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact, measures
-from .conflicts import (ConflictHypergraph, _carry, assemble, build_hypergraph,
-                        constraint_edges)
+from . import conflicts, exact, measures
+from .conflicts import ConflictHypergraph, _carry, build_hypergraph, constraint_edges
 from .errors import InputError
 from .evaluation import FactIndex
 from .model import ConstraintSet, Instance
@@ -146,31 +155,28 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
                            constraints: ConstraintSet) -> ConflictHypergraph:
     """Conflicts of the updated instance, reusing the edges that survive.
 
-    hg must be the hypergraph of instance.  The updated instance's index is
-    derived from hg's, and hg's component optima are handed on for the next
-    solve to reuse; hg itself is left as it is.
+    hg must be the hypergraph of instance.  Only the delta is checked (see
+    Instance.check_delta); the updated instance is not built.  The updated
+    index is derived from hg's, and hg's untouched components and component
+    optima are handed on for the next solve to reuse (see conflicts.derive);
+    hg's edges, components and optima are left as they are.
     """
-    return _incremental(hg, instance, apply_update(instance, delta), delta, constraints)
+    inserted = instance.check_delta(delta.insertions, delta.deletions)
+    return _incremental(hg, instance, inserted, delta.deletions, constraints)
 
 
-def _incremental(hg, instance, after, delta, constraints) -> ConflictHypergraph:
-    """incremental_hypergraph, given after, the instance the delta derives."""
-    # fresh tids sort last, so the inserted facts end the tid-ordered facts
-    new_facts = after.facts[len(after) - len(delta.insertions):]
-    known: dict[str, list] = {}
-    for e in hg.edges:
-        if not e.tids & delta.deletions:
-            known.setdefault(e.constraint, []).append(e.tids)
+def _incremental(hg, instance, inserted, deleted, constraints) -> ConflictHypergraph:
+    """incremental_hypergraph, given the facts the insertions become."""
     if hg._index is None:
-        index = FactIndex(after.facts)
+        index = FactIndex([f for f in instance.facts if f.tid not in deleted] + inserted)
     else:
-        gone = [instance.fact(t) for t in delta.deletions]
-        index = hg._index.derive(after.facts, gone, new_facts)
-    hyperedges = []
+        index = hg._index.derive([instance.fact(t) for t in deleted], inserted)
+    found = []
     for dc in constraints:
-        hyperedges += constraint_edges(index, dc, new_facts, known.get(dc.name, ()))
-    return _carry(assemble(after.tids, hyperedges, [c.name for c in constraints]),
-                  index, hg._optima)
+        found += constraint_edges(index, dc, inserted)
+    vertices = hg.vertices.difference(deleted).union(f.tid for f in inserted)
+    derived = conflicts.derive(hg, vertices, deleted, found, [c.name for c in constraints])
+    return _carry(derived, index, hg._optima)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
@@ -180,18 +186,17 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
     The delta is checked before anything is solved, so a bad one is refused
     whatever the budget.  A missing hg_before is built; a missing hg_after is
     derived from hg_before once hg_before is solved, so that it is handed the
-    optima of the components the delta left alone.  Its vertices are the
-    updated instance's tids, so that instance is not rebuilt.
+    optima of the components the delta left alone.
     """
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
-        updated = apply_update(instance, delta)  # raises on a bad delta
+        inserted = instance.check_delta(delta.insertions, delta.deletions)
     elif not delta.deletions <= hg_before.vertices:
-        instance.derive((), delta.deletions)  # raises on the unknown tids
+        instance.check_delta((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     if hg_after is None:
-        hg_after = _incremental(hg_before, instance, updated, delta, constraints)
+        hg_after = _incremental(hg_before, instance, inserted, delta.deletions, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 

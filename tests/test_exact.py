@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from incmeter import exact
+from incmeter import conflicts, exact
 from incmeter.conflicts import (Component, _carry, build_hypergraph, hypergraph_from_edges,
                                 split)
 from incmeter.errors import ResourceLimitError
@@ -400,6 +400,26 @@ def test_endogenous_variants(pqr):
     assert sol.deleted == frozenset({3, 4})
     # no endogenous vertex inside edge {1, 3}: irreparable
     assert min_endogenous_hitting_set(hg, {2, 4}) is None
+
+
+def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
+    # every tid endogenous, the default: the hypergraph's own split and solve
+    cs, inst, optimum = fd_key_groups(random.Random(1), 400)
+    hg = build_hypergraph(inst, cs)
+    # what a search of the solving edges as a plain edge set finds
+    deleted, nodes, _ = exact._solve(split(list(set(hg.solving_edges))),
+                                     exact.DEFAULT_NODE_BUDGET)
+    splits = []
+    for module in (conflicts, exact):
+        monkeypatch.setattr(module, "split",
+                            lambda edges, split=split: splits.append(1) or split(edges))
+    searches = count_searches(monkeypatch)
+    for _ in range(2):
+        sol = min_endogenous_hitting_set(hg, inst.effective_endogenous())
+        assert sol.deleted == deleted and len(deleted) == optimum
+    assert len(hg.components) == 80
+    assert (len(splits), len(searches)) == (1, 80)
+    assert sum(taken for _, taken in hg._optima.values()) == nodes
 
 
 def test_enumerate_minimal_hitting_sets_small():

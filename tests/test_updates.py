@@ -1,14 +1,17 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from incmeter import measures
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
 from incmeter.exact import min_hitting_set
-from incmeter.model import Fact, Instance
+from incmeter.model import Fact, Instance, parse_constraints, parse_schema
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
                               parse_delta)
@@ -422,3 +425,88 @@ def test_a_derivation_validates_no_fact_again(pqr, monkeypatch):
     after = apply_update(after, parse_delta("+ p(z)\n"))
     assert len(calls) == 1
     assert after.tids == (1, 3, 4, 5, 6)
+
+
+def test_a_delta_chain_keeps_no_earlier_generation_alive():
+    # a hypergraph or index that linked to its parent would keep every
+    # generation of a long session alive
+    cs, inst, _ = fd_key_groups(random.Random(3), 200)
+    hg = build_hypergraph(inst, cs)
+    first = [weakref.ref(x) for x in (inst, hg, hg._index)]
+    rng = random.Random(5)
+    for i in range(200):
+        row = ("rel", (f"k{rng.randrange(50)}", f"b{rng.randrange(3)}", f"x{i}"))
+        delta = UpdateDelta((row,), frozenset({rng.choice(inst.tids)}))
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        inst = apply_update(inst, delta)
+        min_hitting_set(hg)
+    gc.collect()
+    assert [ref() for ref in first] == [None, None, None]
+
+
+def _check_against_rebuild(hg, inst, cs):
+    """hg's edges, components and g3 against a rebuild and a fresh solve."""
+    fresh = build_hypergraph(inst, cs)
+    assert (hg.edges, hg.solving_edges) == (fresh.edges, fresh.solving_edges)
+    assert hg == fresh
+    assert [tuple(c) for c in hg.components] == [tuple(c) for c in fresh.components]
+    assert measures._g3(hg, len(inst)) == measures._g3(fresh, len(inst))
+    assert hg._optima == fresh._optima
+
+
+def test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild():
+    cs, inst, _ = fd_key_groups(random.Random(1), 10 ** 4)
+    hg = build_hypergraph(inst, cs)
+    measures._g3(hg, len(inst))
+    rng = random.Random(11)
+    gone = []  # rows deleted so far, some inserted again
+    for i in range(1, 51):
+        deletions = frozenset(rng.sample(inst.tids, rng.randint(0, 3)))
+        rows = [("rel", (f"k{rng.randrange(2500)}", f"b{rng.randrange(3)}", f"x{i}.{j}"))
+                for j in range(rng.randint(0 if deletions else 1, 3))]
+        if gone and rng.random() < 0.3:
+            rows.append(gone.pop(rng.randrange(len(gone))))
+        delta = UpdateDelta(tuple(rows), deletions)
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        gone += [inst.fact(t)[1:] for t in deletions]
+        inst = apply_update(inst, delta)
+        if i % 10 == 0:
+            _check_against_rebuild(hg, inst, cs)
+        else:
+            measures._g3(hg, len(inst))
+
+
+def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
+    schema = parse_schema("r(A, B)\ns(A)\n")
+    cs = parse_constraints("dc lone : !exists s(x), x = \"a\"\n"
+                           "dc pair : !exists r(x, y), s(x)\n", schema)
+    inst = Instance(schema, (Fact(1, "s", ("a",)), Fact(2, "s", ("b",))))
+    hg = build_hypergraph(inst, cs)
+    assert hg.solving_edges == (frozenset({1}),)
+    delta = parse_delta("+ r(a, c)\n+ r(b, c)\n")
+    hg = incremental_hypergraph(hg, inst, delta, cs)
+    inst = apply_update(inst, delta)
+    _check_against_rebuild(hg, inst, cs)
+    # {1, 3} is pair's edge, but it holds lone's {1}, which stays solving
+    assert [(e.constraint, e.key()) for e in hg.edges] == [
+        ("lone", (1,)), ("pair", (1, 3)), ("pair", (2, 4))]
+    assert hg.solving_edges == (frozenset({1}), frozenset({2, 4}))
+    delta = parse_delta("- 1\n")
+    hg = incremental_hypergraph(hg, inst, delta, cs)
+    _check_against_rebuild(hg, apply_update(inst, delta), cs)
+
+
+def test_two_constraints_with_one_tid_set_give_one_solving_edge():
+    schema = parse_schema("rel(A, B, C)\n")
+    cs = parse_constraints("fd f1 : rel : A -> B\nfd f2 : rel : A -> C\n", schema)
+    inst = Instance(schema, (Fact(1, "rel", ("a", "b", "c")), Fact(2, "rel", ("e", "b", "c"))))
+    hg = build_hypergraph(inst, cs)
+    for text in ("+ rel(a, b2, c2)\n", "+ rel(e, b, c3)\n", "- 1\n+ rel(a, b, c)\n", "- 2\n"):
+        delta = parse_delta(text)
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        inst = apply_update(inst, delta)
+        _check_against_rebuild(hg, inst, cs)
+        if inst.tids == (1, 2, 3):
+            assert [(e.constraint, e.key()) for e in hg.edges] == [("f1", (1, 3)),
+                                                                  ("f2", (1, 3))]
+            assert hg.solving_edges == (frozenset({1, 3}),)
