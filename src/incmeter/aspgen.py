@@ -23,6 +23,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import itemgetter
 
 from .errors import InputError, SolverUnavailableError
 from .model import Const, ConstraintSet, Instance
@@ -31,6 +32,8 @@ RESERVED_HEADS = ("del", "numDel", "cardPred", "cardDB", "cardRepDB", "cardRep",
 
 _BARE_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _BARE_INT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")  # \d would match non-ASCII digits
+# in text of one value per line, each line that is not a bare identifier
+_NOT_BARE_LINE_RE = re.compile(r"^(?![a-z][A-Za-z0-9_]*$).*", re.MULTILINE)
 
 # user variables are drawn from this pool in first-occurrence order; tid
 # variables are named T, T2, T3, ... so the pools can never collide
@@ -97,14 +100,18 @@ def emit_repair_program(instance: Instance, constraints: ConstraintSet,
     if style not in ("disjunctive", "normal"):
         raise InputError(f"unknown style {style!r}")
     _check_names(instance)
-    maxint = max(100, len(instance) + 1,
-                 max((f.tid for f in instance.facts), default=0) + 1)
+    maxint = max(100, len(instance) + 1, instance.tids[-1] + 1 if instance else 0)
 
-    text = dict.fromkeys(chain.from_iterable(f.values for f in instance.facts))
-    for value in text:  # each distinct value is rendered once
-        text[value] = _render_value(value, maxint)
-    facts = tuple(f"{p}({tid},{','.join(map(text.__getitem__, values))})."
-                  for tid, p, values in instance.facts)
+    # the distinct values that may need quotes, found in one pass over their
+    # lines; a value that holds a newline spans lines, so it is taken whole
+    values = set(chain.from_iterable(map(itemgetter(2), instance.facts)))
+    lines = "\n".join(values)
+    odd = values.intersection(_NOT_BARE_LINE_RE.findall(lines))
+    if lines.count("\n") >= len(values):
+        odd.update(v for v in values if "\n" in v)
+    text = {v: _render_value(v, maxint) for v in odd}
+    facts = tuple(f"{p}({tid},{','.join(map(text.get, vs, vs) if text else vs)})."
+                  for tid, p, vs in instance.facts)
 
     rules = []
     for dc in constraints:

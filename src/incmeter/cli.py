@@ -15,6 +15,8 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import aspgen, exact, measures, nullrep, updates
@@ -95,6 +97,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _format_parser() -> _Parser:
+    """An explicit --format alone, read first so that usage errors follow it."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", default="text")
+    return pre
+
+
 def _read(path_str: str, what: str) -> str:
     path = Path(path_str)
     if not path.is_file():
@@ -135,6 +145,49 @@ def _parse_endogenous(text: str) -> list[int]:
     return tids
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(payload) -> str:
+    """json.dumps(payload, indent=2), byte for byte, for str keys, without the
+    pure-Python encoder that indent runs: a list of ints is joined, any other
+    container of no containers goes to the C encoder, whose item separator
+    carries the indent, and the rest is walked."""
+    out, stack = [], []
+    items, sep, comma, close = iter(((None, payload),)), "", "", ""
+    while True:
+        for key, value in items:  # key: a dict key as printed, or None in a list
+            out.append(sep)
+            sep = comma
+            if key is not None:
+                out += [key, ": "]
+            if not value or not isinstance(value, _CONTAINERS):
+                out.append(json.dumps(value))
+                continue
+            pad = "\n" + "  " * (len(stack) + 1)
+            opener, end = "{}" if isinstance(value, dict) else "[]"
+            end = pad[:-2] + end
+            types = set(map(type, value.values() if opener == "{" else value))
+            if types == {int} and opener == "[":
+                out += [opener, pad, ("," + pad).join(map(int.__repr__, value)), end]
+            elif not any(map(issubclass, types, repeat(_CONTAINERS))):
+                flat = json.JSONEncoder(separators=("," + pad, ": ")).encode(value)
+                out += [opener, pad, flat[1:-1], end]
+            else:  # walked, on the stack, before the rest of items
+                stack.append((items, comma, close))
+                items = (zip(map(encode_basestring_ascii, value), value.values())
+                         if opener == "{" else zip(repeat(None), value))
+                out.append(opener)
+                sep, comma, close = pad, "," + pad, end
+                break
+        else:
+            out.append(close)
+            if not stack:
+                return "".join(out)
+            items, comma, close = stack.pop()
+            sep = comma
+
+
 def _emit(args, start: float, payload: dict, text_lines) -> None:
     payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     # 2^|D| counts outgrow the default cap of 4300 digits on printing an int:
@@ -144,7 +197,7 @@ def _emit(args, start: float, payload: dict, text_lines) -> None:
         sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            print(_dumps(payload))
         else:
             for line in text_lines:
                 print(line)
@@ -236,10 +289,10 @@ def _cmd_conflicts(args, constraints, instance):
         "vertices": sorted(hg.vertices),
         "edges": [{"constraint": e.constraint, "tids": sorted(e.tids)}
                   for e in hg.edges],
-        "solving_edges": [sorted(s) for s in hg.solving_edges],
+        "solving_edges": list(map(sorted, hg.solving_edges)),
         "d": hg.d,
         "max_degree": max(degrees.values(), default=0),
-        "degrees": {str(t): n for t, n in degrees.items()},
+        "degrees": dict(zip(map(str, degrees), degrees.values())),
     }
     return payload, hg.dump_lines()
 
@@ -331,13 +384,9 @@ def _fail(fmt: str, exc: IncMeterError) -> None:
 
 
 def main(argv=None) -> int:
-    # an explicit --format is read first so that usage errors follow it;
-    # without one they are reported as text
-    pre = _Parser(add_help=False)
-    pre.add_argument("--format", default="text")
     fmt = "text"
     try:
-        fmt = pre.parse_known_args(argv)[0].format
+        fmt = _format_parser().parse_known_args(argv)[0].format
         args = build_parser().parse_args(argv)
         fmt = args.format
         _check_ranges(args)

@@ -14,6 +14,7 @@ every measure in this package is built on.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -314,8 +315,6 @@ def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
 
 def vertex_degrees(hg: ConflictHypergraph) -> dict[int, int]:
     """Number of solving edges through each vertex; all vertices included."""
-    degrees = {t: 0 for t in sorted(hg.vertices)}
-    for s in hg.solving_edges:
-        for t in s:
-            degrees[t] += 1
+    degrees = dict.fromkeys(sorted(hg.vertices), 0)
+    degrees.update(Counter(chain.from_iterable(hg.solving_edges)))  # keeps the key order
     return degrees

@@ -37,7 +37,8 @@ from .model import _INT_RE, Const, DenialConstraint, Var
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
         ">": operator.gt, ">=": operator.ge}
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-_TID = operator.attrgetter("tid")
+# facts are read by position: on Python 3.11 a named-tuple field read is slower
+_TID = operator.itemgetter(0)
 
 
 def compare_values(a: str, op: str, b: str) -> bool:
@@ -83,7 +84,7 @@ class FactIndex:
         if self._by_pred is None:
             self._by_pred = {}
             for f in self._facts:
-                self._by_pred.setdefault(f.predicate, []).append(f)
+                self._by_pred.setdefault(f[1], []).append(f)
             self._facts = None
         return self._by_pred
 
@@ -94,7 +95,7 @@ class FactIndex:
             index = self._indexes[predicate, positions] = {}
             key = _key(positions)
             for f in self._grouped().get(predicate, ()):
-                index.setdefault(key(f.values), []).append(f)
+                index.setdefault(key(f[2]), []).append(f)
         return index
 
     def derive(self, deleted, inserted) -> "FactIndex":
@@ -250,9 +251,9 @@ def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
     def extend(k):
         i, table, key, binds, checks, after = run[k]
         for fact in table.get(key(env), ()):
-            if after is not None and fact.tid < assignment[after].tid:
+            if after is not None and fact[0] < assignment[after][0]:
                 continue
-            values = fact.values
+            values = fact[2]
             for s, p in binds:
                 env[s] = values[p]
             for test, a, b in checks:
@@ -294,7 +295,7 @@ def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set
     out: set = set()
 
     def emit(assignment):
-        out.add(frozenset([f.tid for f in assignment]))
+        out.add(frozenset(map(_TID, assignment)))
 
     if inserted is None:
         _join(index, constraint, None, True, None, emit)

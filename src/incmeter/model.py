@@ -13,7 +13,6 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -128,10 +127,6 @@ class Fact(NamedTuple):
         return f"{self.predicate}[{self.tid}]({', '.join(self.values)})"
 
 
-# a Fact from a (tid, predicate, values) triple, without the frame of Fact._make
-_fact = partial(tuple.__new__, Fact)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A database instance: facts over a schema, ordered by tid.
@@ -165,21 +160,24 @@ class Instance:
                              _by_tid=by_tid, **rows)
         return self
 
-    def _check_facts(self, facts, rows, where=None) -> None:
+    def _check_facts(self, facts, rows, where=None, runs=None) -> None:
         """Add the rows of facts, whose tids are distinct and positive, to rows,
         a map from each predicate to the set of its value tuples.  A row must
         have its predicate's arity, hold no NULL and be new.  Each run of one
         predicate's facts is checked as a whole; one that fails is walked by
-        _walk, which names the first bad fact."""
+        _walk, which names the first bad fact.  runs, if given, are the runs
+        as (predicate, list of value tuples) pairs, in the order of facts."""
         arity = self.schema._arity
         at = 0
-        for name, run in groupby(facts, itemgetter(1)):
-            values = list(map(itemgetter(2), run))
+        if runs is None:
+            runs = ((name, list(map(itemgetter(2), run)))
+                    for name, run in groupby(facts, itemgetter(1)))
+        for name, values in runs:
             new = set(values)
             live = rows.setdefault(name, set())
             if (len(new) < len(values) or not new.isdisjoint(live)
-                    or not set(map(len, new)) <= {arity.get(name)}
-                    or NULL in chain.from_iterable(new)):
+                    or not set(map(len, values)) <= {arity.get(name)}
+                    or not {NULL}.isdisjoint(chain.from_iterable(values))):
                 self._walk(facts, rows, at, where)
             live |= new
             at += len(values)
@@ -307,18 +305,22 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
                 text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"{name}: csv source is not UTF-8: {exc}") from None
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        body = list(map(tuple, filter(None, reader)))  # a stray blank line takes no tid
+        if header is None:
             raise InputError(f"{name}: empty csv, expected a header row")
-        header = tuple(h.strip() for h in rows[0])
+        header = tuple(h.strip() for h in header)
         if header != pred.attributes:
             raise InputError(
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
-        body = [tuple(r) for r in rows[1:] if r]  # a stray blank line takes no tid
-        batch = list(map(_fact, zip(count(len(facts) + 1), repeat(name), body)))
-        # a bad batch[i] is on the (i + 2)th nonblank line, the header being the first
-        instance._check_facts(batch, {}, lambda i, exc: InputError(
-            f"{name}: {exc}", line=[k for k, row in enumerate(rows, 1) if row][i + 1]))
+        # Facts from (tid, predicate, values) triples, without the frame of Fact._make
+        batch = list(map(tuple.__new__, repeat(Fact),
+                         zip(count(len(facts) + 1), repeat(name), body)))
+        # a bad batch[i] is on the (i + 2)th nonblank line, counted only then
+        instance._check_facts(batch, {}, lambda i, exc: InputError(f"{name}: {exc}", line=[
+            k for k, row in enumerate(csv.reader(io.StringIO(text)), 1) if row][i + 1]),
+            [(name, body)])
         facts += batch
     instance.__dict__.update(endogenous=frozenset(map(_tid, endogenous_tids or ())))
     return instance._index(dict(zip(count(1), facts)))
@@ -406,6 +408,13 @@ class DenialConstraint:
         terms += [t for c in self.comparisons for t in (c.left, c.right)]
         if Const(NULL) in terms:
             raise InputError(f"constraint {self.name}: the value {NULL} is reserved")
+        object.__setattr__(self, "_hash", hash((self.name, self.atoms, self.comparisons)))
+
+    def __hash__(self):  # the join's plan caches hash a constraint on every lookup
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy in another process hashes afresh
+        return DenialConstraint, (self.name, self.atoms, self.comparisons)
 
     def variables(self) -> set[str]:
         return set().union(*(a.variables() for a in self.atoms))

@@ -332,7 +332,7 @@ def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
         assert cover.objective <= Fraction(11, 10) * cover.dual_bound
 
 
-@pytest.mark.parametrize("eps", [Fraction(1), Fraction(10)])
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(10), Fraction(2)])
 def test_one_edge_components_certify_at_the_first_rung(monkeypatch, eps):
     # at step 1 the start lengths of one edge sum to exactly 1; a rung that
     # took no step there would have a zero dual bound and need a second rung

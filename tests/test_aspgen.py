@@ -1,4 +1,7 @@
+import random
+import re
 import stat
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,53 @@ def test_value_rendering():
     assert facts[6] == 'p(7,"quo\\"te").'
     assert facts[7] == 'p(8,"back\\\\slash").'
     assert facts[8] == 'p(9,"1\u0663").'  # int("1\u0663") == 13, but not a DLV integer
+
+
+_REF_BARE_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+_REF_BARE_INT_RE = re.compile(r"(?:0|[1-9][0-9]*)\Z")
+
+
+def _reference_facts(instance):
+    """The fact lines as emit_repair_program wrote them before values were
+    sorted out in bulk: every distinct value rendered on its own."""
+    maxint = max(100, len(instance) + 1,
+                 max((f.tid for f in instance.facts), default=0) + 1)
+
+    def render(value):
+        if _REF_BARE_IDENT_RE.match(value):
+            return value
+        if _REF_BARE_INT_RE.match(value) and int(value) <= maxint:
+            return value
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    text = dict.fromkeys(chain.from_iterable(f.values for f in instance.facts))
+    for value in text:
+        text[value] = render(value)
+    return tuple(f"{p}({tid},{','.join(map(text.__getitem__, values))})."
+                 for tid, p, values in instance.facts)
+
+
+# values needing quotes or escapes, holding newlines (some whose lines are
+# each bare), with a leading capital, ints on both sides of #maxint and
+# digits outside ASCII
+_ODD_VALUES = ("ok", "x_1Y", "", "Upper", "has space", 'quo"te', "back\\slash",
+               'both\\"', "a\nb", "ab\n", "\nab", "a\n\nb", "A\nb", "a\r", "\r\n",
+               "0", "7", "00", "007", "-3", "99", "100", "101", "102", "10000",
+               "1\u0663", "\u0663", "\u00e9t\u00e9", "caf\u00e9", "_x", "x-y", "x.y")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fact_rendering_matches_the_value_by_value_reference(seed):
+    rng = random.Random(seed)
+    schema = parse_schema("p(A)\nq(A, B)\n")
+    cs = parse_constraints("dc c : !exists p(x), q(x, y)\n", schema)
+    pool = _ODD_VALUES + tuple(f"v{i}" for i in range(rng.randrange(1, 200)))
+    rows = {(name, tuple(rng.choice(pool) for _ in range(arity)))
+            for name, arity in (("p", 1), ("q", 2)) * rng.randrange(1, 150)}
+    inst = Instance(schema, tuple(Fact(i + 1, p, v) for i, (p, v) in enumerate(sorted(rows))))
+    assert emit_repair_program(inst, cs).facts == _reference_facts(inst)
+    odd = inst.derive([("p", (v,)) for v in _ODD_VALUES if ("p", (v,)) not in rows], [])
+    assert emit_repair_program(odd, cs).facts == _reference_facts(odd)
 
 
 @pytest.mark.parametrize("style, rules", [

@@ -1,10 +1,16 @@
+import argparse
+import contextlib
 import json
+import random
 import stat
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from incmeter import cli
 from incmeter.cli import main
 
 from conftest import shallow_stack
@@ -412,3 +418,85 @@ def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
             assert out == fresh.stdout
         else:
             assert payload(out) == payload(fresh.stdout)
+
+
+def _reference_dumps(payload):
+    """The JSON printer before the bulk one: json's pure-Python encoder, which
+    indent selects."""
+    return json.dumps(payload, indent=2)
+
+
+@contextlib.contextmanager
+def _uncapped():
+    """Lift the cap on printing long ints, as _emit does while it prints."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+_KEYS = ("command", "tids", "", "caf\u00e9", "\u2603 \"q\"", "a\\b\nc", "\U0001f600")
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(10 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([True, False, None, 0, -1, 0.0, -0.0, 1e300, 2.5e-8,
+                           float("inf"), float("-inf"), float("nan")])
+    if kind == 1:
+        return rng.randrange(-10 ** 12, 10 ** 12) if rng.random() < 0.97 else (
+            rng.choice([1, -1]) * 7 ** rng.randint(5100, 5400))  # over 4300 digits
+    if kind == 2:
+        return rng.uniform(-1e6, 1e6)
+    if kind in (3, 4):
+        return "".join(rng.choice("ab Z\"\\/\n\t\x00\x7f\u00e9\u2603\U0001f600")
+                       for _ in range(rng.randrange(6)))
+    n = rng.randrange(6)
+    if kind == 5:
+        return [rng.randrange(10 ** 6) for _ in range(n)]
+    if kind == 6:
+        return tuple(_random_value(rng, depth + 1) for _ in range(n))
+    if kind == 7:
+        return [_random_value(rng, depth + 1) for _ in range(n)]
+    return {rng.choice(_KEYS): _random_value(rng, depth + 1) for _ in range(n)}
+
+
+def test_json_output_matches_the_indenting_encoder_byte_for_byte(capsys):
+    rng = random.Random(23)
+    args = argparse.Namespace(format="json")
+    for _ in range(20_000):
+        payload = {rng.choice(_KEYS): _random_value(rng, 1) for _ in range(rng.randrange(5))}
+        cli._emit(args, time.perf_counter(), payload, ())
+        with _uncapped():  # _emit printed with the cap lifted and put it back
+            assert capsys.readouterr().out == _reference_dumps(payload) + "\n"
+    # the top level may be any value, and a flat container of any length
+    for value in ([], {}, (), "x", 3, None, [1, True], list(range(5000)),
+                  {str(i): i for i in range(5000)}, [[]] * 3, [{}, [()]]):
+        assert cli._dumps(value) == _reference_dumps(value)
+
+
+def test_every_golden_payload_prints_as_recorded():
+    golden = sorted((Path(__file__).parent / "golden" / "cli").glob("*.json"))
+    assert golden
+    for path in golden:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert cli._dumps(payload) == _reference_dumps(payload), path.name
+
+
+def test_conflicts_of_a_2k_row_instance_print_as_the_indenting_encoder(
+        tmp_path, capsys, monkeypatch):
+    rng = random.Random(11)
+    rows = "".join(f"k{rng.randrange(500)},b{rng.randrange(3)},c{i}\n" for i in range(2000))
+    base = write_bundle(tmp_path, FD_SCHEMA, FD_CONSTRAINTS, {"rel": "A,B,C\n" + rows})
+    printed = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda payload: printed.append(
+        (dumps(payload), _reference_dumps(payload))) or printed[-1][0])
+    payload = run_json(capsys, ["conflicts"] + base)
+    assert len(payload["vertices"]) > 1900 and len(payload["edges"]) > 1000
+    [(text, reference)] = printed
+    assert text == reference

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import random
 import re
 
@@ -230,7 +231,7 @@ def _rows_in_tid_order(sources):
     return rows
 
 
-@pytest.mark.parametrize("sources, loaded, built", [
+_BAD_ROWS = [
     pytest.param({"q": "A,B\na,b\nx\nc,d\n"},
                  "line 3: q: fact q[2](x) has 1 values, q expects 2",
                  "fact q[2](x) has 1 values, q expects 2", id="arity"),
@@ -267,7 +268,10 @@ def _rows_in_tid_order(sources):
     pytest.param({"p": "A\nx\n\nx\n", "q": "A,B\nz\n"},
                  "line 4: p: duplicate row p('x',)",
                  "duplicate row p('x',)", id="first-predicate-wins"),
-])
+]
+
+
+@pytest.mark.parametrize("sources, loaded, built", _BAD_ROWS)
 def test_a_bad_row_gets_one_message_on_every_path(sources, loaded, built):
     """A loaded file, a constructed Instance and a derivation name the same row.
 
@@ -286,6 +290,78 @@ def test_a_bad_row_gets_one_message_on_every_path(sources, loaded, built):
     with pytest.raises(InputError) as info:
         Instance(schema, ()).derive([(p, v) for _, p, v in rows], [])
     assert (str(info.value), info.value.line) == (built, None)
+
+
+def _reference_load(csv_sources, schema, endogenous_tids=None):
+    """load_instance as it was before it streamed the reader: every parsed
+    row kept, and each nonblank row's line looked up in them."""
+    unknown = set(csv_sources) - set(schema.predicate_names)
+    if unknown:
+        raise InputError(f"csv source for unknown predicate(s): {sorted(unknown)}")
+    instance = object.__new__(Instance)
+    instance.__dict__.update(schema=schema)
+    facts = []
+    for name in sorted(schema.predicate_names):
+        if name not in csv_sources:
+            continue
+        pred = schema.predicate(name)
+        text = csv_sources[name]
+        rows = list(csv.reader(io.StringIO(text)))
+        if not rows:
+            raise InputError(f"{name}: empty csv, expected a header row")
+        header = tuple(h.strip() for h in rows[0])
+        if header != pred.attributes:
+            raise InputError(
+                f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
+        body = [tuple(r) for r in rows[1:] if r]
+        batch = [Fact(tid, name, values) for tid, values in enumerate(body, len(facts) + 1)]
+        instance._check_facts(batch, {}, lambda i, exc: InputError(
+            f"{name}: {exc}", line=[k for k, row in enumerate(rows, 1) if row][i + 1]))
+        facts += batch
+    instance.__dict__.update(endogenous=frozenset(map(int, endogenous_tids or ())))
+    return instance._index(dict(zip(itertools.count(1), facts)))
+
+
+def _outcome(load, sources, schema):
+    try:
+        instance = load(sources, schema, [1])
+    except InputError as exc:
+        return str(exc), exc.line
+    except csv.Error as exc:  # a bare CR ending a row: not refused as bad input yet
+        return type(exc), str(exc)
+    return instance.facts, instance.tids, instance.endogenous
+
+
+# CRLF and bare CR line ends, blank lines, and quoted fields holding commas,
+# quotes and line ends, which make a row span lines: the line of a bad row
+# counts the rows read before it, blank ones included, not the physical lines
+_LAYOUTS = [
+    "A,B\r\na,b\r\nc,d\r\n",
+    "A,B\r\n\r\na,b\r\n\r\n\r\nc,d",
+    "A,B\ra,b\rc,d\r",
+    'A,B\n"a,1","b\nc"\n"x""y",z\n',
+    'A,B\r\n"a\r\nb",c\r\n\r\n"d,\n\ne",f\r\n',
+    ' A , B \na , b\n\n\n',
+    'A,B\n"a\nb",c\nx\n',
+    'A,B\r\n"a\r\n\r\nb",c\r\n\r\nd,NULL\r\n',
+    'A,B\n"a,b",c\n"a,b",c\n',
+    'A,B\n"a\nb",c\n,,\n',
+    'A,B\n"a\nb",c\n"",""\n"",""\n',
+    "",
+    "\n\nA,B\na,b\n",
+    "A,C\na,b\n",
+]
+
+
+def test_loading_matches_the_reference_loader():
+    schema = parse_schema("p(A)\nq(A, B)\n")
+    cases = [param.values[0] for param in _BAD_ROWS]
+    cases += [{"q": text} for text in _LAYOUTS]
+    cases += [{"p": "A\r\nx\r\n\r\ny\r\n", "q": text} for text in _LAYOUTS]
+    cases += [{"p": 'A\n"x\n\ny"\n\nx\ny\n"x\n\ny"\n', "q": "A,B\na,b\n"}]
+    for sources in cases:
+        assert _outcome(load_instance, sources, schema) == \
+            _outcome(_reference_load, sources, schema), sources
 
 
 @pytest.mark.parametrize("source", [
