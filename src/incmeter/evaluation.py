@@ -16,9 +16,9 @@ seeding atoms in turn with inserted facts finds every assignment that touches
 one of them, the delta rule of counting/DRed view maintenance.  Two atoms are
 interchangeable when swapping them, with a renaming of variables, maps the
 constraint onto itself, as the two atoms of an FD do; swapping them in an
-assignment keeps its image.  So images are taken with interchangeable atoms
-matched in ascending tid order, or, under a seed, with one atom of each class
-seeded.  Full assignments, by atom position, are all enumerated.
+assignment keeps its image.  So images, and nullrep's cell sets, are taken
+with interchangeable atoms matched in ascending tid order, or, under a seed,
+with one atom of each class seeded.
 
 Facts and constants never hold the reserved blank placeholder: the model
 refuses it in every fact and every constraint, so values join, match and
@@ -270,20 +270,6 @@ def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
     # extend refers to itself; dropping it frees at once what the call holds,
     # emit's output among it, instead of at a later full collection
     del extend
-
-
-def iter_satisfying_assignments(index: FactIndex, constraint: DenialConstraint,
-                                seed=None):
-    """Every assignment (one fact per atom) satisfying the constraint.
-
-    Assignments are tuples in atom order.  seed, when given, is a pair
-    (atom index, facts): only assignments matching that atom to one of the
-    facts are returned.  The seed facts must belong to the indexed instance.
-    """
-    out: list = []
-    first, facts = (None, None) if seed is None else (seed[0], FactIndex(seed[1]))
-    _join(index, constraint, first, False, facts, lambda a: out.append(tuple(a)))
-    return iter(out)
 
 
 def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set:

@@ -306,8 +306,11 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         except UnicodeDecodeError as exc:
             raise InputError(f"{name}: csv source is not UTF-8: {exc}") from None
         reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        body = list(map(tuple, filter(None, reader)))  # a stray blank line takes no tid
+        try:
+            header = next(reader, None)
+            body = list(map(tuple, filter(None, reader)))  # a stray blank line takes no tid
+        except csv.Error as exc:  # a bare CR ending a row, or an oversized field
+            raise InputError(f"{name}: malformed csv: {exc}", line=reader.line_num) from None
         if header is None:
             raise InputError(f"{name}: empty csv, expected a header row")
         header = tuple(h.strip() for h in header)
@@ -330,7 +333,10 @@ def _tid(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's cap on digits read as an int
+            raise InputError(f"tid of {len(value)} digits is too long") from None
     raise InputError(f"not a tid: {value!r}")
 
 

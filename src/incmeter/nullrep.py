@@ -7,22 +7,28 @@ its "breaking" cells is blanked: a cell matched by a constant, by a shared
 (join) variable, or by a variable used in a comparison.  Minimum-change
 repairs are minimum hitting sets over these breaking-cell sets, and the
 measure normalizes the change count by the number of cells in the instance.
+
+Cell conflicts come from the ordered join plan of evaluation.images, which
+matches interchangeable atoms in ascending tid order only.  Their swap keeps
+constants, variable occurrence counts and compared variables, so such atoms
+break at equal positions and an assignment and its swap at the same cells.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import evaluation, exact
 from .conflicts import antichain
 from .measures import MeasureReport, _empty_report
-from .model import Const, ConstraintSet, DenialConstraint, Instance
+from .model import Const, ConstraintSet, DenialConstraint, Instance, Var
 
 CELL_LIMIT = 24
 
 
-@dataclass(frozen=True, order=True)
-class CellChange:
+class CellChange(NamedTuple):
     """One cell to blank: a tid and a 1-based attribute position."""
 
     tid: int
@@ -37,26 +43,13 @@ class NullRepairSolution:
     atv: int  # total number of cells in the instance
 
 
-def _breaking_positions(dc: DenialConstraint) -> dict[int, set[int]]:
-    """Per atom index, the 1-based positions whose blanking kills a match."""
-    occurrences: dict[str, int] = {}
-    for atom in dc.atoms:
-        for term in atom.terms:
-            if not isinstance(term, Const):
-                occurrences[term.name] = occurrences.get(term.name, 0) + 1
-    compared = set()
-    for cmp in dc.comparisons:
-        compared |= cmp.variables()
-    out = {}
-    for i, atom in enumerate(dc.atoms):
-        positions = set()
-        for j, term in enumerate(atom.terms, start=1):
-            if isinstance(term, Const):
-                positions.add(j)
-            elif occurrences[term.name] >= 2 or term.name in compared:
-                positions.add(j)
-        out[i] = positions
-    return out
+def _breaking_positions(dc: DenialConstraint) -> list[list[int]]:
+    """Per atom, the 1-based positions whose blanking kills a match, ascending."""
+    occurrences = Counter(t for atom in dc.atoms for t in atom.terms if isinstance(t, Var))
+    compared = set().union(*(c.variables() for c in dc.comparisons))
+    return [[j for j, t in enumerate(atom.terms, start=1)
+             if isinstance(t, Const) or occurrences[t] >= 2 or t.name in compared]
+            for atom in dc.atoms]
 
 
 def cell_conflicts(instance: Instance, constraints: ConstraintSet):
@@ -67,18 +60,13 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
     """
     index = evaluation.FactIndex(instance.facts)
     edges: set[frozenset[CellChange]] = set()
-    irreparable = False
     for dc in constraints:
-        positions = _breaking_positions(dc)
-        for assignment in evaluation.iter_satisfying_assignments(index, dc):
-            cells = set()
-            for i, fact in enumerate(assignment):
-                for j in positions[i]:
-                    cells.add(CellChange(fact.tid, j))
-            if not cells:
-                irreparable = True
-            else:
-                edges.add(frozenset(cells))
+        cells = [(i, j) for i, positions in enumerate(_breaking_positions(dc))
+                 for j in positions]
+        evaluation._join(index, dc, None, True, None, lambda assignment: edges.add(
+            frozenset([CellChange(assignment[i][0], j) for i, j in cells])))
+    irreparable = frozenset() in edges
+    edges.discard(frozenset())
     minimal = antichain(edges)
     minimal.sort(key=lambda e: tuple(sorted(e)))
     return tuple(minimal), irreparable

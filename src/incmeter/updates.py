@@ -41,7 +41,7 @@ from . import conflicts, exact, measures
 from .conflicts import ConflictHypergraph, _carry, build_hypergraph, constraint_edges
 from .errors import InputError
 from .evaluation import FactIndex
-from .model import ConstraintSet, Instance
+from .model import ConstraintSet, Instance, _tid
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,19 @@ def parse_delta(text: str) -> UpdateDelta:
             inner = m.group(2)
             if not inner.strip():
                 raise InputError("insertion needs at least one value", line=lineno)
-            fields = next(csv.reader(io.StringIO(inner), skipinitialspace=True))
+            try:
+                fields = next(csv.reader(io.StringIO(inner), skipinitialspace=True))
+            except csv.Error as exc:  # a value past csv's field size limit
+                raise InputError(f"malformed values: {exc}", line=lineno) from None
             insertions.append((m.group(1), tuple(v.strip() for v in fields)))
         elif line.startswith("-"):
             m = _DELETE_RE.match(line)
             if not m:
                 raise InputError("expected - tid", line=lineno)
-            deletions.add(int(m.group(1)))
+            try:
+                deletions.add(_tid(m.group(1)))
+            except InputError as exc:
+                raise InputError(str(exc), line=lineno) from None
         else:
             raise InputError(f"expected '+' or '-', got {line[0]!r}", line=lineno)
     return UpdateDelta(tuple(insertions), frozenset(deletions))

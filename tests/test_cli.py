@@ -309,6 +309,28 @@ def test_endogenous_file_takes_the_tids_load_instance_takes(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("target, text, message", [
+    ("data/q.csv", "A,B\na,b\nc," + "d" * 140_000 + "\n",
+     "line 3: q: malformed csv: field larger than field limit (131072)"),
+    ("data/endogenous.txt", "1\n" + "9" * 5000 + "\n",
+     "line 2: tid of 5000 digits is too long"),
+    ("delta.txt", "+ q(e, " + "w" * 140_000 + ")\n",
+     "line 1: malformed values: field larger than field limit (131072)"),
+    ("delta.txt", "# drop\n- " + "9" * 5000 + "\n", "line 2: tid of 5000 digits is too long"),
+], ids=["csv field", "endogenous tid", "delta value", "delta tid"])
+def test_input_past_a_parsers_size_limit_is_bad_input(tmp_path, capsys, target, text,
+                                                      message):
+    # csv refuses a field over its limit, and int() a string of more digits
+    # than the interpreter's cap, with errors of their own
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
+    delta = tmp_path / "delta.txt"
+    delta.write_text("+ q(e, w)\n")
+    (tmp_path / target).write_text(text)
+    command = ["update", "--delta", str(delta)] if target == "delta.txt" else ["measure"]
+    assert main(command + ["--format", "json"] + base) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
+
+
 def test_measure_empty_data_directory(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, {})
     payload = run_json(capsys, ["measure"] + base)

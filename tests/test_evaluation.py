@@ -1,5 +1,6 @@
 """Differential tests of the join engine against a brute-force product oracle
-and against the engine as first written, frozen below.
+and against the engine as first written, frozen below, and of nullrep's cell
+sets against its rule as first written, run over the frozen engine.
 
 The constraints cover what the shared corpus's pool lacks: constants in
 atom positions, a variable repeated inside one atom, three-atom joins,
@@ -12,8 +13,9 @@ import gc
 import random
 from collections import Counter
 
-from incmeter import evaluation
-from incmeter.evaluation import FactIndex, compare_values, images, iter_satisfying_assignments
+from incmeter import evaluation, nullrep
+from incmeter.conflicts import antichain
+from incmeter.evaluation import FactIndex, compare_values, images
 from incmeter.model import (Atom, Comparison, Const, DenialConstraint, Fact, Instance, Var,
                             parse_constraints, parse_schema)
 
@@ -50,6 +52,20 @@ def random_instance(rng):
         for values in sorted(rows[pred]):
             facts.append(Fact(len(facts) + 1, pred, values))
     return Instance(SCHEMA, tuple(facts))
+
+
+def iter_satisfying_assignments(index, constraint, seed=None):
+    """Every assignment (one fact per atom) satisfying the constraint, through
+    the engine's unordered plan, as tuples in atom order.
+
+    seed, when given, is a pair (atom index, facts): only assignments matching
+    that atom to one of the facts are returned.  The seed facts must belong to
+    the indexed instance.
+    """
+    out: list = []
+    first, facts = (None, None) if seed is None else (seed[0], FactIndex(seed[1]))
+    evaluation._join(index, constraint, first, False, facts, lambda a: out.append(tuple(a)))
+    return iter(out)
 
 
 def cases(seed, count):
@@ -176,6 +192,48 @@ def _reference_assignments(facts, constraint, seed=None):
     yield from extend(0)
 
 
+def _reference_breaking_positions(dc):
+    """Per atom index, the 1-based positions whose blanking kills a match."""
+    occurrences = {}
+    for atom in dc.atoms:
+        for term in atom.terms:
+            if not isinstance(term, Const):
+                occurrences[term.name] = occurrences.get(term.name, 0) + 1
+    compared = set()
+    for cmp in dc.comparisons:
+        compared |= cmp.variables()
+    out = {}
+    for i, atom in enumerate(dc.atoms):
+        positions = set()
+        for j, term in enumerate(atom.terms, start=1):
+            if isinstance(term, Const):
+                positions.add(j)
+            elif occurrences[term.name] >= 2 or term.name in compared:
+                positions.add(j)
+        out[i] = positions
+    return out
+
+
+def _reference_cell_conflicts(facts, dc):
+    """nullrep.cell_conflicts for one constraint as first written: the
+    breaking cells of every satisfying assignment of the frozen engine."""
+    positions = _reference_breaking_positions(dc)
+    edges = set()
+    irreparable = False
+    for assignment in _reference_assignments(facts, dc):
+        cells = set()
+        for i, fact in enumerate(assignment):
+            for j in positions[i]:
+                cells.add((fact.tid, j))
+        if not cells:
+            irreparable = True
+        else:
+            edges.add(frozenset(cells))
+    minimal = antichain(edges)
+    minimal.sort(key=lambda e: tuple(sorted(e)))
+    return tuple(minimal), irreparable
+
+
 # --- random constraints against the frozen engine ----------------------------
 
 SHAPED = parse_constraints(
@@ -218,8 +276,9 @@ def random_constraint(rng, name):
     return DenialConstraint(name, tuple(atoms), tuple(comparisons))
 
 
-def _check_against_reference(facts, dc, seed):
-    """Equal image sets, assignment multisets and seeded results."""
+def _check_against_reference(instance, dc, seed):
+    """Equal image sets, assignment multisets, seeded results and cell sets."""
+    facts = instance.facts
     index = FactIndex(facts)
     want = list(_reference_assignments(facts, dc))
     assert Counter(iter_satisfying_assignments(index, dc)) == Counter(want), dc
@@ -230,6 +289,7 @@ def _check_against_reference(facts, dc, seed):
         assert Counter(iter_satisfying_assignments(index, dc, (i, seed))) == Counter(part)
         seeded |= {frozenset(f.tid for f in a) for a in part}
     assert images(index, dc, seed) == seeded, (dc, seed)
+    assert nullrep.cell_conflicts(instance, (dc,)) == _reference_cell_conflicts(facts, dc), dc
     return len(want)
 
 
@@ -237,20 +297,19 @@ def test_engine_matches_the_frozen_engine_on_random_constraints():
     rng = random.Random(53)
     checked = 0
     for n in range(600):
-        facts = random_instance(rng).facts
-        seed = [f for f in facts if rng.random() < 0.3]
+        instance = random_instance(rng)
+        seed = [f for f in instance.facts if rng.random() < 0.3]
         for dc in (*SHAPED, random_constraint(rng, f"c{n}")):
-            checked += _check_against_reference(facts, dc, seed)
+            checked += _check_against_reference(instance, dc, seed)
     assert checked > 3000
 
 
 def test_engine_matches_the_frozen_engine_on_the_corpus(corpus):
     rng = random.Random(59)
     for item in corpus:
-        facts = item.instance.facts
-        seed = [f for f in facts if rng.random() < 0.3]
+        seed = [f for f in item.instance.facts if rng.random() < 0.3]
         for dc in item.constraints:
-            _check_against_reference(facts, dc, seed)
+            _check_against_reference(item.instance, dc, seed)
 
 
 def test_plans_fold_fixed_values_and_pair_interchangeable_atoms():
@@ -259,6 +318,12 @@ def test_plans_fold_fixed_values_and_pair_interchangeable_atoms():
     assert classes == {"key": ((0, 1),), "key2": ((0, 1),), "asym": (),
                        "sym3": ((0, 1, 2),), "sym_r": ((0, 1),), "sym_const": ((0, 1),),
                        "sym_order": (), "closed": (), "fixed_twice": (), "consts": ()}
+    # cell sets come from the ordered plan: an assignment and its swap must
+    # break at the same cells
+    for dc in (*SHAPED, *CONSTRAINTS):
+        positions = nullrep._breaking_positions(dc)
+        for cls in evaluation._classes(dc):
+            assert all(positions[i] == positions[cls[0]] for i in cls), dc.name
     # s = "a" fixes s: the plan starts from r(c, "a"), looked up on position 1
     steps, _ = evaluation._plan(by_name["closed"], None, True)
     assert [(i, positions) for i, _, positions, *_ in steps] == [(1, (1,)), (0, (1,))]

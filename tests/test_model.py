@@ -327,8 +327,10 @@ def _outcome(load, sources, schema):
         instance = load(sources, schema, [1])
     except InputError as exc:
         return str(exc), exc.line
-    except csv.Error as exc:  # a bare CR ending a row: not refused as bad input yet
-        return type(exc), str(exc)
+    except csv.Error as exc:
+        # the frozen loader lets csv's error out; load_instance refuses it as
+        # bad input.  Here that is q's header, which a bare CR ends
+        return f"line 1: q: malformed csv: {exc}", 1
     return instance.facts, instance.tids, instance.endogenous
 
 
@@ -364,6 +366,13 @@ def test_loading_matches_the_reference_loader():
             _outcome(_reference_load, sources, schema), sources
 
 
+def test_load_instance_refuses_a_field_past_csvs_size_limit():
+    with pytest.raises(InputError) as info:
+        load_instance({"p": "A\nx\n\n" + "y" * 140_000 + "\n"}, parse_schema("p(A)"))
+    assert (str(info.value), info.value.line) == (
+        "line 4: p: malformed csv: field larger than field limit (131072)", 4)
+
+
 @pytest.mark.parametrize("source", [
     b"A\n\xff\n",
     io.BytesIO(b"A\n\xff\n"),
@@ -386,6 +395,7 @@ def test_load_instance_refuses_a_source_that_is_not_utf8(source):
     (["1_0"], "not a tid: '1_0'"),
     (["+3"], "not a tid: '+3'"),
     (["\u0663"], "not a tid: '\u0663'"),  # ARABIC-INDIC DIGIT THREE
+    (["9" * 5000], "tid of 5000 digits is too long"),  # past int()'s digit cap
 ])
 def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogenous):
     schema = parse_schema("p(A)\n")

@@ -4,6 +4,7 @@ oracles nothing of the package but its model and errors."""
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from incmeter import errors
@@ -66,6 +67,31 @@ def test_only_evaluations_extend_calls_itself():
                     and call.func.id == node.name for call in ast.walk(node)):
                 recursive.append(f"{path.stem}.{node.name}")
     assert recursive == ["evaluation.extend"]
+
+
+def _names(tree):
+    """The names a tree uses, reads of attributes and imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_every_public_definition_is_used_or_exported():
+    # a function or class that only tests call belongs in tests/; an import
+    # into __init__.py is an export
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = [f"{module}: {node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and named[node.name] == Counter(_names(node))[node.name]]
+    assert unused == []
 
 
 def test_readme_library_use_names_every_export():

@@ -51,6 +51,13 @@ def test_parse_delta_errors():
     except InputError as exc:
         err = exc
     assert err is not None and err.line == 2
+    # past csv's field size limit, and past the interpreter's cap on int digits
+    for text, message in (("+ q(a, " + "b" * 140_000 + ")",
+                           "line 2: malformed values: field larger than field limit (131072)"),
+                          ("- " + "9" * 5000, "line 2: tid of 5000 digits is too long")):
+        with pytest.raises(InputError) as info:
+            parse_delta("- 1\n" + text + "\n")
+        assert (str(info.value), info.value.line) == (message, 2)
 
 
 def test_apply_update_assigns_fresh_tids(pqr):
