@@ -64,7 +64,8 @@ def _user_var(pool_index: int) -> str:
 def _render_value(value: str, maxint: int) -> str:
     if _BARE_IDENT_RE.match(value):
         return value
-    if _BARE_INT_RE.match(value) and int(value) <= maxint:
+    # a value longer than maxint is larger, and int() refuses very long ones
+    if _BARE_INT_RE.match(value) and len(value) <= len(str(maxint)) and int(value) <= maxint:
         return value
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

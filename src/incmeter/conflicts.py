@@ -37,7 +37,11 @@ class Hyperedge:
 
 class Component(tuple):
     """Edges, in their given order.  index, built on first use and kept, is
-    their sorted elements and their distinct bit masks over those, sorted."""
+    their sorted elements and their distinct bit masks over those, sorted.
+    optimum is None until a solve searches the component, and then its
+    minimum cover and the search nodes it took (see exact.min_hitting_set)."""
+
+    optimum = None
 
     @cached_property
     def index(self) -> tuple[list, list[int]]:
@@ -55,27 +59,25 @@ class ConflictHypergraph:
     are dropped since any hitting set already covers them.  d is the largest
     solving edge size (0 when the instance is consistent).
 
-    Four more members carry work for later calls and take no part in
+    Three more members carry work for later calls and take no part in
     equality.  components splits the solving edges on first use and keeps
     the parts for every solver.  A hypergraph that an update derives (see
     derive) is given its components: those the delta did not reach are the
-    parent's own objects, with any masks already built.  _optima maps each component to its
-    minimum cover and search nodes, from this hypergraph's solve or, until
-    then, from its parent's (see exact.min_hitting_set).  _index is the
-    evaluation.FactIndex the edges were found with, None for a hypergraph
-    built from edge sets; an update derives the next index from it (see
-    updates.incremental_hypergraph).  _lookups maps each conflicting tid to
+    parent's own objects, with any masks and optimum already found, so the
+    next solve searches only the components the delta changed.  _index is
+    the evaluation.FactIndex the edges were found with, None for a
+    hypergraph built from edge sets or by dataclasses.replace; derive
+    derives the next index from it.  _lookups maps each conflicting tid to
     its edges and to its component; built on the first update and moved to
     the derived hypergraph, it is None until then and after.  None of these
-    links a hypergraph to its parent.
+    links a hypergraph to its parent, and only this module reads the last
+    two.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
     d: int
-    _optima: dict | None = field(default=None, init=False, compare=False, repr=False,
-                                 hash=False)
     _index: evaluation.FactIndex | None = field(default=None, init=False, compare=False,
                                                 repr=False, hash=False)
     _lookups: tuple[dict, dict] | None = field(default=None, init=False, compare=False,
@@ -188,34 +190,38 @@ def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> Conflict
     hyperedges = []
     for dc in constraints:
         hyperedges += constraint_edges(index, dc)
-    return _carry(assemble(instance.tids, hyperedges, [c.name for c in constraints]), index)
-
-
-def _carry(hg: ConflictHypergraph, index, optima=None) -> ConflictHypergraph:
-    """hg with the index it was built with and the component optima handed to it."""
+    hg = assemble(instance.tids, hyperedges, [c.name for c in constraints])
     object.__setattr__(hg, "_index", index)
-    object.__setattr__(hg, "_optima", optima)
     return hg
 
 
-def derive(hg: ConflictHypergraph, vertices, deleted, found,
-           constraint_order) -> ConflictHypergraph:
-    """The hypergraph after a delta, derived from hg, the one before it.
+def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
+           constraints: ConstraintSet) -> ConflictHypergraph:
+    """The hypergraph after a delta, derived from hg, the hypergraph of instance.
 
-    deleted holds the delta's deleted tids; found holds, for each constraint,
-    its minimal violation sets among the images that hold an inserted tid
-    (see constraint_edges).  Only what the delta reaches is touched:
+    inserted holds the facts the delta inserts, with fresh tids, and deleted
+    the tids it deletes.  The index after the delta is derived from hg's,
+    rewriting only the buckets of the deleted and inserted facts; hg without
+    an index builds one from instance first.  New edges are each
+    constraint's minimal violation sets among the images that hold an
+    inserted tid (see constraint_edges).  Only what the delta reaches is
+    touched:
     - the edges through a deleted tid go; an edge found stays out if an edge
       of its constraint that survives is a proper subset of it;
     - the surviving solving edges stay solving, since every new edge holds
       an inserted tid; a new edge is solving if it holds no surviving edge
       and no other new edge;
     - the components that hold a deleted tid or meet a new solving edge are
-      split again, and the rest are handed on as they are.
+      split again, and the rest are handed on as they are, optimum and all.
     Surviving edges and components keep their canonical places, and the new
     ones are put in by key.  hg's tid -> edges and tid -> component maps are
     moved to the result, so hg builds them again if it is derived from again.
     """
+    index = (hg._index or evaluation.FactIndex(instance.facts)).derive(
+        [instance.fact(t) for t in deleted], inserted)
+    found = []
+    for dc in constraints:
+        found += constraint_edges(index, dc, inserted)
     incident, owner = hg._lookups or _build_lookups(hg)
     object.__setattr__(hg, "_lookups", None)
     dropped = set()
@@ -255,10 +261,12 @@ def derive(hg: ConflictHypergraph, vertices, deleted, found,
             for t in s:
                 owner[t] = c
     solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
+    edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
     derived = ConflictHypergraph(
-        frozenset(vertices), tuple(_splice(hg.edges, dropped, added, _edge_key(constraint_order))),
+        hg.vertices.difference(deleted).union(f.tid for f in inserted), tuple(edges),
         tuple(solving), max(map(len, solving), default=0))
     object.__setattr__(derived, "components", _splice(hg.components, hit.values(), parts, _first))
+    object.__setattr__(derived, "_index", index)
     object.__setattr__(derived, "_lookups", (incident, owner))
     return derived
 

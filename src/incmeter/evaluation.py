@@ -50,7 +50,10 @@ def compare_values(a: str, op: str, b: str) -> bool:
     if op not in _OPS:
         raise InputError(f"unknown operator {op!r}")
     if op not in ("=", "!=") and _INT_RE.match(a) and _INT_RE.match(b):
-        a, b = int(a), int(b)
+        try:
+            a, b = int(a), int(b)
+        except ValueError:  # past the interpreter's cap on digits read as an int
+            raise InputError(f"value of {max(len(a), len(b))} digits is too long") from None
     return _OPS[op](a, b)
 
 

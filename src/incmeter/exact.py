@@ -12,11 +12,11 @@ most d^k nodes for a component answer of size k, and the answer is the union
 of the component answers.  One node budget counts the nodes of all trees
 together, so pathological inputs end in a clean error instead of a silent
 timeout or a wrong answer; the error brackets the whole optimum by the exact
-sizes of the solved components and [packing, incumbent] of the rest.  The
-optimum and node count of each component are recorded on the hypergraph, so
-a component already solved, or one an update left unchanged, is not searched
-again, while its nodes still count.  All minimal hitting sets are built edge
-by edge with Berge's rule.
+sizes of the solved components and [packing, incumbent] of the rest.  Each
+component keeps the optimum and node count of its search (see
+conflicts.Component), so a component already solved, or one an update handed
+on unchanged, is not searched again, while its nodes still count.  All
+minimal hitting sets are built edge by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -69,25 +69,22 @@ def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDG
         edges = {e & allowed for e in edges}
     if frozenset() in edges:
         return None
-    return _solve(split(list(edges)), node_budget)[0]
+    return _solve(split(list(edges)), node_budget)
 
 
-def _solve(components, node_budget, known=None):
-    """The minimum cover of the components (see conflicts.split), the search
-    nodes it took, and each component's record: its cover and search nodes.
+def _solve(components, node_budget):
+    """The minimum cover of the components (see conflicts.split).
 
-    known holds such records, of this problem or another; a component found
-    there is not searched again, but its recorded nodes still count.  Each
-    component's search is deterministic, so the answer, the node count and
-    an exhausted budget's bracket are those of a search of every component.
+    Each component searched records its optimum: its cover and the search
+    nodes it took.  A recorded component is not searched again, but its
+    recorded nodes still count.  Each component's search is deterministic,
+    so the answer, the node count and an exhausted budget's bracket are
+    those of a search of every component.
     """
-    known = known or {}
-    record = {}
     nodes = 0
     chosen = []
     for i, component in enumerate(components):
-        cover, taken = known.get(component, (None, 0))
-        if cover is None or nodes + taken > node_budget:
+        if component.optimum is None or nodes + component.optimum[1] > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
             # search, so that the budget runs out where a fresh solve's does
             universe, masks = component.index
@@ -102,11 +99,11 @@ def _solve(components, node_budget, known=None):
                     + sum(_incumbent(m).bit_count() for m in rest),
                     lower_bound=len(chosen) + exc.lower_bound
                     + sum(_scan(m, 0)[1] for m in rest)) from None
-            cover = tuple(universe[b] for b in _bits(found))
+            component.optimum = tuple(universe[b] for b in _bits(found)), taken
+        cover, taken = component.optimum
         nodes += taken
-        record[component] = cover, taken
         chosen.extend(cover)
-    return frozenset(chosen), nodes, record
+    return frozenset(chosen)
 
 
 def _branch_and_bound(masks, n, budget):
@@ -214,14 +211,13 @@ def min_hitting_set(hg: ConflictHypergraph,
     """Smallest deletion set covering every solving edge; always optimal.
 
     This is the endogenous solve with every tid deletable, over hg's
-    components.  Each component's optimum is recorded on hg with the search
-    nodes it took, replacing the optima an update handed to hg, so one
-    generation is handed on.  A recorded component is not searched again
-    while the budget left covers its nodes; the search is deterministic, so
-    a smaller budget searches again and fails as a fresh solve would.
+    components.  Each component keeps its optimum with the search nodes it
+    took, and an update hands the components it leaves alone on to the next
+    hypergraph.  A recorded component is not searched again while the budget
+    left covers its nodes; the search is deterministic, so a smaller budget
+    searches again and fails as a fresh solve would.
     """
-    deleted, _, record = _solve(hg.components, node_budget, hg._optima)
-    object.__setattr__(hg, "_optima", record)
+    deleted = _solve(hg.components, node_budget)
     return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
 
 

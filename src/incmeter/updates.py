@@ -6,20 +6,18 @@ those before it by the delta rule of counting/DRed view maintenance: keep
 what the delta did not touch.  New edges come from the assignments that use
 at least one inserted fact: each atom in turn is seeded with the inserted
 facts while the other atoms are looked up in the updated instance's index.
-An assignment seen under several seeds yields one image.  That index is
-derived from the one the hypergraph before carries, rewriting only the
-buckets of the deleted and inserted facts.  conflicts.derive then drops the
-edges through a deleted tid, puts the new ones in by key and splits again
-only the components the delta reaches.  The other components are handed on
-as they are, with the per-component optima of the hypergraph before, so the
-next solve searches only the components the delta changed (see
-exact.min_hitting_set).
+An assignment seen under several seeds yields one image.  conflicts.derive
+finds them, drops the edges through a deleted tid, puts the new ones in by
+key and splits again only the components the delta reaches.  The other
+components are handed on as they are, each with the optimum a solve
+recorded on it, so the next solve searches only the components the delta
+changed (see exact.min_hitting_set).
 
 Some per-delta costs still grow with the instance.  At C speed,
 apply_update copies the tid map and row sets (Instance.derive), the index
 copies each table of a touched predicate, and the vertex set and the edge,
 solving-edge and component sequences are copied around the changes.  The
-solve after a delta still looks up the recorded optimum of every component.
+solve after a delta still walks every component to sum its recorded nodes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before and solves it, then derives the one
@@ -38,9 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import conflicts, exact, measures
-from .conflicts import ConflictHypergraph, _carry, build_hypergraph, constraint_edges
+from .conflicts import ConflictHypergraph, build_hypergraph
 from .errors import InputError
-from .evaluation import FactIndex
 from .model import ConstraintSet, Instance, _tid
 
 
@@ -162,27 +159,13 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     """Conflicts of the updated instance, reusing the edges that survive.
 
     hg must be the hypergraph of instance.  Only the delta is checked (see
-    Instance.check_delta); the updated instance is not built.  The updated
-    index is derived from hg's, and hg's untouched components and component
-    optima are handed on for the next solve to reuse (see conflicts.derive);
-    hg's edges, components and optima are left as they are.
+    Instance.check_delta); the updated instance is not built.  hg's
+    untouched components, with any optima found for them, are handed on for
+    the next solve to reuse (see conflicts.derive); hg's edges and
+    components are left as they are.
     """
     inserted = instance.check_delta(delta.insertions, delta.deletions)
-    return _incremental(hg, instance, inserted, delta.deletions, constraints)
-
-
-def _incremental(hg, instance, inserted, deleted, constraints) -> ConflictHypergraph:
-    """incremental_hypergraph, given the facts the insertions become."""
-    if hg._index is None:
-        index = FactIndex([f for f in instance.facts if f.tid not in deleted] + inserted)
-    else:
-        index = hg._index.derive([instance.fact(t) for t in deleted], inserted)
-    found = []
-    for dc in constraints:
-        found += constraint_edges(index, dc, inserted)
-    vertices = hg.vertices.difference(deleted).union(f.tid for f in inserted)
-    derived = conflicts.derive(hg, vertices, deleted, found, [c.name for c in constraints])
-    return _carry(derived, index, hg._optima)
+    return conflicts.derive(hg, instance, inserted, delta.deletions, constraints)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
@@ -202,7 +185,7 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
         instance.check_delta((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     if hg_after is None:
-        hg_after = _incremental(hg_before, instance, inserted, delta.deletions, constraints)
+        hg_after = conflicts.derive(hg_before, instance, inserted, delta.deletions, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 

@@ -331,6 +331,21 @@ def test_input_past_a_parsers_size_limit_is_bad_input(tmp_path, capsys, target, 
     assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
 
 
+def test_an_order_test_on_a_value_past_the_digit_cap(tmp_path, capsys):
+    # int() refuses more digits than the interpreter's cap: the comparison
+    # calls that bad input, and a program quotes the value, as one over #maxint
+    long = "9" * 5000
+    base = write_bundle(tmp_path, "r(A, B)\n", "dc o : !exists r(x, y), r(x, z), y < z\n",
+                        {"r": f"A,B\na,{long}\na,1\n"})
+    for command in ("measure", "conflicts"):
+        assert main([command, "--format", "json"] + base) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "input", "message": "value of 5000 digits is too long"}
+    assert main(["emit-asp", "--format", "json"] + base) == 0
+    out = capsys.readouterr().out
+    assert f'r(1,a,"{long}").' in out.splitlines() and "r(2,a,1)." in out.splitlines()
+
+
 def test_measure_empty_data_directory(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, {})
     payload = run_json(capsys, ["measure"] + base)

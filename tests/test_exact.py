@@ -4,13 +4,13 @@ import random
 import pytest
 
 from incmeter import conflicts, exact
-from incmeter.conflicts import (Component, _carry, build_hypergraph, hypergraph_from_edges,
-                                split)
+from incmeter.conflicts import Component, build_hypergraph, hypergraph_from_edges, split
 from incmeter.errors import ResourceLimitError
 from incmeter.model import Fact, Instance, parse_constraints, parse_schema
 from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
                             enumerate_s_repairs, min_endogenous_hitting_set,
                             min_hitting_set, solve_min_hitting_set)
+from incmeter.updates import UpdateDelta, apply_update, incremental_hypergraph
 
 from conftest import (brute_force_min_hitting_set, count_searches, fd_key_groups, random_bundle,
                       shallow_stack)
@@ -144,9 +144,9 @@ def test_exhaustion_across_components_brackets_the_whole_optimum():
         assert best <= finished * opt + (3 - finished) * incumbent
 
 
-def _recorded_nodes(hg):
-    """The search nodes of hg's last solve, from its component record."""
-    return sum(taken for _, taken in hg._optima.values())
+def _recorded_nodes(components):
+    """The search nodes of the components' last solve, from their records."""
+    return sum(c.optimum[1] for c in components)
 
 
 def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search(monkeypatch):
@@ -156,7 +156,7 @@ def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search(monkeypat
     hg = block()
     first = min_hitting_set(hg)
     assert hg == block() and hash(hg) == hash(block()) and repr(hg) == repr(block())
-    nodes = _recorded_nodes(hg)
+    nodes = _recorded_nodes(hg.components)
     searches = count_searches(monkeypatch)
     assert min_hitting_set(hg) == first
     assert min_hitting_set(hg, node_budget=nodes) == first
@@ -174,34 +174,69 @@ def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search(monkeypat
     assert min_hitting_set(hg) == first and not searches
 
 
-def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
-    # three hard blocks, then the same graph with the last block changed
-    # and a new component: two blocks are reused and two searched
-    blocks = [_hard_block(30 * k) for k in range(3)]
-    parent = hypergraph_from_edges(range(100), [e for b in blocks for e in b])
-    min_hitting_set(parent)
-    edges = blocks[0] + blocks[1] + blocks[2][1:] + [{95, 96}, {96, 97}]
+def _edge_bundle(edges, vertices):
+    """Constraints whose conflicts are the edges, one constraint each, and an
+    instance of v(Id) holding the vertices, vertex u as v("u") with tid u + 1."""
+    schema = parse_schema("v(Id)\n")
+    lines = []
+    for k, e in enumerate(edges):
+        names = [f"x{j}" for j in range(len(e))]
+        atoms = ", ".join(f"v({x})" for x in names)
+        pins = ", ".join(f'{x} = "{u}"' for x, u in zip(names, sorted(e)))
+        lines.append(f"dc e{k} : !exists {atoms}, {pins}\n")
+    facts = tuple(Fact(u + 1, "v", (str(u),)) for u in vertices)
+    return parse_constraints("".join(lines), schema), Instance(schema, facts)
 
-    def child(optima):
-        return _carry(hypergraph_from_edges(range(100), edges), None, optima)
+
+def test_handed_on_optima_give_the_fresh_answer_nodes_and_bracket(monkeypatch):
+    # three hard blocks, then a delta that deletes a vertex of the last block
+    # and inserts a new component: two blocks are handed on and two searched
+    blocks = [_hard_block(30 * k) for k in range(3)]
+    cs, inst = _edge_bundle([e for b in blocks for e in b] + [{95, 96}, {96, 97}], range(90))
+    parent = build_hypergraph(inst, cs)
+    min_hitting_set(parent)
+    delta = UpdateDelta(tuple(("v", (str(u),)) for u in (95, 96, 97)), frozenset({61}))
+    after = apply_update(inst, delta)
+
+    def child():
+        return incremental_hypergraph(parent, inst, delta, cs)
 
     searches = count_searches(monkeypatch)
-    reused, fresh = child(parent._optima), child(None)
+    reused, fresh = child(), build_hypergraph(after, cs)
+    assert reused == fresh and len(fresh.components) == 4
     assert min_hitting_set(reused) == min_hitting_set(fresh)
     assert len(searches) == 4 + 2
-    nodes = _recorded_nodes(fresh)
-    assert _recorded_nodes(reused) == nodes
+    nodes = _recorded_nodes(fresh.components)
+    assert _recorded_nodes(reused.components) == nodes
     searches.clear()
     assert min_hitting_set(reused, node_budget=nodes) == min_hitting_set(fresh)
     assert not searches
     # budgets running out in the first block, the second, the last node
     for budget in (nodes // 10, nodes // 2, nodes - 1):
         with pytest.raises(ResourceLimitError) as got:
-            min_hitting_set(child(parent._optima), node_budget=budget)
+            min_hitting_set(child(), node_budget=budget)
         with pytest.raises(ResourceLimitError) as want:
-            min_hitting_set(child(None), node_budget=budget)
+            min_hitting_set(build_hypergraph(after, cs), node_budget=budget)
         assert (got.value.best_size, got.value.lower_bound) == \
             (want.value.best_size, want.value.lower_bound)
+
+
+def test_a_solve_hashes_no_component(monkeypatch):
+    # a component's record lives on the component, not in a table keyed by it
+    cs, inst, optimum = fd_key_groups(random.Random(2), 200)
+    delta = UpdateDelta((("rel", ("k0", "b9", "new")),), frozenset({1}))
+    want = min_hitting_set(build_hypergraph(apply_update(inst, delta), cs))
+    hg = build_hypergraph(inst, cs)
+
+    def unhashable(self):
+        raise TypeError("a component was hashed")
+
+    monkeypatch.setattr(Component, "__hash__", unhashable)
+    for _ in range(2):
+        assert len(min_hitting_set(hg).deleted) == optimum
+    child = incremental_hypergraph(hg, inst, delta, cs)
+    for _ in range(2):
+        assert min_hitting_set(child) == want
 
 
 def _reference_popcount(mask):
@@ -296,11 +331,12 @@ def _masks(edges):
 
 
 def _outcome(edges, node_budget):
+    components = split(list({frozenset(e) for e in edges}))
     try:
-        cover, nodes, _ = exact._solve(split(list({frozenset(e) for e in edges})), node_budget)
+        cover = exact._solve(components, node_budget)
     except ResourceLimitError as exc:
         return exc.best_size, exc.lower_bound
-    return cover, nodes
+    return cover, _recorded_nodes(components)
 
 
 def test_search_matches_the_reference_branch_and_bound(monkeypatch):
@@ -407,8 +443,8 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
     cs, inst, optimum = fd_key_groups(random.Random(1), 400)
     hg = build_hypergraph(inst, cs)
     # what a search of the solving edges as a plain edge set finds
-    deleted, nodes, _ = exact._solve(split(list(set(hg.solving_edges))),
-                                     exact.DEFAULT_NODE_BUDGET)
+    components = split(list(set(hg.solving_edges)))
+    deleted = exact._solve(components, exact.DEFAULT_NODE_BUDGET)
     splits = []
     for module in (conflicts, exact):
         monkeypatch.setattr(module, "split",
@@ -419,7 +455,7 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
         assert sol.deleted == deleted and len(deleted) == optimum
     assert len(hg.components) == 80
     assert (len(splits), len(searches)) == (1, 80)
-    assert sum(taken for _, taken in hg._optima.values()) == nodes
+    assert [c.optimum for c in hg.components] == [c.optimum for c in components]
 
 
 def test_enumerate_minimal_hitting_sets_small():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -153,6 +154,21 @@ def test_incremental_matches_rebuild_on_random_mixed_deltas():
         inc = incremental_hypergraph(hg, inst, delta, cs)
         full = build_hypergraph(apply_update(inst, delta), cs)
         assert inc == full
+
+
+def test_a_hypergraph_without_an_index_derives_the_rebuilt_one():
+    # dataclasses.replace keeps the edges but not the index they were found with
+    rng = random.Random(778)
+    for _ in range(60):
+        cs, inst = random_bundle(rng)
+        hg = dataclasses.replace(build_hypergraph(inst, cs))
+        assert hg._index is None
+        deletions = frozenset(rng.sample(inst.tids, min(len(inst.tids), rng.randint(0, 2))))
+        taken = {(f.predicate, f.values) for f in inst.facts if f.tid not in deletions}
+        rows = {("r", (rng.choice("abcd"), rng.choice("abcd"))) for _ in range(3)} - taken
+        delta = UpdateDelta(tuple(sorted(rows)), deletions)
+        _check_against_rebuild(incremental_hypergraph(hg, inst, delta, cs),
+                               apply_update(inst, delta), cs)
 
 
 def test_insertion_bounds_worked_example(pqr):
@@ -345,7 +361,7 @@ def _check_carried_state(hg_before, inst, delta, cs, after):
         assert built == _buckets(index)[predicate, positions]
     assert min_hitting_set(hg) == min_hitting_set(fresh)
     # the same cover and search nodes for every component
-    assert hg._optima == fresh._optima
+    assert [c.optimum for c in hg.components] == [c.optimum for c in fresh.components]
     return hg
 
 
@@ -458,7 +474,7 @@ def _check_against_rebuild(hg, inst, cs):
     assert hg == fresh
     assert [tuple(c) for c in hg.components] == [tuple(c) for c in fresh.components]
     assert measures._g3(hg, len(inst)) == measures._g3(fresh, len(inst))
-    assert hg._optima == fresh._optima
+    assert [c.optimum for c in hg.components] == [c.optimum for c in fresh.components]
 
 
 def test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild():
