@@ -67,11 +67,12 @@ class ConflictHypergraph:
     next solve searches only the components the delta changed.  _index is
     the evaluation.FactIndex the edges were found with, None for a
     hypergraph built from edge sets or by dataclasses.replace; derive
-    derives the next index from it.  _lookups maps each conflicting tid to
-    its edges and to its component; built on the first update and moved to
-    the derived hypergraph, it is None until then and after.  None of these
-    links a hypergraph to its parent, and only this module reads the last
-    two.
+    updates it in place for the derived hypergraph and leaves None here, so
+    a second derive from this one builds an index anew.  _lookups maps each
+    conflicting tid to its edges and to its component; built on the first
+    update and moved to the derived hypergraph, it is None until then and
+    after.  None of these links a hypergraph to its parent, and only this
+    module reads the last two.
     """
 
     vertices: frozenset[int]
@@ -200,9 +201,9 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     """The hypergraph after a delta, derived from hg, the hypergraph of instance.
 
     inserted holds the facts the delta inserts, with fresh tids, and deleted
-    the tids it deletes.  The index after the delta is derived from hg's,
-    rewriting only the buckets of the deleted and inserted facts; hg without
-    an index builds one from instance first.  New edges are each
+    the tids it deletes.  hg's index is handed on to the result, with only
+    the buckets of the deleted and inserted facts edited; hg without an
+    index builds one from instance first.  New edges are each
     constraint's minimal violation sets among the images that hold an
     inserted tid (see constraint_edges).  Only what the delta reaches is
     touched:
@@ -217,13 +218,13 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     ones are put in by key.  hg's tid -> edges and tid -> component maps are
     moved to the result, so hg builds them again if it is derived from again.
     """
-    index = (hg._index or evaluation.FactIndex(instance.facts)).derive(
+    index = (hg._index or evaluation.FactIndex(instance.facts)).update(
         [instance.fact(t) for t in deleted], inserted)
+    incident, owner = hg._lookups or _build_lookups(hg)
+    hg.__dict__.update(_index=None, _lookups=None)
     found = []
     for dc in constraints:
         found += constraint_edges(index, dc, inserted)
-    incident, owner = hg._lookups or _build_lookups(hg)
-    object.__setattr__(hg, "_lookups", None)
     dropped = set()
     for t in deleted:
         dropped |= incident.pop(t, set())

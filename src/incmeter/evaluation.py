@@ -72,9 +72,9 @@ class FactIndex:
     """Facts by predicate, with hash tables keyed by (predicate, positions).
 
     Tables are built on first use and shared by every constraint evaluated
-    against the same FactIndex.  A table never changes once built: derive
-    hands the built tables on to the index of an updated instance and
-    rewrites only the buckets a delta touches, as new lists.
+    against the same FactIndex.  update hands the facts and the built tables
+    on to the index of an updated instance, edited in place where a delta
+    touches them.
     """
 
     def __init__(self, facts):
@@ -101,46 +101,34 @@ class FactIndex:
                 index.setdefault(key(f[2]), []).append(f)
         return index
 
-    def derive(self, deleted, inserted) -> "FactIndex":
+    def update(self, deleted, inserted) -> "FactIndex":
         """The index of these facts without deleted and with inserted.
 
-        inserted must carry tids above every other fact's, so each bucket
-        stays in tid order, as a fresh index would hold it.  Built tables and
-        the facts by predicate are handed on; each list of facts, or bucket of
-        a table, that a deleted or inserted fact belongs to is replaced by a
-        new list, so this index and its buckets stay as they are.
+        inserted must carry tids above every other fact's, so each list stays
+        in tid order, as a fresh index would hold it.  The facts by predicate
+        and the built tables move to the new index, and only the lists and
+        buckets that a deleted or inserted fact belongs to are edited, in
+        place; this index is left empty.
         """
-        child = FactIndex(None)
-        by_pred = child._by_pred = dict(self._grouped())
+        new = FactIndex(None)
+        new._by_pred, new._indexes = by_pred, indexes = self._grouped(), self._indexes
+        self._by_pred, self._indexes = {}, {}
+        tables: dict = {}
+        for (predicate, positions), table in indexes.items():
+            tables.setdefault(predicate, []).append((_key(positions), table))
         for f in deleted:
-            by_pred[f.predicate] = _without(by_pred[f.predicate], f)
+            facts = by_pred[f.predicate]
+            del facts[bisect_left(facts, f.tid, key=_TID)]
+            for key, table in tables.get(f.predicate, ()):
+                k = key(f.values)
+                del table[k][bisect_left(table[k], f.tid, key=_TID)]
+                if not table[k]:
+                    del table[k]
         for f in inserted:
-            by_pred[f.predicate] = [*by_pred.get(f.predicate, ()), f]
-        child._indexes = dict(self._indexes)
-        for (predicate, positions), old in self._indexes.items():
-            gone = [f for f in deleted if f.predicate == predicate]
-            new = [f for f in inserted if f.predicate == predicate]
-            if not gone and not new:
-                continue
-            index = child._indexes[predicate, positions] = dict(old)
-            key = _key(positions)
-            for f in gone:
-                k = key(f.values)
-                bucket = _without(index[k], f)
-                if bucket:
-                    index[k] = bucket
-                else:
-                    del index[k]
-            for f in new:
-                k = key(f.values)
-                index[k] = [*index.get(k, ()), f]
-        return child
-
-
-def _without(facts, fact) -> list:
-    """A list of facts in tid order, without fact, as a new list."""
-    i = bisect_left(facts, fact.tid, key=_TID)
-    return facts[:i] + facts[i + 1:]
+            by_pred.setdefault(f.predicate, []).append(f)
+            for key, table in tables.get(f.predicate, ()):
+                table.setdefault(key(f.values), []).append(f)
+        return new
 
 
 @lru_cache(maxsize=256)

@@ -109,7 +109,7 @@ def inc_deg_g3_endogenous(instance: Instance, constraints: ConstraintSet,
     endo = instance.effective_endogenous()
     if n == 0:
         return _empty_report("g3_endogenous", normalization=normalization)
-    den = n if normalization == "db_size" else len(endo)
+    den = n if normalization == "db_size" else len(endo) or 1  # 1 for an emptied partition
     sol = exact.min_endogenous_hitting_set(hg, endo, node_budget)
     if sol is None:
         return MeasureReport(

@@ -131,14 +131,23 @@ class Fact(NamedTuple):
 class Instance:
     """A database instance: facts over a schema, ordered by tid.
 
-    An optional endogenous set marks the tids the application is allowed to
-    delete; an empty set means no partition was declared, in which case every
-    fact counts as endogenous.  `tids` holds the tids in ascending order.
+    An optional endogenous set marks the tids the application may delete if
+    declared, which a nonempty set always is.  With no partition declared
+    every fact counts as endogenous; a declared one that deletions empty
+    lets none be deleted.  `tids` holds the tids in ascending order.
+
+    The versions that derive makes share one tid map and one set of live
+    rows.  The version read last holds them; every other one links toward it
+    with the delta between them, and a read moves them back along that path,
+    undoing each delta (Baker's rerooting, 1991) in time that follows those
+    deltas.  Reads thus write hidden state, which is safe as the package is
+    single-threaded, and a version kept alive keeps every later one alive.
     """
 
     schema: Schema
     facts: tuple[Fact, ...]
     endogenous: frozenset[int] = field(default_factory=frozenset)
+    declared: bool = False
 
     def __post_init__(self):
         try:
@@ -151,14 +160,39 @@ class Instance:
         self._check_facts(ordered, {})
         self._index(dict(zip(tids, ordered)))
 
-    def _index(self, by_tid, **rows) -> "Instance":
+    def _index(self, by_tid) -> "Instance":
         """Set facts, tids and the tid map from by_tid, checked facts in tid order."""
         stray = self.endogenous.difference(by_tid)
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
-        self.__dict__.update(facts=tuple(by_tid.values()), tids=tuple(by_tid),
-                             _by_tid=by_tid, **rows)
+        self.__dict__.update(facts=tuple(by_tid.values()), tids=tuple(by_tid), _by_tid=by_tid,
+                             _link=None, _n=len(by_tid), _top=next(reversed(by_tid), 0),
+                             declared=self.declared or bool(self.endogenous))
         return self
+
+    def __copy__(self):  # a copy of the version that holds the tid map would share it
+        return self
+
+    def __getattr__(self, name):  # a derived instance sorts its facts and tids on first read
+        if name not in ("facts", "tids"):
+            raise AttributeError(name)
+        facts = tuple(sorted(self._live().values(), key=itemgetter(0)))
+        self.__dict__.update(facts=facts, tids=tuple(map(itemgetter(0), facts)))
+        return self.__dict__[name]
+
+    def _live(self) -> dict:
+        """The tid map, moved here with the live rows from the version that holds them."""
+        path = [self]
+        while path[-1]._link is not None:
+            path.append(path[-1]._link[0])
+        state = path.pop().__dict__
+        for version in reversed(path):
+            _, gone, added = version._link
+            _shift(state["_by_tid"], state["_rows"], added, gone)
+            version.__dict__.update(_by_tid=state["_by_tid"], _rows=state["_rows"], _link=None)
+            state.update(_by_tid=None, _rows=None, _link=(version, added, gone))
+            state = version.__dict__
+        return self._by_tid
 
     def _check_facts(self, facts, rows, where=None, runs=None) -> None:
         """Add the rows of facts, whose tids are distinct and positive, to rows,
@@ -219,18 +253,17 @@ class Instance:
         use and handed on by derive, so a chain of derivations checks no fact
         twice.
         """
-        missing = set(deletions).difference(self._by_tid)
+        by_tid = self._live()
+        missing = set(deletions).difference(by_tid)
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
-        rows = getattr(self, "_rows", None)
+        rows = self.__dict__.get("_rows")
         if rows is None:
-            rows = {}
-            for f in self.facts:
+            rows = self.__dict__["_rows"] = {}
+            for f in by_tid.values():
                 rows.setdefault(f.predicate, set()).add(f.values)
-            object.__setattr__(self, "_rows", rows)
-        start = self.tids[-1] + 1 if self.tids else 1
-        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, start)]
-        gone = {self._by_tid[t][1:] for t in deletions}
+        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, self._top + 1)]
+        gone = {by_tid[t][1:] for t in deletions}
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
         for f in facts:
@@ -242,39 +275,47 @@ class Instance:
     def derive(self, insertions, deletions) -> "Instance":
         """This instance with the deletions dropped and the insertions added.
 
-        Only the delta is checked (see check_delta); the live rows and the
-        tid map are then copied, O(n) at C speed, and handed on.
+        Only the delta is checked (see check_delta).  The child takes over
+        the tid map and the live rows and applies the delta to them in place;
+        this instance keeps a link to the child with the delta.  A declared
+        partition stays declared, however many of its tids are deleted.
         """
         deletions = set(deletions)
         facts = self.check_delta(insertions, deletions)
-        rows = {p: set(values) for p, values in self._rows.items()}
-        by_tid = dict(self._by_tid)
-        for t in deletions:
-            f = by_tid.pop(t)
-            rows[f.predicate].discard(f.values)
-        for f in facts:
-            rows.setdefault(f.predicate, set()).add(f.values)
-            by_tid[f.tid] = f
+        by_tid, rows, top = self._by_tid, self._rows, self._top
+        gone = [by_tid[t] for t in deletions]
+        _shift(by_tid, rows, gone, facts)
+        top = facts[-1].tid if facts else top if top in by_tid else max(by_tid, default=0)
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
-        child.__dict__.update(schema=self.schema,
-                              endogenous=self.endogenous.difference(deletions))
-        return child._index(by_tid, _rows=rows)
+        child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(deletions),
+                              _by_tid=by_tid, _rows=rows, _link=None, _n=len(by_tid), _top=top,
+                              declared=self.declared)
+        self.__dict__.update(_by_tid=None, _rows=None, _link=(child, gone, facts))
+        return child
 
     def __len__(self):
-        return len(self.facts)
+        return self._n
 
     def fact(self, tid: int) -> Fact:
         try:
-            return self._by_tid[tid]
+            return self._live()[tid]
         except KeyError:
             raise InputError(f"no fact with tid {tid}") from None
 
     def effective_endogenous(self) -> frozenset[int]:
         # no declared partition means everything may be touched
-        if not self.endogenous:
-            return frozenset(self._by_tid)
-        return self.endogenous
+        return self.endogenous if self.declared else frozenset(self._live())
+
+
+def _shift(by_tid, rows, gone, added) -> None:
+    """Take the facts gone out of a tid map and its live rows, then put added in."""
+    for f in gone:
+        del by_tid[f.tid]
+        rows[f.predicate].discard(f.values)
+    for f in added:
+        by_tid[f.tid] = f
+        rows.setdefault(f.predicate, set()).add(f.values)
 
 
 def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance:

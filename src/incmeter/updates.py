@@ -13,11 +13,11 @@ components are handed on as they are, each with the optimum a solve
 recorded on it, so the next solve searches only the components the delta
 changed (see exact.min_hitting_set).
 
-Some per-delta costs still grow with the instance.  At C speed,
-apply_update copies the tid map and row sets (Instance.derive), the index
-copies each table of a touched predicate, and the vertex set and the edge,
-solving-edge and component sequences are copied around the changes.  The
-solve after a delta still walks every component to sum its recorded nodes.
+The instance and the fact index are handed on and edited in place, not
+copied (Instance.derive, FactIndex.update).  Some per-delta costs still grow
+with the instance: at C speed, the vertex set and the edge, solving-edge and
+component sequences are copied around the changes, and the solve after a
+delta still walks every component to sum its recorded nodes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before and solves it, then derives the one
@@ -161,8 +161,8 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     hg must be the hypergraph of instance.  Only the delta is checked (see
     Instance.check_delta); the updated instance is not built.  hg's
     untouched components, with any optima found for them, are handed on for
-    the next solve to reuse (see conflicts.derive); hg's edges and
-    components are left as they are.
+    the next solve to reuse, and so is its index (see conflicts.derive);
+    hg's edges and components are left as they are.
     """
     inserted = instance.check_delta(delta.insertions, delta.deletions)
     return conflicts.derive(hg, instance, inserted, delta.deletions, constraints)
