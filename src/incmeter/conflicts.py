@@ -201,9 +201,9 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     """The hypergraph after a delta, derived from hg, the hypergraph of instance.
 
     inserted holds the facts the delta inserts, with fresh tids, and deleted
-    the tids it deletes.  hg's index is handed on to the result, with only
-    the buckets of the deleted and inserted facts edited; hg without an
-    index builds one from instance first.  New edges are each
+    maps each tid it deletes to its fact.  hg's index is handed on to the
+    result, with only the buckets of the deleted and inserted facts edited;
+    hg without an index builds one from instance first.  New edges are each
     constraint's minimal violation sets among the images that hold an
     inserted tid (see constraint_edges).  Only what the delta reaches is
     touched:
@@ -219,7 +219,7 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     moved to the result, so hg builds them again if it is derived from again.
     """
     index = (hg._index or evaluation.FactIndex(instance.facts)).update(
-        [instance.fact(t) for t in deleted], inserted)
+        deleted.values(), inserted)
     incident, owner = hg._lookups or _build_lookups(hg)
     hg.__dict__.update(_index=None, _lookups=None)
     found = []
@@ -263,9 +263,11 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
                 owner[t] = c
     solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
-    derived = ConflictHypergraph(
-        hg.vertices.difference(deleted).union(f.tid for f in inserted), tuple(edges),
-        tuple(solving), max(map(len, solving), default=0))
+    # a pure delta leaves one side of the vertex set alone, so it is not copied
+    vertices = hg.vertices.difference(deleted) if deleted else hg.vertices
+    vertices = vertices.union(f.tid for f in inserted) if inserted else vertices
+    derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving),
+                                 max(map(len, solving), default=0))
     object.__setattr__(derived, "components", _splice(hg.components, hit.values(), parts, _first))
     object.__setattr__(derived, "_index", index)
     object.__setattr__(derived, "_lookups", (incident, owner))

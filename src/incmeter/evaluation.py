@@ -267,7 +267,8 @@ def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set
     """The images (tid sets) of the constraint's satisfying assignments.
 
     With inserted facts, which must belong to the indexed instance, only the
-    images of the assignments that match one of them.
+    images of the assignments that match one of them, seeding only the atoms
+    whose predicate an inserted fact has: a delete-only delta joins nothing.
     """
     out: set = set()
 
@@ -278,8 +279,9 @@ def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set
         _join(index, constraint, None, True, None, emit)
     else:
         seed = FactIndex(inserted)
+        seeded = {f[1] for f in inserted}
         skip = {i for cls in _classes(constraint) for i in cls[1:]}
-        for first in range(len(constraint.atoms)):
-            if first not in skip:
+        for first, atom in enumerate(constraint.atoms):
+            if atom.predicate in seeded and first not in skip:
                 _join(index, constraint, first, False, seed, emit)
     return out

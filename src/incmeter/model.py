@@ -246,13 +246,27 @@ class Instance:
         """The facts that the insertions of a delta become, once it is checked.
 
         deletions must be tids of this instance.  insertions are
-        (predicate, values) rows; they get fresh tids above the current
-        maximum, in order, and are checked with the same errors as a fresh
-        Instance, a duplicate judged against the rows the deletions leave.
-        The work follows the delta: the set of live rows is built on first
-        use and handed on by derive, so a chain of derivations checks no fact
-        twice.
+        (predicate, values) rows, values read as a tuple of strs; they get
+        fresh tids above the current maximum, in order, and are checked with
+        the same errors as a fresh Instance, a duplicate judged against the
+        rows the deletions leave.  The work follows the delta: the live rows
+        are built on first use and handed on by derive, so a chain of
+        derivations checks no fact twice, and a delta that derive applied
+        here is not checked again (see _delta).
         """
+        return self._delta(insertions, deletions)[0]
+
+    def _delta(self, insertions, deletions) -> tuple[list[Fact], dict]:
+        """check_delta's facts, and a map from each deleted tid to its fact.
+        Both are read from the link derive left here if it records this very
+        delta, an O(delta) comparison: the delta is not checked again and the
+        tid map stays where it is.  Any other delta is checked in full."""
+        facts = [Fact(tid, p, tuple(values))
+                 for tid, (p, values) in enumerate(insertions, self._top + 1)]
+        link = self._link
+        if (link is not None and link[2] == facts and len(link[1]) == len(deletions)
+                and all(f.tid in deletions for f in link[1])):
+            return facts, {f.tid: f for f in link[1]}
         by_tid = self._live()
         missing = set(deletions).difference(by_tid)
         if missing:
@@ -262,36 +276,38 @@ class Instance:
             rows = self.__dict__["_rows"] = {}
             for f in by_tid.values():
                 rows.setdefault(f.predicate, set()).add(f.values)
-        facts = [Fact(tid, p, values) for tid, (p, values) in enumerate(insertions, self._top + 1)]
         gone = {by_tid[t][1:] for t in deletions}
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
         for f in facts:
+            if not all(isinstance(v, str) for v in f.values):
+                raise InputError(f"row {f.predicate}{f.values!r} has a value that is not a str")
             if f.values in rows.get(f.predicate, ()) and f[1:] not in gone:
                 clash.setdefault(f.predicate, set()).add(f.values)
         self._check_facts(facts, clash)
-        return facts
+        return facts, {t: by_tid[t] for t in deletions}
 
     def derive(self, insertions, deletions) -> "Instance":
         """This instance with the deletions dropped and the insertions added.
 
         Only the delta is checked (see check_delta).  The child takes over
         the tid map and the live rows and applies the delta to them in place;
-        this instance keeps a link to the child with the delta.  A declared
+        this instance keeps a link to the child with the facts deleted and
+        inserted, which check_delta reuses for the same delta.  A declared
         partition stays declared, however many of its tids are deleted.
         """
         deletions = set(deletions)
-        facts = self.check_delta(insertions, deletions)
-        by_tid, rows, top = self._by_tid, self._rows, self._top
-        gone = [by_tid[t] for t in deletions]
-        _shift(by_tid, rows, gone, facts)
+        facts, gone = self._delta(insertions, deletions)
+        # deriving this delta again moves the tid map back here, to make a sibling
+        by_tid, rows, top = self._live(), self._rows, self._top
+        _shift(by_tid, rows, gone.values(), facts)
         top = facts[-1].tid if facts else top if top in by_tid else max(by_tid, default=0)
         # the inserted rows are checked above, so __init__ and its full check are skipped
         child = object.__new__(Instance)
         child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(deletions),
                               _by_tid=by_tid, _rows=rows, _link=None, _n=len(by_tid), _top=top,
                               declared=self.declared)
-        self.__dict__.update(_by_tid=None, _rows=None, _link=(child, gone, facts))
+        self.__dict__.update(_by_tid=None, _rows=None, _link=(child, list(gone.values()), facts))
         return child
 
     def __len__(self):

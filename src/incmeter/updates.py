@@ -14,10 +14,13 @@ recorded on it, so the next solve searches only the components the delta
 changed (see exact.min_hitting_set).
 
 The instance and the fact index are handed on and edited in place, not
-copied (Instance.derive, FactIndex.update).  Some per-delta costs still grow
-with the instance: at C speed, the vertex set and the edge, solving-edge and
-component sequences are copied around the changes, and the solve after a
-delta still walks every component to sum its recorded nodes.
+copied (Instance.derive, FactIndex.update).  A delta is checked once, its
+facts read back from the parent's link after apply_update; only the atoms an
+inserted fact can match are joined; a pure delta copies one side of the
+vertex set.  Still growing with the instance, at C speed: the copies of the
+vertex set and of the edge, solving-edge and component sequences around the
+changes, d taken over every solving edge, and the solve's walk of every
+component to sum its recorded nodes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before and solves it, then derives the one
@@ -164,8 +167,8 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     the next solve to reuse, and so is its index (see conflicts.derive);
     hg's edges and components are left as they are.
     """
-    inserted = instance.check_delta(delta.insertions, delta.deletions)
-    return conflicts.derive(hg, instance, inserted, delta.deletions, constraints)
+    inserted, deleted = instance._delta(delta.insertions, delta.deletions)
+    return conflicts.derive(hg, instance, inserted, deleted, constraints)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
@@ -180,12 +183,12 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
-        inserted = instance.check_delta(delta.insertions, delta.deletions)
+        inserted, deleted = instance._delta(delta.insertions, delta.deletions)
     elif not delta.deletions <= hg_before.vertices:
         instance.check_delta((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     if hg_after is None:
-        hg_after = conflicts.derive(hg_before, instance, inserted, delta.deletions, constraints)
+        hg_after = conflicts.derive(hg_before, instance, inserted, deleted, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 
@@ -195,19 +198,31 @@ def _bound_report(direction, instance, delta, constraints, node_budget,
     """Either bound check on a pure delta of eps = changed rows/|D|."""
     hg_before, _, before, after = _measure_delta(
         instance, delta, constraints, node_budget, hg_before, hg_after)
-    before, after = before.value, after.value
-    isolated = None
-    if direction == "delete":
-        isolated = all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
-    n = len(instance)
-    eps = Fraction(len(delta.insertions) + len(delta.deletions), n) if n else Fraction(0)
-    if not 0 < eps < 1:
+    isolated = (all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
+                if direction == "delete" else None)
+    return _sandwich(direction, len(instance), len(delta.insertions) + len(delta.deletions),
+                     before.value, after.value, isolated)
+
+
+def _sandwich(direction, n, k, before, after, isolated) -> BoundCheckReport:
+    """The report of a pure delta of k rows on an instance of n, eps = k/n.
+    With before = b/nb and after = a/na, each side is one exact Fraction:
+      after/(1-eps)        = a*n / (na*(n-k))
+      before/(1-eps)       = b*n / (nb*(n-k))
+      before + eps/(1+eps) = (b*(n+k) + k*nb) / (nb*(n+k))
+      after/(1-eps) + eps  = (a*n*n + k*na*(n-k)) / (na*n*(n-k))
+    """
+    eps = Fraction(k, n) if n else Fraction(0)
+    if not 0 < k < n:
         return BoundCheckReport(direction, eps, before, after, False, (), isolated)
-    scaled = after / (1 - eps)
+    (b, nb), (a, na) = before.as_integer_ratio(), after.as_integer_ratio()
+    scaled = Fraction(a * n, na * (n - k))
     if direction == "insert":
-        bounds = [("upper", after, before + eps / (1 + eps)), ("lower", before, scaled)]
+        bounds = [("upper", after, Fraction(b * (n + k) + k * nb, nb * (n + k))),
+                  ("lower", before, scaled)]
     else:
-        bounds = [("upper", after, before / (1 - eps)), ("lower", before, scaled + eps)]
+        bounds = [("upper", after, Fraction(b * n, nb * (n - k))),
+                  ("lower", before, Fraction(a * n * n + k * na * (n - k), na * n * (n - k)))]
         if isolated:
             bounds.append(("lower_isolated", before, scaled))
     return BoundCheckReport(direction, eps, before, after, True,

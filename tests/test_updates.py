@@ -5,11 +5,12 @@ import itertools
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from incmeter import measures
+from incmeter import evaluation, measures, updates
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
@@ -675,3 +676,277 @@ def test_two_constraints_with_one_tid_set_give_one_solving_edge():
             assert [(e.constraint, e.key()) for e in hg.edges] == [("f1", (1, 3)),
                                                                   ("f2", (1, 3))]
             assert hg.solving_edges == (frozenset({1, 3}),)
+
+
+# --- a delta's work, done once and only where it reaches ---------------------
+
+SCAN_SCHEMA = "rel(A, B, C)\nord(O, C)\ncust(C, S)\n"
+SCAN_CONSTRAINTS = ('fd key : rel : A -> B\n'
+                    'dc closed : !exists ord(o, c), cust(c, s), s = "closed"\n')
+
+
+def _scan_shaped(rng, n):
+    """About n rel, ord and cust rows: key groups under the FD, and orders of
+    a few closed customers, as in the benchmark's scan and stream instances."""
+    schema = parse_schema(SCAN_SCHEMA)
+    cs = parse_constraints(SCAN_CONSTRAINTS, schema)
+    cust = [("cust", (f"u{i}", "closed" if rng.random() < 0.1 else "open"))
+            for i in range(n // 10)]
+    ords = [("ord", (f"o{i}", f"u{rng.randrange(n // 10)}")) for i in range(n // 3)]
+    rel = [("rel", (f"k{rng.randrange(n // 8)}", f"b{rng.randrange(3)}", f"c{i}"))
+           for i in range(n // 2)]
+    rows = cust + ords + rel
+    return cs, Instance(schema, tuple(Fact(t, p, v) for t, (p, v) in enumerate(rows, 1)))
+
+
+def _scan_delta(rng, inst, i):
+    """A delete-only delta, or one that inserts into one relation and may delete."""
+    deletions = frozenset(rng.sample(inst.tids, rng.randint(1, 3)))
+    relation = rng.choice(["delete", "rel", "ord", "cust"])
+    if relation == "delete":
+        return UpdateDelta((), deletions)
+    values = {"rel": lambda j: (f"k{rng.randrange(12)}", f"b{rng.randrange(3)}", f"x{i}.{j}"),
+              "ord": lambda j: (f"p{i}.{j}", f"u{rng.randrange(10)}"),
+              "cust": lambda j: (f"w{i}.{j}", rng.choice(["closed", "open"]))}[relation]
+    rows = tuple((relation, values(j)) for j in range(rng.randint(1, 2)))
+    return UpdateDelta(rows, deletions if rng.random() < 0.3 else frozenset())
+
+
+def _count_joins(monkeypatch):
+    """A list that gets (constraint name, seeded atom) for each evaluation._join call."""
+    calls = []
+    join = evaluation._join
+    monkeypatch.setattr(evaluation, "_join", lambda index, dc, first, *rest: calls.append(
+        (dc.name, first)) or join(index, dc, first, *rest))
+    return calls
+
+
+def test_a_delete_only_delta_runs_no_join(monkeypatch, pqr):
+    _, cs, inst = pqr
+    hg = build_hypergraph(inst, cs)
+    calls = _count_joins(monkeypatch)
+    delta = parse_delta("- 2\n- 3\n")
+    hg_after = incremental_hypergraph(hg, inst, delta, cs)
+    assert evaluation.images(evaluation.FactIndex(inst.facts), next(iter(cs)), []) == set()
+    assert calls == []
+    _check_against_rebuild(hg_after, apply_update(inst, delta), cs)
+
+
+def test_an_insert_seeds_only_the_atoms_of_its_relations(monkeypatch):
+    cs, inst = _scan_shaped(random.Random(8), 300)
+    hg = build_hypergraph(inst, cs)
+    calls = _count_joins(monkeypatch)
+    for rows, seeded in (([("ord", ("o-new", "u1"))], [("closed", 0)]),
+                         ([("cust", ("u-new", "closed"))], [("closed", 1)]),
+                         ([("rel", ("k1", "b9", "c-new"))], [("key", 0)]),
+                         ([("ord", ("o-2", "u2")), ("cust", ("u-2", "open"))],
+                          [("closed", 0), ("closed", 1)])):
+        calls.clear()
+        delta = UpdateDelta(tuple(rows), frozenset())
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        assert calls == seeded
+        inst = apply_update(inst, delta)
+        _check_against_rebuild(hg, inst, cs)
+
+
+def test_delete_only_and_one_relation_deltas_match_a_rebuild_on_the_corpus(corpus):
+    rng = random.Random(5151)
+    kinds = Counter()
+    for item in corpus:
+        inst, cs = item.instance, item.constraints
+        live = {f[1:] for f in inst.facts}
+        deltas = [UpdateDelta((), frozenset(rng.sample(inst.tids, min(len(inst.tids),
+                                                                     rng.randint(1, 2)))))]
+        for relation, arity in (("r", 2), ("s", 1)):
+            rows = {(relation, tuple(rng.choices("abcd", k=arity)))
+                    for _ in range(rng.randint(1, 3))} - live
+            deltas.append(UpdateDelta(tuple(sorted(rows)), frozenset()))
+        for delta in deltas:
+            if delta.insertions or delta.deletions:
+                kinds[delta.insertions[0][0] if delta.insertions else "delete"] += 1
+                _check_against_rebuild(
+                    incremental_hypergraph(build_hypergraph(inst, cs), inst, delta, cs),
+                    apply_update(inst, delta), cs)
+    assert min(kinds.values()) > 300, kinds
+
+
+def test_a_chain_of_scan_shaped_deltas_matches_a_rebuild(monkeypatch):
+    calls = _count_joins(monkeypatch)
+    for seed in range(3):
+        rng = random.Random(seed)
+        cs, inst = _scan_shaped(rng, 240)
+        hg = build_hypergraph(inst, cs)
+        for i in range(40):
+            delta = _scan_delta(rng, inst, i)
+            after = apply_update(inst, delta)
+            calls.clear()
+            hg = incremental_hypergraph(hg, inst, delta, cs)
+            relations = {p for p, _ in delta.insertions}
+            # the FD's class is seeded once; closed's atoms one per relation
+            assert sorted(calls) == sorted(
+                [("key", 0)] * ("rel" in relations) + [("closed", 0)] * ("ord" in relations)
+                + [("closed", 1)] * ("cust" in relations))
+            inst = after
+            _check_against_rebuild(hg, inst, cs)
+
+
+def _count_checks(monkeypatch):
+    calls = []
+    check = Instance._check_facts
+    monkeypatch.setattr(Instance, "_check_facts",
+                        lambda self, *args: calls.append(1) or check(self, *args))
+    return calls
+
+
+def test_an_applied_delta_is_neither_checked_nor_rerooted_again(monkeypatch):
+    cs, inst = _scan_shaped(random.Random(12), 300)
+    hg = build_hypergraph(inst, cs)
+    checks = _count_checks(monkeypatch)
+    rng = random.Random(13)
+    for i in range(30):
+        facts = inst.facts
+        delta = _scan_delta(rng, inst, i)
+        after = apply_update(inst, delta)
+        checks.clear()
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        assert checks == [] and inst._by_tid is None and after._by_tid is not None
+        fresh = Instance(inst.schema, facts)
+        assert incremental_hypergraph(build_hypergraph(fresh, cs), fresh, delta, cs) == hg
+        inst = after
+    _check_against_rebuild(hg, inst, cs)
+
+
+def test_another_delta_from_the_parent_is_checked_in_full(monkeypatch, pqr):
+    _, cs, inst = pqr
+    fresh = Instance(inst.schema, inst.facts)
+    applied = parse_delta("+ q(e, w)\n- 2\n")
+    checks = _count_checks(monkeypatch)
+    for text in ("+ q(e, w)\n", "- 2\n", "+ q(e, w)\n- 2\n- 3\n", "+ q(e, w)\n+ p(z)\n- 2\n",
+                 "+ p(z)\n+ q(e, w)\n- 2\n", "+ q(e, v)\n- 2\n", "+ p(a)\n", "+ p(z)\n- 99\n",
+                 "+ q(e)\n", "+ p(NULL)\n", "+ nosuch(a)\n", "+ q(e, w)\n+ q(e, w)\n"):
+        delta = parse_delta(text)
+        want, want_err = _outcome(
+            lambda v, d: incremental_hypergraph(build_hypergraph(v, cs), v, d, cs), fresh, delta)
+        apply_update(inst, applied)
+        checks.clear()
+        got, got_err = _outcome(
+            lambda v, d: incremental_hypergraph(build_hypergraph(fresh, cs), v, d, cs),
+            inst, delta)
+        assert (got, got_err) == (want, want_err), text
+        # the tid map is moved back, and the rows are checked unless a tid is unknown
+        assert inst._by_tid is not None and (checks or "unknown tid" in got_err), text
+    bad = UpdateDelta((("p", ("z", 5)),), frozenset())
+    with pytest.raises(InputError) as info:
+        apply_update(inst, bad)
+    assert str(info.value) == "row p('z', 5) has a value that is not a str"
+
+
+def test_a_delta_that_undoes_a_link_read_back_gets_fresh_tids(pqr):
+    # reading the parent leaves the child a link back to it, which drops the
+    # inserted fact and restores the deleted one; a delta that does the same
+    # gives the restored row a fresh tid, so it is checked, not read from there
+    _, cs, inst = pqr
+    delta = parse_delta("+ p(z)\n- 2\n")
+    child, hg = apply_update(inst, delta), build_hypergraph(_fresh_after(inst, delta), cs)
+    restored = inst.fact(2)
+    assert child._link[0] is inst
+    undo = UpdateDelta((restored[1:],), frozenset({5}))
+    hg = incremental_hypergraph(hg, child, undo, cs)
+    after = apply_update(child, undo)
+    assert after.tids == (1, 3, 4, 6) and after.fact(6) == Fact(6, *restored[1:])
+    _check_against_rebuild(hg, after, cs)
+
+
+def test_deriving_one_delta_twice_gives_two_siblings(pqr):
+    _, cs, inst = pqr
+    delta = parse_delta("+ q(e, w)\n+ p(z)\n- 2\n")
+    facts, want = inst.facts, _fresh_after(inst, delta)
+    first, second = apply_update(inst, delta), apply_update(inst, delta)
+    assert first is not second and first == second == want
+    # each read moves the tid map to the version read
+    for version, facts, gone in ((first, want.facts, 2), (second, want.facts, 2),
+                                 (inst, facts, 5), (second, want.facts, 2),
+                                 (first, want.facts, 2), (inst, facts, 5)):
+        assert [version.fact(f.tid) for f in facts] == list(facts)
+        with pytest.raises(InputError):
+            version.fact(gone)
+    assert first.facts == second.facts == want.facts and inst.tids == (1, 2, 3, 4)
+    grand = [apply_update(v, parse_delta("- 5\n")) for v in (first, second)]
+    assert grand[0] == grand[1] == _fresh_after(want, parse_delta("- 5\n"))
+    assert first.tids == second.tids == (1, 3, 4, 5, 6)
+    _check_against_rebuild(incremental_hypergraph(build_hypergraph(inst, cs), inst, delta, cs),
+                           second, cs)
+
+
+def _rel_fd(extra=""):
+    """rel(A, B, C) under fd f : rel : A -> B, with the rows a,b,1 and a,d,2."""
+    schema = parse_schema("rel(A, B, C)\n")
+    cs = parse_constraints("fd f : rel : A -> B\n" + extra, schema)
+    return cs, load_instance({"rel": "A,B,C\na,b,1\na,d,2\n"}, schema)
+
+
+def test_a_delta_row_is_read_as_a_tuple_of_strings():
+    listed = UpdateDelta((("rel", ["x", "y", "z"]),), frozenset())
+    cs, inst = _rel_fd()
+    hg = incremental_hypergraph(build_hypergraph(inst, cs), inst, listed, cs)
+    after = apply_update(inst, listed)
+    assert after.fact(3) == Fact(3, "rel", ("x", "y", "z"))
+    _check_against_rebuild(hg, after, cs)
+    # and read from the link that apply_update leaves
+    _check_against_rebuild(incremental_hypergraph(build_hypergraph(inst, cs), inst, listed, cs),
+                           after, cs)
+    cs, inst = _rel_fd("dc o : !exists rel(x, y, z), rel(x, y2, z2), z < z2\n")
+    for row in (("a", "b", 5), ["a", 5, "c"], ("a", ("b",), "c")):
+        bad = UpdateDelta((("rel", row),), frozenset({1}))
+        for update in (apply_update, lambda i, d: incremental_hypergraph(
+                build_hypergraph(i, cs), i, d, cs), lambda i, d: check_insertion_bounds(
+                i, UpdateDelta(d.insertions, frozenset()), cs)):
+            with pytest.raises(InputError) as info:
+                update(inst, bad)
+            assert str(info.value) == f"row rel{tuple(row)!r} has a value that is not a str"
+
+
+def _reference_sandwich(direction, n, k, before, after, isolated):
+    """The bound report's fields, with the bounds written as Fraction arithmetic."""
+    eps = Fraction(k, n) if n else Fraction(0)
+    if not 0 < eps < 1:
+        return direction, eps, before, after, False, [], isolated
+    scaled = after / (1 - eps)
+    if direction == "insert":
+        bounds = [("upper", after, before + eps / (1 + eps)), ("lower", before, scaled)]
+    else:
+        bounds = [("upper", after, before / (1 - eps)), ("lower", before, scaled + eps)]
+        if isolated:
+            bounds.append(("lower_isolated", before, scaled))
+    return direction, eps, before, after, True, bounds, isolated
+
+
+def test_the_bound_sides_equal_their_fraction_arithmetic():
+    rng = random.Random(909)
+    seen = Counter()
+    for _ in range(4000):
+        n = rng.choice([0, 1, 2, rng.randint(3, 40), rng.randint(41, 10 ** 6)])
+        if n > 1 and rng.random() < 0.6:
+            k = rng.randint(1, n - 1)
+        else:
+            k = rng.choice([0, n, n + rng.randint(1, 3)])
+        direction = rng.choice(["insert", "delete"])
+        if rng.random() < 0.5:  # measures of the instances either side of the delta
+            n_after = max(n + (k if direction == "insert" else -k), 1)
+            before = Fraction(rng.randint(0, n), n) if n else Fraction(0)
+            after = Fraction(rng.randint(0, n_after), n_after)
+        else:
+            before, after = (Fraction(rng.randint(0, 50), rng.randint(1, 50)) for _ in "ab")
+        isolated = rng.choice([True, False]) if direction == "delete" else None
+        got = updates._sandwich(direction, n, k, before, after, isolated)
+        want = _reference_sandwich(direction, n, k, before, after, isolated)
+        assert (got.direction, got.epsilon, got.before, got.after, got.applicable,
+                [(b.name, b.lhs, b.rhs) for b in got.bounds], got.deleted_all_isolated) == want
+        assert [b.holds for b in got.bounds] == [lhs <= rhs for _, lhs, rhs in want[5]]
+        assert all(type(x) is Fraction for b in got.bounds for x in (b.lhs, b.rhs))
+        assert got.to_json_dict()["bounds"] == [
+            {"name": name, "lhs": str(lhs), "rhs": str(rhs), "holds": lhs <= rhs}
+            for name, lhs, rhs in want[5]]
+        seen[got.applicable, direction, "lower_isolated" in {b.name for b in got.bounds}] += 1
+        seen["n=0" if n == 0 else "k=0" if k == 0 else "k>=n" if k >= n else "inside"] += 1
+    assert min(seen.values()) > 100, seen
