@@ -70,10 +70,6 @@ def _render_value(value: str, maxint: int) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _attr_vars(arity: int) -> list[str]:
-    return [_user_var(i) for i in range(arity)]
-
-
 def _check_names(instance: Instance) -> None:
     names = set(instance.schema.predicate_names)
     for name in sorted(names):
@@ -117,29 +113,27 @@ def emit_repair_program(instance: Instance, constraints: ConstraintSet,
     rules = []
     for dc in constraints:
         rules.extend(_constraint_rules(dc, style, maxint))
-    preds = instance.schema.predicates
-    for p in preds:
-        vs = ", ".join(_attr_vars(p.arity))
-        rules.append(f"{p.name}_a(T, {vs}, s) :- {p.name}(T, {vs}), "
-                     f"not {p.name}_a(T, {vs}, d).")
+    # each predicate's name and the variables of its attributes
+    preds = [(p.name, ", ".join(map(_user_var, range(p.arity))))
+             for p in instance.schema.predicates]
+    for name, vs in preds:
+        rules.append(f"{name}_a(T, {vs}, s) :- {name}(T, {vs}), "
+                     f"not {name}_a(T, {vs}, d).")
     if with_count or with_weak:
-        for p in preds:
-            vs = ", ".join(_attr_vars(p.arity))
-            rules.append(f"del(T) :- {p.name}_a(T, {vs}, d).")
+        for name, vs in preds:
+            rules.append(f"del(T) :- {name}_a(T, {vs}, d).")
 
     counting = []
     if with_count:
         counting.append(f"#maxint = {maxint}.")
         counting.append("numDel(N) :- #int(N), #count{T : del(T)} = N.")
-        for p in preds:
-            vs = ", ".join(_attr_vars(p.arity))
-            counting.append(f"cardPred({p.name},N) :- #int(N), "
-                            f"#count{{T : {p.name}(T, {vs})}} = N.")
+        for name, vs in preds:
+            counting.append(f"cardPred({name},N) :- #int(N), "
+                            f"#count{{T : {name}(T, {vs})}} = N.")
         counting.append("cardDB(N) :- #sum{X,P : cardPred(P,X)} = N.")
-        for p in preds:
-            vs = ", ".join(_attr_vars(p.arity))
-            counting.append(f"cardRep({p.name},N) :- #int(N), "
-                            f"#count{{T : {p.name}_a(T, {vs}, s)}} = N.")
+        for name, vs in preds:
+            counting.append(f"cardRep({name},N) :- #int(N), "
+                            f"#count{{T : {name}_a(T, {vs}, s)}} = N.")
         counting.append("cardRepDB(N) :- #int(N), #sum{X,P : cardRep(P,X)} = N.")
         counting.append("dist(N) :- #int(N), cardDB(A), cardRepDB(B), N = A - B.")
 
@@ -181,18 +175,10 @@ def _constraint_rules(dc, style, maxint):
 
     rules = []
     for i, atom in enumerate(dc.atoms):
-        tids = {}
-        tids[i] = "T"
-        nxt = 2
-        for k in range(len(dc.atoms)):
-            if k != i:
-                tids[k] = f"T{nxt}"
-                nxt += 1
-        body = [plain(atom, "T")]
-        body += [plain(a, tids[k]) for k, a in enumerate(dc.atoms) if k != i]
-        body += comparisons
-        body += [f"not {annotated(a, tids[k], 'd')}"
-                 for k, a in enumerate(dc.atoms) if k != i]
+        # the other atoms in their order, with tids T2, T3, ...
+        others = [(a, f"T{n}") for n, a in enumerate(dc.atoms[:i] + dc.atoms[i + 1:], start=2)]
+        body = [plain(atom, "T")] + [plain(a, t) for a, t in others] + comparisons
+        body += [f"not {annotated(a, t, 'd')}" for a, t in others]
         rules.append(f"{annotated(atom, 'T', 'd')} :- {', '.join(body)}.")
     return rules
 

@@ -15,8 +15,10 @@ timeout or a wrong answer; the error brackets the whole optimum by the exact
 sizes of the solved components and [packing, incumbent] of the rest.  Each
 component keeps the optimum and node count of its search (see
 conflicts.Component), so a component already solved, or one an update handed
-on unchanged, is not searched again, while its nodes still count.  All
-minimal hitting sets are built edge by edge with Berge's rule.
+on unchanged, is not searched again, while its nodes still count.  The
+endogenous minimum reads the same components, and restricts and splits again
+only those holding an exogenous tid.  All minimal hitting sets are built
+edge by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .conflicts import ConflictHypergraph, antichain, build_hypergraph, split
+from .conflicts import ConflictHypergraph, _first, antichain, build_hypergraph, split
 from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
@@ -51,22 +53,16 @@ class RepairSet:
     kind: str
 
 
-def solve_min_hitting_set(edge_sets, allowed=None, node_budget=DEFAULT_NODE_BUDGET):
-    """Minimum set of elements meeting every edge, or None if impossible.
+def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
+    """Minimum set of elements meeting every edge, or None for an empty edge.
 
     edge_sets is a sequence of element sets (any sortable hashable elements).
-    allowed, when given, restricts which elements may be picked; an edge with
-    no allowed element makes the problem infeasible (None).  Each connected
-    component is solved on its own, in order of its smallest element, and the
-    answer is the union.  Raises ResourceLimitError when the search nodes of
-    all components together exceed node_budget; its best_size and lower_bound
-    then bracket the optimum of the whole problem.
+    Each connected component is solved on its own, in order of its smallest
+    element, and the answer is the union.  Raises ResourceLimitError when the
+    search nodes of all components together exceed node_budget; its
+    best_size and lower_bound then bracket the optimum of the whole problem.
     """
     edges = {frozenset(e) for e in edge_sets}
-    if allowed is not None:
-        # restricting each edge to pickable elements preserves the problem
-        allowed = frozenset(allowed)
-        edges = {e & allowed for e in edges}
     if frozenset() in edges:
         return None
     return _solve(split(list(edges)), node_budget)
@@ -226,16 +222,25 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
     """Like min_hitting_set but only endogenous tids may be deleted.
 
     Returns None when some conflict contains no endogenous tid at all, in
-    which case no allowed deletion set can restore consistency.  When every
-    conflicting tid is endogenous, the default, this is min_hitting_set, so
-    hg's components and their recorded optima are read, not split again.
+    which case no allowed deletion set can restore consistency.  A component
+    of hg inside the partition is solved as it is, with any optimum recorded
+    on it; any other is restricted to the endogenous tids and split again.
+    Restriction never merges components, so sorted by smallest element the
+    parts are those a split of all restricted edges gives.
     """
     endogenous = frozenset(endogenous)
-    if all(e <= endogenous for e in hg.solving_edges):
-        return min_hitting_set(hg, node_budget)
-    deleted = solve_min_hitting_set(hg.solving_edges, endogenous, node_budget)
-    if deleted is None:
-        return None
+    parts = []
+    for component in hg.components:
+        if all(e <= endogenous for e in component):
+            parts.append(component)
+            continue
+        edges = {e & endogenous for e in component}
+        if frozenset() in edges:
+            return None
+        # edges by smallest element: each part's first edge holds its own (_first)
+        parts += split(sorted(edges, key=min))
+    parts.sort(key=_first)
+    deleted = _solve(parts, node_budget)
     return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
 
 

@@ -246,8 +246,8 @@ class Instance:
         """The facts that the insertions of a delta become, once it is checked.
 
         deletions must be tids of this instance.  insertions are
-        (predicate, values) rows, values read as a tuple of strs; they get
-        fresh tids above the current maximum, in order, and are checked with
+        (predicate, values) rows, values a sequence of strs, not one str; they
+        get fresh tids above the current maximum, in order, and are checked with
         the same errors as a fresh Instance, a duplicate judged against the
         rows the deletions leave.  The work follows the delta: the live rows
         are built on first use and handed on by derive, so a chain of
@@ -261,7 +261,7 @@ class Instance:
         Both are read from the link derive left here if it records this very
         delta, an O(delta) comparison: the delta is not checked again and the
         tid map stays where it is.  Any other delta is checked in full."""
-        facts = [Fact(tid, p, tuple(values))
+        facts = [Fact(tid, p, values if isinstance(values, str) else tuple(values))
                  for tid, (p, values) in enumerate(insertions, self._top + 1)]
         link = self._link
         if (link is not None and link[2] == facts and len(link[1]) == len(deletions)
@@ -280,6 +280,8 @@ class Instance:
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
         for f in facts:
+            if isinstance(f.values, str):  # kept a str above, not read as its characters
+                raise InputError(f"row {f.predicate} gives the str {f.values!r} for its values")
             if not all(isinstance(v, str) for v in f.values):
                 raise InputError(f"row {f.predicate}{f.values!r} has a value that is not a str")
             if f.values in rows.get(f.predicate, ()) and f[1:] not in gone:

@@ -81,7 +81,7 @@ def min_null_changes(instance: Instance, constraints: ConstraintSet,
     edges, irreparable = cell_conflicts(instance, constraints)
     if irreparable:
         return None
-    changes = exact.solve_min_hitting_set(edges, None, node_budget)
+    changes = exact.solve_min_hitting_set(edges, node_budget=node_budget)
     return NullRepairSolution(frozenset(changes), _atv(instance))
 
 

@@ -196,9 +196,11 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
 def _bound_report(direction, instance, delta, constraints, node_budget,
                   hg_before, hg_after) -> BoundCheckReport:
     """Either bound check on a pure delta of eps = changed rows/|D|."""
-    hg_before, _, before, after = _measure_delta(
+    hg_before, hg_after, before, after = _measure_delta(
         instance, delta, constraints, node_budget, hg_before, hg_after)
-    isolated = (all(e.isdisjoint(delta.deletions) for e in hg_before.solving_edges)
+    # a delete-only delta drops exactly the solving edges through a deleted
+    # tid and makes no edge solving, so an equal count means it dropped none
+    isolated = (len(hg_after.solving_edges) == len(hg_before.solving_edges)
                 if direction == "delete" else None)
     return _sandwich(direction, len(instance), len(delta.insertions) + len(delta.deletions),
                      before.value, after.value, isolated)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -414,11 +416,7 @@ def test_greedy_cover_matches_the_reference():
 def test_generic_solver_handles_restricted_universe():
     edges = [{1, 2}, {2, 3}]
     assert solve_min_hitting_set(edges) == frozenset({2})
-    # forbid the shared vertex: both edges need their own deletion
-    assert solve_min_hitting_set(edges, allowed={1, 3}) == frozenset({1, 3})
-    # infeasible: an edge with no allowed vertex at all
-    assert solve_min_hitting_set(edges, allowed={1}) is None
-    assert solve_min_hitting_set([], allowed=set()) == frozenset()
+    assert solve_min_hitting_set([]) == frozenset()
 
 
 def test_generic_solver_accepts_non_integer_vertices():
@@ -456,6 +454,101 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
     assert len(hg.components) == 80
     assert (len(splits), len(searches)) == (1, 80)
     assert [c.optimum for c in hg.components] == [c.optimum for c in components]
+
+
+def _fallback(hg, endogenous, node_budget=exact.DEFAULT_NODE_BUDGET):
+    """The endogenous solve as it was before it read the components: with any
+    exogenous conflicting tid, restrict every solving edge to the partition,
+    split the whole set again and search every part."""
+    endogenous = frozenset(endogenous)
+    if all(e <= endogenous for e in hg.solving_edges):
+        return min_hitting_set(hg, node_budget).deleted
+    edges = {e & endogenous for e in hg.solving_edges}
+    if frozenset() in edges:
+        return None
+    return exact._solve(split(list(edges)), node_budget)
+
+
+def _partitions(corpus, seed):
+    """Each corpus item with a seeded partition keeping about 70% of its tids."""
+    rng = random.Random(seed)
+    for item in corpus:
+        yield item, frozenset(t for t in item.instance.tids if rng.random() < 0.7)
+
+
+def test_endogenous_minimum_matches_a_brute_force_restricted_minimum(corpus):
+    seen = Counter()
+    for item, endo in _partitions(corpus, 2929):
+        sol = min_endogenous_hitting_set(item.hg, endo)
+        restricted = {e & endo for e in item.hg.solving_edges}
+        if frozenset() in restricted:
+            assert sol is None
+            seen["irreparable"] += 1
+            continue
+        want = brute_force_min_hitting_set(hypergraph_from_edges(item.hg.vertices, restricted))
+        assert sol.deleted <= endo and all(sol.deleted & e for e in item.hg.solving_edges)
+        assert (len(sol.deleted), sol.repair_size) == (len(want.deleted), want.repair_size)
+        seen["cut" if restricted != set(item.hg.solving_edges) else "whole"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def _searched(solve, node_budget, taken):
+    """What solve(node_budget) gives, or its exhaustion bracket, and the
+    search nodes of the components it searched, as counted into taken."""
+    taken.clear()
+    try:
+        got = solve(node_budget)
+    except ResourceLimitError as exc:
+        got = exc.lower_bound, exc.best_size
+    return got, sum(taken)
+
+
+def test_endogenous_nodes_and_brackets_match_the_former_fallback(corpus, monkeypatch):
+    taken, search = [], exact._branch_and_bound
+
+    def counted(*args):
+        found, nodes = search(*args)
+        taken.append(nodes)
+        return found, nodes
+
+    monkeypatch.setattr(exact, "_branch_and_bound", counted)
+    seen = Counter()
+    for item, endo in _partitions(corpus, 1717):
+        cut = not all(e <= endo for e in item.hg.solving_edges)
+        for budget in (10 ** 7, 1, 2, 3, 5, 8):
+            # fresh hypergraphs, so that both search every part
+            got = _searched(lambda b: getattr(min_endogenous_hitting_set(
+                dataclasses.replace(item.hg), endo, b), "deleted", None), budget, taken)
+            want = _searched(lambda b: _fallback(dataclasses.replace(item.hg), endo, b),
+                             budget, taken)
+            assert got == want
+            seen[cut, type(got[0]).__name__] += 1
+            # with the components' optima recorded the answer is the same
+            min_hitting_set(item.hg)
+            recorded = _searched(lambda b: getattr(min_endogenous_hitting_set(
+                item.hg, endo, b), "deleted", None), budget, taken)
+            assert recorded[0] == got[0]
+    # a partition that cuts a conflict: repaired, irreparable, out of budget
+    assert min(seen[True, kind] for kind in ("frozenset", "NoneType", "tuple")) > 100, seen
+
+
+def test_an_endogenous_solve_searches_only_the_components_the_partition_cuts(monkeypatch):
+    cs, inst, optimum = fd_key_groups(random.Random(1), 400)
+    hg = build_hypergraph(inst, cs)
+    assert len(min_hitting_set(hg).deleted) == optimum
+    cut = [hg.components[i] for i in (3, 40, 77)]
+    exogenous = {min(c[0]) for c in cut}
+    endo = frozenset(inst.tids) - exogenous
+    kept = [(c, c.optimum) for c in hg.components if c not in cut]
+    parts = [p for c in cut for p in split([e - exogenous for e in c])]
+    want = _fallback(build_hypergraph(inst, cs), endo)
+    searches = count_searches(monkeypatch)
+    for _ in range(2):
+        sol = min_endogenous_hitting_set(hg, endo)
+        assert sol.deleted == want and sol.deleted.isdisjoint(exogenous)
+        assert len(searches) == len(parts)
+        searches.clear()
+    assert all(c.optimum is optimum for c, optimum in kept)
 
 
 def test_enumerate_minimal_hitting_sets_small():

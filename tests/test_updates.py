@@ -906,6 +906,41 @@ def test_a_delta_row_is_read_as_a_tuple_of_strings():
             assert str(info.value) == f"row rel{tuple(row)!r} has a value that is not a str"
 
 
+def test_a_delta_row_given_as_one_str_is_refused():
+    # "xyz" for ("x", "y", "z") would otherwise be read as its characters
+    cs, inst = _rel_fd()
+    bad = UpdateDelta((("rel", "xyz"),), frozenset())
+    message = "row rel gives the str 'xyz' for its values"
+    for applied in (False, True):
+        if applied:  # the link of the characters' delta does not stand in for it
+            apply_update(inst, UpdateDelta((("rel", ("x", "y", "z")),), frozenset()))
+        for update in (apply_update, lambda i, d: incremental_hypergraph(
+                build_hypergraph(i, cs), i, d, cs)):
+            with pytest.raises(InputError) as info:
+                update(inst, bad)
+            assert str(info.value) == message
+    assert inst.tids == (1, 2)
+
+
+def test_the_isolated_flag_matches_a_walk_of_the_solving_edges_on_the_corpus(corpus):
+    rng = random.Random(2828)
+    seen = Counter()
+    for item in corpus:
+        inst, cs = item.instance, item.constraints
+        if len(inst) < 2:
+            continue
+        delta = UpdateDelta((), frozenset(rng.sample(inst.tids, rng.randint(1, 2))))
+        # the walk of every solving edge before the delta that the flag replaced
+        walk = all(e.isdisjoint(delta.deletions) for e in item.hg.solving_edges)
+        rebuilt = build_hypergraph(_fresh_after(inst, delta), cs)
+        for hg_after in (None, rebuilt):
+            report = check_deletion_bounds(inst, delta, cs, hg_before=build_hypergraph(inst, cs),
+                                           hg_after=hg_after)
+            assert report.deleted_all_isolated is walk
+        seen[walk] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def _reference_sandwich(direction, n, k, before, after, isolated):
     """The bound report's fields, with the bounds written as Fraction arithmetic."""
     eps = Fraction(k, n) if n else Fraction(0)
