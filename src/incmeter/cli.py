@@ -305,10 +305,9 @@ def _cmd_update(args, constraints, instance):
     hg_before, hg_after, before_m, after_m = updates._measure_delta(
         instance, delta, constraints, args.node_budget)
     bounds = None
-    if args.check_bounds:  # reuses both hypergraphs and their solves
-        check = (updates.check_insertion_bounds if delta.is_insert_only
-                 else updates.check_deletion_bounds)
-        bounds = check(instance, delta, constraints, args.node_budget, hg_before, hg_after)
+    if args.check_bounds:  # from both hypergraphs and their solves
+        bounds = updates._bound_report(len(instance), delta, hg_before, hg_after,
+                                       before_m, after_m)
     size_after = len(hg_after.vertices)
     payload = {
         "command": "update",

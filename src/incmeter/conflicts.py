@@ -59,28 +59,23 @@ class ConflictHypergraph:
     are dropped since any hitting set already covers them.  d is the largest
     solving edge size (0 when the instance is consistent).
 
-    Three more members carry work for later calls and take no part in
+    Two more members carry work for later calls and take no part in
     equality.  components splits the solving edges on first use and keeps
     the parts for every solver.  A hypergraph that an update derives (see
     derive) is given its components: those the delta did not reach are the
     parent's own objects, with any masks and optimum already found, so the
-    next solve searches only the components the delta changed.  _index is
-    the evaluation.FactIndex the edges were found with, None for a
-    hypergraph built from edge sets or by dataclasses.replace; derive
-    updates it in place for the derived hypergraph and leaves None here, so
-    a second derive from this one builds an index anew.  _lookups maps each
-    conflicting tid to its edges and to its component; built on the first
-    update and moved to the derived hypergraph, it is None until then and
-    after.  None of these links a hypergraph to its parent, and only this
-    module reads the last two.
+    next solve searches only the components the delta changed.  _lookups
+    maps each conflicting tid to its edges and to its component; built on
+    the first update and moved to the derived hypergraph, it is None until
+    then and after, and only this module reads it.  Neither links a
+    hypergraph to its parent.  The join index the edges are found with is
+    the instance's own (see model.Instance).
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
     d: int
-    _index: evaluation.FactIndex | None = field(default=None, init=False, compare=False,
-                                                repr=False, hash=False)
     _lookups: tuple[dict, dict] | None = field(default=None, init=False, compare=False,
                                                repr=False, hash=False)
 
@@ -187,26 +182,22 @@ def _first(component):
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
     """Enumerate all minimal violation sets of the instance."""
-    index = evaluation.FactIndex(instance.facts)
+    index = instance._live_index()
     hyperedges = []
     for dc in constraints:
         hyperedges += constraint_edges(index, dc)
-    hg = assemble(instance.tids, hyperedges, [c.name for c in constraints])
-    object.__setattr__(hg, "_index", index)
-    return hg
+    return assemble(instance.tids, hyperedges, [c.name for c in constraints])
 
 
 def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
            constraints: ConstraintSet) -> ConflictHypergraph:
-    """The hypergraph after a delta, derived from hg, the hypergraph of instance.
+    """The hypergraph after a delta, derived from hg, the hypergraph before it.
 
-    inserted holds the facts the delta inserts, with fresh tids, and deleted
-    maps each tid it deletes to its fact.  hg's index is handed on to the
-    result, with only the buckets of the deleted and inserted facts edited;
-    hg without an index builds one from instance first.  New edges are each
-    constraint's minimal violation sets among the images that hold an
-    inserted tid (see constraint_edges).  Only what the delta reaches is
-    touched:
+    instance is the instance after the delta.  inserted holds the facts the
+    delta inserts, with fresh tids, and deleted maps each tid it deletes to
+    its fact.  New edges are each constraint's minimal violation sets among
+    the images that hold an inserted tid (see constraint_edges), joined in
+    instance's fact index.  Only what the delta reaches is touched:
     - the edges through a deleted tid go; an edge found stays out if an edge
       of its constraint that survives is a proper subset of it;
     - the surviving solving edges stay solving, since every new edge holds
@@ -218,10 +209,9 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     ones are put in by key.  hg's tid -> edges and tid -> component maps are
     moved to the result, so hg builds them again if it is derived from again.
     """
-    index = (hg._index or evaluation.FactIndex(instance.facts)).update(
-        deleted.values(), inserted)
+    index = instance._live_index()
     incident, owner = hg._lookups or _build_lookups(hg)
-    hg.__dict__.update(_index=None, _lookups=None)
+    hg.__dict__["_lookups"] = None
     found = []
     for dc in constraints:
         found += constraint_edges(index, dc, inserted)
@@ -269,7 +259,6 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving),
                                  max(map(len, solving), default=0))
     object.__setattr__(derived, "components", _splice(hg.components, hit.values(), parts, _first))
-    object.__setattr__(derived, "_index", index)
     object.__setattr__(derived, "_lookups", (incident, owner))
     return derived
 

@@ -28,17 +28,14 @@ compare as plain strings.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from functools import lru_cache
 
 from .errors import InputError
-from .model import _INT_RE, Const, DenialConstraint, Var
+from .model import _INT_RE, _TID, Const, DenialConstraint, FactIndex, Var, _key
 
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
         ">": operator.gt, ">=": operator.ge}
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-# facts are read by position: on Python 3.11 a named-tuple field read is slower
-_TID = operator.itemgetter(0)
 
 
 def compare_values(a: str, op: str, b: str) -> bool:
@@ -60,75 +57,6 @@ def compare_values(a: str, op: str, b: str) -> bool:
 def _test(op):
     """compare_values(a, op, b) as a function of a and b."""
     return _OPS[op] if op in ("=", "!=") else lambda a, b: compare_values(a, op, b)
-
-
-def _key(positions):
-    """The key of a row at positions: its one value there, a tuple of several,
-    or () for none."""
-    return operator.itemgetter(*positions) if positions else lambda _: ()
-
-
-class FactIndex:
-    """Facts by predicate, with hash tables keyed by (predicate, positions).
-
-    Tables are built on first use and shared by every constraint evaluated
-    against the same FactIndex.  update hands the facts and the built tables
-    on to the index of an updated instance, edited in place where a delta
-    touches them.
-    """
-
-    def __init__(self, facts):
-        self._facts = facts
-        self._by_pred: dict[str, list] | None = None
-        self._indexes: dict[tuple, dict] = {}
-
-    def _grouped(self) -> dict[str, list]:
-        """Each predicate's facts, in tid order, grouped on first use."""
-        if self._by_pred is None:
-            self._by_pred = {}
-            for f in self._facts:
-                self._by_pred.setdefault(f[1], []).append(f)
-            self._facts = None
-        return self._by_pred
-
-    def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
-        """The predicate's facts by their key at the 0-based positions (_key)."""
-        index = self._indexes.get((predicate, positions))
-        if index is None:
-            index = self._indexes[predicate, positions] = {}
-            key = _key(positions)
-            for f in self._grouped().get(predicate, ()):
-                index.setdefault(key(f[2]), []).append(f)
-        return index
-
-    def update(self, deleted, inserted) -> "FactIndex":
-        """The index of these facts without deleted and with inserted.
-
-        inserted must carry tids above every other fact's, so each list stays
-        in tid order, as a fresh index would hold it.  The facts by predicate
-        and the built tables move to the new index, and only the lists and
-        buckets that a deleted or inserted fact belongs to are edited, in
-        place; this index is left empty.
-        """
-        new = FactIndex(None)
-        new._by_pred, new._indexes = by_pred, indexes = self._grouped(), self._indexes
-        self._by_pred, self._indexes = {}, {}
-        tables: dict = {}
-        for (predicate, positions), table in indexes.items():
-            tables.setdefault(predicate, []).append((_key(positions), table))
-        for f in deleted:
-            facts = by_pred[f.predicate]
-            del facts[bisect_left(facts, f.tid, key=_TID)]
-            for key, table in tables.get(f.predicate, ()):
-                k = key(f.values)
-                del table[k][bisect_left(table[k], f.tid, key=_TID)]
-                if not table[k]:
-                    del table[k]
-        for f in inserted:
-            by_pred.setdefault(f.predicate, []).append(f)
-            for key, table in tables.get(f.predicate, ()):
-                table.setdefault(key(f.values), []).append(f)
-        return new
 
 
 @lru_cache(maxsize=256)

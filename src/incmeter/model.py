@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, count, groupby, repeat
 from operator import itemgetter
@@ -136,11 +137,12 @@ class Instance:
     every fact counts as endogenous; a declared one that deletions empty
     lets none be deleted.  `tids` holds the tids in ascending order.
 
-    The versions that derive makes share one tid map and one set of live
-    rows.  The version read last holds them; every other one links toward it
-    with the delta between them, and a read moves them back along that path,
-    undoing each delta (Baker's rerooting, 1991) in time that follows those
-    deltas.  Reads thus write hidden state, which is safe as the package is
+    The versions that derive makes share one tid map and one FactIndex, the
+    index built on first use and read by every join over the instance.  The
+    version read last holds them; every other one links toward it with the
+    delta between them, and a read moves them back along that path, undoing
+    each delta (Baker's rerooting, 1991) in time that follows those deltas.
+    Reads thus write hidden state, which is safe as the package is
     single-threaded, and a version kept alive keeps every later one alive.
     """
 
@@ -166,7 +168,8 @@ class Instance:
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
         self.__dict__.update(facts=tuple(by_tid.values()), tids=tuple(by_tid), _by_tid=by_tid,
-                             _link=None, _n=len(by_tid), _top=next(reversed(by_tid), 0),
+                             _fact_index=None, _link=None, _n=len(by_tid),
+                             _top=next(reversed(by_tid), 0),
                              declared=self.declared or bool(self.endogenous))
         return self
 
@@ -176,23 +179,31 @@ class Instance:
     def __getattr__(self, name):  # a derived instance sorts its facts and tids on first read
         if name not in ("facts", "tids"):
             raise AttributeError(name)
-        facts = tuple(sorted(self._live().values(), key=itemgetter(0)))
-        self.__dict__.update(facts=facts, tids=tuple(map(itemgetter(0), facts)))
+        facts = tuple(sorted(self._live().values(), key=_TID))
+        self.__dict__.update(facts=facts, tids=tuple(map(_TID, facts)))
         return self.__dict__[name]
 
     def _live(self) -> dict:
-        """The tid map, moved here with the live rows from the version that holds them."""
+        """The tid map, moved here with the fact index from the version that holds them."""
         path = [self]
         while path[-1]._link is not None:
             path.append(path[-1]._link[0])
         state = path.pop().__dict__
+        by_tid, index = state["_by_tid"], state["_fact_index"]
         for version in reversed(path):
             _, gone, added = version._link
-            _shift(state["_by_tid"], state["_rows"], added, gone)
-            version.__dict__.update(_by_tid=state["_by_tid"], _rows=state["_rows"], _link=None)
-            state.update(_by_tid=None, _rows=None, _link=(version, added, gone))
+            _shift(by_tid, index, added, gone)
+            version.__dict__.update(_by_tid=by_tid, _fact_index=index, _link=None)
+            state.update(_by_tid=None, _fact_index=None, _link=(version, added, gone))
             state = version.__dict__
-        return self._by_tid
+        return by_tid
+
+    def _live_index(self) -> "FactIndex":
+        """The fact index of this version, moved here with the tid map."""
+        self._live()
+        if self._fact_index is None:
+            self.__dict__["_fact_index"] = FactIndex(self.facts)
+        return self._fact_index
 
     def _check_facts(self, facts, rows, where=None, runs=None) -> None:
         """Add the rows of facts, whose tids are distinct and positive, to rows,
@@ -249,33 +260,30 @@ class Instance:
         (predicate, values) rows, values a sequence of strs, not one str; they
         get fresh tids above the current maximum, in order, and are checked with
         the same errors as a fresh Instance, a duplicate judged against the
-        rows the deletions leave.  The work follows the delta: the live rows
-        are built on first use and handed on by derive, so a chain of
+        rows the deletions leave.  The work follows the delta: a duplicate is
+        looked up in the fact index, which derive hands on, so a chain of
         derivations checks no fact twice, and a delta that derive applied
         here is not checked again (see _delta).
         """
         return self._delta(insertions, deletions)[0]
 
-    def _delta(self, insertions, deletions) -> tuple[list[Fact], dict]:
-        """check_delta's facts, and a map from each deleted tid to its fact.
-        Both are read from the link derive left here if it records this very
-        delta, an O(delta) comparison: the delta is not checked again and the
-        tid map stays where it is.  Any other delta is checked in full."""
+    def _delta(self, insertions, deletions) -> tuple[list[Fact], dict, "Instance | None"]:
+        """check_delta's facts, a map from each deleted tid to its fact, and
+        the child that derive made with this very delta if this instance still
+        links to it, else None.  With the child, the first two are read from
+        the link, an O(delta) comparison, and the tid map stays where it is.
+        Any other delta is checked in full."""
         facts = [Fact(tid, p, values if isinstance(values, str) else tuple(values))
                  for tid, (p, values) in enumerate(insertions, self._top + 1)]
         link = self._link
         if (link is not None and link[2] == facts and len(link[1]) == len(deletions)
                 and all(f.tid in deletions for f in link[1])):
-            return facts, {f.tid: f for f in link[1]}
-        by_tid = self._live()
+            return facts, {f.tid: f for f in link[1]}, link[0]
+        index = self._live_index()
+        by_tid, arity = self._by_tid, self.schema._arity
         missing = set(deletions).difference(by_tid)
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            rows = self.__dict__["_rows"] = {}
-            for f in by_tid.values():
-                rows.setdefault(f.predicate, set()).add(f.values)
         gone = {by_tid[t][1:] for t in deletions}
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
@@ -284,32 +292,42 @@ class Instance:
                 raise InputError(f"row {f.predicate} gives the str {f.values!r} for its values")
             if not all(isinstance(v, str) for v in f.values):
                 raise InputError(f"row {f.predicate}{f.values!r} has a value that is not a str")
-            if f.values in rows.get(f.predicate, ()) and f[1:] not in gone:
+            if (len(f.values) == arity.get(f.predicate) and f[1:] not in gone
+                    and index.holds(f.predicate, f.values)):
                 clash.setdefault(f.predicate, set()).add(f.values)
         self._check_facts(facts, clash)
-        return facts, {t: by_tid[t] for t in deletions}
+        return facts, {t: by_tid[t] for t in deletions}, None
 
     def derive(self, insertions, deletions) -> "Instance":
         """This instance with the deletions dropped and the insertions added.
 
         Only the delta is checked (see check_delta).  The child takes over
-        the tid map and the live rows and applies the delta to them in place;
+        the tid map and fact index and applies the delta to them in place;
         this instance keeps a link to the child with the facts deleted and
         inserted, which check_delta reuses for the same delta.  A declared
         partition stays declared, however many of its tids are deleted.
         """
-        deletions = set(deletions)
-        facts, gone = self._delta(insertions, deletions)
+        return self._derive(*self._delta(insertions, set(deletions))[:2])
+
+    def _child(self, insertions, deletions) -> tuple["Instance", list[Fact], dict]:
+        """The child of a delta that _delta returns, or a new one, with the
+        delta's facts and deleted facts."""
+        facts, gone, child = self._delta(insertions, deletions)
+        return (self._derive(facts, gone) if child is None else child), facts, gone
+
+    def _derive(self, facts, gone) -> "Instance":
+        """The child of a checked delta: facts inserted, gone's facts deleted."""
         # deriving this delta again moves the tid map back here, to make a sibling
-        by_tid, rows, top = self._live(), self._rows, self._top
-        _shift(by_tid, rows, gone.values(), facts)
+        by_tid, index, top = self._live(), self._fact_index, self._top
+        _shift(by_tid, index, gone.values(), facts)
         top = facts[-1].tid if facts else top if top in by_tid else max(by_tid, default=0)
-        # the inserted rows are checked above, so __init__ and its full check are skipped
+        # _delta checked the inserted rows, so __init__ and its full check are skipped
         child = object.__new__(Instance)
-        child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(deletions),
-                              _by_tid=by_tid, _rows=rows, _link=None, _n=len(by_tid), _top=top,
-                              declared=self.declared)
-        self.__dict__.update(_by_tid=None, _rows=None, _link=(child, list(gone.values()), facts))
+        child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(gone),
+                              _by_tid=by_tid, _fact_index=index, _link=None, _n=len(by_tid),
+                              _top=top, declared=self.declared)
+        self.__dict__.update(_by_tid=None, _fact_index=None,
+                             _link=(child, list(gone.values()), facts))
         return child
 
     def __len__(self):
@@ -326,14 +344,72 @@ class Instance:
         return self.endogenous if self.declared else frozenset(self._live())
 
 
-def _shift(by_tid, rows, gone, added) -> None:
-    """Take the facts gone out of a tid map and its live rows, then put added in."""
+# facts are read by position: on Python 3.11 a named-tuple field read is slower
+_TID = itemgetter(0)
+
+
+def _key(positions):
+    """The key of a row at positions: its one value there, a tuple of several,
+    or () for none."""
+    return itemgetter(*positions) if positions else lambda _: ()
+
+
+class FactIndex:
+    """Facts by predicate, with hash tables keyed by (predicate, positions).
+
+    It is built from facts in tid order, and each bucket of a table is a
+    list in tid order; a predicate's facts are the one bucket of its table
+    at no positions.  Tables are built on first use and shared by every
+    constraint evaluated against the same FactIndex.  An instance version
+    holds one, built on first use and handed on with its tid map, and _shift
+    edits it in place for each delta.
+    """
+
+    def __init__(self, facts):
+        self._indexes: dict[tuple, dict] = {}
+        self._keyed: dict[str, list] = {}  # each predicate's (table, key) pairs
+        grouped: dict[str, list] = {}
+        for f in facts:
+            grouped.setdefault(f[1], []).append(f)
+        for predicate, group in grouped.items():
+            self.table(predicate, ())[()] = group
+
+    def table(self, predicate: str, positions: tuple[int, ...]) -> dict:
+        """The predicate's facts by their key at the 0-based positions (_key)."""
+        index = self._indexes.get((predicate, positions))
+        if index is None:
+            index = self._indexes[predicate, positions] = {}
+            key = _key(positions)
+            self._keyed.setdefault(predicate, []).append((index, key))
+            for f in self.table(predicate, ()).get((), ()) if positions else ():
+                index.setdefault(key(f[2]), []).append(f)
+        return index
+
+    def holds(self, predicate: str, values: tuple) -> bool:
+        """Whether a fact of the predicate has these values, one per attribute."""
+        positions = tuple(range(len(values)))
+        return _key(positions)(values) in self.table(predicate, positions)
+
+
+def _shift(by_tid, index, gone, added) -> None:
+    """Take the facts gone out of a tid map and its FactIndex, None if not
+    built, then put added in.  A fact is found in each bucket by bisection
+    and put in at its place, so the buckets stay in tid order when a delta
+    is undone and the facts it deleted come back below the top tid."""
     for f in gone:
         del by_tid[f.tid]
-        rows[f.predicate].discard(f.values)
+        for table, key in index._keyed[f[1]] if index is not None else ():
+            k = key(f[2])
+            facts = table[k]
+            del facts[bisect_left(facts, f.tid, key=_TID)]
+            if not facts:
+                del table[k]
     for f in added:
         by_tid[f.tid] = f
-        rows.setdefault(f.predicate, set()).add(f.values)
+        if index is not None:
+            index.table(f[1], ())  # the table every fact is in, made for a new predicate
+            for table, key in index._keyed[f[1]]:
+                insort(table.setdefault(key(f[2]), []), f, key=_TID)
 
 
 def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance:

@@ -58,7 +58,7 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
     An empty entry means some violation has no breakable cell at all (a pure
     existence conflict); blanking can never repair such an instance.
     """
-    index = evaluation.FactIndex(instance.facts)
+    index = instance._live_index()
     edges: set[frozenset[CellChange]] = set()
     for dc in constraints:
         cells = [(i, j) for i, positions in enumerate(_breaking_positions(dc))

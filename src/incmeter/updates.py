@@ -13,14 +13,15 @@ components are handed on as they are, each with the optimum a solve
 recorded on it, so the next solve searches only the components the delta
 changed (see exact.min_hitting_set).
 
-The instance and the fact index are handed on and edited in place, not
-copied (Instance.derive, FactIndex.update).  A delta is checked once, its
-facts read back from the parent's link after apply_update; only the atoms an
-inserted fact can match are joined; a pure delta copies one side of the
-vertex set.  Still growing with the instance, at C speed: the copies of the
-vertex set and of the edge, solving-edge and component sequences around the
-changes, d taken over every solving edge, and the solve's walk of every
-component to sum its recorded nodes.
+Each instance version holds one tid map and one fact index, handed on and
+edited in place, not copied (Instance.derive).  A delta is checked once:
+after apply_update, the updated instance and the delta's facts are read back
+from the parent's link.  Only the atoms an inserted fact can match are
+joined; a pure delta copies one side of the vertex set.  Still growing with
+the instance, at C speed: the copies of the vertex set and of the edge,
+solving-edge and component sequences around the changes, d taken over every
+solving edge, and the solve's walk of every component to sum its recorded
+nodes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before and solves it, then derives the one
@@ -161,14 +162,16 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
                            constraints: ConstraintSet) -> ConflictHypergraph:
     """Conflicts of the updated instance, reusing the edges that survive.
 
-    hg must be the hypergraph of instance.  Only the delta is checked (see
-    Instance.check_delta); the updated instance is not built.  hg's
-    untouched components, with any optima found for them, are handed on for
-    the next solve to reuse, and so is its index (see conflicts.derive);
-    hg's edges and components are left as they are.
+    hg must be the hypergraph of instance.  The updated instance, whose fact
+    index the new edges are joined in, is the one apply_update made with
+    this very delta if instance still links to it, else it is derived,
+    checking only the delta (see Instance.check_delta).  hg's untouched
+    components, with any optima found for them, are handed on for the next
+    solve to reuse (see conflicts.derive); hg's edges and components are
+    left as they are.
     """
-    inserted, deleted = instance._delta(delta.insertions, delta.deletions)
-    return conflicts.derive(hg, instance, inserted, deleted, constraints)
+    after, inserted, deleted = instance._child(delta.insertions, delta.deletions)
+    return conflicts.derive(hg, after, inserted, deleted, constraints)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
@@ -183,26 +186,25 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
-        inserted, deleted = instance._delta(delta.insertions, delta.deletions)
+        child, inserted, deleted = instance._child(delta.insertions, delta.deletions)
     elif not delta.deletions <= hg_before.vertices:
         instance.check_delta((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     if hg_after is None:
-        hg_after = conflicts.derive(hg_before, instance, inserted, deleted, constraints)
+        hg_after = conflicts.derive(hg_before, child, inserted, deleted, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 
 
-def _bound_report(direction, instance, delta, constraints, node_budget,
-                  hg_before, hg_after) -> BoundCheckReport:
-    """Either bound check on a pure delta of eps = changed rows/|D|."""
-    hg_before, hg_after, before, after = _measure_delta(
-        instance, delta, constraints, node_budget, hg_before, hg_after)
+def _bound_report(n, delta, hg_before, hg_after, before, after) -> BoundCheckReport:
+    """Either bound check on a pure delta to an instance of n facts, from
+    _measure_delta's hypergraphs and reports; eps = changed rows/n."""
+    direction = "insert" if delta.is_insert_only else "delete"
     # a delete-only delta drops exactly the solving edges through a deleted
     # tid and makes no edge solving, so an equal count means it dropped none
     isolated = (len(hg_after.solving_edges) == len(hg_before.solving_edges)
                 if direction == "delete" else None)
-    return _sandwich(direction, len(instance), len(delta.insertions) + len(delta.deletions),
+    return _sandwich(direction, n, len(delta.insertions) + len(delta.deletions),
                      before.value, after.value, isolated)
 
 
@@ -243,8 +245,8 @@ def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_insert_only:
         raise InputError("insertion bounds need a pure insertion delta")
-    return _bound_report("insert", instance, delta, constraints, node_budget,
-                         hg_before, hg_after)
+    return _bound_report(len(instance), delta, *_measure_delta(
+        instance, delta, constraints, node_budget, hg_before, hg_after))
 
 
 def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
@@ -261,5 +263,5 @@ def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_delete_only:
         raise InputError("deletion bounds need a pure deletion delta")
-    return _bound_report("delete", instance, delta, constraints, node_budget,
-                         hg_before, hg_after)
+    return _bound_report(len(instance), delta, *_measure_delta(
+        instance, delta, constraints, node_budget, hg_before, hg_after))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from incmeter import cli
+from incmeter import cli, measures
 from incmeter.cli import main
 
 from conftest import shallow_stack
@@ -165,12 +165,16 @@ def test_conflicts(tmp_path, capsys):
     assert text.splitlines() == ["no_pq: 1,3", "no_pr: 1,4"]
 
 
-def test_update_with_bounds(tmp_path, capsys):
+def test_update_with_bounds(tmp_path, capsys, monkeypatch):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
     delta = tmp_path / "delta.txt"
     delta.write_text("+ q(e, w)\n")
+    solves, g3 = [], measures._g3
+    monkeypatch.setattr(measures, "_g3", lambda *a, **k: solves.append(1) or g3(*a, **k))
     payload = run_json(capsys, ["update", "--delta", str(delta),
                                 "--check-bounds"] + base)
+    # the bounds are read from the one solve of each side
+    assert len(solves) == 2
     assert payload["size_before"] == 4 and payload["size_after"] == 5
     assert payload["measure_before"]["numerator"] == 1
     assert payload["measure_after"]["numerator"] == 2

@@ -177,11 +177,11 @@ def test_load_instance_checks_each_row_once(monkeypatch):
                         lambda self: calls.append(1) or post_init(self))
     inst = load_instance(sources, schema, [2, 4])
     assert not calls
-    # the same instance as a checked build, and without the row set of a derivation
+    # the same instance as a checked build, and load builds no index table
     fresh = Instance(schema, inst.facts, frozenset({2, 4}))
     assert inst == fresh and inst.tids == fresh.tids == (1, 2, 3, 4)
     assert [inst.fact(t) for t in inst.tids] == list(fresh.facts)
-    assert not hasattr(inst, "_rows")
+    assert inst._fact_index is None
 
 
 def test_load_instance_accepts_bytes_and_streams():

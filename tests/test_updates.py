@@ -16,6 +16,7 @@ from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
 from incmeter.exact import min_hitting_set
 from incmeter.model import Fact, Instance, load_instance, parse_constraints, parse_schema
+from incmeter.nullrep import cell_conflicts
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
                               parse_delta)
@@ -160,12 +161,13 @@ def test_incremental_matches_rebuild_on_random_mixed_deltas():
 
 
 def test_a_hypergraph_without_an_index_derives_the_rebuilt_one():
-    # dataclasses.replace keeps the edges but not the index they were found with
+    # dataclasses.replace keeps the edges; the index they were found with is
+    # the instance's, so the copy loses nothing
     rng = random.Random(778)
     for _ in range(60):
         cs, inst = random_bundle(rng)
         hg = dataclasses.replace(build_hypergraph(inst, cs))
-        assert hg._index is None
+        assert "_index" not in vars(hg) and inst._fact_index is not None
         deletions = frozenset(rng.sample(inst.tids, min(len(inst.tids), rng.randint(0, 2))))
         taken = {(f.predicate, f.values) for f in inst.facts if f.tid not in deletions}
         rows = {("r", (rng.choice("abcd"), rng.choice("abcd"))) for _ in range(3)} - taken
@@ -339,28 +341,35 @@ def _outcome(update, inst, delta):
         return None, str(exc)
 
 
-def _buckets(index):
-    """Every bucket of every index built so far, each as a sorted fact list."""
-    return {pk: {k: sorted(b) for k, b in built.items()}
-            for pk, built in index._indexes.items()}
+def _rebuilt(inst):
+    """inst built anew from its facts, with a fact index of its own."""
+    return Instance(inst.schema, inst.facts, inst.endogenous, inst.declared)
+
+
+def _check_tables(version):
+    """Every table built in version's fact index equals a fresh index's, each
+    bucket holding the same facts in tid order, and it lacks none of the
+    tables a fresh index starts with."""
+    index, fresh = version._live_index(), FactIndex(version.facts)
+    for (predicate, positions), table in index._indexes.items():
+        assert table == fresh.table(predicate, positions)
+    assert fresh._indexes.keys() <= index._indexes.keys()
 
 
 def _check_carried_state(hg_before, inst, delta, cs, after):
     """The hypergraph handed on along a chain against one built anew.
 
-    Its edges, its index's built buckets (as multisets) and its solve must
-    equal those of a fresh build; deriving hands hg_before's index on, and
-    deriving it again, from an index built anew, gives an equal result.
+    Its edges, the built tables of the index it was joined in (see
+    _check_tables) and its solve must equal those of a fresh build; the
+    index is the one inst handed on to after, and deriving again gives an
+    equal result.
     """
     hg = incremental_hypergraph(hg_before, inst, delta, cs)
-    assert hg_before._index is None
+    assert inst._fact_index is None and after._fact_index is not None
     assert incremental_hypergraph(hg_before, inst, delta, cs) == hg
-    fresh = build_hypergraph(after, cs)
+    fresh = build_hypergraph(_rebuilt(after), cs)
     assert hg == fresh
-    index = FactIndex(after.facts)
-    for (predicate, positions), built in _buckets(hg._index).items():
-        index.table(predicate, positions)
-        assert built == _buckets(index)[predicate, positions]
+    _check_tables(after)
     assert min_hitting_set(hg) == min_hitting_set(fresh)
     # the same cover and search nodes for every component
     assert [c.optimum for c in hg.components] == [c.optimum for c in fresh.components]
@@ -453,15 +462,18 @@ def test_a_derivation_validates_no_fact_again(pqr, monkeypatch):
 
 
 def test_a_delta_chain_keeps_no_earlier_generation_alive():
-    # a hypergraph or index that linked to its parent would keep every
-    # generation of a long session alive.  With parent_read_last the session
-    # derives the instance first and then reads the parent for the
-    # hypergraph, as perfbench's stream session does, so the parent takes
-    # back the tid map it handed to the child
+    # a hypergraph or instance that linked to its parent would keep every
+    # generation of a long session alive, while the one fact index is handed
+    # on.  With parent_read_last the session derives the instance first and
+    # then the hypergraph from the parent, as perfbench's stream session
+    # does, so the hypergraph is joined in the child that the parent links
+    # to; otherwise the hypergraph's derive makes a child, and apply_update
+    # takes the tid map back to make a sibling
     for parent_read_last in (False, True):
         cs, inst, _ = fd_key_groups(random.Random(3), 200)
         hg = build_hypergraph(inst, cs)
-        first = [weakref.ref(x) for x in (inst, hg, hg._index)]
+        first = [weakref.ref(x) for x in (inst, hg)]
+        index = weakref.ref(inst._fact_index)
         rng = random.Random(5)
         for i in range(200):
             row = ("rel", (f"k{rng.randrange(50)}", f"b{rng.randrange(3)}", f"x{i}"))
@@ -475,30 +487,36 @@ def test_a_delta_chain_keeps_no_earlier_generation_alive():
                 inst = apply_update(inst, delta)
             min_hitting_set(hg)
         gc.collect()
-        assert [ref() for ref in first] == [None, None, None]
+        assert [ref() for ref in first] == [None, None]
+        assert index() is inst._live_index()
 
 
 def test_an_update_hands_the_tid_map_and_the_index_tables_on():
     # a copy of either would make every delta cost O(n)
     cs, inst, _ = fd_key_groups(random.Random(2), 200)
     hg = build_hypergraph(inst, cs)
-    by_tid, tables = inst._by_tid, dict(hg._index._indexes)
+    by_tid, index = inst._by_tid, inst._fact_index
+    tables = dict(index._indexes)
     delta = UpdateDelta((("rel", ("k1", "b0", "new")),), frozenset({inst.tids[3]}))
     after = apply_update(inst, delta)
-    assert after._by_tid is by_tid
+    assert after._by_tid is by_tid and after._fact_index is index
     hg_after = incremental_hypergraph(hg, inst, delta, cs)
-    assert tables and all(hg_after._index._indexes[k] is t for k, t in tables.items())
-    assert hg._index is None
+    assert tables and all(after._live_index()._indexes[k] is t for k, t in tables.items())
+    assert inst._fact_index is None and "_index" not in vars(hg)
     _check_against_rebuild(hg_after, after, cs)
 
 
 def test_versions_of_a_delta_chain_read_as_fresh_builds_in_any_order():
-    """Derived instances share one tid map and one row set, handed from version
-    to version as they are read.  Random delta trees over random_bundle are
-    read in mixed order, parents, grandparents and children alike, and each
-    read must agree with a fresh build of that version."""
+    """Derived instances share one tid map and one fact index, handed from
+    version to version as they are read.  Random delta trees over
+    random_bundle are read in mixed order, parents, grandparents and children
+    alike, and each read must agree with a fresh build of that version.  The
+    reads that join (build_hypergraph, nullrep.cell_conflicts and
+    incremental_hypergraph) run in the handed-on index, and after each read
+    that uses the index its tables must equal those of a fresh index."""
     rng = random.Random(97)
-    seen = dict.fromkeys(("siblings", "top_deleted", "emptied", "rerooting_reads"), 0)
+    seen = dict.fromkeys(("siblings", "top_deleted", "emptied", "rerooting_reads",
+                          "joined_children"), 0)
     for _ in range(120):
         cs, inst = random_bundle(rng)
         schema = inst.schema
@@ -533,7 +551,7 @@ def test_versions_of_a_delta_chain_read_as_fresh_builds_in_any_order():
                 versions.append((child, kept, endo - deletions, 0))
                 continue
             seen["rerooting_reads"] += version._link is not None  # it holds no tid map
-            read = rng.randrange(7)
+            read = rng.randrange(10)
             if read == 0:
                 assert [version.fact(f.tid) for f in facts] == facts
                 with pytest.raises(InputError):
@@ -554,8 +572,24 @@ def test_versions_of_a_delta_chain_read_as_fresh_builds_in_any_order():
                 assert len(version) == len(facts)
             elif read == 5:
                 assert version.effective_endogenous() == (endo if declared else set(fresh.tids))
-            else:
+            elif read == 6:
                 assert version == fresh and version.endogenous == endo
+            elif read == 7:
+                assert build_hypergraph(version, cs) == build_hypergraph(fresh, cs)
+            elif read == 8:
+                assert cell_conflicts(version, cs) == cell_conflicts(fresh, cs)
+            else:
+                deletions = {f.tid for f in facts if rng.random() < 0.2}
+                live = {f[1:] for f in facts if f.tid not in deletions}
+                rows = sorted({("r", (rng.choice("abcd"), rng.choice("abcd")))
+                               for _ in range(rng.randint(0, 2))} - live)
+                delta = UpdateDelta(tuple(rows), frozenset(deletions))
+                got = incremental_hypergraph(build_hypergraph(version, cs), version, delta, cs)
+                want = incremental_hypergraph(build_hypergraph(fresh, cs), fresh, delta, cs)
+                assert got == want == build_hypergraph(_fresh_after(fresh, delta), cs)
+                seen["joined_children"] += 1
+            if read in (1, 7, 8, 9):
+                _check_tables(version)
     assert all(n > 20 for n in seen.values()), seen
 
 
@@ -612,7 +646,7 @@ def test_a_corpus_with_its_partition_deleted_measures_one_or_zero(corpus):
 
 def _check_against_rebuild(hg, inst, cs):
     """hg's edges, components and g3 against a rebuild and a fresh solve."""
-    fresh = build_hypergraph(inst, cs)
+    fresh = build_hypergraph(_rebuilt(inst), cs)
     assert (hg.edges, hg.solving_edges) == (fresh.edges, fresh.solving_edges)
     assert hg == fresh
     assert [tuple(c) for c in hg.components] == [tuple(c) for c in fresh.components]
@@ -833,8 +867,8 @@ def test_another_delta_from_the_parent_is_checked_in_full(monkeypatch, pqr):
             lambda v, d: incremental_hypergraph(build_hypergraph(fresh, cs), v, d, cs),
             inst, delta)
         assert (got, got_err) == (want, want_err), text
-        # the tid map is moved back, and the rows are checked unless a tid is unknown
-        assert inst._by_tid is not None and (checks or "unknown tid" in got_err), text
+        # the rows are checked unless a tid is unknown
+        assert checks or "unknown tid" in got_err, text
     bad = UpdateDelta((("p", ("z", 5)),), frozenset())
     with pytest.raises(InputError) as info:
         apply_update(inst, bad)
