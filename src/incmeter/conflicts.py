@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 
@@ -56,18 +56,18 @@ class ConflictHypergraph:
 
     edges keeps one entry per (constraint, tid set) pair.  solving_edges is
     the deduplicated antichain across constraints: supersets of other edges
-    are dropped since any hitting set already covers them.  d is the largest
-    solving edge size (0 when the instance is consistent).
+    are dropped since any hitting set already covers them.  With vertices,
+    these are the fields: the hypergraph's value, and all equality compares.
 
-    Two more members carry work for later calls and take no part in
-    equality.  components splits the solving edges on first use and keeps
-    the parts for every solver.  A hypergraph that an update derives (see
+    d, the largest solving edge size (0 when the instance is consistent),
+    and components, the solving edges split for every solver, are computed
+    on first read and kept.  A hypergraph that an update derives (see
     derive) is given its components: those the delta did not reach are the
     parent's own objects, with any masks and optimum already found, so the
     next solve searches only the components the delta changed.  _lookups
     maps each conflicting tid to its edges and to its component; built on
     the first update and moved to the derived hypergraph, it is None until
-    then and after, and only this module reads it.  Neither links a
+    then and after, and only this module reads it.  None of these links a
     hypergraph to its parent.  The join index the edges are found with is
     the instance's own (see model.Instance).
     """
@@ -75,13 +75,15 @@ class ConflictHypergraph:
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
-    d: int
-    _lookups: tuple[dict, dict] | None = field(default=None, init=False, compare=False,
-                                               repr=False, hash=False)
+    _lookups = None  # not a field: no annotation
 
     @property
     def is_consistent(self) -> bool:
         return not self.solving_edges
+
+    @cached_property
+    def d(self) -> int:
+        return max(map(len, self.solving_edges), default=0)
 
     @cached_property
     def components(self) -> list[Component]:
@@ -150,7 +152,7 @@ def constraint_edges(index, dc: DenialConstraint, inserted=None) -> list[Hypered
 
 
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
-    """Canonicalize edges and compute the solving antichain and d.
+    """Canonicalize edges and compute the solving antichain.
 
     constraint_order names every edge's constraint, each once; edges go by
     it, then by their tids.  Edges are assumed subset-minimal within their
@@ -159,8 +161,7 @@ def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
     """
     edges = tuple(sorted(set(hyperedges), key=_edge_key(constraint_order)))
     solving = sorted(antichain(e.tids for e in edges), key=_canonical)
-    return ConflictHypergraph(frozenset(vertices), edges, tuple(solving),
-                              max(map(len, solving), default=0))
+    return ConflictHypergraph(frozenset(vertices), edges, tuple(solving))
 
 
 def _edge_key(constraint_order):
@@ -194,10 +195,10 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     """The hypergraph after a delta, derived from hg, the hypergraph before it.
 
     instance is the instance after the delta.  inserted holds the facts the
-    delta inserts, with fresh tids, and deleted maps each tid it deletes to
-    its fact.  New edges are each constraint's minimal violation sets among
-    the images that hold an inserted tid (see constraint_edges), joined in
-    instance's fact index.  Only what the delta reaches is touched:
+    delta inserts, with fresh tids, and deleted is the frozenset of the tids
+    it deletes.  New edges are each constraint's minimal violation sets
+    among the images that hold an inserted tid (see constraint_edges),
+    joined in instance's fact index.  Only what the delta reaches is touched:
     - the edges through a deleted tid go; an edge found stays out if an edge
       of its constraint that survives is a proper subset of it;
     - the surviving solving edges stay solving, since every new edge holds
@@ -244,22 +245,19 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     for c in hit.values():
         for s in c:
             (kept if s.isdisjoint(deleted) else gone).append(s)
-            for t in s:
-                owner.pop(t, None)
+        for t in set().union(*c):
+            del owner[t]
     parts = split(sorted(kept + new_solving, key=_canonical))
     for c in parts:
-        for s in c:
-            for t in s:
-                owner[t] = c
+        owner.update(dict.fromkeys(set().union(*c), c))
     solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
     # a pure delta leaves one side of the vertex set alone, so it is not copied
     vertices = hg.vertices.difference(deleted) if deleted else hg.vertices
     vertices = vertices.union(f.tid for f in inserted) if inserted else vertices
-    derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving),
-                                 max(map(len, solving), default=0))
-    object.__setattr__(derived, "components", _splice(hg.components, hit.values(), parts, _first))
-    object.__setattr__(derived, "_lookups", (incident, owner))
+    derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving))
+    derived.__dict__.update(components=_splice(hg.components, hit.values(), parts, _first),
+                            _lookups=(incident, owner))
     return derived
 
 
@@ -271,9 +269,7 @@ def _build_lookups(hg):
         for t in e.tids:
             incident.setdefault(t, set()).add(e)
     for c in hg.components:
-        for s in c:
-            for t in s:
-                owner[t] = c
+        owner.update(dict.fromkeys(set().union(*c), c))
     return incident, owner
 
 

@@ -309,12 +309,6 @@ class Instance:
         """
         return self._derive(*self._delta(insertions, set(deletions))[:2])
 
-    def _child(self, insertions, deletions) -> tuple["Instance", list[Fact], dict]:
-        """The child of a delta that _delta returns, or a new one, with the
-        delta's facts and deleted facts."""
-        facts, gone, child = self._delta(insertions, deletions)
-        return (self._derive(facts, gone) if child is None else child), facts, gone
-
     def _derive(self, facts, gone) -> "Instance":
         """The child of a checked delta: facts inserted, gone's facts deleted."""
         # deriving this delta again moves the tid map back here, to make a sibling

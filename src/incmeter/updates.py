@@ -17,18 +17,19 @@ Each instance version holds one tid map and one fact index, handed on and
 edited in place, not copied (Instance.derive).  A delta is checked once:
 after apply_update, the updated instance and the delta's facts are read back
 from the parent's link.  Only the atoms an inserted fact can match are
-joined; a pure delta copies one side of the vertex set.  Still growing with
+joined; a pure delta copies one side of the vertex set, and the deleted
+side reaches conflicts.derive as a frozenset of tids.  Still growing with
 the instance, at C speed: the copies of the vertex set and of the edge,
-solving-edge and component sequences around the changes, d taken over every
-solving edge, and the solve's walk of every component to sum its recorded
-nodes.
+solving-edge and component sequences around the changes, and the solve's
+walk of every component to sum its recorded nodes.
 
 One private path measures both sides of a delta: it checks the delta,
-builds or reuses the hypergraph before and solves it, then derives the one
-after incrementally, so that it reuses that solve, and solves it too.
-`incmeter update` and both bound checks go through it; the checks then turn
-the relative update size eps into exact-rational sandwich inequalities
-between the two measures, in one body for either direction.
+builds or reuses the hypergraph before, derives the one after through
+incremental_hypergraph and solves both, the one before first.  The
+components the delta left alone are shared, so the second solve reuses
+their optima.  `incmeter update` and both bound checks go through it; the
+checks then turn the relative update size eps into exact-rational sandwich
+inequalities between the two measures, in one body for either direction.
 """
 
 from __future__ import annotations
@@ -165,13 +166,16 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
     hg must be the hypergraph of instance.  The updated instance, whose fact
     index the new edges are joined in, is the one apply_update made with
     this very delta if instance still links to it, else it is derived,
-    checking only the delta (see Instance.check_delta).  hg's untouched
-    components, with any optima found for them, are handed on for the next
-    solve to reuse (see conflicts.derive); hg's edges and components are
-    left as they are.
+    checking only the delta (see Instance.check_delta).  This is the one
+    path to conflicts.derive, which is given the deleted tids as a frozenset.
+    hg's untouched components are the result's own, so an optimum that a
+    solve of either records on one serves both (see conflicts.derive); hg's
+    edges and components are left as they are.
     """
-    after, inserted, deleted = instance._child(delta.insertions, delta.deletions)
-    return conflicts.derive(hg, after, inserted, deleted, constraints)
+    inserted, gone, after = instance._delta(delta.insertions, delta.deletions)
+    if after is None:
+        after = instance._derive(inserted, gone)
+    return conflicts.derive(hg, after, inserted, frozenset(gone), constraints)
 
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
@@ -179,19 +183,18 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
     """Both hypergraphs of the delta and the exact g3 report on each side.
 
     The delta is checked before anything is solved, so a bad one is refused
-    whatever the budget.  A missing hg_before is built; a missing hg_after is
-    derived from hg_before once hg_before is solved, so that it is handed the
-    optima of the components the delta left alone.
+    whatever the budget.  A missing hg_before is built, and a missing
+    hg_after is derived from it before either is solved.  The components the
+    delta left alone are the same objects in both, so the solve of hg_before
+    records the optima that the solve of hg_after reuses.
     """
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
-        child, inserted, deleted = instance._child(delta.insertions, delta.deletions)
+        hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
     elif not delta.deletions <= hg_before.vertices:
         instance.check_delta((), delta.deletions)  # raises on the unknown tids
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
-    if hg_after is None:
-        hg_after = conflicts.derive(hg_before, child, inserted, deleted, constraints)
     after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
     return hg_before, hg_after, before, after
 

@@ -147,17 +147,18 @@ def test_fact_rendering_matches_the_value_by_value_reference(seed):
     assert emit_repair_program(odd, cs).facts == _reference_facts(odd)
 
 
+# "a b" needs quotes, while 7 and a lowercase name such as "ok" are bare
 @pytest.mark.parametrize("style, rules", [
     ("disjunctive", ['p_a(T, X, "a b", d) v q_a(T2, X, Y, d) :- '
-                     'p(T, X, "a b"), q(T2, X, Y), Y != 7.']),
-    ("normal", ['p_a(T, X, "a b", d) :- p(T, X, "a b"), q(T2, X, Y), Y != 7, '
+                     'p(T, X, "a b"), q(T2, X, Y), Y != 7, Y != ok.']),
+    ("normal", ['p_a(T, X, "a b", d) :- p(T, X, "a b"), q(T2, X, Y), Y != 7, Y != ok, '
                 'not q_a(T2, X, Y, d).',
-                'q_a(T, X, Y, d) :- q(T, X, Y), p(T2, X, "a b"), Y != 7, '
+                'q_a(T, X, Y, d) :- q(T, X, Y), p(T2, X, "a b"), Y != 7, Y != ok, '
                 'not p_a(T2, X, "a b", d).']),
 ])
 def test_constraint_constants_render_as_values(style, rules):
     schema = parse_schema("p(A, B)\nq(A, B)\n")
-    cs = parse_constraints('dc c : !exists p(x, "a b"), q(x, y), y != 7\n', schema)
+    cs = parse_constraints('dc c : !exists p(x, "a b"), q(x, y), y != 7, y != "ok"\n', schema)
     program = emit_repair_program(Instance(schema, ()), cs, style=style)
     assert list(program.rules[:len(rules)]) == rules
     assert program.rules[len(rules)].startswith("p_a(T, X, Y, s) :- ")

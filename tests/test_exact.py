@@ -417,6 +417,7 @@ def test_generic_solver_handles_restricted_universe():
     edges = [{1, 2}, {2, 3}]
     assert solve_min_hitting_set(edges) == frozenset({2})
     assert solve_min_hitting_set([]) == frozenset()
+    assert solve_min_hitting_set([{1, 2}, set()]) is None  # nothing meets an empty edge
 
 
 def test_generic_solver_accepts_non_integer_vertices():

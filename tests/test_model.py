@@ -1,11 +1,17 @@
 import csv
 import io
 import itertools
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from incmeter import evaluation, model
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
 from incmeter.model import (NULL, Atom, Comparison, Const, ConstraintSet,
@@ -496,6 +502,8 @@ def test_instance_validation():
             Instance(schema, facts, frozenset(endogenous))
     inst = Instance(schema, (Fact(2, "p", ("b",)), Fact(1, "p", ("a",))))
     assert inst.tids == (1, 2)  # normalized to tid order
+    # a missing read computes a derived instance's facts and tids, and nothing else
+    assert not hasattr(inst, "nope") and not hasattr(inst.derive([], [1]), "nope")
 
 
 def test_equal_values_under_two_predicates_are_two_rows():
@@ -557,6 +565,24 @@ def test_check_consistency(pqr, fd):
     assert not consistent(inst2, cs2)
     assert consistent(restrict(inst2, {1, 3}), cs2)
     assert consistent(restrict(inst2, {2}), cs2)
+
+
+def test_a_constraint_pickled_under_another_hash_seed_equals_a_fresh_parse():
+    schema, text = "p(A, B)\n", 'dc c : !exists p(x, y), p(x, z), y != z, z != "k"\n'
+    code = ("import pickle, sys\n"
+            "from incmeter.model import parse_constraints, parse_schema\n"
+            f"cs = parse_constraints({text!r}, parse_schema({schema!r}))\n"
+            "sys.stdout.buffer.write(pickle.dumps(cs.constraints[0]))\n")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(model.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True)
+    fresh = parse_constraints(text, parse_schema(schema)).constraints[0]
+    for loaded in (pickle.loads(proc.stdout), pickle.loads(pickle.dumps(fresh))):
+        # its hash is taken afresh here, so the join's plan cache finds the fresh one's plan
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert evaluation._plan(loaded, None, True) is evaluation._plan(fresh, None, True)
 
 
 def test_constraint_str_reparses():

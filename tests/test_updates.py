@@ -246,8 +246,9 @@ def test_the_after_side_searches_only_the_components_the_delta_changed(
     components = len(searches)  # one search per component on each side
     assert want.before == Fraction(optimum, 300) and components > 100
     searches.clear()
-    # the after side is derived once the before side is solved, so it searches
-    # only the one key group the delta touched, not all of them again
+    # the after side shares the before side's untouched components, and so
+    # the optima its solve records: it searches only the one key group the
+    # delta touched, not all of them again
     assert check(inst, delta, cs) == want
     assert components // 2 < len(searches) <= components // 2 + 1
 
@@ -674,6 +675,24 @@ def test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild():
             _check_against_rebuild(hg, inst, cs)
         else:
             measures._g3(hg, len(inst))
+
+
+def test_a_bulk_delta_and_a_what_if_one_from_its_parent_match_a_rebuild():
+    """A delta of a tenth of the rows each way, then another from the same parent.
+
+    Each solving edge of a component the first delta hits is tested against
+    all 400 deleted tids; the second derive finds the parent's maps moved to
+    the first result and builds them again."""
+    cs, inst, _ = fd_key_groups(random.Random(1), 4000)
+    hg = build_hypergraph(inst, cs)
+    measures._g3(hg, len(inst))
+    rng = random.Random(12)
+    for run in ("bulk", "what-if"):
+        rows = tuple(("rel", (f"k{rng.randrange(1000)}", f"b{rng.randrange(3)}", f"{run}{j}"))
+                     for j in range(400))
+        delta = UpdateDelta(rows, frozenset(rng.sample(inst.tids, 400)))
+        after = apply_update(inst, delta)
+        _check_against_rebuild(incremental_hypergraph(hg, inst, delta, cs), after, cs)
 
 
 def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
