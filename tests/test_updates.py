@@ -678,11 +678,8 @@ def test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild():
 
 
 def test_a_bulk_delta_and_a_what_if_one_from_its_parent_match_a_rebuild():
-    """A delta of a tenth of the rows each way, then another from the same parent.
-
-    Each solving edge of a component the first delta hits is tested against
-    all 400 deleted tids; the second derive finds the parent's maps moved to
-    the first result and builds them again."""
+    """A delta of a tenth of the rows each way, and a second (what-if) delta
+    from the same parent hypergraph, each match a rebuild and a fresh solve."""
     cs, inst, _ = fd_key_groups(random.Random(1), 4000)
     hg = build_hypergraph(inst, cs)
     measures._g3(hg, len(inst))

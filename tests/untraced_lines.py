@@ -1,6 +1,6 @@
 """List the lines of src/incmeter/ that no Tier-1 test runs.
 
-    PYTHONPATH=src python tests/untraced_lines.py [pytest args...]
+    PYTHONPATH=src python tests/untraced_lines.py
 
 Runs the Tier-1 suite in this process under sys.settrace, tracing line
 events only in frames of the package, and prints `module.py:line: source`
@@ -47,8 +47,8 @@ def code_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(args) -> dict[str, set[int]]:
-    """Run pytest with args under the tracer; the lines run, by file name."""
+def run_traced() -> dict[str, set[int]]:
+    """Run the Tier-1 suite under the tracer; the lines run, by file name."""
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
 
@@ -70,15 +70,15 @@ def run_traced(args) -> dict[str, set[int]]:
     try:
         with contextlib.redirect_stdout(sys.stderr):  # keep stdout for the report
             pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                         *(args or [str(TESTS)])])
+                         str(TESTS)])
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return ran
 
 
-def main(args) -> int:
-    ran = run_traced(args)
+def main() -> int:
+    ran = run_traced()
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
@@ -90,4 +90,4 @@ def main(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
