@@ -21,7 +21,7 @@ from itertools import chain, groupby
 
 from . import evaluation
 from .errors import InputError
-from .model import ConstraintSet, DenialConstraint, Instance
+from .model import ConstraintSet, DenialConstraint, Instance, _reroot
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,17 +65,20 @@ class ConflictHypergraph:
     derive) is given its components: those the delta did not reach are the
     parent's own objects, with any masks and optimum already found, so the
     next solve searches only the components the delta changed.  _lookups
-    maps each conflicting tid to its edges and to its component; built on
-    the first update and moved to the derived hypergraph, it is None until
-    then and after, and only this module reads it.  None of these links a
-    hypergraph to its parent.  The join index the edges are found with is
-    the instance's own (see model.Instance).
+    maps each conflicting tid to its edges and to its component, and only
+    this module reads it.  Built once from the edges of a hypergraph that
+    no derive made, it is handed on and moved back as an instance's tid map
+    is (see model._reroot), so a version kept alive keeps every later one
+    alive.  The join index the edges are found with is the instance's own.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     solving_edges: tuple[frozenset[int], ...]
-    _lookups = None  # not a field: no annotation
+    _lookups = _link = None  # not fields: no annotation
+
+    def __copy__(self):  # a copy of the version that holds the maps would share them
+        return self
 
     @property
     def is_consistent(self) -> bool:
@@ -208,23 +211,19 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
       split again, and the rest are handed on as they are, optimum and all.
     Surviving edges and components keep their canonical places, and the new
     ones are put in by key.  hg's tid -> edges and tid -> component maps are
-    moved to the result, so hg builds them again if it is derived from again.
+    moved to the result, and hg links to it (see ConflictHypergraph).
     """
     index = instance._live_index()
-    incident, owner = hg._lookups or _build_lookups(hg)
-    hg.__dict__["_lookups"] = None
+    _reroot(hg, _shift_lookups, "_lookups")
+    if hg._lookups is None:  # built once per hypergraph that no derive made
+        hg.__dict__["_lookups"] = ({}, {})
+        _shift_lookups(hg._lookups, ((), (), ()), ((), hg.edges, hg.components))
+    incident, owner = hg._lookups
     found = []
     for dc in constraints:
         found += constraint_edges(index, dc, inserted)
-    dropped = set()
-    for t in deleted:
-        dropped |= incident.pop(t, set())
-    for e in dropped:
-        for t in e.tids.difference(deleted):
-            edges = incident[t]
-            edges.remove(e)
-            if not edges:
-                del incident[t]
+    dropped = set().union(*[incident.get(t, ()) for t in deleted])
+    # a dropped edge holds a deleted tid, so it is a subset of no found edge
     added, fresh = [], set()
     for e in found:
         below = {o.constraint for t in e.tids for o in incident.get(t, ()) if o.tids < e.tids}
@@ -232,9 +231,6 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
             added.append(e)
             if not below:
                 fresh.add(e.tids)
-    for e in added:
-        for t in e.tids:
-            incident.setdefault(t, set()).add(e)
     new_solving = antichain(fresh)
     hit = {}
     for t in chain(deleted, *new_solving):
@@ -245,32 +241,41 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     for c in hit.values():
         for s in c:
             (kept if s.isdisjoint(deleted) else gone).append(s)
-        for t in set().union(*c):
-            del owner[t]
     parts = split(sorted(kept + new_solving, key=_canonical))
-    for c in parts:
-        owner.update(dict.fromkeys(set().union(*c), c))
+    out, into = (deleted, dropped, [*hit.values()]), ({f.tid for f in inserted}, added, parts)
+    _shift_lookups(hg._lookups, out, into)
     solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
     # a pure delta leaves one side of the vertex set alone, so it is not copied
     vertices = hg.vertices.difference(deleted) if deleted else hg.vertices
-    vertices = vertices.union(f.tid for f in inserted) if inserted else vertices
+    vertices = vertices.union(into[0]) if inserted else vertices
     derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving))
-    derived.__dict__.update(components=_splice(hg.components, hit.values(), parts, _first),
-                            _lookups=(incident, owner))
+    derived.__dict__.update(components=_splice(hg.components, out[2], parts, _first),
+                            _lookups=hg._lookups)
+    hg.__dict__.update(_lookups=None, _link=(derived, out, into))
     return derived
 
 
-def _build_lookups(hg):
-    """Maps from each tid in hg's edges to those labeled edges, and from each
-    tid in its solving edges to its component."""
-    incident, owner = {}, {}
-    for e in hg.edges:
+def _shift_lookups(maps, out, into) -> None:
+    """Take out's labeled edges and components out of maps, the tid -> edges
+    and tid -> component maps, and put into's in.  Each is a (tids, edges,
+    components) triple, its edges all those through its tids, whose edge
+    sets are thus popped whole."""
+    (incident, owner), (tids, edges, components) = maps, out
+    for t in tids:
+        incident.pop(t, None)
+    for e in edges:
+        for t in e.tids.difference(tids):
+            incident[t].remove(e)
+            if not incident[t]:
+                del incident[t]
+    for t in set().union(*chain.from_iterable(components)):
+        del owner[t]
+    for e in into[1]:
         for t in e.tids:
             incident.setdefault(t, set()).add(e)
-    for c in hg.components:
+    for c in into[2]:
         owner.update(dict.fromkeys(set().union(*c), c))
-    return incident, owner
 
 
 def _splice(items, drop, add, key):

@@ -138,12 +138,9 @@ class Instance:
     lets none be deleted.  `tids` holds the tids in ascending order.
 
     The versions that derive makes share one tid map and one FactIndex, the
-    index built on first use and read by every join over the instance.  The
-    version read last holds them; every other one links toward it with the
-    delta between them, and a read moves them back along that path, undoing
-    each delta (Baker's rerooting, 1991) in time that follows those deltas.
-    Reads thus write hidden state, which is safe as the package is
-    single-threaded, and a version kept alive keeps every later one alive.
+    index built on first use and read by every join over the instance, and
+    a read moves them to the version read (see _reroot).  Reads thus write
+    hidden state, which is safe as the package is single-threaded.
     """
 
     schema: Schema
@@ -159,6 +156,7 @@ class Instance:
         tids = [f.tid for f in ordered]
         if not all(isinstance(t, int) and t >= 1 for t in tids) or len(set(tids)) < len(tids):
             self._walk(ordered, {}, 0)  # names the first bad tid or row
+        _check_values(ordered)
         self._check_facts(ordered, {})
         self._index(dict(zip(tids, ordered)))
 
@@ -185,18 +183,8 @@ class Instance:
 
     def _live(self) -> dict:
         """The tid map, moved here with the fact index from the version that holds them."""
-        path = [self]
-        while path[-1]._link is not None:
-            path.append(path[-1]._link[0])
-        state = path.pop().__dict__
-        by_tid, index = state["_by_tid"], state["_fact_index"]
-        for version in reversed(path):
-            _, gone, added = version._link
-            _shift(by_tid, index, added, gone)
-            version.__dict__.update(_by_tid=by_tid, _fact_index=index, _link=None)
-            state.update(_by_tid=None, _fact_index=None, _link=(version, added, gone))
-            state = version.__dict__
-        return by_tid
+        _reroot(self, _shift, "_by_tid", "_fact_index")
+        return self._by_tid
 
     def _live_index(self) -> "FactIndex":
         """The fact index of this version, moved here with the tid map."""
@@ -285,13 +273,10 @@ class Instance:
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         gone = {by_tid[t][1:] for t in deletions}
+        _check_values(facts)
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
         for f in facts:
-            if isinstance(f.values, str):  # kept a str above, not read as its characters
-                raise InputError(f"row {f.predicate} gives the str {f.values!r} for its values")
-            if not all(isinstance(v, str) for v in f.values):
-                raise InputError(f"row {f.predicate}{f.values!r} has a value that is not a str")
             if (len(f.values) == arity.get(f.predicate) and f[1:] not in gone
                     and index.holds(f.predicate, f.values)):
                 clash.setdefault(f.predicate, set()).add(f.values)
@@ -336,6 +321,16 @@ class Instance:
     def effective_endogenous(self) -> frozenset[int]:
         # no declared partition means everything may be touched
         return self.endogenous if self.declared else frozenset(self._live())
+
+
+def _check_values(facts) -> None:
+    """Refuse the first fact whose values are not a tuple of strs."""
+    for _, p, values in facts:
+        if not isinstance(values, tuple):  # a str is not read as its characters
+            kind = type(values).__name__
+            raise InputError(f"row {p} gives the {kind} {values!r} for its values")
+        if not all(isinstance(v, str) for v in values):
+            raise InputError(f"row {p}{values!r} has a value that is not a str")
 
 
 # facts are read by position: on Python 3.11 a named-tuple field read is slower
@@ -383,6 +378,28 @@ class FactIndex:
         """Whether a fact of the predicate has these values, one per attribute."""
         positions = tuple(range(len(values)))
         return _key(positions)(values) in self.table(predicate, positions)
+
+
+def _reroot(version, shift, *names) -> None:
+    """Move the live state in the attributes names to version from the one
+    that holds it.  Any other version links toward the holder: its _link
+    (other, out, into) says that shift(*state, out, into) makes its state
+    other's.  Each link on the way is undone by shift(*state, into, out) and
+    turned around (Baker's rerooting, 1991), in time that follows the deltas,
+    so a version kept alive keeps alive every version its links reach."""
+    if version._link is None:
+        return
+    path = [version]
+    while path[-1]._link is not None:
+        path.append(path[-1]._link[0])
+    state = path.pop().__dict__
+    live = {name: state[name] for name in names}
+    for version in reversed(path):
+        _, out, into = version._link
+        shift(*live.values(), into, out)
+        state.update(dict.fromkeys(names), _link=(version, into, out))
+        state = version.__dict__
+        state.update(live, _link=None)
 
 
 def _shift(by_tid, index, gone, added) -> None:

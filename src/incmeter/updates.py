@@ -13,13 +13,13 @@ components are handed on as they are, each with the optimum a solve
 recorded on it, so the next solve searches only the components the delta
 changed (see exact.min_hitting_set).
 
-Each instance version holds one tid map and one fact index, handed on and
-edited in place, not copied (Instance.derive).  A delta is checked once:
-after apply_update, the updated instance and the delta's facts are read back
-from the parent's link.  Only the atoms an inserted fact can match are
-joined; a pure delta copies one side of the vertex set, and the deleted
-side reaches conflicts.derive as a frozenset of tids.  Still growing with
-the instance, at C speed: the copies of the vertex set and of the edge,
+Each instance version holds one tid map and one fact index, and each
+hypergraph version its tid maps: handed on, edited in place and moved back
+by model._reroot, so any version can be derived from in time that follows
+the deltas.  A delta is checked once: after apply_update, the updated
+instance and the delta's facts are read back from the parent's link.  Only
+the atoms an inserted fact can match are joined.  Still growing with the
+instance, at C speed: the copies of the vertex set and of the edge,
 solving-edge and component sequences around the changes, and the solve's
 walk of every component to sum its recorded nodes.
 

@@ -506,6 +506,33 @@ def test_instance_validation():
     assert not hasattr(inst, "nope") and not hasattr(inst.derive([], [1]), "nope")
 
 
+@pytest.mark.parametrize("facts, message", [
+    pytest.param((Fact(1, "q", ("a", 2)),),
+                 "row q('a', 2) has a value that is not a str", id="int"),
+    pytest.param((Fact(1, "q", ("a", None)),),
+                 "row q('a', None) has a value that is not a str", id="none"),
+    # "ab" would be read as the row ("a", "b"), which fact 1 already holds
+    pytest.param((Fact(1, "q", ("a", "b")), Fact(2, "q", "ab")),
+                 "row q gives the str 'ab' for its values", id="str"),
+    pytest.param((Fact(1, "q", ["a", "b"]),),
+                 "row q gives the list ['a', 'b'] for its values", id="list"),
+    pytest.param((Fact(1, "q", ("a", ["b"])),),
+                 "row q('a', ['b']) has a value that is not a str", id="list-value"),
+])
+def test_an_instance_checks_values_as_a_delta_does(facts, message):
+    """A constructed Instance refuses values that are not a tuple of strs
+    with check_delta's message, whatever the facts' order; a delta reads a
+    listed row as a tuple, so only the other rows are refused there too."""
+    schema = parse_schema("q(A, B)\n")
+    with pytest.raises(InputError) as info:
+        Instance(schema, facts[::-1])
+    assert str(info.value) == message
+    if not isinstance(facts[-1].values, list):
+        with pytest.raises(InputError) as info:
+            Instance(schema, ()).check_delta([f[1:] for f in facts], [])
+        assert str(info.value) == message
+
+
 def test_equal_values_under_two_predicates_are_two_rows():
     schema = parse_schema("q(A, B)\nr(A, B)\n")
     inst = load_instance({"q": "A,B\na,b\n", "r": "A,B\na,b\n"}, schema)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from incmeter import evaluation, measures, updates
+from incmeter import conflicts, evaluation, measures, updates
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
@@ -690,6 +690,80 @@ def test_a_bulk_delta_and_a_what_if_one_from_its_parent_match_a_rebuild():
         delta = UpdateDelta(rows, frozenset(rng.sample(inst.tids, 400)))
         after = apply_update(inst, delta)
         _check_against_rebuild(incremental_hypergraph(hg, inst, delta, cs), after, cs)
+
+
+def _check_maps(hg):
+    """hg holds its tid -> edges and tid -> component maps, and they equal
+    those built from its edges and components, each tid's component the
+    very object in hg.components."""
+    incident, owner = hg._lookups
+    assert incident == {t: {e for e in hg.edges if t in e.tids}
+                        for t in set().union(*(e.tids for e in hg.edges))}
+    assert {t: id(c) for t, c in owner.items()} == {
+        t: id(c) for c in hg.components for t in set().union(*c)}
+
+
+def _fd_delta(rng, inst, i, keys):
+    """Up to two rows out and up to two in, one at least, on rel(A, B, C)."""
+    deletions = frozenset(rng.sample(inst.tids, rng.randint(0, 2)))
+    rows = tuple(("rel", (f"k{rng.randrange(keys)}", f"b{rng.randrange(3)}", f"w{i}.{j}"))
+                 for j in range(rng.randint(0 if deletions else 1, 2)))
+    return UpdateDelta(rows, deletions)
+
+
+def test_what_if_deltas_from_older_versions_match_a_rebuild(monkeypatch):
+    """Deltas along a chain, what-if deltas from the parent and the
+    grandparent of its newest version, and reads of older instances, in a
+    seeded order: each hypergraph derived matches a rebuild and a fresh
+    solve, and holds the maps a build from its edges gives.  The maps are
+    built from a root's edges once, and then only moved by the deltas."""
+    shifts = []
+    shift = conflicts._shift_lookups
+    monkeypatch.setattr(conflicts, "_shift_lookups",
+                        lambda maps, out, into: shifts.append((out, into)) or shift(maps, out, into))
+    cs, inst, _ = fd_key_groups(random.Random(2), 400)
+    root = build_hypergraph(inst, cs)
+    measures._g3(root, len(inst))
+    chain, rng, steps = [(inst, root, inst.facts)], random.Random(13), Counter()
+    for i in range(80):
+        step = rng.choice(("chain", "parent", "grandparent", "read"))
+        back = {"chain": 1, "parent": 2, "grandparent": 3}.get(step, 0)
+        if back > len(chain):
+            step, back = "chain", 1
+        steps[step] += 1
+        if step == "read":
+            older, _, facts = rng.choice(chain)
+            assert [older.fact(f.tid) for f in facts] == list(facts)
+            continue
+        inst, hg, _ = chain[-back]
+        delta = _fd_delta(rng, inst, i, 100)
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        after = apply_update(inst, delta)
+        _check_maps(hg)
+        _check_against_rebuild(hg, after, cs)
+        if step == "chain":
+            chain.append((after, hg, after.facts))
+    assert min(steps.values()) >= 10
+    built = [into for out, into in shifts if into[1] == root.edges]
+    assert built and shifts[0][1][1] == root.edges and len(built) == 1
+    # every other shift moves the edges of one delta: a few, not the root's hundreds
+    assert max(len(out[1]) + len(into[1]) for out, into in shifts[1:]) < len(root.edges) // 10
+
+
+def test_a_copy_of_a_hypergraph_is_the_hypergraph():
+    """The same delete derived from a hypergraph version that holds its
+    maps, and then from a copy of it, matches a rebuild each time: the copy
+    is the version itself, so it does not share the maps that moved on."""
+    cs, inst, _ = fd_key_groups(random.Random(3), 400)
+    hg = incremental_hypergraph(build_hypergraph(inst, cs), inst,
+                                UpdateDelta((), frozenset(inst.tids[:2])), cs)
+    inst = apply_update(inst, UpdateDelta((), frozenset(inst.tids[:2])))
+    assert hg._lookups is not None
+    delete = UpdateDelta((), frozenset(inst.tids[:40]))
+    after = apply_update(inst, delete)
+    for version in (hg, copy.copy(hg)):
+        _check_against_rebuild(incremental_hypergraph(version, inst, delete, cs), after, cs)
+    assert copy.copy(hg) is hg
 
 
 def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
