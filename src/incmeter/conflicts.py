@@ -32,7 +32,7 @@ class Hyperedge:
     constraint: str
 
     def key(self):
-        return tuple(sorted(self.tids))
+        return _canonical(self.tids)
 
 
 class Component(tuple):
@@ -54,35 +54,41 @@ class Component(tuple):
 class ConflictHypergraph:
     """All minimal violations of an instance, in canonical order.
 
-    edges keeps one entry per (constraint, tid set) pair.  solving_edges is
-    the deduplicated antichain across constraints: supersets of other edges
-    are dropped since any hitting set already covers them.  With vertices,
+    edges keeps one entry per (constraint, tid set) pair.  With vertices,
     these are the fields: the hypergraph's value, and all equality compares.
 
-    d, the largest solving edge size (0 when the instance is consistent),
-    and components, the solving edges split for every solver, are computed
-    on first read and kept.  A hypergraph that an update derives (see
-    derive) is given its components: those the delta did not reach are the
-    parent's own objects, with any masks and optimum already found, so the
-    next solve searches only the components the delta changed.  _lookups
-    maps each conflicting tid to its edges and to its component, and only
-    this module reads it.  Built once from the edges of a hypergraph that
-    no derive made, it is handed on and moved back as an instance's tid map
-    is (see model._reroot), so a version kept alive keeps every later one
-    alive.  The join index the edges are found with is the instance's own.
+    solving_edges, the antichain of the edges' tid sets across constraints
+    (a set that hits it hits every edge), d, the largest solving edge size
+    (0 when the instance is consistent), and components, the solving edges
+    split for every solver, are computed on first read and kept.  A
+    hypergraph that an update derives (see derive) is given its components:
+    those the delta did not reach are the parent's own objects, with any
+    masks and optimum already found, so the next solve searches only the
+    components the delta changed.  _lookups maps each conflicting tid to its
+    edges and to its component, and only this module reads it.  Built once
+    from the edges of a hypergraph that no derive made, it is handed on and
+    moved back as an instance's tid map is (see model._reroot), so a version
+    kept alive keeps every later one alive.  The join index the edges are
+    found with is the instance's own.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
-    solving_edges: tuple[frozenset[int], ...]
     _lookups = _link = None  # not fields: no annotation
 
     def __copy__(self):  # a copy of the version that holds the maps would share them
         return self
 
+    def __reduce__(self):  # the value alone, not the versions its link reaches
+        return ConflictHypergraph, (self.vertices, self.edges)
+
     @property
     def is_consistent(self) -> bool:
-        return not self.solving_edges
+        return not self.edges
+
+    @cached_property
+    def solving_edges(self) -> tuple[frozenset[int], ...]:
+        return tuple(sorted(antichain(e.tids for e in self.edges), key=_canonical))
 
     @cached_property
     def d(self) -> int:
@@ -155,27 +161,25 @@ def constraint_edges(index, dc: DenialConstraint, inserted=None) -> list[Hypered
 
 
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
-    """Canonicalize edges and compute the solving antichain.
+    """The hypergraph of these edges, deduplicated in canonical order.
 
     constraint_order names every edge's constraint, each once; edges go by
     it, then by their tids.  Edges are assumed subset-minimal within their
-    own constraint; supersets across constraints (and duplicates) are
-    dropped from solving_edges here.
+    own constraint; supersets across constraints are left to solving_edges.
     """
     edges = tuple(sorted(set(hyperedges), key=_edge_key(constraint_order)))
-    solving = sorted(antichain(e.tids for e in edges), key=_canonical)
-    return ConflictHypergraph(frozenset(vertices), edges, tuple(solving))
+    return ConflictHypergraph(frozenset(vertices), edges)
 
 
 def _edge_key(constraint_order):
     """The canonical sort key of a labeled edge: its constraint's place in
     constraint_order, then its sorted tids."""
     order = {name: i for i, name in enumerate(constraint_order)}
-    return lambda e: (order[e.constraint], e.key())
+    return lambda e: (order[e.constraint], _canonical(e.tids))
 
 
 def _canonical(s):
-    """The canonical sort key of a solving edge: its sorted tids."""
+    """The canonical sort key of a tid set: its sorted tids."""
     return tuple(sorted(s))
 
 
@@ -208,7 +212,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
       an inserted tid; a new edge is solving if it holds no surviving edge
       and no other new edge;
     - the components that hold a deleted tid or meet a new solving edge are
-      split again, and the rest are handed on as they are, optimum and all.
+      split again with the new solving edges, and the rest are handed on as
+      they are, optimum and all, so the components hold every solving edge.
     Surviving edges and components keep their canonical places, and the new
     ones are put in by key.  hg's tid -> edges and tid -> component maps are
     moved to the result, and hg links to it (see ConflictHypergraph).
@@ -237,19 +242,15 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
         c = owner.get(t)
         if c is not None:
             hit[_first(c)] = c
-    kept, gone = [], []
-    for c in hit.values():
-        for s in c:
-            (kept if s.isdisjoint(deleted) else gone).append(s)
+    kept = [s for c in hit.values() for s in c if s.isdisjoint(deleted)]
     parts = split(sorted(kept + new_solving, key=_canonical))
     out, into = (deleted, dropped, [*hit.values()]), ({f.tid for f in inserted}, added, parts)
     _shift_lookups(hg._lookups, out, into)
-    solving = _splice(hg.solving_edges, gone, new_solving, _canonical)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
     # a pure delta leaves one side of the vertex set alone, so it is not copied
     vertices = hg.vertices.difference(deleted) if deleted else hg.vertices
     vertices = vertices.union(into[0]) if inserted else vertices
-    derived = ConflictHypergraph(vertices, tuple(edges), tuple(solving))
+    derived = ConflictHypergraph(vertices, tuple(edges))
     derived.__dict__.update(components=_splice(hg.components, out[2], parts, _first),
                             _lookups=hg._lookups)
     hg.__dict__.update(_lookups=None, _link=(derived, out, into))

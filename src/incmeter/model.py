@@ -174,6 +174,9 @@ class Instance:
     def __copy__(self):  # a copy of the version that holds the tid map would share it
         return self
 
+    def __reduce__(self):  # the value alone, not the index or the versions its link reaches
+        return Instance, (self.schema, self.facts, self.endogenous, self.declared)
+
     def __getattr__(self, name):  # a derived instance sorts its facts and tids on first read
         if name not in ("facts", "tids"):
             raise AttributeError(name)

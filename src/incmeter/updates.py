@@ -19,9 +19,9 @@ by model._reroot, so any version can be derived from in time that follows
 the deltas.  A delta is checked once: after apply_update, the updated
 instance and the delta's facts are read back from the parent's link.  Only
 the atoms an inserted fact can match are joined.  Still growing with the
-instance, at C speed: the copies of the vertex set and of the edge,
-solving-edge and component sequences around the changes, and the solve's
-walk of every component to sum its recorded nodes.
+instance, at C speed: the copies of the vertex set and of the edge and
+component sequences around the changes, and the solve's walk of every
+component to sum its recorded nodes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before, derives the one after through
@@ -204,8 +204,8 @@ def _bound_report(n, delta, hg_before, hg_after, before, after) -> BoundCheckRep
     _measure_delta's hypergraphs and reports; eps = changed rows/n."""
     direction = "insert" if delta.is_insert_only else "delete"
     # a delete-only delta drops exactly the solving edges through a deleted
-    # tid and makes no edge solving, so an equal count means it dropped none
-    isolated = (len(hg_after.solving_edges) == len(hg_before.solving_edges)
+    # tid and makes none, so equal counts in the components mean it dropped none
+    isolated = (sum(map(len, hg_after.components)) == sum(map(len, hg_before.components))
                 if direction == "delete" else None)
     return _sandwich(direction, n, len(delta.insertions) + len(delta.deletions),
                      before.value, after.value, isolated)

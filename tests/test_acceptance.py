@@ -214,7 +214,10 @@ def test_c5_incremental_conflict_maintenance(capsys, corpus):
         # built anew, so that the rebuild joins in a fact index of its own
         full = build_hypergraph(Instance(after.schema, after.facts), item.constraints)
         total += 1
-        agreed += (inc == full)
+        # solving_edges is a view of the edges, so the solving side is checked
+        # on the components that derive maintains
+        agreed += (inc == full and [tuple(c) for c in inc.components]
+                   == [tuple(c) for c in full.components])
     ok = total >= 500 and agreed == total
     report(capsys, "C5", "incremental conflict maintenance", ok,
            f"{agreed}/{total} mixed deltas match a full rebuild")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import random
 import sys
 import weakref
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from incmeter import conflicts, evaluation, measures, updates
-from incmeter.conflicts import build_hypergraph
+from incmeter.conflicts import ConflictHypergraph, build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
 from incmeter.exact import min_hitting_set
@@ -360,8 +361,8 @@ def _check_tables(version):
 def _check_carried_state(hg_before, inst, delta, cs, after):
     """The hypergraph handed on along a chain against one built anew.
 
-    Its edges, the built tables of the index it was joined in (see
-    _check_tables) and its solve must equal those of a fresh build; the
+    Its edges, components, the built tables of the index it was joined in
+    (see _check_tables) and its solve must equal those of a fresh build; the
     index is the one inst handed on to after, and deriving again gives an
     equal result.
     """
@@ -370,6 +371,7 @@ def _check_carried_state(hg_before, inst, delta, cs, after):
     assert incremental_hypergraph(hg_before, inst, delta, cs) == hg
     fresh = build_hypergraph(_rebuilt(after), cs)
     assert hg == fresh
+    assert [tuple(c) for c in hg.components] == [tuple(c) for c in fresh.components]
     _check_tables(after)
     assert min_hitting_set(hg) == min_hitting_set(fresh)
     # the same cover and search nodes for every component
@@ -587,7 +589,10 @@ def test_versions_of_a_delta_chain_read_as_fresh_builds_in_any_order():
                 delta = UpdateDelta(tuple(rows), frozenset(deletions))
                 got = incremental_hypergraph(build_hypergraph(version, cs), version, delta, cs)
                 want = incremental_hypergraph(build_hypergraph(fresh, cs), fresh, delta, cs)
-                assert got == want == build_hypergraph(_fresh_after(fresh, delta), cs)
+                rebuilt = build_hypergraph(_fresh_after(fresh, delta), cs)
+                assert got == want == rebuilt
+                assert ([tuple(c) for c in got.components] == [tuple(c) for c in want.components]
+                        == [tuple(c) for c in rebuilt.components])
                 seen["joined_children"] += 1
             if read in (1, 7, 8, 9):
                 _check_tables(version)
@@ -764,6 +769,50 @@ def test_a_copy_of_a_hypergraph_is_the_hypergraph():
     for version in (hg, copy.copy(hg)):
         _check_against_rebuild(incremental_hypergraph(version, inst, delete, cs), after, cs)
     assert copy.copy(hg) is hg
+
+
+def test_a_pickled_or_deep_copied_version_is_its_value_alone():
+    """A joined instance, a linked parent instance, a parent hypergraph and a
+    derived one each come back from pickle and from deepcopy equal to
+    themselves and unlinked, so neither the fact index nor the versions a
+    link reaches are copied; a delta derived from a hypergraph that came
+    back matches a rebuild."""
+    cs, inst, _ = fd_key_groups(random.Random(4), 400)
+    rng = random.Random(14)
+    hg, delta = build_hypergraph(inst, cs), _fd_delta(rng, inst, 0, 100)
+    derived = incremental_hypergraph(hg, inst, delta, cs)
+    after = apply_update(inst, delta)  # joined: it holds the fact index
+    assert after._fact_index is not None and inst._link is not None and hg._link is not None
+    for version in (after, inst, hg, derived):
+        for twin in (pickle.loads(pickle.dumps(version)), copy.deepcopy(version)):
+            assert twin == version and twin is not version and twin._link is None
+    second = _fd_delta(rng, after, 1, 100)
+    twin, twin_after = (pickle.loads(pickle.dumps(v)) for v in (derived, after))
+    _check_against_rebuild(incremental_hypergraph(twin, twin_after, second, cs),
+                           _fresh_after(after, second), cs)
+
+
+def test_no_update_path_builds_the_solving_edge_view():
+    """A hypergraph's value is its vertices and edges, and solving_edges is a
+    view of the edges that no update path builds: along a chain of deltas
+    through apply_update, incremental_hypergraph, inc_deg_g3 and both bound
+    checks, no derived version reads it."""
+    assert [f.name for f in dataclasses.fields(ConflictHypergraph)] == ["vertices", "edges"]
+    cs, inst, _ = fd_key_groups(random.Random(5), 400)
+    hg, rng, derived, checks = build_hypergraph(inst, cs), random.Random(15), [], Counter()
+    for i in range(40):
+        delta = _fd_delta(rng, inst, i, 100)
+        hg_after = incremental_hypergraph(hg, inst, delta, cs)
+        if delta.is_insert_only or delta.is_delete_only:
+            check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+            checks[check] += 1
+            assert check(inst, delta, cs, hg_before=hg, hg_after=hg_after).all_hold()
+        inst, hg = apply_update(inst, delta), hg_after
+        assert measures.inc_deg_g3(inst, cs, hg).value == \
+            measures.inc_deg_g3(_rebuilt(inst), cs).value
+        derived.append(hg)
+    assert len(checks) == 2 and min(checks.values()) >= 5, checks
+    assert not [v for v in derived if "solving_edges" in vars(v)]
 
 
 def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
