@@ -4,11 +4,13 @@ Every conflict has at most d tids.  Local ratio (Bar-Yehuda and Even, 1985)
 takes unhit edges whole, a d-approximation.  The LP is solved per component
 of the hypergraph: vertex lengths grow multiplicatively along minimum-length
 edges until all reach 1, giving a feasible cover and an integer dual packing
-that certify the (1 + eps) gap in exact rationals.  Threshold rounding
-(Williamson and Shmoys, 2011, section 1.7) keeps S = {v : d * w_v >= alpha}
-for a uniform alpha in (0, 1]: each v with probability min(1, d * w_v), so
-E|S| <= d * objective, and each edge's heaviest vertex always.  _prune then
-drops redundant vertices from both answers, so these bounds still hold.
+that certify the (1 + eps) gap in exact rationals, computed on ints: each
+float length is n / 2^k, and all are taken over one common denominator.
+Threshold rounding (Williamson and Shmoys, 2011, section 1.7) keeps
+S = {v : d * w_v >= alpha} for a uniform alpha in (0, 1]: each v with
+probability min(1, d * w_v), so E|S| <= d * objective, and each edge's
+heaviest vertex always.  _prune then drops redundant vertices from both
+answers, so these bounds still hold.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     if eps < MIN_EPS:
         raise ResourceLimitError(
             f"certified approximation below {MIN_EPS} is not supported")
-    weights = {t: Fraction(0) for t in sorted(hg.vertices)}
+    weights = dict.fromkeys(sorted(hg.vertices), Fraction(0))
     objective = dual_bound = Fraction(0)
     for component in hg.components:
         edges = [tuple(sorted(e)) for e in component]
@@ -126,11 +128,15 @@ def _length_scheme(edges, inner):
 
 
 def _rationalize(edges, lengths, duals):
-    """Exact feasible cover from float lengths plus exact dual bound."""
-    frac = {t: Fraction(v) for t, v in lengths.items()}
-    scale = min(sum(frac[t] for t in e) for e in edges)
-    cover = {t: v / scale for t, v in frac.items()}
-    objective = sum(cover.values(), Fraction(0))
+    """Exact feasible cover from float lengths plus exact dual bound: each
+    length is exactly n / 2^k; lifted to the largest denominator it is an int
+    n_t, so are the edge sums and their minimum S, and the cover is n_t / S."""
+    ratios = {t: v.as_integer_ratio() for t, v in lengths.items()}
+    den = max(b for _, b in ratios.values())
+    lifted = {t: n * (den // b) for t, (n, b) in ratios.items()}
+    scale = min(sum(lifted[t] for t in e) for e in edges)
+    cover = {t: Fraction(n, scale) for t, n in lifted.items()}
+    objective = Fraction(sum(lifted.values()), scale)
     congestion = {}
     for y, e in zip(duals, edges):
         for t in e:
@@ -144,18 +150,20 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
                                     seed=0, reps=5, cover=None) -> RepairSolution:
     """Round the fractional cover by threshold reps times; keep the smallest.
 
-    Try r keeps {v : d * w_v >= alpha}, in exact rationals, for a uniform
-    alpha in (0, 1] seeded from (seed, r); an edge a caller's cover leaves
-    unhit is taken whole; then _prune.
+    Try r keeps {v : d * w_v >= alpha} for a uniform alpha = p / q in (0, 1]
+    seeded from (seed, r), exactly, as d * a * q >= p * b for w_v = a / b; an
+    edge a caller's cover leaves unhit is taken whole; then _prune.
     """
     if reps < 1:
         raise InputError("reps must be at least 1")
     if cover is None:
         cover = lp_fractional_cover(hg, eps)
+    d = hg.d
+    ratios = [(t, *w.as_integer_ratio()) for t, w in cover.weights.items()]
 
     def rounded(r):
-        alpha = Fraction(1.0 - random.Random(1_000_003 * int(seed) + r).random())
-        sample = {t for t, w in cover.weights.items() if hg.d * w >= alpha}
+        p, q = (1.0 - random.Random(1_000_003 * int(seed) + r).random()).as_integer_ratio()
+        sample = {t for t, a, b in ratios if d * a * q >= p * b}
         return _prune(hg.solving_edges, _take_whole_edges(hg.solving_edges, sample))
 
     best = min(map(rounded, range(reps)), key=len)

@@ -59,10 +59,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("measure", parents=[common],
                        help="inconsistency degree of the instance")
     p.add_argument("--solver", choices=("exact", "local-ratio", "randomized"),
-                   default="exact")
+                   default="exact", help="local-ratio and randomized need "
+                                         "--semantics tuple (default: %(default)s)")
     p.add_argument("--semantics", choices=("tuple", "endogenous", "null"),
                    default="tuple")
-    p.add_argument("--normalization", choices=("db", "endogenous"), default="db")
+    p.add_argument("--normalization", choices=("db", "endogenous"), default="db",
+                   help="endogenous needs --semantics endogenous (default: %(default)s)")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 10),
                    help="randomized: certified LP gap (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="randomized: seed of the thresholds")
@@ -215,8 +217,9 @@ def _measure_payload(report: measures.MeasureReport) -> dict:
             "note": report.note, "witness_changes": changes}
 
 
-def _check_ranges(args) -> None:
-    """Refuse out-of-range numeric flags as bad input."""
+def _check_flags(args) -> None:
+    """Refuse out-of-range numeric flags, and measure flags the chosen
+    semantics would ignore, as bad input."""
     for flag, least in (("node_budget", 0), ("enum_limit", 0), ("reps", 1)):
         value = getattr(args, flag, least)
         if value < least:
@@ -224,6 +227,14 @@ def _check_ranges(args) -> None:
                              f"got {value}")
     if getattr(args, "eps", 1) <= 0:
         raise InputError(f"--eps must be positive, got {args.eps}")
+    if args.command != "measure":
+        return
+    if args.semantics != "tuple" and args.solver != "exact":
+        raise InputError(f"--solver {args.solver} needs --semantics tuple; "
+                         f"{args.semantics} semantics is solved exactly")
+    if args.semantics != "endogenous" and args.normalization != "db":
+        raise InputError(f"--normalization {args.normalization} needs "
+                         f"--semantics endogenous, not {args.semantics}")
 
 
 def _cmd_measure(args, constraints, instance):
@@ -388,7 +399,7 @@ def main(argv=None) -> int:
         fmt = _format_parser().parse_known_args(argv)[0].format
         args = build_parser().parse_args(argv)
         fmt = args.format
-        _check_ranges(args)
+        _check_flags(args)
         start = time.perf_counter()
         constraints, instance = _load_bundle(args)
         out = _COMMANDS[args.command](args, constraints, instance)

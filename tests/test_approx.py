@@ -272,6 +272,128 @@ def test_lp_cover_matches_the_reference_length_scheme(monkeypatch):
         assert (cover.objective, cover.dual_bound) == (want.objective, want.dual_bound)
 
 
+def _reference_rationalize(edges, lengths, duals):
+    """The certificate as first written, in Fraction arithmetic throughout.
+
+    Kept frozen so that the integer certificate can be held to its exact
+    cover, objective and dual bound.
+    """
+    frac = {t: Fraction(v) for t, v in lengths.items()}
+    scale = min(sum(frac[t] for t in e) for e in edges)
+    cover = {t: v / scale for t, v in frac.items()}
+    objective = sum(cover.values(), Fraction(0))
+    congestion = {}
+    for y, e in zip(duals, edges):
+        for t in e:
+            congestion[t] = congestion.get(t, 0) + y
+    kappa = max(congestion.values())
+    dual_bound = Fraction(sum(duals), kappa) if kappa else Fraction(0)
+    return cover, objective, dual_bound
+
+
+def _assert_certificate_matches_the_reference(edges, inner):
+    lengths, duals = approx._length_scheme(edges, inner)
+    cover, objective, bound = approx._rationalize(edges, lengths, duals)
+    want_cover, want_objective, want_bound = _reference_rationalize(edges, lengths, duals)
+    assert list(cover.items()) == list(want_cover.items())
+    assert all(type(w) is Fraction for w in cover.values())
+    assert (objective, bound) == (want_objective, want_bound)
+
+
+@pytest.mark.parametrize("rung", [1, 2, 4])
+def test_certificate_matches_the_reference_exactly(rung):
+    # a graph's lengths carry different powers of two in their denominators,
+    # so a cover read without the lift to one denominator comes out wrong
+    for edges in LENGTH_SCHEME_INPUTS:
+        _assert_certificate_matches_the_reference(edges, 1.0 / rung)
+
+
+def test_pinned_graph_certificate_matches_the_reference_exactly():
+    _assert_certificate_matches_the_reference(_uniform_edges(random.Random(2), 16, 40, 3), 0.1)
+
+
+def _reference_randomized_rounding(hg, seed, reps, cover):
+    """Threshold rounding as first written: each try compares d * w with a
+    Fraction alpha.  Kept frozen so that the integer test can be held to its
+    samples."""
+
+    def rounded(r):
+        alpha = Fraction(1.0 - random.Random(1_000_003 * int(seed) + r).random())
+        sample = {t for t, w in cover.weights.items() if hg.d * w >= alpha}
+        return approx._prune(hg.solving_edges,
+                             approx._take_whole_edges(hg.solving_edges, sample))
+
+    return frozenset(min(map(rounded, range(reps)), key=len))
+
+
+def test_rounding_matches_the_reference_sample(monkeypatch):
+    # each try's sample is recorded as it reaches the repair pass, so the
+    # samples are held to the reference's, not only the pruned answers
+    samples = []
+    take_whole_edges = approx._take_whole_edges
+
+    def recorded(edges, sample):
+        samples.append(frozenset(sample))
+        return take_whole_edges(edges, sample)
+
+    monkeypatch.setattr(approx, "_take_whole_edges", recorded)
+    rng = random.Random(407)
+    hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(60))]
+    hgs += [hypergraph_from_edges(set().union(*e), e) for e in LENGTH_SCHEME_INPUTS[:40]]
+    runs = [(hg, cover, seed, reps) for hg, cover in zip(hgs, map(lp_fractional_cover, hgs))
+            for seed in range(10) for reps in range(1, 6)]
+    got = [randomized_rounding_hitting_set(hg, seed=seed, reps=reps, cover=cover).deleted
+           for hg, cover, seed, reps in runs]
+    got_samples = samples[:]
+    del samples[:]
+    monkeypatch.setattr(approx, "randomized_rounding_hitting_set", _reference_randomized_rounding)
+    want = [approx.randomized_rounding_hitting_set(hg, seed=seed, reps=reps, cover=cover)
+            for hg, cover, seed, reps in runs]
+    assert got == want
+    assert got_samples == samples and len(samples) == sum(reps for *_, reps in runs)
+    # a fifth of the tries or more leave out a vertex of positive weight:
+    # alpha decides those
+    positive = [frozenset(t for t, w in cover.weights.items() if w) for _, cover, _, reps in runs
+                for _ in range(reps)]
+    assert sum(s != p for s, p in zip(samples, positive)) >= len(samples) // 5
+
+
+def _alpha(seed, r):
+    return Fraction(1.0 - random.Random(1_000_003 * seed + r).random())
+
+
+def test_rounding_samples_a_vertex_whose_d_times_weight_is_alpha():
+    # vertex 1 sits at alpha / d exactly and is sampled, so it is kept; 3 sits
+    # just below, is not sampled, and its edge is taken whole and pruned to 4
+    hg = hypergraph_from_edges([1, 2, 3, 4], [{1, 2}, {3, 4}])
+    for seed in range(5):
+        at = _alpha(seed, 0) / hg.d
+        weights = {1: at, 2: Fraction(0), 3: at - Fraction(1, 10 ** 30), 4: Fraction(0)}
+        cover = FractionalCover(weights, sum(weights.values()), Fraction(0))
+        sol = randomized_rounding_hitting_set(hg, seed=seed, reps=1, cover=cover)
+        assert sol.deleted == frozenset({1, 4})
+
+
+def test_rounding_takes_int_and_float_weights_as_the_equal_fractions():
+    rng = random.Random(408)
+    # eighths, and half the alpha of try 0 of seed 3, all equal to their
+    # Fractions exactly; at d = 2 the last lands on that alpha itself
+    edges = [{1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5}, {2, 5}]
+    hg = hypergraph_from_edges(range(1, 6), edges)
+    boundary = float(_alpha(3, 0)) / 2
+    for _ in range(30):
+        ints = {t: rng.randint(0, 1) for t in hg.vertices}
+        floats = {t: rng.choice((0.0, 0.125, 0.25, 0.375, 0.5, boundary)) for t in hg.vertices}
+        for weights in (ints, floats):
+            fractions = {t: Fraction(w) for t, w in weights.items()}
+            for seed in range(5):
+                for reps in (1, 3):
+                    got, want = (randomized_rounding_hitting_set(
+                        hg, seed=seed, reps=reps, cover=FractionalCover(w, 0, 0)).deleted
+                        for w in (weights, fractions))
+                    assert got == want
+
+
 def _record_inner(monkeypatch, length_scheme=approx._length_scheme):
     inners = []
 

@@ -110,6 +110,29 @@ def test_measure_null_semantics(tmp_path, capsys):
     assert payload["witness_deleted_tids"] is None
 
 
+def test_measure_flags_outside_their_semantics_are_bad_input(tmp_path, capsys):
+    # endogenous and null semantics are solved exactly, and only endogenous
+    # semantics has an endogenous normalization: anywhere else these flags
+    # would be ignored, so they are refused before any file is read
+    base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS, endogenous="3\n4\n")
+    for argv, message in (
+            (["--semantics", "endogenous", "--solver", "randomized", "--eps", "1/1000000"],
+             "--solver randomized needs --semantics tuple; endogenous semantics is solved exactly"),
+            (["--semantics", "null", "--solver", "local-ratio"],
+             "--solver local-ratio needs --semantics tuple; null semantics is solved exactly"),
+            (["--normalization", "endogenous"],
+             "--normalization endogenous needs --semantics endogenous, not tuple"),
+            (["--semantics", "null", "--normalization", "endogenous"],
+             "--normalization endogenous needs --semantics endogenous, not null")):
+        assert main(["measure", "--format", "json"] + argv + base[:4] + ["--data", "void"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
+    # the values a semantics runs by stay accepted when named
+    for argv, method in ((["--semantics", "endogenous", "--solver", "exact"], "exact"),
+                         (["--semantics", "null", "--normalization", "db"], "exact"),
+                         (["--solver", "randomized", "--normalization", "db"], "randomized")):
+        assert run_json(capsys, ["measure"] + argv + base)["method"] == method
+
+
 def test_repairs(tmp_path, capsys):
     base = write_bundle(tmp_path, PQR_SCHEMA, PQR_CONSTRAINTS, PQR_CSVS)
     s = run_json(capsys, ["repairs"] + base)
