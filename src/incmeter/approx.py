@@ -49,7 +49,7 @@ def local_ratio_hitting_set(hg: ConflictHypergraph) -> RepairSolution:
     disjoint: the result is minimal and at most d times the optimum.
     """
     chosen = _prune(hg.solving_edges, _take_whole_edges(hg.solving_edges, set()))
-    return RepairSolution(frozenset(chosen), len(hg.vertices) - len(chosen), "local_ratio", False)
+    return RepairSolution(frozenset(chosen), hg.size - len(chosen), "local_ratio", False)
 
 
 def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> FractionalCover:
@@ -152,7 +152,8 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
 
     Try r keeps {v : d * w_v >= alpha} for a uniform alpha = p / q in (0, 1]
     seeded from (seed, r), exactly, as d * a * q >= p * b for w_v = a / b; an
-    edge a caller's cover leaves unhit is taken whole; then _prune.
+    edge a caller's cover leaves unhit is taken whole; then _prune, once for
+    each distinct sample, in the order of the first try that draws it.
     """
     if reps < 1:
         raise InputError("reps must be at least 1")
@@ -161,13 +162,15 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
     d = hg.d
     ratios = [(t, *w.as_integer_ratio()) for t, w in cover.weights.items()]
 
-    def rounded(r):
+    pruned = {}  # each distinct sample's answer, keyed before the repair pass extends it
+    for r in range(reps):
         p, q = (1.0 - random.Random(1_000_003 * int(seed) + r).random()).as_integer_ratio()
         sample = {t for t, a, b in ratios if d * a * q >= p * b}
-        return _prune(hg.solving_edges, _take_whole_edges(hg.solving_edges, sample))
-
-    best = min(map(rounded, range(reps)), key=len)
-    return RepairSolution(frozenset(best), len(hg.vertices) - len(best), "randomized", False)
+        key, cover = frozenset(sample), _take_whole_edges(hg.solving_edges, sample)
+        if key not in pruned:
+            pruned[key] = _prune(hg.solving_edges, cover)
+    best = min(pruned.values(), key=len)
+    return RepairSolution(frozenset(best), hg.size - len(best), "randomized", False)
 
 
 def _prune(edges, cover):

@@ -65,10 +65,9 @@ def build_parser() -> _Parser:
                    default="tuple")
     p.add_argument("--normalization", choices=("db", "endogenous"), default="db",
                    help="endogenous needs --semantics endogenous (default: %(default)s)")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 10),
-                   help="randomized: certified LP gap (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="randomized: seed of the thresholds")
-    p.add_argument("--reps", type=int, default=5, help="randomized: thresholds tried, best kept")
+    p.add_argument("--eps", type=_fraction, help="randomized: certified LP gap (default: 1/10)")
+    p.add_argument("--seed", type=int, help="randomized: seed of the thresholds (default: 0)")
+    p.add_argument("--reps", type=int, help="randomized: thresholds tried, best kept (default: 5)")
 
     enum_limit = dict(type=int, default=exact.ENUM_LIMIT,
                       help="most conflicting facts to enumerate over (default: %(default)s)")
@@ -219,13 +218,13 @@ def _measure_payload(report: measures.MeasureReport) -> dict:
 
 def _check_flags(args) -> None:
     """Refuse out-of-range numeric flags, and measure flags the chosen
-    semantics would ignore, as bad input."""
+    semantics or solver would ignore, as bad input."""
     for flag, least in (("node_budget", 0), ("enum_limit", 0), ("reps", 1)):
-        value = getattr(args, flag, least)
-        if value < least:
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
             raise InputError(f"--{flag.replace('_', '-')} must be at least {least}, "
                              f"got {value}")
-    if getattr(args, "eps", 1) <= 0:
+    if getattr(args, "eps", None) is not None and args.eps <= 0:
         raise InputError(f"--eps must be positive, got {args.eps}")
     if args.command != "measure":
         return
@@ -235,13 +234,16 @@ def _check_flags(args) -> None:
     if args.semantics != "endogenous" and args.normalization != "db":
         raise InputError(f"--normalization {args.normalization} needs "
                          f"--semantics endogenous, not {args.semantics}")
+    for flag in ("eps", "seed", "reps"):  # None unless given
+        if getattr(args, flag) is not None and args.solver != "randomized":
+            raise InputError(f"--{flag} needs --solver randomized, not {args.solver}")
 
 
 def _cmd_measure(args, constraints, instance):
     if args.semantics == "tuple":
+        given = {f: v for f in ("eps", "seed", "reps") if (v := getattr(args, f)) is not None}
         report = measures.inc_deg_g3(instance, constraints, solver=args.solver,
-                                     eps=args.eps, seed=args.seed, reps=args.reps,
-                                     node_budget=args.node_budget)
+                                     node_budget=args.node_budget, **given)
     elif args.semantics == "endogenous":
         norm = "db_size" if args.normalization == "db" else "endogenous_size"
         report = measures.inc_deg_g3_endogenous(instance, constraints,
@@ -319,7 +321,7 @@ def _cmd_update(args, constraints, instance):
     if args.check_bounds:  # from both hypergraphs and their solves
         bounds = updates._bound_report(len(instance), delta, hg_before, hg_after,
                                        before_m, after_m)
-    size_after = len(hg_after.vertices)
+    size_after = hg_after.size
     payload = {
         "command": "update",
         "size_before": len(instance),

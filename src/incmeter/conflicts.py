@@ -59,22 +59,29 @@ class ConflictHypergraph:
 
     solving_edges, the antichain of the edges' tid sets across constraints
     (a set that hits it hits every edge), d, the largest solving edge size
-    (0 when the instance is consistent), and components, the solving edges
-    split for every solver, are computed on first read and kept.  A
-    hypergraph that an update derives (see derive) is given its components:
-    those the delta did not reach are the parent's own objects, with any
-    masks and optimum already found, so the next solve searches only the
-    components the delta changed.  _lookups maps each conflicting tid to its
-    edges and to its component, and only this module reads it.  Built once
-    from the edges of a hypergraph that no derive made, it is handed on and
-    moved back as an instance's tid map is (see model._reroot), so a version
-    kept alive keeps every later one alive.  The join index the edges are
-    found with is the instance's own.
+    (0 when the instance is consistent), components, the solving edges
+    split for every solver, and size, the number of vertices, are computed
+    on first read and kept.  One that an update derives (see derive) is
+    given its size and components, those the delta did not reach the
+    parent's own, optimum and all, and builds its vertex set on first read
+    from the tid map of _instance, the instance version it was derived with.
+    _answer is the answer that exact.min_hitting_set keeps.  _lookups maps
+    each conflicting tid to its edges and to its component, and only this
+    module reads it.  Built once from the edges of a hypergraph that no
+    derive made, it is handed on and moved back as an instance's tid map is
+    (see model._reroot), so a version kept alive keeps every later one
+    alive.  The join index the edges are found with is the instance's own.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
-    _lookups = _link = None  # not fields: no annotation
+    _lookups = _link = _instance = _answer = None  # not fields: no annotation
+
+    def __getattr__(self, name):  # a derived version builds its vertex set on first read
+        if name != "vertices" or self._instance is None:
+            raise AttributeError(name)
+        vertices = self.__dict__["vertices"] = frozenset(self._instance._live())
+        return vertices
 
     def __copy__(self):  # a copy of the version that holds the maps would share them
         return self
@@ -89,6 +96,10 @@ class ConflictHypergraph:
     @cached_property
     def solving_edges(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(antichain(e.tids for e in self.edges), key=_canonical))
+
+    @cached_property
+    def size(self) -> int:
+        return len(self.vertices)
 
     @cached_property
     def d(self) -> int:
@@ -247,12 +258,12 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     out, into = (deleted, dropped, [*hit.values()]), ({f.tid for f in inserted}, added, parts)
     _shift_lookups(hg._lookups, out, into)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
-    # a pure delta leaves one side of the vertex set alone, so it is not copied
-    vertices = hg.vertices.difference(deleted) if deleted else hg.vertices
-    vertices = vertices.union(into[0]) if inserted else vertices
-    derived = ConflictHypergraph(vertices, tuple(edges))
-    derived.__dict__.update(components=_splice(hg.components, out[2], parts, _first),
+    derived = object.__new__(ConflictHypergraph)  # its vertex set is built on first read
+    derived.__dict__.update(edges=tuple(edges), size=len(instance), _instance=instance,
+                            components=_splice(hg.components, out[2], parts, _first),
                             _lookups=hg._lookups)
+    if hg._answer is not None and not any(hg._answer[2:]):  # solved: nothing left to replace
+        derived.__dict__["_answer"] = (*hg._answer[:2], out[2], parts)
     hg.__dict__.update(_lookups=None, _link=(derived, out, into))
     return derived
 

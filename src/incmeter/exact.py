@@ -15,10 +15,12 @@ timeout or a wrong answer; the error brackets the whole optimum by the exact
 sizes of the solved components and [packing, incumbent] of the rest.  Each
 component keeps the optimum and node count of its search (see
 conflicts.Component), so a component already solved, or one an update handed
-on unchanged, is not searched again, while its nodes still count.  The
-endogenous minimum reads the same components, and restricts and splits again
-only those holding an exogenous tid.  All minimal hitting sets are built
-edge by edge with Berge's rule.
+on unchanged, is not searched again, while its nodes still count.  A
+hypergraph keeps its answer's size and node total; one derived from a
+solved parent starts from the parent's and searches only the new parts
+(see min_hitting_set).  The endogenous minimum reads the same components,
+and restricts and splits again only those holding an exogenous tid.  All
+minimal hitting sets are built edge by edge with Berge's rule.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ class RepairSolution:
     method: str
     optimal: bool
 
+    def __getattr__(self, name):  # min_hitting_set's deleted set is built on first read
+        if name != "deleted" or "_components" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__[name] = frozenset().union(*(c.optimum[0] for c in self._components))
+        return self.__dict__[name]
+
+    def __reduce__(self):  # the value alone, not the components
+        return RepairSolution, (self.deleted, self.repair_size, self.method, self.optimal)
+
 
 @dataclass(frozen=True)
 class RepairSet:
@@ -65,11 +76,11 @@ def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
     edges = {frozenset(e) for e in edge_sets}
     if frozenset() in edges:
         return None
-    return _solve(split(list(edges)), node_budget)
+    return _solve(split(list(edges)), node_budget)[0]
 
 
 def _solve(components, node_budget):
-    """The minimum cover of the components (see conflicts.split).
+    """The minimum cover of the components (see conflicts.split), and its nodes.
 
     Each component searched records its optimum: its cover and the search
     nodes it took.  A recorded component is not searched again, but its
@@ -99,7 +110,7 @@ def _solve(components, node_budget):
         cover, taken = component.optimum
         nodes += taken
         chosen.extend(cover)
-    return frozenset(chosen)
+    return frozenset(chosen), nodes
 
 
 def _branch_and_bound(masks, n, budget):
@@ -207,14 +218,30 @@ def min_hitting_set(hg: ConflictHypergraph,
     """Smallest deletion set covering every solving edge; always optimal.
 
     This is the endogenous solve with every tid deletable, over hg's
-    components.  Each component keeps its optimum with the search nodes it
-    took, and an update hands the components it leaves alone on to the next
-    hypergraph.  A recorded component is not searched again while the budget
-    left covers its nodes; the search is deterministic, so a smaller budget
-    searches again and fails as a fresh solve would.
+    components, and hg keeps its answer's size and node total, reused while
+    the budget covers the total.  A version derived from a solved parent is
+    given the parent's, less the sizes and nodes of the components the delta
+    replaced, and searches only its new parts.  A budget short of the total,
+    or a part that runs out, walks every component, as a fresh search does.
+    The deletion set is built from the components on first read.
     """
-    deleted = _solve(hg.components, node_budget)
-    return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
+    size, total, gone, parts = hg._answer or (None, 0, (), ())
+    total -= sum(c.optimum[1] for c in gone)
+    if size is not None and total <= node_budget:
+        try:
+            found, taken = _solve(parts, node_budget - total)
+        except ResourceLimitError:  # so does a fresh search, which brackets the optimum
+            size = None
+        else:
+            size, total = size + len(found) - sum(len(c.optimum[0]) for c in gone), total + taken
+    if size is None or total > node_budget:
+        found, total = _solve(hg.components, node_budget)
+        size = len(found)
+    hg.__dict__["_answer"] = size, total, (), ()
+    solution = object.__new__(RepairSolution)
+    solution.__dict__.update(repair_size=hg.size - size, method="exact", optimal=True,
+                             _components=hg.components)
+    return solution
 
 
 def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
@@ -240,8 +267,8 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
         # edges by smallest element: each part's first edge holds its own (_first)
         parts += split(sorted(edges, key=min))
     parts.sort(key=_first)
-    deleted = _solve(parts, node_budget)
-    return RepairSolution(deleted, len(hg.vertices) - len(deleted), "exact", True)
+    deleted = _solve(parts, node_budget)[0]
+    return RepairSolution(deleted, hg.size - len(deleted), "exact", True)
 
 
 def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,

@@ -90,7 +90,8 @@ def _g3(hg, n, solver="exact", eps=Fraction(1, 10), seed=0, reps=5,
         sol = approx.randomized_rounding_hitting_set(hg, eps, seed, reps)
     else:
         raise InputError(f"unknown solver {solver!r}")
-    return MeasureReport("g3", len(sol.deleted), n, sol.optimal, sol.method, sol)
+    # the deleted count, read without building an exact answer's deletion set
+    return MeasureReport("g3", hg.size - sol.repair_size, n, sol.optimal, sol.method, sol)
 
 
 def inc_deg_g3_endogenous(instance: Instance, constraints: ConstraintSet,

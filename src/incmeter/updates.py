@@ -10,18 +10,18 @@ An assignment seen under several seeds yields one image.  conflicts.derive
 finds them, drops the edges through a deleted tid, puts the new ones in by
 key and splits again only the components the delta reaches.  The other
 components are handed on as they are, each with the optimum a solve
-recorded on it, so the next solve searches only the components the delta
-changed (see exact.min_hitting_set).
+recorded on it, and so is a solved answer's size and node total, so the
+next solve searches the changed components only and walks no other
+(see exact.min_hitting_set).
 
 Each instance version holds one tid map and one fact index, and each
 hypergraph version its tid maps: handed on, edited in place and moved back
 by model._reroot, so any version can be derived from in time that follows
 the deltas.  A delta is checked once: after apply_update, the updated
 instance and the delta's facts are read back from the parent's link.  Only
-the atoms an inserted fact can match are joined.  Still growing with the
-instance, at C speed: the copies of the vertex set and of the edge and
-component sequences around the changes, and the solve's walk of every
-component to sum its recorded nodes.
+the atoms an inserted fact can match are joined, and the vertex set is
+built only when read.  Still growing with the instance, at C speed: the
+copies of the edge and component sequences around the changes.
 
 One private path measures both sides of a delta: it checks the delta,
 builds or reuses the hypergraph before, derives the one after through
@@ -192,10 +192,10 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
         hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
-    elif not delta.deletions <= hg_before.vertices:
-        instance.check_delta((), delta.deletions)  # raises on the unknown tids
+    elif delta.deletions:  # raises on an unknown tid, read from the link if it holds the delta
+        instance._delta((), delta.deletions)
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
-    after = measures._g3(hg_after, len(hg_after.vertices), node_budget=node_budget)
+    after = measures._g3(hg_after, hg_after.size, node_budget=node_budget)
     return hg_before, hg_after, before, after
 
 

@@ -358,6 +358,32 @@ def test_rounding_matches_the_reference_sample(monkeypatch):
     assert sum(s != p for s, p in zip(samples, positive)) >= len(samples) // 5
 
 
+def test_each_distinct_sample_is_pruned_once(monkeypatch):
+    # tries that draw one sample share its answer: _prune runs once for each
+    # distinct sample, while each try's sample still reaches the repair pass
+    samples, pruned = [], []
+    take_whole_edges, prune = approx._take_whole_edges, approx._prune
+    monkeypatch.setattr(approx, "_take_whole_edges", lambda edges, sample: samples.append(
+        frozenset(sample)) or take_whole_edges(edges, sample))
+    monkeypatch.setattr(approx, "_prune",
+                        lambda edges, cover: pruned.append(1) or prune(edges, cover))
+    rng = random.Random(408)
+    hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(30))]
+    hgs += [hypergraph_from_edges(set().union(*e), e) for e in LENGTH_SCHEME_INPUTS[:30]]
+    distinct = []
+    for hg in hgs:
+        cover = lp_fractional_cover(hg)
+        for seed in range(4):
+            del samples[:], pruned[:]
+            sol = randomized_rounding_hitting_set(hg, seed=seed, reps=5, cover=cover)
+            firsts = list(dict.fromkeys(samples))
+            distinct.append(len(firsts))
+            assert len(samples) == 5 and len(pruned) == len(firsts)
+            assert sol.deleted == _reference_randomized_rounding(hg, seed, 5, cover)
+    # both kinds of run are seen: one sample drawn by every try, and several
+    assert distinct.count(1) >= 100 and sum(n > 1 for n in distinct) >= 10
+
+
 def _alpha(seed, r):
     return Fraction(1.0 - random.Random(1_000_003 * seed + r).random())
 

@@ -123,7 +123,15 @@ def test_measure_flags_outside_their_semantics_are_bad_input(tmp_path, capsys):
             (["--normalization", "endogenous"],
              "--normalization endogenous needs --semantics endogenous, not tuple"),
             (["--semantics", "null", "--normalization", "endogenous"],
-             "--normalization endogenous needs --semantics endogenous, not null")):
+             "--normalization endogenous needs --semantics endogenous, not null"),
+            # only the randomized solver reads --eps, --seed and --reps
+            (["--eps", "1/1000000", "--seed", "9"], "--eps needs --solver randomized, not exact"),
+            (["--solver", "local-ratio", "--seed", "9"],
+             "--seed needs --solver randomized, not local-ratio"),
+            (["--semantics", "null", "--eps", "1/1000000"],
+             "--eps needs --solver randomized, not exact"),
+            (["--semantics", "endogenous", "--solver", "exact", "--reps", "5"],
+             "--reps needs --solver randomized, not exact")):
         assert main(["measure", "--format", "json"] + argv + base[:4] + ["--data", "void"]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "input", "message": message}
     # the values a semantics runs by stay accepted when named
@@ -131,6 +139,10 @@ def test_measure_flags_outside_their_semantics_are_bad_input(tmp_path, capsys):
                          (["--semantics", "null", "--normalization", "db"], "exact"),
                          (["--solver", "randomized", "--normalization", "db"], "randomized")):
         assert run_json(capsys, ["measure"] + argv + base)["method"] == method
+    # the randomized solver's flags, named at their defaults, change nothing
+    named, unnamed = (run_json(capsys, ["measure", "--solver", "randomized"] + flags + base)
+                      for flags in (["--eps", "1/10", "--seed", "0", "--reps", "5"], []))
+    assert named.pop("elapsed_ms") >= 0 and unnamed.pop("elapsed_ms") >= 0 and named == unnamed
 
 
 def test_repairs(tmp_path, capsys):

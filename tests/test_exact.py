@@ -335,7 +335,7 @@ def _masks(edges):
 def _outcome(edges, node_budget):
     components = split(list({frozenset(e) for e in edges}))
     try:
-        cover = exact._solve(components, node_budget)
+        cover = exact._solve(components, node_budget)[0]
     except ResourceLimitError as exc:
         return exc.best_size, exc.lower_bound
     return cover, _recorded_nodes(components)
@@ -443,7 +443,7 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
     hg = build_hypergraph(inst, cs)
     # what a search of the solving edges as a plain edge set finds
     components = split(list(set(hg.solving_edges)))
-    deleted = exact._solve(components, exact.DEFAULT_NODE_BUDGET)
+    deleted = exact._solve(components, exact.DEFAULT_NODE_BUDGET)[0]
     splits = []
     for module in (conflicts, exact):
         monkeypatch.setattr(module, "split",
@@ -467,7 +467,7 @@ def _fallback(hg, endogenous, node_budget=exact.DEFAULT_NODE_BUDGET):
     edges = {e & endogenous for e in hg.solving_edges}
     if frozenset() in edges:
         return None
-    return exact._solve(split(list(edges)), node_budget)
+    return exact._solve(split(list(edges)), node_budget)[0]
 
 
 def _partitions(corpus, seed):

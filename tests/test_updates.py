@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from incmeter import conflicts, evaluation, measures, updates
+from incmeter import conflicts, evaluation, exact, measures, updates
 from incmeter.conflicts import ConflictHypergraph, build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
@@ -465,16 +465,18 @@ def test_a_derivation_validates_no_fact_again(pqr, monkeypatch):
 
 
 def test_a_delta_chain_keeps_no_earlier_generation_alive():
-    # a hypergraph or instance that linked to its parent would keep every
-    # generation of a long session alive, while the one fact index is handed
-    # on.  With parent_read_last the session derives the instance first and
-    # then the hypergraph from the parent, as perfbench's stream session
-    # does, so the hypergraph is joined in the child that the parent links
-    # to; otherwise the hypergraph's derive makes a child, and apply_update
-    # takes the tid map back to make a sibling
+    # a hypergraph, its answer or an instance that linked to its parent
+    # would keep every generation of a long session alive, while the one
+    # fact index is handed on.  With parent_read_last the session derives
+    # the instance first and then the hypergraph from the parent, as
+    # perfbench's stream session does, so the hypergraph is joined in the
+    # child that the parent links to; otherwise the hypergraph's derive
+    # makes a child, and apply_update takes the tid map back to make a
+    # sibling
     for parent_read_last in (False, True):
         cs, inst, _ = fd_key_groups(random.Random(3), 200)
         hg = build_hypergraph(inst, cs)
+        min_hitting_set(hg)  # so each version starts from its parent's answer
         first = [weakref.ref(x) for x in (inst, hg)]
         index = weakref.ref(inst._fact_index)
         rng = random.Random(5)
@@ -780,12 +782,22 @@ def test_a_pickled_or_deep_copied_version_is_its_value_alone():
     cs, inst, _ = fd_key_groups(random.Random(4), 400)
     rng = random.Random(14)
     hg, delta = build_hypergraph(inst, cs), _fd_delta(rng, inst, 0, 100)
+    min_hitting_set(hg)
     derived = incremental_hypergraph(hg, inst, delta, cs)
     after = apply_update(inst, delta)  # joined: it holds the fact index
     assert after._fact_index is not None and inst._link is not None and hg._link is not None
-    for version in (after, inst, hg, derived):
+    solution = min_hitting_set(derived)  # its deleted set is built on first read
+    assert "deleted" not in vars(solution) and derived._answer is not None
+    fresh = build_hypergraph(_rebuilt(after), cs)
+    # the value alone: a solved version with its instance and answer is an
+    # unsolved rebuild, to ==, hash and repr
+    assert (derived, hash(derived), repr(derived)) == (fresh, hash(fresh), repr(fresh))
+    for version in (after, inst, hg, derived, solution):
         for twin in (pickle.loads(pickle.dumps(version)), copy.deepcopy(version)):
-            assert twin == version and twin is not version and twin._link is None
+            assert twin == version and twin is not version
+            assert all(getattr(twin, a, None) is None
+                       for a in ("_link", "_answer", "_instance", "_components"))
+    assert solution == min_hitting_set(fresh) and vars(solution)["deleted"]
     second = _fd_delta(rng, after, 1, 100)
     twin, twin_after = (pickle.loads(pickle.dumps(v)) for v in (derived, after))
     _check_against_rebuild(incremental_hypergraph(twin, twin_after, second, cs),
@@ -796,7 +808,7 @@ def test_no_update_path_builds_the_solving_edge_view():
     """A hypergraph's value is its vertices and edges, and solving_edges is a
     view of the edges that no update path builds: along a chain of deltas
     through apply_update, incremental_hypergraph, inc_deg_g3 and both bound
-    checks, no derived version reads it."""
+    checks, no derived version reads it, nor builds its vertex set."""
     assert [f.name for f in dataclasses.fields(ConflictHypergraph)] == ["vertices", "edges"]
     cs, inst, _ = fd_key_groups(random.Random(5), 400)
     hg, rng, derived, checks = build_hypergraph(inst, cs), random.Random(15), [], Counter()
@@ -812,7 +824,106 @@ def test_no_update_path_builds_the_solving_edge_view():
             measures.inc_deg_g3(_rebuilt(inst), cs).value
         derived.append(hg)
     assert len(checks) == 2 and min(checks.values()) >= 5, checks
-    assert not [v for v in derived if "solving_edges" in vars(v)]
+    assert not [v for v in derived if {"solving_edges", "vertices"} & vars(v).keys()]
+
+
+def test_derived_vertex_sets_read_in_any_order_as_a_rebuild():
+    """A chain of 40 deltas and a what-if delta from every fourth version's
+    parent, each version solved and bound-checked as an update session
+    does; no vertex set is built on the way, and then each is read, in a
+    seeded shuffled order, as a rebuild from its own facts gives it."""
+    cs, inst, _ = fd_key_groups(random.Random(6), 400)
+    hg, rng = build_hypergraph(inst, cs), random.Random(16)
+    versions, parent = [], None
+    for i in range(40):
+        if i % 4 == 3:  # a what-if delta from the parent of the newest version
+            what_if = _fd_delta(rng, parent[0], 100 + i, 100)
+            hg_what_if = incremental_hypergraph(parent[1], parent[0], what_if, cs)
+            versions.append((hg_what_if, apply_update(parent[0], what_if).facts))
+            measures._g3(hg_what_if, hg_what_if.size)
+        delta = _fd_delta(rng, inst, i, 100)
+        after = apply_update(inst, delta)
+        hg_after = incremental_hypergraph(hg, inst, delta, cs)
+        assert measures.inc_deg_g3(after, cs, hg_after).value == \
+            measures.inc_deg_g3(_rebuilt(after), cs).value
+        if delta.is_insert_only or delta.is_delete_only:
+            check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+            assert check(inst, delta, cs, hg_before=hg, hg_after=hg_after).all_hold()
+        parent, inst, hg = (inst, hg), after, hg_after
+        versions.append((hg, after.facts))
+    assert not [v for v, _ in versions if "vertices" in vars(v)]
+    rng.shuffle(versions)
+    for hg, facts in versions:
+        assert hg.vertices == build_hypergraph(Instance(inst.schema, facts), cs).vertices
+        assert hg.size == len(facts) and hg == build_hypergraph(Instance(inst.schema, facts), cs)
+
+
+def _fresh_search(edges, node_budget):
+    """A search of freshly split components: the deleted set and node total,
+    or the [best_size, lower_bound] bracket where the budget runs out."""
+    try:
+        return exact._solve(conflicts.split(list(set(edges))), node_budget)
+    except ResourceLimitError as exc:
+        return exc.best_size, exc.lower_bound
+
+
+def _check_answer(hg):
+    """hg's exact solves against fresh searches of its solving edges: first
+    at a budget one node short of the total, which runs out, then at the
+    total and the default, and once more short, after hg has kept its answer."""
+    deleted, total = _fresh_search(hg.solving_edges, exact.DEFAULT_NODE_BUDGET)
+    short = _fresh_search(hg.solving_edges, total - 1)
+    for budget in (total - 1, total, exact.DEFAULT_NODE_BUDGET, total - 1):
+        try:
+            sol = min_hitting_set(hg, budget)
+            got = sol.deleted, hg._answer[1]
+        except ResourceLimitError as exc:
+            got = exc.best_size, exc.lower_bound
+        assert got == (short if budget < total else (deleted, total))
+    assert hg._answer[:2] == (len(deleted), total)
+
+
+def test_each_version_starts_from_its_parents_answer_on_the_corpus(corpus):
+    """Two mixed deltas in a chain from each corpus instance, each version
+    derived from a solved parent: its answer, node total and brackets are a
+    fresh search's."""
+    rng, handed = random.Random(5252), 0
+    for item in corpus:
+        inst, cs = item.instance, item.constraints
+        hg = build_hypergraph(inst, cs)
+        min_hitting_set(hg)
+        for _ in range(2):
+            live = {f[1:] for f in inst.facts}
+            deletions = frozenset(rng.sample(inst.tids, min(len(inst.tids), rng.randint(0, 2))))
+            rows = {("r", tuple(rng.choices("abcd", k=2))) for _ in range(rng.randint(0, 2))}
+            rows |= {("s", (rng.choice("abcd"),)) for _ in range(rng.randint(0, 1))}
+            delta = UpdateDelta(tuple(sorted(rows - live)), deletions)
+            hg = incremental_hypergraph(hg, inst, delta, cs)
+            inst = apply_update(inst, delta)
+            handed += hg._answer is not None
+            _check_answer(hg)
+    assert handed == 2 * len(corpus)
+
+
+def test_each_version_starts_from_its_parents_answer_at_scale(monkeypatch):
+    """Along a chain of FD deltas at 10^4 rows, each version derived from a
+    solved parent searches only the parts its delta made, and its answer,
+    node total and brackets are a fresh search's."""
+    cs, inst, _ = fd_key_groups(random.Random(7), 10 ** 4)
+    hg = build_hypergraph(inst, cs)
+    min_hitting_set(hg)
+    rng, searches = random.Random(17), count_searches(monkeypatch)
+    for i in range(6):
+        delta = _fd_delta(rng, inst, i, 2500)
+        hg = incremental_hypergraph(hg, inst, delta, cs)
+        inst = apply_update(inst, delta)
+        parts = hg._answer[3]
+        if i % 2:  # else the first solve runs out, as a fresh one does
+            searches.clear()
+            min_hitting_set(hg)
+            assert len(searches) == len(parts) <= 4
+        _check_answer(hg)
+    assert hg == build_hypergraph(_rebuilt(inst), cs)
 
 
 def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
