@@ -8,7 +8,9 @@ satisfying assignment, so the minimal images are the antichain of all images.
 
 Deleting one vertex from every solving edge is exactly what a deletion
 repair must do, so minimum hitting sets of the solving edges are the object
-every measure in this package is built on.
+every measure in this package is built on; an exact solve records them as
+each component's Optimum (cover, nodes) and each hypergraph version's Answer
+(size, nodes, replaced, parts).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
+from typing import NamedTuple
 
 from . import evaluation
 from .errors import InputError
@@ -35,19 +38,35 @@ class Hyperedge:
         return _canonical(self.tids)
 
 
+class Optimum(NamedTuple):
+    """A searched component's minimum cover and the search nodes it took."""
+
+    cover: tuple
+    nodes: int
+
+
 class Component(tuple):
     """Edges, in their given order.  index, built on first use and kept, is
-    their sorted elements and their distinct bit masks over those, sorted.
-    optimum is None until a solve searches the component, and then its
-    minimum cover and the search nodes it took (see exact.min_hitting_set)."""
+    their sorted elements and their distinct bit masks over those, sorted."""
 
-    optimum = None
+    optimum: Optimum | None = None  # set by a solve that searches it
 
     @cached_property
     def index(self) -> tuple[list, list[int]]:
         universe = sorted(set().union(*self))
         bit = {u: 1 << i for i, u in enumerate(universe)}
         return universe, sorted({sum(bit[u] for u in e) for e in self})
+
+
+class Answer(NamedTuple):
+    """A hypergraph version's minimum cover size and its components' search
+    nodes.  One derived from a solved parent is given the parent's, with the
+    parent's components that the delta replaced and the new parts."""
+
+    size: int
+    nodes: int
+    replaced: tuple[Component, ...] = ()
+    parts: tuple[Component, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ class ConflictHypergraph:
     given its size and components, those the delta did not reach the
     parent's own, optimum and all, and builds its vertex set on first read
     from the tid map of _instance, the instance version it was derived with.
-    _answer is the answer that exact.min_hitting_set keeps.  _lookups maps
+    _answer is its Answer once exact.min_hitting_set solves it.  _lookups maps
     each conflicting tid to its edges and to its component, and only this
     module reads it.  Built once from the edges of a hypergraph that no
     derive made, it is handed on and moved back as an instance's tid map is
@@ -254,16 +273,16 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
         if c is not None:
             hit[_first(c)] = c
     kept = [s for c in hit.values() for s in c if s.isdisjoint(deleted)]
-    parts = split(sorted(kept + new_solving, key=_canonical))
-    out, into = (deleted, dropped, [*hit.values()]), ({f.tid for f in inserted}, added, parts)
+    parts = tuple(split(sorted(kept + new_solving, key=_canonical)))
+    out, into = (deleted, dropped, tuple(hit.values())), ({f.tid for f in inserted}, added, parts)
     _shift_lookups(hg._lookups, out, into)
     edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
     derived = object.__new__(ConflictHypergraph)  # its vertex set is built on first read
     derived.__dict__.update(edges=tuple(edges), size=len(instance), _instance=instance,
                             components=_splice(hg.components, out[2], parts, _first),
                             _lookups=hg._lookups)
-    if hg._answer is not None and not any(hg._answer[2:]):  # solved: nothing left to replace
-        derived.__dict__["_answer"] = (*hg._answer[:2], out[2], parts)
+    if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
+        derived.__dict__["_answer"] = hg._answer._replace(replaced=out[2], parts=parts)
     hg.__dict__.update(_lookups=None, _link=(derived, out, into))
     return derived
 

@@ -12,15 +12,11 @@ most d^k nodes for a component answer of size k, and the answer is the union
 of the component answers.  One node budget counts the nodes of all trees
 together, so pathological inputs end in a clean error instead of a silent
 timeout or a wrong answer; the error brackets the whole optimum by the exact
-sizes of the solved components and [packing, incumbent] of the rest.  Each
-component keeps the optimum and node count of its search (see
-conflicts.Component), so a component already solved, or one an update handed
-on unchanged, is not searched again, while its nodes still count.  A
-hypergraph keeps its answer's size and node total; one derived from a
-solved parent starts from the parent's and searches only the new parts
-(see min_hitting_set).  The endogenous minimum reads the same components,
-and restricts and splits again only those holding an exogenous tid.  All
-minimal hitting sets are built edge by edge with Berge's rule.
+sizes of the solved components and [packing, incumbent] of the rest.  A
+component keeps its conflicts.Optimum and a hypergraph version its
+conflicts.Answer, so a solve searches only what no solve before it did.
+The endogenous minimum restricts and splits again only the components
+holding an exogenous tid.  Berge's rule builds all minimal hitting sets.
 """
 
 from __future__ import annotations
@@ -28,7 +24,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .conflicts import ConflictHypergraph, _first, antichain, build_hypergraph, split
+from .conflicts import (Answer, ConflictHypergraph, Optimum, _first, antichain,
+                        build_hypergraph, split)
 from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
@@ -49,7 +46,7 @@ class RepairSolution:
     def __getattr__(self, name):  # min_hitting_set's deleted set is built on first read
         if name != "deleted" or "_components" not in self.__dict__:
             raise AttributeError(name)
-        self.__dict__[name] = frozenset().union(*(c.optimum[0] for c in self._components))
+        self.__dict__[name] = frozenset().union(*(c.optimum.cover for c in self._components))
         return self.__dict__[name]
 
     def __reduce__(self):  # the value alone, not the components
@@ -82,16 +79,15 @@ def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
 def _solve(components, node_budget):
     """The minimum cover of the components (see conflicts.split), and its nodes.
 
-    Each component searched records its optimum: its cover and the search
-    nodes it took.  A recorded component is not searched again, but its
-    recorded nodes still count.  Each component's search is deterministic,
-    so the answer, the node count and an exhausted budget's bracket are
-    those of a search of every component.
+    Each component searched records its Optimum.  A recorded component is
+    not searched again, but its recorded nodes still count.  Each search is
+    deterministic, so the answer, the node count and an exhausted budget's
+    bracket are those of a search of every component.
     """
     nodes = 0
     chosen = []
     for i, component in enumerate(components):
-        if component.optimum is None or nodes + component.optimum[1] > node_budget:
+        if (optimum := component.optimum) is None or nodes + optimum.nodes > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
             # search, so that the budget runs out where a fresh solve's does
             universe, masks = component.index
@@ -106,10 +102,9 @@ def _solve(components, node_budget):
                     + sum(_incumbent(m).bit_count() for m in rest),
                     lower_bound=len(chosen) + exc.lower_bound
                     + sum(_scan(m, 0)[1] for m in rest)) from None
-            component.optimum = tuple(universe[b] for b in _bits(found)), taken
-        cover, taken = component.optimum
-        nodes += taken
-        chosen.extend(cover)
+            optimum = component.optimum = Optimum(tuple(universe[b] for b in _bits(found)), taken)
+        nodes += optimum.nodes
+        chosen.extend(optimum.cover)
     return frozenset(chosen), nodes
 
 
@@ -218,26 +213,25 @@ def min_hitting_set(hg: ConflictHypergraph,
     """Smallest deletion set covering every solving edge; always optimal.
 
     This is the endogenous solve with every tid deletable, over hg's
-    components, and hg keeps its answer's size and node total, reused while
-    the budget covers the total.  A version derived from a solved parent is
-    given the parent's, less the sizes and nodes of the components the delta
-    replaced, and searches only its new parts.  A budget short of the total,
-    or a part that runs out, walks every component, as a fresh search does.
-    The deletion set is built from the components on first read.
+    components.  hg keeps its Answer, and one derived from a solved parent
+    searches only its parts.  A budget short of the nodes, or a part that
+    runs out, walks every component, as a fresh search does.  The deletion
+    set is built from the components on first read.
     """
-    size, total, gone, parts = hg._answer or (None, 0, (), ())
-    total -= sum(c.optimum[1] for c in gone)
-    if size is not None and total <= node_budget:
+    answer, size = hg._answer, None
+    if answer is not None:
+        nodes = answer.nodes - sum(c.optimum.nodes for c in answer.replaced)
         try:
-            found, taken = _solve(parts, node_budget - total)
-        except ResourceLimitError:  # so does a fresh search, which brackets the optimum
-            size = None
+            found, taken = _solve(answer.parts, node_budget - nodes)
+        except ResourceLimitError:  # so does the search of every component below
+            pass
         else:
-            size, total = size + len(found) - sum(len(c.optimum[0]) for c in gone), total + taken
-    if size is None or total > node_budget:
-        found, total = _solve(hg.components, node_budget)
+            nodes += taken
+            size = answer.size + len(found) - sum(len(c.optimum.cover) for c in answer.replaced)
+    if size is None or nodes > node_budget:  # a part ran out, or the budget is short
+        found, nodes = _solve(hg.components, node_budget)
         size = len(found)
-    hg.__dict__["_answer"] = size, total, (), ()
+    hg.__dict__["_answer"] = Answer(size, nodes)
     solution = object.__new__(RepairSolution)
     solution.__dict__.update(repair_size=hg.size - size, method="exact", optimal=True,
                              _components=hg.components)
@@ -250,7 +244,7 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
 
     Returns None when some conflict contains no endogenous tid at all, in
     which case no allowed deletion set can restore consistency.  A component
-    of hg inside the partition is solved as it is, with any optimum recorded
+    of hg inside the partition is solved as it is, with any Optimum recorded
     on it; any other is restricted to the endogenous tids and split again.
     Restriction never merges components, so sorted by smallest element the
     parts are those a split of all restricted edges gives.

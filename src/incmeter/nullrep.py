@@ -104,10 +104,10 @@ def inc_deg_g3_null(instance: Instance, constraints: ConstraintSet,
 
     Pinned to 1 when some conflict has no breakable cell.
     """
-    atv = _atv(instance)
+    sol = min_null_changes(instance, constraints, node_budget)
+    atv = _atv(instance) if sol is None else sol.atv  # the cells are counted once
     if atv == 0:
         return _empty_report("g3_null", NullRepairSolution(frozenset(), 0))
-    sol = min_null_changes(instance, constraints, node_budget)
     if sol is None:
         return MeasureReport("g3_null", atv, atv, True, "exact", None,
                              note="some conflict has no breakable cell; "

@@ -9,10 +9,9 @@ facts while the other atoms are looked up in the updated instance's index.
 An assignment seen under several seeds yields one image.  conflicts.derive
 finds them, drops the edges through a deleted tid, puts the new ones in by
 key and splits again only the components the delta reaches.  The other
-components are handed on as they are, each with the optimum a solve
-recorded on it, and so is a solved answer's size and node total, so the
-next solve searches the changed components only and walks no other
-(see exact.min_hitting_set).
+components are handed on with the Optimum a solve recorded on each, and a
+solved version's Answer with them, so the next solve searches the changed
+components only and walks no other (see exact.min_hitting_set).
 
 Each instance version holds one tid map and one fact index, and each
 hypergraph version its tid maps: handed on, edited in place and moved back
@@ -184,9 +183,7 @@ def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: Constrai
 
     The delta is checked before anything is solved, so a bad one is refused
     whatever the budget.  A missing hg_before is built, and a missing
-    hg_after is derived from it before either is solved.  The components the
-    delta left alone are the same objects in both, so the solve of hg_before
-    records the optima that the solve of hg_after reuses.
+    hg_after is derived from it before either is solved.
     """
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)

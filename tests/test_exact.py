@@ -552,6 +552,63 @@ def test_an_endogenous_solve_searches_only_the_components_the_partition_cuts(mon
     assert all(c.optimum is optimum for c, optimum in kept)
 
 
+def _check_records(hg):
+    """After an exact solve: each component's Optimum hits all its edges, and
+    hg's Answer holds the sums of their sizes and nodes and nothing to redo."""
+    for c in hg.components:
+        assert isinstance(c.optimum, conflicts.Optimum)
+        assert all(e.intersection(c.optimum.cover) for e in c)
+    answer = hg._answer
+    assert isinstance(answer, conflicts.Answer)
+    assert answer.size == sum(len(c.optimum.cover) for c in hg.components)
+    assert answer.nodes == sum(c.optimum.nodes for c in hg.components)
+    assert not answer.replaced and not answer.parts
+
+
+def test_the_solve_records_read_by_name_on_the_corpus(corpus):
+    for item in corpus:
+        hg = build_hypergraph(item.instance, item.constraints)
+        assert hg._answer is None and all(c.optimum is None for c in hg.components)
+        sol = min_hitting_set(hg)
+        _check_records(hg)
+        assert hg._answer.size == len(sol.deleted) == len(item.brute.deleted)
+
+
+def test_a_derived_version_is_handed_the_answer_and_the_components_replaced():
+    cs, inst, _ = fd_key_groups(random.Random(5), 400)
+    hg = build_hypergraph(inst, cs)
+    min_hitting_set(hg)
+    _check_records(hg)
+    rng, seen = random.Random(6), Counter()
+    for step in range(12):
+        rows = tuple(("rel", (f"k{rng.randrange(100)}", f"b{rng.randrange(3)}", f"n{step}.{j}"))
+                     for j in range(rng.choice((0, 1, 3))))
+        gone = frozenset(rng.sample(inst.tids, rng.choice((0 if rows else 1, 2))))
+        delta = UpdateDelta(rows, gone)
+        child = incremental_hypergraph(hg, inst, delta, cs)
+        # the parent's components that hold a deleted tid or meet a new
+        # solving edge, and the child's components that the parent lacks
+        new = set(child.solving_edges) - set(hg.solving_edges)
+        reached = [c for c in hg.components
+                   if any(e & gone or any(e & n for n in new) for e in c)]
+        fresh = [c for c in child.components if all(c is not p for p in hg.components)]
+        answer = child._answer
+        assert (answer.size, answer.nodes) == (hg._answer.size, hg._answer.nodes)
+        assert sorted(map(id, answer.replaced)) == sorted(map(id, reached))
+        assert sorted(map(id, answer.parts)) == sorted(map(id, fresh))
+        seen.update(reached=bool(reached), fresh=bool(fresh))
+        # derived from a version not yet solved, one gets no answer, unless
+        # that version had nothing to take out or search
+        inst = apply_update(inst, delta)
+        grandchild = incremental_hypergraph(child, inst, UpdateDelta((), frozenset()), cs)
+        assert grandchild._answer == (None if reached or fresh else answer)
+        want = min_hitting_set(build_hypergraph(inst, cs))
+        assert len(min_hitting_set(child).deleted) == len(want.deleted)
+        _check_records(child)
+        hg = child
+    assert seen["reached"] >= 6 and seen["fresh"] >= 6, seen
+
+
 def test_enumerate_minimal_hitting_sets_small():
     out = enumerate_minimal_hitting_sets([{1, 2}, {2, 3}])
     assert list(out) == [frozenset({2}), frozenset({1, 3})]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incmeter import nullrep
 from incmeter.errors import ResourceLimitError
 from incmeter.measures import inc_deg_g3
 from incmeter.model import (NULL, Fact, Instance, parse_constraints,
@@ -109,6 +110,19 @@ def test_consistent_and_empty_instances(nullb):
     empty = inc_deg_g3_null(Instance(schema, ()), cs)
     assert (empty.numerator, empty.denominator) == (0, 1)
     assert "consistent" in empty.note
+
+
+def test_the_cells_are_counted_once_per_measure(nullb, monkeypatch):
+    schema, cs, inst = nullb
+    t_schema = parse_schema("t(A)\n")
+    irreparable = (Instance(t_schema, (Fact(1, "t", ("a",)),)),
+                   parse_constraints("dc none : !exists t(x)\n", t_schema))
+    calls, atv = [], nullrep._atv
+    monkeypatch.setattr(nullrep, "_atv", lambda instance: calls.append(1) or atv(instance))
+    for instance, constraints in ((inst, cs), irreparable, (Instance(schema, ()), cs)):
+        calls.clear()
+        rep = inc_deg_g3_null(instance, constraints)
+        assert len(calls) == 1, rep
 
 
 def test_many_cells_are_solved_and_the_node_budget_brackets_them():

@@ -1,0 +1,98 @@
+"""Postulates of inconsistency measures as oracles across instances.
+
+Livshits, Kochirgan, Tsur, Ilyas, Kimelfeld and Roy ("Properties of
+Inconsistency Measures for Databases", SIGMOD 2021) list properties that a
+database inconsistency measure may satisfy.  The other oracles compute one
+answer a second way; these check how answers on related instances compare,
+so a slip in semantics that both ways share still shows.  Each runs g3,
+g3_endogenous (under a seeded partition of about 70% of the tids, normalized
+by the instance size) and g3_null over the seeded corpus.  Consistency and
+the conflicts of an added fact are read from the brute-force oracle, which
+shares no code with the join engine.
+"""
+
+import random
+from collections import Counter
+
+from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
+from incmeter.model import ConstraintSet, Fact, Instance
+from incmeter.nullrep import inc_deg_g3_null
+
+from oracles import brute_force, consistent
+
+
+def _reports(instance, constraints, partition):
+    """The three measures' reports on instance, by kind."""
+    endogenous = Instance(instance.schema, instance.facts, partition, declared=True)
+    return {"g3": inc_deg_g3(instance, constraints),
+            "g3_endogenous": inc_deg_g3_endogenous(endogenous, constraints),
+            "g3_null": inc_deg_g3_null(instance, constraints)}
+
+
+def _partitioned(corpus, seed=1361):
+    """Each corpus item with a seeded partition keeping about 70% of its tids."""
+    rng = random.Random(seed)
+    for item in corpus:
+        yield item, frozenset(t for t in item.instance.tids if rng.random() < 0.7)
+
+
+def test_a_measure_is_positive_exactly_on_inconsistent_instances(corpus):
+    seen = Counter()
+    for item, partition in _partitioned(corpus):
+        inconsistent = not consistent(item.instance, item.constraints)
+        seen[inconsistent] += 1
+        for kind, report in _reports(item.instance, item.constraints, partition).items():
+            assert (report.value > 0) == inconsistent, (kind, item.instance.facts)
+    assert min(seen.values()) > 100, seen
+
+
+def test_dropping_a_constraint_never_raises_a_measure(corpus):
+    fell = Counter()
+    for item, partition in _partitioned(corpus):
+        every = _reports(item.instance, item.constraints, partition)
+        for dropped in item.constraints:
+            rest = ConstraintSet(tuple(c for c in item.constraints if c is not dropped))
+            for kind, report in _reports(item.instance, rest, partition).items():
+                assert report.value <= every[kind].value, (kind, dropped.name)
+                fell[kind] += report.value < every[kind].value
+    assert min(fell[kind] for kind in ("g3", "g3_endogenous", "g3_null")) > 50, fell
+
+
+def _conflict_free_additions(item, rng, tries=3, domain="abcde"):
+    """Of tries random new facts, each that takes part in no violation once
+    added to item's instance, with the instance it was added to."""
+    rows = {(f.predicate, f.values) for f in item.instance.facts}
+    top = max(item.instance.tids, default=0)
+    for _ in range(tries):
+        row = rng.choice([("r", (rng.choice(domain), rng.choice(domain))),
+                          ("s", (rng.choice(domain),))])
+        if row in rows:
+            continue
+        fact = Fact(top + 1, *row)
+        grown = Instance(item.instance.schema, item.instance.facts + (fact,))
+        if not any(fact in match for dc in item.constraints
+                   for match in brute_force(grown.facts, dc)):
+            yield fact, grown
+
+
+def test_adding_a_conflict_free_fact_changes_no_numerator(corpus):
+    rng, added = random.Random(4242), 0
+    for item, partition in _partitioned(corpus):
+        before = _reports(item.instance, item.constraints, partition)
+        for fact, grown in _conflict_free_additions(item, rng):
+            added += 1
+            # the new fact joins the partition as about 70% of the tids do
+            endogenous = partition | {fact.tid} if rng.random() < 0.7 else partition
+            after = _reports(grown, item.constraints, endogenous)
+            for kind, report in after.items():
+                if before[kind].witness is None:  # no allowed change repairs: pinned to 1
+                    assert report.witness is None and report.value == 1, kind
+                else:
+                    assert report.numerator == before[kind].numerator, (kind, fact)
+    assert added > 500, added
+
+
+def test_the_restricted_measure_is_at_least_g3(corpus):
+    for item, partition in _partitioned(corpus):
+        reports = _reports(item.instance, item.constraints, partition)
+        assert reports["g3_endogenous"].value >= reports["g3"].value
