@@ -315,13 +315,10 @@ def _cmd_update(args, constraints, instance):
     if args.check_bounds and not (delta.is_insert_only or delta.is_delete_only):
         # refused before anything is solved
         raise InputError("--check-bounds needs a pure insertion or pure deletion delta")
-    hg_before, hg_after, before_m, after_m = updates._measure_delta(
+    before_m, after_m, size_after, bounds = updates._measure_delta(
         instance, delta, constraints, args.node_budget)
-    bounds = None
-    if args.check_bounds:  # from both hypergraphs and their solves
-        bounds = updates._bound_report(len(instance), delta, hg_before, hg_after,
-                                       before_m, after_m)
-    size_after = hg_after.size
+    if not args.check_bounds:
+        bounds = None
     payload = {
         "command": "update",
         "size_before": len(instance),

@@ -79,11 +79,12 @@ class ConflictHypergraph:
     solving_edges, the antichain of the edges' tid sets across constraints
     (a set that hits it hits every edge), d, the largest solving edge size
     (0 when the instance is consistent), components, the solving edges
-    split for every solver, and size, the number of vertices, are computed
-    on first read and kept.  One that an update derives (see derive) is
-    given its size and components, those the delta did not reach the
-    parent's own, optimum and all, and builds its vertex set on first read
-    from the tid map of _instance, the instance version it was derived with.
+    split for every solver, _solving_count, their number, and size, that
+    of the vertices, are computed on first read and kept.  One that an
+    update derives (see derive) is given the last three, the components
+    the delta did not reach being the parent's own, optimum and all.  It
+    builds its vertex set on first read from the tid map of _instance, the
+    instance version it was derived with.
     _answer is its Answer once exact.min_hitting_set solves it.  _lookups maps
     each conflicting tid to its edges and to its component, and only this
     module reads it.  Built once from the edges of a hypergraph that no
@@ -128,6 +129,10 @@ class ConflictHypergraph:
     def components(self) -> list[Component]:
         """The solving edges split into connected components (see split)."""
         return split(self.solving_edges)
+
+    @cached_property
+    def _solving_count(self) -> int:  # a derived version is given it (see derive)
+        return sum(map(len, self.components))
 
     def dump_lines(self) -> list[str]:
         """Diagnostic dump: one line per edge, `<constraint>: tid,tid,...`."""
@@ -280,7 +285,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     derived = object.__new__(ConflictHypergraph)  # its vertex set is built on first read
     derived.__dict__.update(edges=tuple(edges), size=len(instance), _instance=instance,
                             components=_splice(hg.components, out[2], parts, _first),
-                            _lookups=hg._lookups)
+                            _solving_count=hg._solving_count - sum(map(len, out[2]))
+                            + sum(map(len, parts)), _lookups=hg._lookups)
     if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
         derived.__dict__["_answer"] = hg._answer._replace(replaced=out[2], parts=parts)
     hg.__dict__.update(_lookups=None, _link=(derived, out, into))

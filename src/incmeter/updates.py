@@ -22,13 +22,13 @@ the atoms an inserted fact can match are joined, and the vertex set is
 built only when read.  Still growing with the instance, at C speed: the
 copies of the edge and component sequences around the changes.
 
-One private path measures both sides of a delta: it checks the delta,
-builds or reuses the hypergraph before, derives the one after through
-incremental_hypergraph and solves both, the one before first.  The
-components the delta left alone are shared, so the second solve reuses
-their optima.  `incmeter update` and both bound checks go through it; the
-checks then turn the relative update size eps into exact-rational sandwich
-inequalities between the two measures, in one body for either direction.
+One private body stands behind `incmeter update` and both bound checks.
+Every update path checks the whole delta there once, whether or not
+hypergraphs are handed in.  It then builds or reuses the hypergraph before,
+derives the one after through incremental_hypergraph and solves both, the
+one before first, so the second solve reuses the optima of the components
+they share.  For a pure delta it turns the relative update size eps into
+exact-rational sandwich inequalities between the two measures.
 """
 
 from __future__ import annotations
@@ -179,33 +179,31 @@ def incremental_hypergraph(hg: ConflictHypergraph, instance: Instance,
 
 def _measure_delta(instance: Instance, delta: UpdateDelta, constraints: ConstraintSet,
                    node_budget, hg_before=None, hg_after=None):
-    """Both hypergraphs of the delta and the exact g3 report on each side.
-
-    The delta is checked before anything is solved, so a bad one is refused
-    whatever the budget.  A missing hg_before is built, and a missing
-    hg_after is derived from it before either is solved.
-    """
+    """The exact g3 report on each side of a delta, the size after it and,
+    for a pure delta, its BoundCheckReport; eps = changed rows/|instance|.
+    Every update path checks the whole delta here once, before anything is
+    solved, whether or not hypergraphs are handed in: in O(delta) when
+    instance links to the child apply_update made with it (see
+    Instance._delta).  A missing hg_before is built, a missing hg_after
+    derived from it."""
+    inserted, gone, child = instance._delta(delta.insertions, delta.deletions)
     if hg_before is None:
         hg_before = build_hypergraph(instance, constraints)
     if hg_after is None:
+        if child is None:  # made here, so incremental_hypergraph reads it back from the link
+            instance._derive(inserted, gone)
         hg_after = incremental_hypergraph(hg_before, instance, delta, constraints)
-    elif delta.deletions:  # raises on an unknown tid, read from the link if it holds the delta
-        instance._delta((), delta.deletions)
     before = measures._g3(hg_before, len(instance), node_budget=node_budget)
     after = measures._g3(hg_after, hg_after.size, node_budget=node_budget)
-    return hg_before, hg_after, before, after
-
-
-def _bound_report(n, delta, hg_before, hg_after, before, after) -> BoundCheckReport:
-    """Either bound check on a pure delta to an instance of n facts, from
-    _measure_delta's hypergraphs and reports; eps = changed rows/n."""
-    direction = "insert" if delta.is_insert_only else "delete"
-    # a delete-only delta drops exactly the solving edges through a deleted
-    # tid and makes none, so equal counts in the components mean it dropped none
-    isolated = (sum(map(len, hg_after.components)) == sum(map(len, hg_before.components))
-                if direction == "delete" else None)
-    return _sandwich(direction, n, len(delta.insertions) + len(delta.deletions),
-                     before.value, after.value, isolated)
+    bounds = None
+    if delta.is_insert_only or delta.is_delete_only:
+        # a delete-only delta drops exactly the solving edges through a deleted
+        # tid and makes none, so equal counts mean it dropped none
+        isolated = (hg_after._solving_count == hg_before._solving_count
+                    if delta.deletions else None)
+        bounds = _sandwich("delete" if delta.deletions else "insert", len(instance),
+                           len(inserted) + len(gone), before.value, after.value, isolated)
+    return before, after, hg_after.size, bounds
 
 
 def _sandwich(direction, n, k, before, after, isolated) -> BoundCheckReport:
@@ -245,8 +243,7 @@ def check_insertion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_insert_only:
         raise InputError("insertion bounds need a pure insertion delta")
-    return _bound_report(len(instance), delta, *_measure_delta(
-        instance, delta, constraints, node_budget, hg_before, hg_after))
+    return _measure_delta(instance, delta, constraints, node_budget, hg_before, hg_after)[3]
 
 
 def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
@@ -263,5 +260,4 @@ def check_deletion_bounds(instance: Instance, delta: UpdateDelta,
     """
     if not delta.is_delete_only:
         raise InputError("deletion bounds need a pure deletion delta")
-    return _bound_report(len(instance), delta, *_measure_delta(
-        instance, delta, constraints, node_budget, hg_before, hg_after))
+    return _measure_delta(instance, delta, constraints, node_budget, hg_before, hg_after)[3]

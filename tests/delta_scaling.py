@@ -6,12 +6,16 @@ The workload is tests/conftest.py::fd_key_groups(Random(1), n), rel(A, B, C)
 under `fd key : rel : A -> B`, at n = 1000 and 16000 rows.  Each delta
 deletes one live row and inserts one new row, both drawn from Random(2).  It
 goes through apply_update, then incremental_hypergraph on the same delta,
-then measures._g3 on the hypergraph after it.  The first delta, and the
-build and solve of the starting hypergraph, are a warm-up; the next 40
-deltas are timed with time.perf_counter, and the collector is switched off
-inside each delta only.  Printed: the mean ms per delta of each stage and
-in total, and the ratio of the 16000-row figure to the 1000-row one.  An
-update whose cost follows the delta keeps each ratio near 1.
+then measures._g3 on the hypergraph after it.  A second delta then deletes
+one more live row, drawn from the same generator: it is applied and derived
+untimed, and the fourth stage is check_deletion_bounds on it with both
+hypergraphs handed in, as the stream of perfbench/ hands them.  The first
+pair of deltas, and the build and solve of the starting hypergraph, are a
+warm-up; the next 40 pairs are timed with time.perf_counter, and the
+collector is switched off inside each pair only.  Printed: the mean ms per
+pair of each stage and in total, and the ratio of the 16000-row figure to
+the 1000-row one.  An update whose cost follows the delta keeps each ratio
+near 1.
 
 The report is informational: the exit status is 0 whatever it shows.
 The file name does not match test_*.py, so pytest does not collect it.
@@ -29,18 +33,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import fd_key_groups  # noqa: E402
 
-from incmeter import apply_update, build_hypergraph, incremental_hypergraph  # noqa: E402
+from incmeter import (apply_update, build_hypergraph, check_deletion_bounds,  # noqa: E402
+                      incremental_hypergraph)
 from incmeter.measures import _g3  # noqa: E402
 from incmeter.updates import UpdateDelta  # noqa: E402
 
 SIZES = (1000, 16000)
 DELTAS = 40
-STAGES = ("apply_update", "derive", "solve")
+STAGES = ("apply_update", "derive", "solve", "bounds")
+
+
+def timed(call, *args, **kwargs):
+    """What call returns, and the seconds it took."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def measure(n):
-    """The number of components after the run, and the mean ms per delta of
-    each stage and of the three together."""
+    """The number of components after the run, and the mean ms per pair of
+    deltas of each stage and of the four together."""
     constraints, instance, _ = fd_key_groups(random.Random(1), n)
     hg = build_hypergraph(instance, constraints)
     _g3(hg, len(instance))
@@ -52,21 +64,20 @@ def measure(n):
         live.append(top)
         row = ("rel", (f"k{rng.randrange(n // 4)}", f"b{rng.randrange(3)}", f"d{i}"))
         delta = UpdateDelta((row,), frozenset((gone,)))
+        delete = UpdateDelta((), frozenset((live.pop(rng.randrange(len(live))),)))
         gc.disable()
         try:
-            start = time.perf_counter()
-            after = apply_update(instance, delta)
-            applied = time.perf_counter()
-            hg = incremental_hypergraph(hg, instance, delta, constraints)
-            derived = time.perf_counter()
-            _g3(hg, len(after))
-            solved = time.perf_counter()
+            after, applied = timed(apply_update, instance, delta)
+            hg, derived = timed(incremental_hypergraph, hg, instance, delta, constraints)
+            solved = timed(_g3, hg, len(after))[1]
+            instance, hg_before = apply_update(after, delete), hg
+            hg = incremental_hypergraph(hg_before, after, delete, constraints)
+            checked = timed(check_deletion_bounds, after, delete, constraints,
+                            hg_before=hg_before, hg_after=hg)[1]
         finally:
             gc.enable()
-        instance = after
-        if i:  # the first delta is the warm-up
-            for stage, took in zip(STAGES, (applied - start, derived - applied,
-                                            solved - derived)):
+        if i:  # the first pair is the warm-up
+            for stage, took in zip(STAGES, (applied, derived, solved, checked)):
                 spent[stage] += took
     means = {stage: 1000 * s / DELTAS for stage, s in spent.items()}
     means["total"] = sum(means.values())
@@ -75,7 +86,7 @@ def measure(n):
 
 def main():
     columns = (*STAGES, "total")
-    print(f"ms per delta, mean of {DELTAS} after a warm-up "
+    print(f"ms per pair of deltas, mean of {DELTAS} after a warm-up "
           f"(Python {sys.version.split()[0]})")
     print(f"{'rows':>6} {'components':>10} " + " ".join(f"{c:>12}" for c in columns))
     results = {}

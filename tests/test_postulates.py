@@ -8,15 +8,19 @@ so a slip in semantics that both ways share still shows.  Each runs g3,
 g3_endogenous (under a seeded partition of about 70% of the tids, normalized
 by the instance size) and g3_null over the seeded corpus.  Consistency and
 the conflicts of an added fact are read from the brute-force oracle, which
-shares no code with the join engine.
+shares no code with the join engine.  The paper's update bounds (C4), a
+continuity property, are checked on every single-fact delta of the corpus.
 """
 
 import random
 from collections import Counter
 
+from incmeter.conflicts import build_hypergraph
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
 from incmeter.model import ConstraintSet, Fact, Instance
 from incmeter.nullrep import inc_deg_g3_null
+from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
+                              check_insertion_bounds, incremental_hypergraph)
 
 from oracles import brute_force, consistent
 
@@ -96,3 +100,27 @@ def test_the_restricted_measure_is_at_least_g3(corpus):
     for item, partition in _partitioned(corpus):
         reports = _reports(item.instance, item.constraints, partition)
         assert reports["g3_endogenous"].value >= reports["g3"].value
+
+
+def test_the_update_bounds_hold_on_every_single_fact_delta(corpus):
+    """C4, the paper's sandwich of the measure after a pure delta, on every
+    single-tid deletion and every absent r(x, y) row over abcd, with the
+    hypergraphs handed in as the stream hands them on."""
+    seen = Counter()
+    for item in corpus:
+        inst, cs = item.instance, item.constraints
+        if len(inst) < 2:
+            continue
+        hg = build_hypergraph(inst, cs)
+        rows = {f[1:] for f in inst.facts}
+        deltas = [UpdateDelta((), frozenset({t})) for t in inst.tids]
+        deltas += [UpdateDelta((row,), frozenset()) for row in
+                   (("r", (x, y)) for x in "abcd" for y in "abcd") if row not in rows]
+        for delta in deltas:
+            apply_update(inst, delta)
+            hg_after = incremental_hypergraph(hg, inst, delta, cs)
+            check = check_insertion_bounds if delta.insertions else check_deletion_bounds
+            report = check(inst, delta, cs, hg_before=hg, hg_after=hg_after)
+            assert report.applicable and report.all_hold(), (delta, inst.facts)
+            seen[report.direction, report.deleted_all_isolated] += 1
+    assert sum(seen.values()) > 7000 and min(seen.values()) > 300, seen

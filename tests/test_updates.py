@@ -265,9 +265,15 @@ def test_a_bad_delta_is_refused_before_anything_is_solved(monkeypatch, text, mes
     cs, inst, _ = fd_key_groups(random.Random(7), 300)
     delta = parse_delta(text or f"+ rel({', '.join(inst.fact(1).values)})\n")
     check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+    with pytest.raises(InputError, match=message) as refused:
+        apply_update(inst, delta)
+    hg = build_hypergraph(inst, cs)
     searches = count_searches(monkeypatch)
-    with pytest.raises(InputError, match=message):
-        check(inst, delta, cs, node_budget=0)
+    # the whole delta is checked whether or not hypergraphs are handed in
+    for handed in ({}, {"hg_before": hg, "hg_after": hg}):
+        with pytest.raises(InputError) as info:
+            check(inst, delta, cs, node_budget=0, **handed)
+        assert str(info.value) == str(refused.value)
     assert not searches
     # a good delta of the same direction runs the budget out
     good = parse_delta("+ rel(k0, b9, new)\n" if delta.is_insert_only else "- 1\n")
@@ -1208,6 +1214,7 @@ def test_a_delta_row_given_as_one_str_is_refused():
 
 def test_the_isolated_flag_matches_a_walk_of_the_solving_edges_on_the_corpus(corpus):
     rng = random.Random(2828)
+    chained = random.Random(2829)  # the second deltas' draws
     seen = Counter()
     for item in corpus:
         inst, cs = item.instance, item.constraints
@@ -1222,6 +1229,21 @@ def test_the_isolated_flag_matches_a_walk_of_the_solving_edges_on_the_corpus(cor
                                            hg_after=hg_after)
             assert report.deleted_all_isolated is walk
         seen[walk] += 1
+        # a second delete-only delta from the first one's derived version,
+        # each handed in as the stream does
+        after = apply_update(inst, delta)
+        if len(after) < 2:
+            continue
+        hg_before = incremental_hypergraph(build_hypergraph(inst, cs), inst, delta, cs)
+        second = UpdateDelta((), frozenset(chained.sample(after.tids, chained.randint(1, 2))))
+        walk = all(e.isdisjoint(second.deletions) for e in rebuilt.solving_edges)
+        apply_update(after, second)
+        hg_after = incremental_hypergraph(hg_before, after, second, cs)
+        report = check_deletion_bounds(after, second, cs, hg_before=hg_before, hg_after=hg_after)
+        assert report.deleted_all_isolated is walk
+        fresh = build_hypergraph(_fresh_after(_fresh_after(inst, delta), second), cs)
+        assert hg_after._solving_count == len(fresh.solving_edges)
+        seen["second", walk] += 1
     assert min(seen.values()) > 100, seen
 
 
