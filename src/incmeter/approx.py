@@ -58,10 +58,11 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     Each component runs the length scheme at step min(eps, 1), halving it
     until its exact certificate objective <= (1 + eps) * dual_bound holds,
     and so do the sums.  The textbook step eps/3 bounds the gap in the worst
-    case; as the gap is checked exactly, the optimistic start is safe, and
-    it certifies at once with far fewer iterations on the graphs seen.  At
-    step 1 a one-edge component starts at sum 1 already.  eps below 1/1000
-    is refused: certifying tighter gaps takes too many steps.
+    case, so a certificate that fails at the first step at or below it raises
+    ResourceLimitError.  The gap is checked exactly, so the optimistic start
+    is safe, and it certifies at once with far fewer iterations on the
+    graphs seen.  At step 1 a one-edge component starts at sum 1 already.
+    eps below 1/1000 is refused: certifying tighter gaps takes too many steps.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -73,14 +74,14 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     objective = dual_bound = Fraction(0)
     for component in hg.components:
         edges = [tuple(sorted(e)) for e in component]
-        inner = float(min(eps, 1))
-        for _ in range(12):
+        inner, last = float(min(eps, 1)), min(eps / 3, 1)
+        while True:
             cover, part, bound = _rationalize(edges, *_length_scheme(edges, inner))
             if part <= (1 + eps) * bound:
                 break
+            if inner <= last:
+                raise ResourceLimitError("fractional cover failed to certify its gap")
             inner /= 2.0
-        else:
-            raise ResourceLimitError("fractional cover failed to certify its gap")
         weights.update(cover)
         objective += part
         dual_bound += bound

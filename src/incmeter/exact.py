@@ -16,7 +16,9 @@ sizes of the solved components and [packing, incumbent] of the rest.  A
 component keeps its conflicts.Optimum and a hypergraph version its
 conflicts.Answer, so a solve searches only what no solve before it did.
 The endogenous minimum restricts and splits again only the components
-holding an exogenous tid.  Berge's rule builds all minimal hitting sets.
+holding an exogenous tid.  Plain edge sets are solved as the hypergraph
+conflicts.hypergraph_from_edges makes.  Berge's rule builds all minimal
+hitting sets.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .conflicts import (Answer, ConflictHypergraph, Optimum, _first, antichain,
-                        build_hypergraph, split)
+from .conflicts import (Answer, ConflictHypergraph, Optimum, _canonical, _first, antichain,
+                        build_hypergraph, hypergraph_from_edges, split)
 from .errors import ResourceLimitError
 from .model import ConstraintSet, Instance
 
@@ -64,16 +66,15 @@ class RepairSet:
 def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
     """Minimum set of elements meeting every edge, or None for an empty edge.
 
-    edge_sets is a sequence of element sets (any sortable hashable elements).
-    Each connected component is solved on its own, in order of its smallest
-    element, and the answer is the union.  Raises ResourceLimitError when the
-    search nodes of all components together exceed node_budget; its
-    best_size and lower_bound then bracket the optimum of the whole problem.
+    edge_sets is a sequence of element sets (any sortable hashable elements),
+    made a hypergraph by hypergraph_from_edges, so superset edges are dropped,
+    and solved by min_hitting_set.  Past node_budget search nodes, the
+    ResourceLimitError's best_size and lower_bound bracket the whole optimum.
     """
-    edges = {frozenset(e) for e in edge_sets}
+    edges = [frozenset(e) for e in edge_sets]
     if frozenset() in edges:
         return None
-    return _solve(split(list(edges)), node_budget)[0]
+    return min_hitting_set(hypergraph_from_edges(set().union(*edges), edges), node_budget).deleted
 
 
 def _solve(components, node_budget):
@@ -276,7 +277,7 @@ def enumerate_s_repairs(instance: Instance, constraints: ConstraintSet,
     all_tids = set(instance.tids)
     repairs = [frozenset(all_tids - deleted)
                for deleted in enumerate_minimal_hitting_sets(hg.solving_edges, limit)]
-    repairs.sort(key=lambda r: tuple(sorted(r)))
+    repairs.sort(key=_canonical)
     return RepairSet(tuple(repairs), "s")
 
 
@@ -293,7 +294,7 @@ def enumerate_minimal_hitting_sets(edge_sets, max_elements=22):
     for e in edge_sets:
         sets = antichain([s for s in sets if s & e]
                          + [s | {v} for s in sets if not s & e for v in e])
-    return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
+    return tuple(sorted(sets, key=lambda s: (len(s), _canonical(s))))
 
 
 def _gate_elements(edge_sets, max_elements):

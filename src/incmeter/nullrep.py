@@ -4,9 +4,9 @@ Writing the reserved NULL placeholder into a cell makes every join,
 comparison, or constant match through that cell fail, and can never create
 new violations.  A violating assignment therefore dies exactly when one of
 its "breaking" cells is blanked: a cell matched by a constant, by a shared
-(join) variable, or by a variable used in a comparison.  Minimum-change
-repairs are minimum hitting sets over these breaking-cell sets, and the
-measure normalizes the change count by the number of cells in the instance.
+(join) variable, or by a variable used in a comparison.  The breaking-cell
+sets make a ConflictHypergraph over cells, whose exact.min_hitting_set is a
+minimum-change repair; the measure divides its size by the cell count.
 
 Cell conflicts come from the ordered join plan of evaluation.images, which
 matches interchangeable atoms in ascending tid order only.  Their swap keeps
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import evaluation, exact
-from .conflicts import antichain
+from .conflicts import hypergraph_from_edges
 from .measures import MeasureReport, _empty_report
 from .model import Const, ConstraintSet, DenialConstraint, Instance, Var
 
@@ -58,6 +58,12 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
     An empty entry means some violation has no breakable cell at all (a pure
     existence conflict); blanking can never repair such an instance.
     """
+    hg, irreparable = _cell_hypergraph(instance, constraints)
+    return hg.solving_edges, irreparable
+
+
+def _cell_hypergraph(instance: Instance, constraints: ConstraintSet):
+    """The breaking-cell hypergraph, and whether some violation has no breakable cell."""
     index = instance._live_index()
     edges: set[frozenset[CellChange]] = set()
     for dc in constraints:
@@ -67,9 +73,7 @@ def cell_conflicts(instance: Instance, constraints: ConstraintSet):
             frozenset([CellChange(assignment[i][0], j) for i, j in cells])))
     irreparable = frozenset() in edges
     edges.discard(frozenset())
-    minimal = antichain(edges)
-    minimal.sort(key=lambda e: tuple(sorted(e)))
-    return tuple(minimal), irreparable
+    return hypergraph_from_edges(set().union(*edges), edges), irreparable
 
 
 def min_null_changes(instance: Instance, constraints: ConstraintSet,
@@ -78,11 +82,10 @@ def min_null_changes(instance: Instance, constraints: ConstraintSet,
 
     Past node_budget the ResourceLimitError brackets the smallest blanking.
     """
-    edges, irreparable = cell_conflicts(instance, constraints)
+    hg, irreparable = _cell_hypergraph(instance, constraints)
     if irreparable:
         return None
-    changes = exact.solve_min_hitting_set(edges, node_budget=node_budget)
-    return NullRepairSolution(frozenset(changes), _atv(instance))
+    return NullRepairSolution(exact.min_hitting_set(hg, node_budget).deleted, _atv(instance))
 
 
 def minimal_null_repairs(instance: Instance, constraints: ConstraintSet,

@@ -451,16 +451,21 @@ def test_certification_retries_at_half_the_step(monkeypatch):
     assert cover.objective <= (1 + eps) * cover.dual_bound
 
 
-def test_certification_gives_up_after_twelve_passes(monkeypatch):
-    hg = hypergraph_from_edges([1, 2], [{1, 2}])
-    first = approx._length_scheme([(1, 2)], 1.0)
-    # the finest rungs would take billions of steps: reuse the first result
-    inners = _record_inner(monkeypatch, lambda edges, inner: first)
+def test_certification_gives_up_after_the_textbook_step(monkeypatch):
+    # every certificate fails: the ladder halves from min(eps, 1), and its
+    # first step at or below eps/3, where the analysis certifies, is its last
+    tri = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
+    edges = [(1, 2), (1, 3), (2, 3)]
+    schemes = []
     monkeypatch.setattr(approx, "_rationalize",
-                        lambda edges, lengths, duals: ({}, Fraction(1), Fraction(0)))
-    with pytest.raises(ResourceLimitError, match="fractional cover failed to certify its gap"):
-        lp_fractional_cover(hg, eps=Fraction(1))
-    assert inners == [1.0 / 2 ** k for k in range(12)]
+                        lambda *scheme: schemes.append(scheme) or ({}, Fraction(1), Fraction(0)))
+    for eps, steps in ((Fraction(1), [1.0, 0.5, 0.25]),
+                       (Fraction(1, 10), [0.1, 0.05, 0.025]),
+                       (Fraction(3), [1.0]), (Fraction(10 ** 400), [1.0])):
+        del schemes[:]
+        with pytest.raises(ResourceLimitError, match="fractional cover failed to certify"):
+            lp_fractional_cover(tri, eps)
+        assert schemes == [(edges, *approx._length_scheme(edges, step)) for step in steps]
 
 
 def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):

@@ -312,6 +312,23 @@ def test_engine_matches_the_frozen_engine_on_the_corpus(corpus):
             _check_against_reference(item.instance, dc, seed)
 
 
+def test_cell_conflicts_across_constraints_on_the_corpus(corpus):
+    # one constraint's cell set may hold another's: the null measure solves
+    # the antichain of all constraints' cell sets together
+    joined = dropped = 0
+    for item in corpus:
+        if len(item.constraints) < 2:
+            continue
+        parts = [_reference_cell_conflicts(item.instance.facts, dc) for dc in item.constraints]
+        union = set().union(*(edges for edges, _ in parts))
+        minimal = sorted(antichain(union), key=lambda e: tuple(sorted(e)))
+        want = tuple(minimal), any(irreparable for _, irreparable in parts)
+        assert nullrep.cell_conflicts(item.instance, item.constraints) == want
+        joined += 1
+        dropped += len(minimal) < len(union)
+    assert joined > 100 and dropped > 0
+
+
 def test_plans_fold_fixed_values_and_pair_interchangeable_atoms():
     by_name = {dc.name: dc for dc in SHAPED}
     classes = {name: evaluation._classes(dc) for name, dc in by_name.items()}

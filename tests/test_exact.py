@@ -427,6 +427,40 @@ def test_generic_solver_accepts_non_integer_vertices():
     assert len(sol) == 2
 
 
+def _brute_minimum(edges):
+    """The size of a smallest set meeting every edge, trying subsets by size."""
+    elements = sorted(set().union(*edges))
+    return next(k for k in range(len(elements) + 1)
+                for combo in itertools.combinations(elements, k)
+                if all(e.intersection(combo) for e in edges))
+
+
+def test_generic_solver_on_edges_that_are_not_an_antichain():
+    # edge lists as a caller may hand them in: repeated edges, supersets of
+    # other edges, and elements that are not ints
+    rng = random.Random(38)
+    exhausted = 0
+    for n in range(80):
+        names = [f"v{i}" for i in range(9)] if n % 2 else [(i % 3, f"c{i}") for i in range(9)]
+        edges = [set(rng.sample(names, rng.randint(1, 3))) for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(1, 4)):
+            edge = rng.choice(edges)
+            edges.append(set(edge) if rng.random() < 0.3
+                         else edge | set(rng.sample(names, rng.randint(1, 3))))
+        rng.shuffle(edges)
+        minimum = _brute_minimum(edges)
+        sol = solve_min_hitting_set(edges)
+        assert all(sol & e for e in edges)
+        assert len(sol) == minimum
+        for budget in (0, 1, 2, 4):
+            try:
+                assert len(solve_min_hitting_set(edges, node_budget=budget)) == minimum
+            except ResourceLimitError as exc:
+                assert exc.lower_bound <= minimum <= exc.best_size
+                exhausted += 1
+    assert exhausted > 80
+
+
 def test_endogenous_variants(pqr):
     _, cs, inst = pqr
     hg = build_hypergraph(inst, cs)
