@@ -213,11 +213,12 @@ def min_hitting_set(hg: ConflictHypergraph,
                     node_budget=DEFAULT_NODE_BUDGET) -> RepairSolution:
     """Smallest deletion set covering every solving edge; always optimal.
 
-    This is the endogenous solve with every tid deletable, over hg's
-    components.  hg keeps its Answer, and one derived from a solved parent
-    searches only its parts.  A budget short of the nodes, or a part that
-    runs out, walks every component, as a fresh search does.  The deletion
-    set is built from the components on first read.
+    It searches hg's components and keeps the Answer on hg.  One derived
+    from a solved parent reads the Answer handed on: the parent's size and
+    nodes, less those of the replaced components, plus a search of only its
+    new parts.  A budget short of the nodes, or a part that runs out, walks
+    every component, as a fresh search does.  The deletion set is built
+    from the components on first read.
     """
     answer, size = hg._answer, None
     if answer is not None:

@@ -75,7 +75,7 @@ class Schema:
     def predicate(self, name: str) -> Predicate:
         try:
             return self._by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a list given as a name is unknown too
             raise InputError(f"unknown predicate {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
@@ -153,12 +153,8 @@ class Instance:
             ordered = sorted(self.facts, key=lambda f: f.tid)
         except TypeError:  # e.g. tid None next to 1: the walk rejects the first non-int
             ordered = [f for f in self.facts if not isinstance(f.tid, int)]
-        tids = [f.tid for f in ordered]
-        if not all(isinstance(t, int) and t >= 1 for t in tids) or len(set(tids)) < len(tids):
-            self._walk(ordered, {}, 0)  # names the first bad tid or row
-        _check_values(ordered)
-        self._check_facts(ordered, {})
-        self._index(dict(zip(tids, ordered)))
+        self._walk(ordered, {})
+        self._index(dict(zip(map(_TID, ordered), ordered)))
 
     def _index(self, by_tid) -> "Instance":
         """Set facts, tids and the tid map from by_tid, checked facts in tid order."""
@@ -196,42 +192,44 @@ class Instance:
             self.__dict__["_fact_index"] = FactIndex(self.facts)
         return self._fact_index
 
-    def _check_facts(self, facts, rows, where=None, runs=None) -> None:
-        """Add the rows of facts, whose tids are distinct and positive, to rows,
-        a map from each predicate to the set of its value tuples.  A row must
-        have its predicate's arity, hold no NULL and be new.  Each run of one
-        predicate's facts is checked as a whole; one that fails is walked by
-        _walk, which names the first bad fact.  runs, if given, are the runs
-        as (predicate, list of value tuples) pairs, in the order of facts."""
+    def _check_facts(self, facts, where=None, runs=None) -> None:
+        """Check the loaded rows of facts, whose tids are distinct and positive,
+        whose values are tuples of strs and whose predicates each make one run.
+        A row must have its predicate's arity, hold no NULL and be new.  Each
+        run is checked as a whole; if one fails, _walk names the first bad
+        fact.  runs, if given, are the runs as (predicate, list of value
+        tuples) pairs, in the order of facts."""
         arity = self.schema._arity
-        at = 0
         if runs is None:
             runs = ((name, list(map(itemgetter(2), run)))
                     for name, run in groupby(facts, itemgetter(1)))
         for name, values in runs:
-            new = set(values)
-            live = rows.setdefault(name, set())
-            if (len(new) < len(values) or not new.isdisjoint(live)
-                    or not set(map(len, values)) <= {arity.get(name)}
+            if (len(set(values)) < len(values) or not set(map(len, values)) <= {arity.get(name)}
                     or not {NULL}.isdisjoint(chain.from_iterable(values))):
-                self._walk(facts, rows, at, where)
-            live |= new
-            at += len(values)
+                self._walk(facts, {}, where)
 
-    def _walk(self, facts, rows, at, where=None) -> None:
-        """Check facts[at:] one at a time against rows, adding each good row,
-        and raise the error of the first bad fact: where(i, error) for
-        facts[i] if where is given."""
+    def _walk(self, facts, rows, where=None) -> None:
+        """Check facts one at a time against rows, a map from each predicate to
+        the set of its live value tuples, adding each good row, and raise the
+        error of the first bad fact: where(i, error) for facts[i] if where is
+        given.  A fact must have a new positive int tid, then a tuple of strs
+        for its values, then its predicate's arity, no NULL and a new row."""
         tids = set()
-        for i in range(at, len(facts)):
-            f = facts[i]
+        for i, f in enumerate(facts):
             try:
                 if not isinstance(f.tid, int) or f.tid < 1:
                     raise InputError(f"tid must be a positive integer, got {f.tid!r}")
                 if f.tid in tids:
                     raise InputError(f"duplicate tid {f.tid}")
-                if len(f.values) != self.schema._arity.get(f.predicate):
-                    n = self.schema.predicate(f.predicate).arity  # raises if unknown
+                if not isinstance(f.values, tuple):  # a str is not read as its characters
+                    kind = type(f.values).__name__
+                    raise InputError(
+                        f"row {f.predicate} gives the {kind} {f.values!r} for its values")
+                if not all(isinstance(v, str) for v in f.values):
+                    raise InputError(
+                        f"row {f.predicate}{f.values!r} has a value that is not a str")
+                n = self.schema.predicate(f.predicate).arity  # raises if unknown
+                if len(f.values) != n:
                     raise InputError(
                         f"fact {f} has {len(f.values)} values, {f.predicate} expects {n}")
                 if NULL in f.values:
@@ -276,14 +274,16 @@ class Instance:
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         gone = {by_tid[t][1:] for t in deletions}
-        _check_values(facts)
         # the live rows that an inserted row repeats stand in for all of them
         clash: dict = {}
         for f in facts:
-            if (len(f.values) == arity.get(f.predicate) and f[1:] not in gone
-                    and index.holds(f.predicate, f.values)):
-                clash.setdefault(f.predicate, set()).add(f.values)
-        self._check_facts(facts, clash)
+            try:
+                if (len(f.values) == arity.get(f.predicate) and f[1:] not in gone
+                        and index.holds(f.predicate, f.values)):
+                    clash.setdefault(f.predicate, set()).add(f.values)
+            except TypeError:  # a row the lookup cannot read: the walk refuses it
+                pass
+        self._walk(facts, clash)
         return facts, {t: by_tid[t] for t in deletions}, None
 
     def derive(self, insertions, deletions) -> "Instance":
@@ -324,16 +324,6 @@ class Instance:
     def effective_endogenous(self) -> frozenset[int]:
         # no declared partition means everything may be touched
         return self.endogenous if self.declared else frozenset(self._live())
-
-
-def _check_values(facts) -> None:
-    """Refuse the first fact whose values are not a tuple of strs."""
-    for _, p, values in facts:
-        if not isinstance(values, tuple):  # a str is not read as its characters
-            kind = type(values).__name__
-            raise InputError(f"row {p} gives the {kind} {values!r} for its values")
-        if not all(isinstance(v, str) for v in values):
-            raise InputError(f"row {p}{values!r} has a value that is not a str")
 
 
 # facts are read by position: on Python 3.11 a named-tuple field read is slower
@@ -470,7 +460,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         batch = list(map(tuple.__new__, repeat(Fact),
                          zip(count(len(facts) + 1), repeat(name), body)))
         # a bad batch[i] is on the (i + 2)th nonblank line, counted only then
-        instance._check_facts(batch, {}, lambda i, exc: InputError(f"{name}: {exc}", line=[
+        instance._check_facts(batch, lambda i, exc: InputError(f"{name}: {exc}", line=[
             k for k, row in enumerate(csv.reader(io.StringIO(text)), 1) if row][i + 1]),
             [(name, body)])
         facts += batch

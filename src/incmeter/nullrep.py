@@ -88,13 +88,12 @@ def min_null_changes(instance: Instance, constraints: ConstraintSet,
     return NullRepairSolution(exact.min_hitting_set(hg, node_budget).deleted, _atv(instance))
 
 
-def minimal_null_repairs(instance: Instance, constraints: ConstraintSet,
-                         cell_limit=CELL_LIMIT):
+def minimal_null_repairs(instance: Instance, constraints: ConstraintSet):
     """All minimal blanking sets (diagnostic counterpart of repair enumeration)."""
     edges, irreparable = cell_conflicts(instance, constraints)
     if irreparable:
         return ()
-    return exact.enumerate_minimal_hitting_sets(edges, cell_limit)
+    return exact.enumerate_minimal_hitting_sets(edges, CELL_LIMIT)
 
 
 def _atv(instance: Instance) -> int:

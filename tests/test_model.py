@@ -321,7 +321,7 @@ def _reference_load(csv_sources, schema, endogenous_tids=None):
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
         body = [tuple(r) for r in rows[1:] if r]
         batch = [Fact(tid, name, values) for tid, values in enumerate(body, len(facts) + 1)]
-        instance._check_facts(batch, {}, lambda i, exc: InputError(
+        instance._check_facts(batch, lambda i, exc: InputError(
             f"{name}: {exc}", line=[k for k, row in enumerate(rows, 1) if row][i + 1]))
         facts += batch
     instance.__dict__.update(endogenous=frozenset(map(int, endogenous_tids or ())))
@@ -530,6 +530,36 @@ def test_an_instance_checks_values_as_a_delta_does(facts, message):
     if not isinstance(facts[-1].values, list):
         with pytest.raises(InputError) as info:
             Instance(schema, ()).check_delta([f[1:] for f in facts], [])
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("facts, rows, message", [
+    pytest.param((Fact(1, "p", 5), Fact(1, "p", ("a",))), None,
+                 "row p gives the int 5 for its values", id="int-values-then-repeated-tid"),
+    pytest.param((Fact(1, "q", ["a", "b"]), Fact(1, "q", ("c", "d"))), None,
+                 "row q gives the list ['a', 'b'] for its values",
+                 id="list-values-then-repeated-tid"),
+    pytest.param((Fact(1, "p", ("a", None)), Fact(1, "p", ("b",))),
+                 [("p", ("a", None)), ("p", ("b",)), ("p", ("b",))],
+                 "row p('a', None) has a value that is not a str",
+                 id="none-in-wrong-arity-then-duplicate"),
+    pytest.param((Fact(1, ["p"], ("a",)),), [(["p"], ("a",))],
+                 "unknown predicate ['p']", id="list-predicate"),
+    pytest.param((Fact(2, "p", (5,)), Fact(1, "p", ("a", "b"))),
+                 [("p", ("a", "b")), ("p", (5,))],
+                 "fact p[1](a, b) has 2 values, p expects 1", id="arity-then-value"),
+])
+def test_the_first_bad_row_in_tid_order_is_named_whatever_its_kind(facts, rows, message):
+    """Instance(...) and a delta refuse the first bad row in tid order, as
+    the loader does; rows is the delta, None where a delta cannot hold the
+    input: its tids are fresh and a listed row is read as a tuple."""
+    schema = parse_schema("p(A)\nq(A, B)\n")
+    with pytest.raises(InputError) as info:
+        Instance(schema, facts)
+    assert str(info.value) == message
+    if rows is not None:
+        with pytest.raises(InputError) as info:
+            Instance(schema, ()).check_delta(rows, [])
         assert str(info.value) == message
 
 

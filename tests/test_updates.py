@@ -1082,8 +1082,8 @@ def test_a_chain_of_scan_shaped_deltas_matches_a_rebuild(monkeypatch):
 
 def _count_checks(monkeypatch):
     calls = []
-    check = Instance._check_facts
-    monkeypatch.setattr(Instance, "_check_facts",
+    check = Instance._walk
+    monkeypatch.setattr(Instance, "_walk",
                         lambda self, *args: calls.append(1) or check(self, *args))
     return calls
 
