@@ -101,14 +101,15 @@ def emit_repair_program(instance: Instance, constraints: ConstraintSet,
 
     # the distinct values that may need quotes, found in one pass over their
     # lines; a value that holds a newline spans lines, so it is taken whole
-    values = set(chain.from_iterable(map(itemgetter(2), instance.facts)))
+    rows = list(instance._rows())
+    values = set(chain.from_iterable(map(itemgetter(2), rows)))
     lines = "\n".join(values)
     odd = values.intersection(_NOT_BARE_LINE_RE.findall(lines))
     if lines.count("\n") >= len(values):
         odd.update(v for v in values if "\n" in v)
     text = {v: _render_value(v, maxint) for v in odd}
     facts = tuple(f"{p}({tid},{','.join(map(text.get, vs, vs) if text else vs)})."
-                  for tid, p, vs in instance.facts)
+                  for tid, p, vs in rows)
 
     rules = []
     for dc in constraints:

@@ -20,6 +20,10 @@ assignment keeps its image.  So images, and nullrep's cell sets, are taken
 with interchangeable atoms matched in ascending tid order, or, under a seed,
 with one atom of each class seeded.
 
+A full build reads an FD-shaped constraint (_fd_shape) from its key groups,
+as Livshits, Kimelfeld and Roy (PODS 2018) do: the pairs of facts whose
+dependent values differ in each bucket of the table on the determinant positions.
+
 Facts and constants never hold the reserved blank placeholder: the model
 refuses it in every fact and every constraint, so values join, match and
 compare as plain strings.
@@ -28,6 +32,7 @@ compare as plain strings.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from functools import lru_cache
 
 from .errors import InputError
@@ -90,6 +95,26 @@ def _classes(constraint: DenialConstraint) -> tuple[tuple[int, ...], ...]:
         else:
             classes.append([j])
     return tuple(tuple(c) for c in classes if len(c) > 1)
+
+
+@lru_cache(maxsize=256)
+def _fd_shape(constraint: DenialConstraint):
+    """(determinant positions, dependent position) if the constraint has the
+    shape of an FD, however it was written, else None: two atoms of one
+    predicate over variables only, each variable either shared by both atoms
+    at one position (a determinant) or used once, and one comparison, a `!=`
+    between the two variables of one position."""
+    atoms, comparisons = constraint.atoms, constraint.comparisons
+    if len(atoms) != 2 or len(comparisons) != 1 or atoms[0].predicate != atoms[1].predicate:
+        return None
+    (c,) = comparisons
+    pairs = list(zip(atoms[0].terms, atoms[1].terms))
+    uses = Counter(t for pair in pairs for t in pair)
+    if c.op != "!=" or not all(isinstance(s, Var) and isinstance(t, Var)
+                               and uses[s] == uses[t] == 1 + (s == t) for s, t in pairs):
+        return None
+    dep = [p for p, (s, t) in enumerate(pairs) if s != t and {s, t} == {c.left, c.right}]
+    return (tuple(p for p, (s, t) in enumerate(pairs) if s == t), *dep) if dep else None
 
 
 @lru_cache(maxsize=256)
@@ -192,7 +217,8 @@ def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
 
 
 def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set:
-    """The images (tid sets) of the constraint's satisfying assignments.
+    """The images (tid sets) of the constraint's satisfying assignments,
+    read from key buckets for an FD-shaped constraint (_fd_shape).
 
     With inserted facts, which must belong to the indexed instance, only the
     images of the assignments that match one of them, seeding only the atoms
@@ -203,7 +229,15 @@ def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set
     def emit(assignment):
         out.add(frozenset(map(_TID, assignment)))
 
-    if inserted is None:
+    shape = _fd_shape(constraint) if inserted is None else None
+    if shape is not None:
+        positions, d = shape
+        for bucket in index.table(constraint.atoms[0].predicate, positions).values():
+            if len(bucket) > 1:
+                for k, f in enumerate(bucket, 1):
+                    value = f[2][d]
+                    out.update(frozenset((f[0], g[0])) for g in bucket[k:] if g[2][d] != value)
+    elif inserted is None:
         _join(index, constraint, None, True, None, emit)
     else:
         seed = FactIndex(inserted)

@@ -1,10 +1,11 @@
 """Relational model: schemas, facts, denial constraints, parsing, loading.
 
 A database instance is a finite set of facts over a fixed schema, every fact
-carrying an integer tuple id (tid).  Integrity is expressed with denial
-constraints: negated existential conjunctions of relational atoms plus
-built-in comparisons.  Functional dependencies are accepted as sugar and
-expanded into the two-atom denial form.
+carrying an integer tuple id (tid); a loaded row is a plain (tid, predicate,
+values) tuple until Instance.facts or fact() makes it a Fact.  Integrity is
+expressed with denial constraints: negated existential conjunctions of
+relational atoms plus built-in comparisons.  Functional dependencies are
+accepted as sugar and expanded into the two-atom denial form.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ class Instance:
     The versions that derive makes share one tid map and one FactIndex, the
     index built on first use and read by every join over the instance, and
     a read moves them to the version read (see _reroot).  Reads thus write
-    hidden state, which is safe as the package is single-threaded.
+    hidden state, which is safe as the package is single-threaded.  A loaded
+    row stays a plain tuple in the map, read by position; facts and fact()
+    build Facts when read.
     """
 
     schema: Schema
@@ -154,14 +157,14 @@ class Instance:
         except TypeError:  # e.g. tid None next to 1: the walk rejects the first non-int
             ordered = [f for f in self.facts if not isinstance(f.tid, int)]
         self._walk(ordered, {})
-        self._index(dict(zip(map(_TID, ordered), ordered)))
+        self._index(dict(zip(map(_TID, ordered), ordered))).__dict__["facts"] = tuple(ordered)
 
     def _index(self, by_tid) -> "Instance":
-        """Set facts, tids and the tid map from by_tid, checked facts in tid order."""
+        """Set tids and the tid map from by_tid, checked rows in tid order."""
         stray = self.endogenous.difference(by_tid)
         if stray:
             raise InputError(f"endogenous tids not present in instance: {sorted(stray)}")
-        self.__dict__.update(facts=tuple(by_tid.values()), tids=tuple(by_tid), _by_tid=by_tid,
+        self.__dict__.update(tids=tuple(by_tid), _by_tid=by_tid,
                              _fact_index=None, _link=None, _n=len(by_tid),
                              _top=next(reversed(by_tid), 0),
                              declared=self.declared or bool(self.endogenous))
@@ -173,32 +176,39 @@ class Instance:
     def __reduce__(self):  # the value alone, not the index or the versions its link reaches
         return Instance, (self.schema, self.facts, self.endogenous, self.declared)
 
-    def __getattr__(self, name):  # a derived instance sorts its facts and tids on first read
-        if name not in ("facts", "tids"):
+    def __getattr__(self, name):  # facts, and a derived instance's tids, built on first read
+        if name == "facts":
+            value = tuple(map(Fact._make, self._rows()))
+        elif name == "tids":
+            value = tuple(sorted(self._live()))
+        else:
             raise AttributeError(name)
-        facts = tuple(sorted(self._live().values(), key=_TID))
-        self.__dict__.update(facts=facts, tids=tuple(map(_TID, facts)))
-        return self.__dict__[name]
+        self.__dict__[name] = value
+        return value
 
     def _live(self) -> dict:
         """The tid map, moved here with the fact index from the version that holds them."""
         _reroot(self, _shift, "_by_tid", "_fact_index")
         return self._by_tid
 
+    def _rows(self):
+        """The rows of this version in tid order, each a Fact or its plain tuple."""
+        return map(self._live().__getitem__, self.tids)
+
     def _live_index(self) -> "FactIndex":
         """The fact index of this version, moved here with the tid map."""
         self._live()
         if self._fact_index is None:
-            self.__dict__["_fact_index"] = FactIndex(self.facts)
+            self.__dict__["_fact_index"] = FactIndex(self._rows())
         return self._fact_index
 
     def _check_facts(self, facts, where=None, runs=None) -> None:
-        """Check the loaded rows of facts, whose tids are distinct and positive,
-        whose values are tuples of strs and whose predicates each make one run.
-        A row must have its predicate's arity, hold no NULL and be new.  Each
-        run is checked as a whole; if one fails, _walk names the first bad
-        fact.  runs, if given, are the runs as (predicate, list of value
-        tuples) pairs, in the order of facts."""
+        """Check the loaded rows of facts, (tid, predicate, values) tuples whose
+        tids are distinct and positive, whose values are tuples of strs and
+        whose predicates each make one run.  A row must have its predicate's
+        arity, hold no NULL and be new.  Each run is checked as a whole; if
+        one fails, _walk names the first bad fact.  runs, if given, are the
+        runs as (predicate, list of value tuples) pairs, in the order of facts."""
         arity = self.schema._arity
         if runs is None:
             runs = ((name, list(map(itemgetter(2), run)))
@@ -206,7 +216,7 @@ class Instance:
         for name, values in runs:
             if (len(set(values)) < len(values) or not set(map(len, values)) <= {arity.get(name)}
                     or not {NULL}.isdisjoint(chain.from_iterable(values))):
-                self._walk(facts, {}, where)
+                self._walk(list(map(Fact._make, facts)), {}, where)
 
     def _walk(self, facts, rows, where=None) -> None:
         """Check facts one at a time against rows, a map from each predicate to
@@ -262,12 +272,14 @@ class Instance:
         links to it, else None.  With the child, the first two are read from
         the link, an O(delta) comparison, and the tid map stays where it is.
         Any other delta is checked in full."""
-        facts = [Fact(tid, p, values if isinstance(values, str) else tuple(values))
+        # values that are one str or no sequence are kept for the walk to refuse
+        facts = [Fact(tid, p, values if isinstance(values, str) or not hasattr(values, "__iter__")
+                      else tuple(values))
                  for tid, (p, values) in enumerate(insertions, self._top + 1)]
         link = self._link
         if (link is not None and link[2] == facts and len(link[1]) == len(deletions)
-                and all(f.tid in deletions for f in link[1])):
-            return facts, {f.tid: f for f in link[1]}, link[0]
+                and all(f[0] in deletions for f in link[1])):
+            return facts, {f[0]: f for f in link[1]}, link[0]
         index = self._live_index()
         by_tid, arity = self._by_tid, self.schema._arity
         missing = set(deletions).difference(by_tid)
@@ -302,7 +314,7 @@ class Instance:
         # deriving this delta again moves the tid map back here, to make a sibling
         by_tid, index, top = self._live(), self._fact_index, self._top
         _shift(by_tid, index, gone.values(), facts)
-        top = facts[-1].tid if facts else top if top in by_tid else max(by_tid, default=0)
+        top = facts[-1][0] if facts else top if top in by_tid else max(by_tid, default=0)
         # _delta checked the inserted rows, so __init__ and its full check are skipped
         child = object.__new__(Instance)
         child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(gone),
@@ -317,7 +329,7 @@ class Instance:
 
     def fact(self, tid: int) -> Fact:
         try:
-            return self._live()[tid]
+            return Fact._make(self._live()[tid])
         except KeyError:
             raise InputError(f"no fact with tid {tid}") from None
 
@@ -396,20 +408,20 @@ def _reroot(version, shift, *names) -> None:
 
 
 def _shift(by_tid, index, gone, added) -> None:
-    """Take the facts gone out of a tid map and its FactIndex, None if not
+    """Take the rows gone out of a tid map and its FactIndex, None if not
     built, then put added in.  A fact is found in each bucket by bisection
     and put in at its place, so the buckets stay in tid order when a delta
     is undone and the facts it deleted come back below the top tid."""
     for f in gone:
-        del by_tid[f.tid]
+        del by_tid[f[0]]
         for table, key in index._keyed[f[1]] if index is not None else ():
             k = key(f[2])
             facts = table[k]
-            del facts[bisect_left(facts, f.tid, key=_TID)]
+            del facts[bisect_left(facts, f[0], key=_TID)]
             if not facts:
                 del table[k]
     for f in added:
-        by_tid[f.tid] = f
+        by_tid[f[0]] = f
         if index is not None:
             index.table(f[1], ())  # the table every fact is in, made for a new predicate
             for table, key in index._keyed[f[1]]:
@@ -432,7 +444,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     # every row is checked here, so __init__ and its second check are skipped
     instance = object.__new__(Instance)
     instance.__dict__.update(schema=schema)
-    facts: list[Fact] = []
+    facts: list[tuple] = []
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
             continue
@@ -456,9 +468,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         if header != pred.attributes:
             raise InputError(
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
-        # Facts from (tid, predicate, values) triples, without the frame of Fact._make
-        batch = list(map(tuple.__new__, repeat(Fact),
-                         zip(count(len(facts) + 1), repeat(name), body)))
+        batch = list(zip(count(len(facts) + 1), repeat(name), body))
         # a bad batch[i] is on the (i + 2)th nonblank line, counted only then
         instance._check_facts(batch, lambda i, exc: InputError(f"{name}: {exc}", line=[
             k for k, row in enumerate(csv.reader(io.StringIO(text)), 1) if row][i + 1]),

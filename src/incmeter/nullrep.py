@@ -97,7 +97,7 @@ def minimal_null_repairs(instance: Instance, constraints: ConstraintSet):
 
 
 def _atv(instance: Instance) -> int:
-    return sum(len(f.values) for f in instance.facts)
+    return sum(len(row[2]) for row in instance._live().values())
 
 
 def inc_deg_g3_null(instance: Instance, constraints: ConstraintSet,

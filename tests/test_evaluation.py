@@ -19,6 +19,7 @@ from incmeter.evaluation import FactIndex, compare_values, images
 from incmeter.model import (Atom, Comparison, Const, DenialConstraint, Fact, Instance, Var,
                             parse_constraints, parse_schema)
 
+from conftest import fd_key_groups
 from oracles import brute_force, consistent
 
 SCHEMA = parse_schema("r(A, B)\ns(A)\nt(A, B, C)\n")
@@ -366,3 +367,74 @@ def test_a_join_leaves_no_cycle_for_the_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- FD-shaped constraints, read from key buckets ----------------------------
+
+FD_SHAPED = parse_constraints(
+    "fd two : t : A, C -> B\n"
+    "dc swapped : !exists t(x, y, z), t(x, w, v), w != y\n", SCHEMA)
+
+NEAR_MISSES = parse_constraints(
+    'dc constant : !exists t(x, y, "2"), t(x, w, v), y != w\n'
+    "dc repeated : !exists t(x, y, x), t(x, w, v), y != w\n"
+    "dc order : !exists t(x, y, z), t(x, w, v), y < w\n"
+    "dc extra : !exists t(x, y, z), t(x, w, v), y != w, z != v\n"
+    "dc third : !exists t(x, y, z), t(x, w, v), t(x, a, b), y != w\n"
+    "dc crossed : !exists t(x, y, z), t(y, w, v), z != v\n"
+    "dc two_predicates : !exists r(x, y), t(x, w, v), y != w\n", SCHEMA)
+
+
+def _generic_images(index, dc):
+    """The images of the ordered join plan, which every other constraint takes."""
+    out = set()
+    evaluation._join(index, dc, None, True, None, lambda a: out.add(frozenset(f[0] for f in a)))
+    return out
+
+
+def _chain_instance(n):
+    """rel(A, B, C) under A -> B and B -> C: n distinct rows over n/4 A values,
+    n/10 B values and 3 C values."""
+    rng = random.Random(n)
+    schema = parse_schema("rel(A, B, C)\n")
+    cs = parse_constraints("fd ab : rel : A -> B\nfd bc : rel : B -> C\n", schema)
+    rows = set()
+    while len(rows) < n:
+        rows.add((f"a{rng.randrange(n // 4)}", f"b{rng.randrange(n // 10)}",
+                  f"c{rng.randrange(3)}"))
+    return cs, Instance(schema, tuple(Fact(i, "rel", r) for i, r in enumerate(sorted(rows), 1)))
+
+
+def test_fd_shapes_are_read_from_the_constraint():
+    shapes = {dc.name: evaluation._fd_shape(dc)
+              for dc in (*CONSTRAINTS, *SHAPED, *FD_SHAPED, *NEAR_MISSES)}
+    assert {name: shape for name, shape in shapes.items() if shape} == {
+        "key": ((0,), 1), "key2": ((0, 1), 2), "two": ((0, 2), 1), "swapped": ((0,), 1)}
+
+
+def test_fd_images_come_from_key_buckets_and_match_the_join(corpus, monkeypatch):
+    joined = []
+    join = evaluation._join
+    monkeypatch.setattr(evaluation, "_join", lambda *args: joined.append(args[1]) or join(*args))
+    # small instances: the FD path, the join and the brute-force oracle agree
+    small = [(item.constraints, item.instance) for item in corpus]
+    small += [((*CONSTRAINTS, *SHAPED, *FD_SHAPED, *NEAR_MISSES), Instance(SCHEMA, facts))
+              for _, facts in cases(71, 150)]
+    small += [fd_key_groups(random.Random(n), n)[:2] for n in (8, 20, 40)]
+    small.append(_chain_instance(40))
+    large = [fd_key_groups(random.Random(n), n)[:2] for n in (400, 2000)]
+    large.append(_chain_instance(600))
+    fd_pairs = 0
+    for constraints, instance in small + large:
+        index = instance._live_index()
+        for dc in constraints:
+            joined.clear()
+            got = images(index, dc)
+            # an FD-shaped constraint joins nothing; any other takes the ordered plan once
+            assert joined == ([] if evaluation._fd_shape(dc) else [dc]), dc
+            assert got == _generic_images(index, dc), dc
+            if len(instance) <= 40:
+                want = {frozenset(f.tid for f in a) for a in brute_force(instance.facts, dc)}
+                assert got == want, dc
+            fd_pairs += len(got) if evaluation._fd_shape(dc) else 0
+    assert fd_pairs > 5000

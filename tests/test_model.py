@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import itertools
@@ -11,14 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from incmeter import evaluation, model
+from incmeter import evaluation, model, nullrep
+from incmeter.aspgen import emit_repair_program
+from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
 from incmeter.model import (NULL, Atom, Comparison, Const, ConstraintSet,
                             DenialConstraint, Fact, Instance, Predicate, Var,
                             load_instance, parse_constraints, parse_schema)
+from incmeter.measures import inc_deg_g3
+from incmeter.updates import UpdateDelta, apply_update
 
 from oracles import consistent, restrict
+from test_cli_golden import BUNDLES
 
 
 def test_parse_schema_basics():
@@ -448,6 +454,77 @@ def test_loading_building_and_deriving_give_one_instance(corpus):
         assert derived == Instance(schema, facts)
         assert derived.tids == loaded.tids
         assert [derived.fact(t) for t in derived.tids] == list(loaded.facts)
+
+
+def _loaded_bundles(corpus):
+    """(schema, constraints, csv sources, endogenous tids) of the corpus and
+    of the golden CLI bundles."""
+    for item in corpus:
+        yield item.instance.schema, item.constraints, _csv_sources(item.instance), []
+    for schema, constraints, sources, endogenous, *_ in BUNDLES.values():
+        schema = parse_schema(schema)
+        yield schema, parse_constraints(constraints, schema), sources, endogenous.split()
+
+
+def test_a_loaded_instance_reads_as_before(corpus):
+    """A loaded instance keeps plain rows, yet reads as the frozen loader's
+    instance of Facts; no path of the package builds its facts."""
+    for schema, constraints, sources, endogenous in _loaded_bundles(corpus):
+        inst = load_instance(sources, schema, endogenous)
+        ref = _reference_load(sources, schema, endogenous)
+        build_hypergraph(inst, constraints)
+        inc_deg_g3(inst, constraints)
+        emit_repair_program(inst, constraints)
+        nullrep._atv(inst)
+        assert "facts" not in inst.__dict__
+        assert [(inst.fact(t).tid, inst.fact(t).predicate, inst.fact(t).values)
+                for t in inst.tids] == list(ref.facts)
+        assert inst.facts == ref.facts and all(type(f) is Fact for f in inst.facts)
+        assert (inst.tids, inst.endogenous, inst.declared) == \
+            (ref.tids, ref.endogenous, ref.declared)
+        assert inst == ref and hash(inst) == hash(ref)
+        for again in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert again == ref and again.facts == ref.facts
+
+
+def test_each_version_of_a_derive_chain_rereads_its_facts(corpus):
+    rng = random.Random(11)
+    for item in corpus[:100]:
+        inst = load_instance(_csv_sources(item.instance), item.instance.schema)
+        versions, expected = [inst], [list(item.instance.facts)]
+        for k in range(6):
+            facts = expected[-1]
+            gone = set(rng.sample([f.tid for f in facts], min(len(facts), rng.randint(0, 2))))
+            top = max((f.tid for f in facts), default=0)
+            versions.append(versions[-1].derive([("s", (f"v{k}",))], gone))
+            expected.append([f for f in facts if f.tid not in gone]
+                            + [Fact(top + 1, "s", (f"v{k}",))])
+        order = list(range(len(versions)))
+        rng.shuffle(order)
+        for i in order + order[::-1]:  # each read moves the tid map to the version read
+            assert [versions[i].fact(t) for t in versions[i].tids] == expected[i]
+            assert all(type(versions[i].fact(t)) is Fact for t in versions[i].tids)
+        for i in order:
+            assert list(versions[i].facts) == expected[i]
+            assert all(type(f) is Fact for f in versions[i].facts)
+
+
+@pytest.mark.parametrize("apply", [
+    lambda inst, rows: inst.check_delta(rows, []),
+    lambda inst, rows: inst.derive(rows, []),
+    lambda inst, rows: apply_update(inst, UpdateDelta(tuple(rows), frozenset())),
+], ids=["check_delta", "derive", "apply_update"])
+@pytest.mark.parametrize("values, kind", [
+    (5, "int 5"), (None, "NoneType None"), (2.5, "float 2.5")])
+def test_delta_values_that_are_no_sequence_are_refused_as_input(apply, values, kind):
+    schema = parse_schema("p(A)\n")
+    message = f"row p gives the {kind} for its values"
+    with pytest.raises(InputError) as info:
+        Instance(schema, (Fact(1, "p", values),))
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        apply(load_instance({"p": "A\na\n"}, schema), [("p", ("b",)), ("p", values)])
+    assert str(info.value) == message
 
 
 def test_a_fact_is_an_immutable_named_tuple():
