@@ -10,7 +10,7 @@ logic programs whose optimal answer sets are the minimum repairs.
 from .approx import (FractionalCover, local_ratio_hitting_set, lp_fractional_cover,
                      randomized_rounding_hitting_set)
 from .aspgen import AspProgram, emit_repair_program, run_brave_distances, run_external_solver
-from .conflicts import (ConflictHypergraph, Hyperedge, build_hypergraph,
+from .conflicts import (ConflictHypergraph, Hyperedge, assemble, build_hypergraph,
                         hypergraph_from_edges, vertex_degrees)
 from .errors import (IncMeterError, InputError, ResourceLimitError,
                      SolverUnavailableError)

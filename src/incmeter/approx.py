@@ -151,27 +151,32 @@ def randomized_rounding_hitting_set(hg: ConflictHypergraph, eps=Fraction(1, 10),
                                     seed=0, reps=5, cover=None) -> RepairSolution:
     """Round the fractional cover by threshold reps times; keep the smallest.
 
-    Try r keeps {v : d * w_v >= alpha} for a uniform alpha = p / q in (0, 1]
-    seeded from (seed, r), exactly, as d * a * q >= p * b for w_v = a / b; an
-    edge a caller's cover leaves unhit is taken whole; then _prune, once for
-    each distinct sample, in the order of the first try that draws it.
+    Try r keeps a sample (see _sample).  Once for each distinct sample, in
+    the order of the first try that draws it, an edge a caller's cover
+    leaves unhit is taken whole, then _prune.
     """
     if reps < 1:
         raise InputError("reps must be at least 1")
     if cover is None:
         cover = lp_fractional_cover(hg, eps)
-    d = hg.d
     ratios = [(t, *w.as_integer_ratio()) for t, w in cover.weights.items()]
 
-    pruned = {}  # each distinct sample's answer, keyed before the repair pass extends it
+    pruned = {}  # each distinct sample's answer
     for r in range(reps):
-        p, q = (1.0 - random.Random(1_000_003 * int(seed) + r).random()).as_integer_ratio()
-        sample = {t for t, a, b in ratios if d * a * q >= p * b}
-        key, cover = frozenset(sample), _take_whole_edges(hg.solving_edges, sample)
-        if key not in pruned:
-            pruned[key] = _prune(hg.solving_edges, cover)
+        sample = _sample(ratios, hg.d, seed, r)
+        if sample not in pruned:
+            pruned[sample] = _prune(hg.solving_edges,
+                                    _take_whole_edges(hg.solving_edges, set(sample)))
     best = min(pruned.values(), key=len)
     return RepairSolution(frozenset(best), hg.size - len(best), "randomized", False)
+
+
+def _sample(ratios, d, seed, r):
+    """Try r's sample {v : d * w_v >= alpha} for a uniform alpha = p / q in
+    (0, 1] seeded from (seed, r), exactly, as d * a * q >= p * b for each
+    (v, a, b) in ratios, w_v = a / b."""
+    p, q = (1.0 - random.Random(1_000_003 * int(seed) + r).random()).as_integer_ratio()
+    return frozenset(t for t, a, b in ratios if d * a * q >= p * b)
 
 
 def _prune(edges, cover):

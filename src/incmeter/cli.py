@@ -295,11 +295,11 @@ def _cmd_alt_measures(args, constraints, instance):
 
 def _cmd_conflicts(args, constraints, instance):
     hg = build_hypergraph(instance, constraints)
-    degrees = vertex_degrees(hg)
+    degrees = vertex_degrees(hg)  # every vertex, in sorted order
     payload = {
         "command": "conflicts",
         "consistent": hg.is_consistent,
-        "vertices": sorted(hg.vertices),
+        "vertices": list(degrees),
         "edges": [{"constraint": e.constraint, "tids": sorted(e.tids)}
                   for e in hg.edges],
         "solving_edges": list(map(sorted, hg.solving_edges)),
@@ -307,7 +307,11 @@ def _cmd_conflicts(args, constraints, instance):
         "max_degree": max(degrees.values(), default=0),
         "degrees": dict(zip(map(str, degrees), degrees.values())),
     }
-    return payload, hg.dump_lines()
+    return payload, _dump_lines(hg)
+
+
+def _dump_lines(hg):  # lazy, so that only --format text builds the lines
+    yield from hg.dump_lines()
 
 
 def _cmd_update(args, constraints, instance):

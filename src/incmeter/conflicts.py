@@ -11,6 +11,11 @@ repair must do, so minimum hitting sets of the solving edges are the object
 every measure in this package is built on; an exact solve records them as
 each component's Optimum (cover, nodes) and each hypergraph version's Answer
 (size, nodes, replaced, parts).
+
+A build keeps each constraint's minimal images as plain tid sets.  The
+solving edges are their antichain, which one constraint's sets already are,
+sorted once in canonical order, and split into components in one
+union-find pass.  The labeled edges are built from the sets only when read.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Component(tuple):
     def index(self) -> tuple[list, list[int]]:
         universe = sorted(set().union(*self))
         bit = {u: 1 << i for i, u in enumerate(universe)}
-        return universe, sorted({sum(bit[u] for u in e) for e in self})
+        return universe, sorted({sum(map(bit.__getitem__, e)) for e in self})
 
 
 class Answer(NamedTuple):
@@ -75,6 +80,10 @@ class ConflictHypergraph:
 
     edges keeps one entry per (constraint, tid set) pair.  With vertices,
     these are the fields: the hypergraph's value, and all equality compares.
+    One that build_hypergraph or hypergraph_from_edges makes keeps instead
+    _sets, each constraint's name and tid sets, and builds its labeled edges
+    from them on first read; only the conflicts command, equality, hashing,
+    pickling and the first derive read them.
 
     solving_edges, the antichain of the edges' tid sets across constraints
     (a set that hits it hits every edge), d, the largest solving edge size
@@ -95,13 +104,19 @@ class ConflictHypergraph:
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
-    _lookups = _link = _instance = _answer = None  # not fields: no annotation
+    _lookups = _link = _instance = _answer = _sets = None  # not fields: no annotation
+    _minimal = False  # whether _sets is one constraint's antichain, as built
 
-    def __getattr__(self, name):  # a derived version builds its vertex set on first read
-        if name != "vertices" or self._instance is None:
+    def __getattr__(self, name):  # labeled edges or a derived version's vertex set, on first read
+        if name == "edges" and self._sets is not None:
+            value = tuple(Hyperedge(s, label) for label, sets in self._sets
+                          for s in sorted(sets, key=_canonical))
+        elif name == "vertices" and self._instance is not None:
+            value = frozenset(self._instance._live())
+        else:
             raise AttributeError(name)
-        vertices = self.__dict__["vertices"] = frozenset(self._instance._live())
-        return vertices
+        self.__dict__[name] = value
+        return value
 
     def __copy__(self):  # a copy of the version that holds the maps would share them
         return self
@@ -111,11 +126,17 @@ class ConflictHypergraph:
 
     @property
     def is_consistent(self) -> bool:
-        return not self.edges
+        return not self.solving_edges
 
     @cached_property
     def solving_edges(self) -> tuple[frozenset[int], ...]:
-        return tuple(sorted(antichain(e.tids for e in self.edges), key=_canonical))
+        if self._sets is None:  # given labeled edges: by assemble, a copy or a derive
+            sets = antichain(e.tids for e in self.edges)
+        elif self._minimal:
+            sets = self._sets[0][1]
+        else:
+            sets = antichain(chain.from_iterable(sets for _, sets in self._sets))
+        return tuple(sorted(sets, key=_canonical))
 
     @cached_property
     def size(self) -> int:
@@ -165,27 +186,38 @@ def antichain(sets) -> list:
 
 def split(edges) -> list[Component]:
     """The connected components of a sequence of distinct edges, in order of
-    smallest element; each keeps its edges in their given order."""
-    incident = {}
-    for i, e in enumerate(edges):
+    smallest element; each keeps its edges in their given order.
+
+    One union-find pass: each element maps to the member list of its
+    component, headed by its smallest member.  An edge merges the lists of
+    its elements, the shorter into the longer, whose members it relabels,
+    so an element is relabeled at most log2(n) times.  A second pass files
+    each edge under the head of its list.
+    """
+    members = {}
+    for e in edges:
+        big = None
         for v in e:
-            incident.setdefault(v, []).append(i)
-    seen = set()
-    components = []
-    for v in sorted(incident):
-        if v in seen:
-            continue
-        seen.add(v)
-        stack, component = [v], set()
-        while stack:
-            for i in incident[stack.pop()]:
-                if i not in component:
-                    component.add(i)
-                    fresh = edges[i] - seen
-                    seen |= fresh
-                    stack.extend(fresh)
-        components.append(Component([edges[i] for i in sorted(component)]))
-    return components
+            m = members.get(v)
+            if m is None:
+                m = members[v] = [v]
+            if big is None:
+                big = m
+            elif m is not big:
+                if len(m) > len(big):
+                    big, m = m, big
+                big += m
+                for u in m:
+                    members[u] = big
+                if m[0] < big[0]:  # the smaller head leads the merged list
+                    at = len(big) - len(m)
+                    big[0], big[at] = big[at], big[0]
+    groups = {}
+    for e in edges:
+        for v in e:  # any element names the component
+            break
+        groups.setdefault(members[v][0], []).append(e)
+    return [Component(groups[head]) for head in sorted(groups)]
 
 
 def constraint_edges(index, dc: DenialConstraint, inserted=None) -> list[Hyperedge]:
@@ -224,12 +256,19 @@ def _first(component):
 
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
-    """Enumerate all minimal violation sets of the instance."""
+    """Enumerate all minimal violation sets of the instance: each constraint's
+    antichain of images (see constraint_edges), kept unlabeled."""
     index = instance._live_index()
-    hyperedges = []
-    for dc in constraints:
-        hyperedges += constraint_edges(index, dc)
-    return assemble(instance.tids, hyperedges, [c.name for c in constraints])
+    sets = tuple((dc.name, antichain(evaluation.images(index, dc))) for dc in constraints)
+    return _built(instance.tids, sets, len(sets) == 1)
+
+
+def _built(vertices, sets, minimal) -> ConflictHypergraph:
+    """The hypergraph of sets, (constraint name, tid sets) pairs in constraint
+    order; minimal says the pairs are one, whose sets are an antichain."""
+    hg = object.__new__(ConflictHypergraph)  # its labeled edges are built on first read
+    hg.__dict__.update(vertices=frozenset(vertices), _sets=sets, _minimal=minimal)
+    return hg
 
 
 def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
@@ -338,17 +377,18 @@ def _splice(items, drop, add, key):
 
 
 def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
-    """Build a hypergraph directly from tid sets (synthetic/benchmark input)."""
+    """Build a hypergraph directly from tid sets (synthetic/benchmark input).
+    The sets are only deduplicated: a superset edge stays among its edges."""
     vertices = frozenset(vertices)
-    sets = []
+    sets = set()
     for e in edge_sets:
         s = frozenset(e)
         if not s:
             raise InputError("empty edge")
         if not s <= vertices:
             raise InputError(f"edge {sorted(s)} not within vertex set")
-        sets.append(Hyperedge(s, "synthetic"))
-    return assemble(vertices, sets, ["synthetic"])
+        sets.add(s)
+    return _built(vertices, (("synthetic", sets),), False)
 
 
 def vertex_degrees(hg: ConflictHypergraph) -> dict[int, int]:

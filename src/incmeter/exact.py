@@ -6,10 +6,12 @@ component, taken in order of its smallest element, gets its own
 branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
 descending degree order, prune with a greedy disjoint-edge packing lower
 bound.  A node makes one pass over the edges for both its pick and its
-bound.  The tree is searched depth first from an explicit stack, so its
-depth has no recursion limit.  With edge sizes bounded by d a tree has at
-most d^k nodes for a component answer of size k, and the answer is the union
-of the component answers.  One node budget counts the nodes of all trees
+bound.  Each edge's bit list is computed once per tree, and the degree
+count, the greedy incumbent and the branching all read it.  The tree is
+searched depth first from an explicit stack, so its depth has no recursion
+limit.  With edge sizes bounded by d a tree has at most d^k nodes for a
+component answer of size k, and the answer is the union of the component
+answers.  One node budget counts the nodes of all trees
 together, so pathological inputs end in a clean error instead of a silent
 timeout or a wrong answer; the error brackets the whole optimum by the exact
 sizes of the solved components and [packing, incumbent] of the rest.  A
@@ -112,11 +114,12 @@ def _solve(components, node_budget):
 def _branch_and_bound(masks, n, budget):
     """Smallest cover of masks over n bits and the search nodes it took; past
     budget nodes, a ResourceLimitError brackets this component's optimum."""
+    bits = {m: _bits(m) for m in masks}
     degree = [0] * n
-    for m in masks:
-        for b in _bits(m):
+    for ones in bits.values():
+        for b in ones:
             degree[b] += 1
-    best = _incumbent(masks)
+    best = _incumbent(masks, bits)
     best_size = best.bit_count()
     nodes = 0
     stack = [(0, 0)]
@@ -135,14 +138,14 @@ def _branch_and_bound(masks, n, budget):
         elif size + packed < best_size:
             # branch order inside an edge: highest degree first, lower index on
             # ties; pushed last to first, so the first child is searched first
-            for b in reversed(sorted(_bits(pick), key=lambda b: -degree[b])):
+            for b in reversed(sorted(bits[pick], key=lambda b: -degree[b])):
                 stack.append((cover | (1 << b), size + 1))
     return best, nodes
 
 
-def _incumbent(masks):
+def _incumbent(masks, bits=None):
     """The smaller of the greedy and the whole-edge cover; greedy on ties."""
-    return min(_greedy_cover(masks), _take_whole_edges(masks, 0), key=int.bit_count)
+    return min(_greedy_cover(masks, bits), _take_whole_edges(masks, 0), key=int.bit_count)
 
 
 def _scan(masks, cover):
@@ -164,22 +167,27 @@ def _scan(masks, cover):
 
 
 def _bits(mask):
+    """mask's set bits, ascending."""
+    ones = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        ones.append(low.bit_length() - 1)
         mask ^= low
+    return ones
 
 
-def _greedy_cover(masks):
+def _greedy_cover(masks, bits=None):
     """Repeatedly take the vertex hitting the most unhit edges, the lowest on
     ties.  Each vertex's count of unhit edges falls as they get hit; the heap
-    holds every count a vertex has had, and the stale ones are skipped."""
-    counts, edges = {}, {}
-    for m in masks:
-        for b in _bits(m):
-            counts[b] = counts.get(b, 0) + 1
-            edges.setdefault(b, []).append(m)
-    heap = [(-c, b) for b, c in counts.items()]
+    holds every count a vertex has had, and the stale ones are skipped.
+    bits, if given, maps each mask, in order, to its _bits."""
+    bits = bits or {m: _bits(m) for m in masks}
+    edges = [[] for _ in range(max(bits, default=0).bit_length())]
+    for m, ones in bits.items():
+        for b in ones:
+            edges[b].append(m)
+    counts = [len(through) for through in edges]
+    heap = [(-c, b) for b, c in enumerate(counts) if c]
     heapq.heapify(heap)
     cover = 0
     while heap:
@@ -188,7 +196,7 @@ def _greedy_cover(masks):
             cover |= 1 << b
             for m in edges[b]:
                 if m & cover == 1 << b:  # b hits m first
-                    for v in _bits(m):
+                    for v in bits[m]:
                         counts[v] -= 1
                         if v != b and counts[v]:
                             heapq.heappush(heap, (-counts[v], v))

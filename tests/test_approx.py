@@ -327,16 +327,21 @@ def _reference_randomized_rounding(hg, seed, reps, cover):
 
 
 def test_rounding_matches_the_reference_sample(monkeypatch):
-    # each try's sample is recorded as it reaches the repair pass, so the
-    # samples are held to the reference's, not only the pruned answers
+    # each try's sample is recorded as it is drawn, and each of the
+    # reference's as it reaches its repair pass, which it runs once a try, so
+    # the samples are held to the reference's, not only the pruned answers
     samples = []
-    take_whole_edges = approx._take_whole_edges
+    sample, take_whole_edges = approx._sample, approx._take_whole_edges
+
+    def drawn(*args):
+        samples.append(sample(*args))
+        return samples[-1]
 
     def recorded(edges, sample):
         samples.append(frozenset(sample))
         return take_whole_edges(edges, sample)
 
-    monkeypatch.setattr(approx, "_take_whole_edges", recorded)
+    monkeypatch.setattr(approx, "_sample", drawn)
     rng = random.Random(407)
     hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(60))]
     hgs += [hypergraph_from_edges(set().union(*e), e) for e in LENGTH_SCHEME_INPUTS[:40]]
@@ -346,6 +351,7 @@ def test_rounding_matches_the_reference_sample(monkeypatch):
            for hg, cover, seed, reps in runs]
     got_samples = samples[:]
     del samples[:]
+    monkeypatch.setattr(approx, "_take_whole_edges", recorded)
     monkeypatch.setattr(approx, "randomized_rounding_hitting_set", _reference_randomized_rounding)
     want = [approx.randomized_rounding_hitting_set(hg, seed=seed, reps=reps, cover=cover)
             for hg, cover, seed, reps in runs]
@@ -359,12 +365,14 @@ def test_rounding_matches_the_reference_sample(monkeypatch):
 
 
 def test_each_distinct_sample_is_pruned_once(monkeypatch):
-    # tries that draw one sample share its answer: _prune runs once for each
-    # distinct sample, while each try's sample still reaches the repair pass
-    samples, pruned = [], []
-    take_whole_edges, prune = approx._take_whole_edges, approx._prune
-    monkeypatch.setattr(approx, "_take_whole_edges", lambda edges, sample: samples.append(
-        frozenset(sample)) or take_whole_edges(edges, sample))
+    # tries that draw one sample share its answer: the repair pass and _prune
+    # run once for each distinct sample, while each try draws its sample
+    samples, repaired, pruned = [], [], []
+    sample, take_whole_edges, prune = approx._sample, approx._take_whole_edges, approx._prune
+    monkeypatch.setattr(approx, "_sample",
+                        lambda *args: samples.append(sample(*args)) or samples[-1])
+    monkeypatch.setattr(approx, "_take_whole_edges", lambda edges, cover: repaired.append(
+        frozenset(cover)) or take_whole_edges(edges, cover))
     monkeypatch.setattr(approx, "_prune",
                         lambda edges, cover: pruned.append(1) or prune(edges, cover))
     rng = random.Random(408)
@@ -374,11 +382,12 @@ def test_each_distinct_sample_is_pruned_once(monkeypatch):
     for hg in hgs:
         cover = lp_fractional_cover(hg)
         for seed in range(4):
-            del samples[:], pruned[:]
+            del samples[:], repaired[:], pruned[:]
             sol = randomized_rounding_hitting_set(hg, seed=seed, reps=5, cover=cover)
             firsts = list(dict.fromkeys(samples))
             distinct.append(len(firsts))
             assert len(samples) == 5 and len(pruned) == len(firsts)
+            assert repaired == firsts
             assert sol.deleted == _reference_randomized_rounding(hg, seed, 5, cover)
     # both kinds of run are seen: one sample drawn by every try, and several
     assert distinct.count(1) >= 100 and sum(n > 1 for n in distinct) >= 10

@@ -1,17 +1,24 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from incmeter import conflicts
-from incmeter.approx import lp_fractional_cover, randomized_rounding_hitting_set
-from incmeter.conflicts import (antichain, build_hypergraph, hypergraph_from_edges,
-                                vertex_degrees)
+from incmeter import conflicts, evaluation, nullrep
+from incmeter.approx import (local_ratio_hitting_set, lp_fractional_cover,
+                             randomized_rounding_hitting_set)
+from incmeter.conflicts import (Component, ConflictHypergraph, Hyperedge, antichain,
+                                build_hypergraph, hypergraph_from_edges, vertex_degrees)
 from incmeter.errors import InputError
 from incmeter.exact import min_hitting_set
-from incmeter.model import ConstraintSet, load_instance, parse_constraints, parse_schema
+from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
+from incmeter.model import (ConstraintSet, Instance, load_instance, parse_constraints,
+                            parse_schema)
+from incmeter.nullrep import inc_deg_g3_null
 
 from conftest import fd_key_groups, random_bundle
 from oracles import components, consistent, restrict
+from test_cli_golden import BUNDLES
 
 
 def _only(cs, name):
@@ -176,3 +183,171 @@ def test_components_match_an_independent_split(corpus, monkeypatch):
     lp_fractional_cover(hg)
     randomized_rounding_hitting_set(hg)
     assert len(splits) == 1
+
+
+# --- labeled edges built on first read ---------------------------------------
+
+def _reference_edges(instance, constraints):
+    """The labeled edges as they were built eagerly: each constraint's
+    antichain of images, one Hyperedge per set, deduplicated and sorted by
+    constraint order, then by sorted tids.  Kept frozen to hold the lazy
+    build to it."""
+    index = instance._live_index()
+    edges = []
+    for dc in constraints:
+        edges += [Hyperedge(s, dc.name) for s in antichain(evaluation.images(index, dc))]
+    return _reference_assemble(edges, [c.name for c in constraints])
+
+
+def _reference_assemble(edges, constraint_order):
+    order = {name: i for i, name in enumerate(constraint_order)}
+    return tuple(sorted(set(edges), key=lambda e: (order[e.constraint], tuple(sorted(e.tids)))))
+
+
+def _reference_split(edges):
+    """The depth-first split as first written, kept frozen."""
+    incident = {}
+    for i, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(i)
+    seen = set()
+    out = []
+    for v in sorted(incident):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, component = [v], set()
+        while stack:
+            for i in incident[stack.pop()]:
+                if i not in component:
+                    component.add(i)
+                    fresh = edges[i] - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+        out.append([edges[i] for i in sorted(component)])
+    return out
+
+
+def _chain(n):
+    """rel(A, B, C) under A -> B and B -> C: n distinct rows drawn from
+    Random(1), n >= 20."""
+    schema = parse_schema("rel(A, B, C)\n")
+    constraints = parse_constraints("fd ab : rel : A -> B\nfd bc : rel : B -> C\n", schema)
+    rng, rows = random.Random(1), set()
+    while len(rows) < n:
+        rows.add((f"a{rng.randrange(n // 4)}", f"b{rng.randrange(n // 10)}",
+                  f"c{rng.randrange(3)}"))
+    text = "A,B,C\n" + "".join(",".join(r) + "\n" for r in sorted(rows))
+    return constraints, load_instance({"rel": text}, schema)
+
+
+def _bundles():
+    """(constraints, instance) of the four golden bundles."""
+    for schema, constraints, csvs, *_ in BUNDLES.values():
+        schema = parse_schema(schema)
+        yield parse_constraints(constraints, schema), load_instance(csvs, schema)
+
+
+def _assert_lazy_edges_match(hg, want_edges):
+    """hg builds want_edges on first read, and its solving edges are their
+    antichain in canonical order."""
+    assert "edges" not in hg.__dict__
+    solving = tuple(sorted(antichain(e.tids for e in want_edges), key=lambda s: sorted(s)))
+    assert hg.solving_edges == solving
+    assert hg.is_consistent == (not want_edges)
+    assert "edges" not in hg.__dict__
+    assert hg.edges == want_edges
+    assert [list(c) for c in hg.components] == _reference_split(solving)
+
+
+def test_built_edges_match_the_eager_reference(corpus):
+    cases = [(item.constraints, item.instance) for item in corpus]
+    cases += list(_bundles())
+    cases += [fd_key_groups(random.Random(n), n)[:2] for n in (8, 40, 300, 2000)]
+    cases += [_chain(40), _chain(600)]
+    for constraints, instance in cases:
+        want = _reference_edges(instance, constraints)
+        _assert_lazy_edges_match(build_hypergraph(instance, constraints), want)
+        assert conflicts.assemble(instance.tids, want, [c.name for c in constraints]).edges == want
+    # both constraints of the chain conflict, so its edges take the sort by constraint
+    constraints, instance = _chain(40)
+    assert {e.constraint for e in _reference_edges(instance, constraints)} == {"ab", "bc"}
+
+
+def test_edges_from_sets_match_the_eager_reference():
+    rng = random.Random(21)
+    for _ in range(300):
+        sets = [frozenset(rng.sample(range(1, 10), rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 25))]
+        sets += rng.sample(sets, min(len(sets), 5))  # duplicates
+        sets += [s | {rng.randint(1, 12)} for s in sets[:3]]  # supersets
+        vertices = set(range(1, 13))
+        hg = hypergraph_from_edges(vertices, [set(s) for s in sets])
+        want = _reference_assemble([Hyperedge(s, "synthetic") for s in sets], ["synthetic"])
+        _assert_lazy_edges_match(hg, want)
+        minimal = sorted({s for s in sets if not any(o < s for o in sets)}, key=sorted)
+        assert list(hg.solving_edges) == minimal
+
+
+def test_cell_edges_match_the_eager_reference(corpus, monkeypatch):
+    given = []
+    make = nullrep.hypergraph_from_edges
+    monkeypatch.setattr(nullrep, "hypergraph_from_edges",
+                        lambda vertices, edges: given.append(set(edges)) or make(vertices, edges))
+    cases = [(item.constraints, item.instance) for item in corpus[:200]]
+    cases += [fd_key_groups(random.Random(7), 300)[:2], _chain(40)]
+    for constraints, instance in cases:
+        hg, _ = nullrep._cell_hypergraph(instance, constraints)
+        cells = [Hyperedge(c, "synthetic") for c in given.pop()]
+        _assert_lazy_edges_match(hg, _reference_assemble(cells, ["synthetic"]))
+
+
+def test_the_measures_and_solvers_leave_the_labeled_edges_unbuilt(monkeypatch):
+    built = []
+    make = conflicts._built
+    monkeypatch.setattr(conflicts, "_built", lambda *args: built.append(make(*args)) or built[-1])
+    constraints, instance, _ = fd_key_groups(random.Random(5), 400)
+    partitioned = Instance(instance.schema, instance.facts,
+                           frozenset(t for t in instance.tids if t % 3), True)
+    for solver in ("exact", "local-ratio", "randomized"):
+        inc_deg_g3(instance, constraints, solver=solver)
+    inc_deg_g3_endogenous(partitioned, constraints)
+    inc_deg_g3_null(instance, constraints)
+    hg = build_hypergraph(instance, constraints)
+    lp_fractional_cover(hg)
+    local_ratio_hitting_set(hg)
+    assert len(built) == 6
+    assert [hg for hg in built if "edges" in hg.__dict__] == []
+
+
+def _pickled(hg):
+    return pickle.loads(pickle.dumps(hg))
+
+
+def test_lazy_edges_compare_hash_and_copy_as_eager_ones(corpus):
+    cases = [(item.constraints, item.instance) for item in corpus[:100]]
+    cases += [fd_key_groups(random.Random(6), 200)[:2], _chain(40)]
+    for constraints, instance in cases:
+        want = ConflictHypergraph(frozenset(instance.tids),
+                                  _reference_edges(instance, constraints))
+        other = ConflictHypergraph(want.vertices | {10**6}, want.edges)
+        for read in (lambda hg: hg, _pickled, copy.deepcopy):
+            got = read(build_hypergraph(instance, constraints))
+            assert got == want and want == got and got != other
+            assert hash(got) == hash(want)
+        hg = build_hypergraph(instance, constraints)
+        assert hash(hg) == hash(want)
+        assert copy.copy(hg) is hg
+        assert pickle.loads(pickle.dumps(hg)).__dict__.keys() == {"vertices", "edges"}
+
+
+def test_split_matches_the_depth_first_reference():
+    rng = random.Random(23)
+    for _ in range(600):
+        universe = range(rng.randint(1, 40))
+        edges = list({frozenset(rng.sample(universe, rng.randint(1, min(4, len(universe)))))
+                      for _ in range(rng.randint(0, 40))})
+        for ordered in (sorted(edges, key=sorted), sorted(edges, key=min)):
+            got = conflicts.split(ordered)
+            assert [list(c) for c in got] == _reference_split(ordered)
+            assert all(type(c) is Component for c in got)
