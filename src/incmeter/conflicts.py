@@ -15,7 +15,8 @@ each component's Optimum (cover, nodes) and each hypergraph version's Answer
 A build keeps each constraint's minimal images as plain tid sets.  The
 solving edges are their antichain, which one constraint's sets already are,
 sorted once in canonical order, and split into components in one
-union-find pass.  The labeled edges are built from the sets only when read.
+union-find pass.  The labeled edges are built from the sets only when read,
+and those of a version an update derives from its tid -> edges map.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class ConflictHypergraph:
     edges keeps one entry per (constraint, tid set) pair.  With vertices,
     these are the fields: the hypergraph's value, and all equality compares.
     One that build_hypergraph or hypergraph_from_edges makes keeps instead
-    _sets, each constraint's name and tid sets, and builds its labeled edges
-    from them on first read; only the conflicts command, equality, hashing,
-    pickling and the first derive read them.
+    _sets, each constraint's name and tid sets, and one that derive makes
+    its tid -> edges map; either builds its labeled edges on first read.
+    Only the conflicts command, equality, hashing, pickling and the first
+    derive from a build read them.
 
     solving_edges, the antichain of the edges' tid sets across constraints
     (a set that hits it hits every edge), d, the largest solving edge size
@@ -93,8 +95,9 @@ class ConflictHypergraph:
     update derives (see derive) is given the last three, the components
     the delta did not reach being the parent's own, optimum and all.  It
     builds its vertex set on first read from the tid map of _instance, the
-    instance version it was derived with.
-    _answer is its Answer once exact.min_hitting_set solves it.  _lookups maps
+    instance version it was derived with.  _answer is its Answer once
+    exact.min_hitting_set solves it, and _report its exact MeasureReport
+    from measures._g3, keyed by (n, node_budget).  _lookups maps
     each conflicting tid to its edges and to its component, and only this
     module reads it.  Built once from the edges of a hypergraph that no
     derive made, it is handed on and moved back as an instance's tid map is
@@ -104,13 +107,17 @@ class ConflictHypergraph:
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
-    _lookups = _link = _instance = _answer = _sets = None  # not fields: no annotation
+    _lookups = _link = _instance = _constraints = _answer = _report = _sets = None  # not fields
     _minimal = False  # whether _sets is one constraint's antichain, as built
 
     def __getattr__(self, name):  # labeled edges or a derived version's vertex set, on first read
         if name == "edges" and self._sets is not None:
             value = tuple(Hyperedge(s, label) for label, sets in self._sets
                           for s in sorted(sets, key=_canonical))
+        elif name == "edges" and self._instance is not None:
+            _reroot(self, _shift_lookups, "_lookups")
+            value = tuple(sorted(set().union(*self._lookups[0].values()),
+                                 key=_edge_key(c.name for c in self._constraints)))
         elif name == "vertices" and self._instance is not None:
             value = frozenset(self._instance._live())
         else:
@@ -279,7 +286,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     delta inserts, with fresh tids, and deleted is the frozenset of the tids
     it deletes.  New edges are each constraint's minimal violation sets
     among the images that hold an inserted tid (see constraint_edges),
-    joined in instance's fact index.  Only what the delta reaches is touched:
+    joined in instance's fact index; a delta that inserts nothing joins
+    nothing.  Only what the delta reaches is touched:
     - the edges through a deleted tid go; an edge found stays out if an edge
       of its constraint that survives is a proper subset of it;
     - the surviving solving edges stay solving, since every new edge holds
@@ -288,19 +296,19 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     - the components that hold a deleted tid or meet a new solving edge are
       split again with the new solving edges, and the rest are handed on as
       they are, optimum and all, so the components hold every solving edge.
-    Surviving edges and components keep their canonical places, and the new
-    ones are put in by key.  hg's tid -> edges and tid -> component maps are
-    moved to the result, and hg links to it (see ConflictHypergraph).
+    Surviving components keep their canonical places, and the new ones are
+    put in by key.  hg's tid -> edges and tid -> component maps are moved to
+    the result, which builds its labeled edges from them when read, and hg
+    links to it (see ConflictHypergraph).
     """
-    index = instance._live_index()
     _reroot(hg, _shift_lookups, "_lookups")
     if hg._lookups is None:  # built once per hypergraph that no derive made
         hg.__dict__["_lookups"] = ({}, {})
         _shift_lookups(hg._lookups, ((), (), ()), ((), hg.edges, hg.components))
     incident, owner = hg._lookups
     found = []
-    for dc in constraints:
-        found += constraint_edges(index, dc, inserted)
+    for dc in constraints if inserted else ():  # a delta that inserts nothing joins nothing
+        found += constraint_edges(instance._live_index(), dc, inserted)
     dropped = set().union(*[incident.get(t, ()) for t in deleted])
     # a dropped edge holds a deleted tid, so it is a subset of no found edge
     added, fresh = [], set()
@@ -320,9 +328,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     parts = tuple(split(sorted(kept + new_solving, key=_canonical)))
     out, into = (deleted, dropped, tuple(hit.values())), ({f.tid for f in inserted}, added, parts)
     _shift_lookups(hg._lookups, out, into)
-    edges = _splice(hg.edges, dropped, added, _edge_key([c.name for c in constraints]))
-    derived = object.__new__(ConflictHypergraph)  # its vertex set is built on first read
-    derived.__dict__.update(edges=tuple(edges), size=len(instance), _instance=instance,
+    derived = object.__new__(ConflictHypergraph)  # vertex set and edges built on first read
+    derived.__dict__.update(size=len(instance), _instance=instance, _constraints=constraints,
                             components=_splice(hg.components, out[2], parts, _first),
                             _solving_count=hg._solving_count - sum(map(len, out[2]))
                             + sum(map(len, parts)), _lookups=hg._lookups)

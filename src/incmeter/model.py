@@ -269,20 +269,22 @@ class Instance:
     def _delta(self, insertions, deletions) -> tuple[list[Fact], dict, "Instance | None"]:
         """check_delta's facts, a map from each deleted tid to its fact, and
         the child that derive made with this very delta if this instance still
-        links to it, else None.  With the child, the first two are read from
-        the link, an O(delta) comparison, and the tid map stays where it is.
-        Any other delta is checked in full."""
+        links to it, else None.  The link keeps the delta by value: its rows
+        as (predicate, values) tuples and its deleted tids as a frozenset.  A
+        delta equal to those is read from the link, an O(delta) comparison,
+        and the tid map stays where it is.  Any other delta is checked in
+        full.  deletions is read once, so any iterable of tids will do."""
+        deletions = frozenset(deletions)
         # values that are one str or no sequence are kept for the walk to refuse
-        facts = [Fact(tid, p, values if isinstance(values, str) or not hasattr(values, "__iter__")
-                      else tuple(values))
-                 for tid, (p, values) in enumerate(insertions, self._top + 1)]
+        rows = tuple((p, values if isinstance(values, str) or not hasattr(values, "__iter__")
+                      else tuple(values)) for p, values in insertions)
         link = self._link
-        if (link is not None and link[2] == facts and len(link[1]) == len(deletions)
-                and all(f[0] in deletions for f in link[1])):
-            return facts, {f[0]: f for f in link[1]}, link[0]
+        if link is not None and link[3:] == ((rows, deletions),):  # a turned link has none
+            return list(link[2]), {f[0]: f for f in link[1]}, link[0]
+        facts = [Fact(tid, *row) for tid, row in enumerate(rows, self._top + 1)]
         index = self._live_index()
         by_tid, arity = self._by_tid, self.schema._arity
-        missing = set(deletions).difference(by_tid)
+        missing = deletions.difference(by_tid)
         if missing:
             raise InputError(f"cannot delete unknown tid(s) {sorted(missing)}")
         gone = {by_tid[t][1:] for t in deletions}
@@ -304,10 +306,11 @@ class Instance:
         Only the delta is checked (see check_delta).  The child takes over
         the tid map and fact index and applies the delta to them in place;
         this instance keeps a link to the child with the facts deleted and
-        inserted, which check_delta reuses for the same delta.  A declared
+        inserted and the delta by value, which check_delta reuses for an
+        equal delta.  A declared
         partition stays declared, however many of its tids are deleted.
         """
-        return self._derive(*self._delta(insertions, set(deletions))[:2])
+        return self._derive(*self._delta(insertions, deletions)[:2])
 
     def _derive(self, facts, gone) -> "Instance":
         """The child of a checked delta: facts inserted, gone's facts deleted."""
@@ -320,8 +323,8 @@ class Instance:
         child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(gone),
                               _by_tid=by_tid, _fact_index=index, _link=None, _n=len(by_tid),
                               _top=top, declared=self.declared)
-        self.__dict__.update(_by_tid=None, _fact_index=None,
-                             _link=(child, list(gone.values()), facts))
+        self.__dict__.update(_by_tid=None, _fact_index=None, _link=(
+            child, list(gone.values()), facts, (tuple(f[1:] for f in facts), frozenset(gone))))
         return child
 
     def __len__(self):
@@ -388,10 +391,11 @@ class FactIndex:
 def _reroot(version, shift, *names) -> None:
     """Move the live state in the attributes names to version from the one
     that holds it.  Any other version links toward the holder: its _link
-    (other, out, into) says that shift(*state, out, into) makes its state
-    other's.  Each link on the way is undone by shift(*state, into, out) and
-    turned around (Baker's rerooting, 1991), in time that follows the deltas,
-    so a version kept alive keeps alive every version its links reach."""
+    (other, out, into, ...) says that shift(*state, out, into) makes its
+    state other's.  Each link on the way is undone by shift(*state, into,
+    out) and turned around to those three alone (Baker's rerooting, 1991),
+    in time that follows the deltas, so a version kept alive keeps alive
+    every version its links reach."""
     if version._link is None:
         return
     path = [version]
@@ -400,7 +404,7 @@ def _reroot(version, shift, *names) -> None:
     state = path.pop().__dict__
     live = {name: state[name] for name in names}
     for version in reversed(path):
-        _, out, into = version._link
+        out, into = version._link[1:3]
         shift(*live.values(), into, out)
         state.update(dict.fromkeys(names), _link=(version, into, out))
         state = version.__dict__

@@ -18,17 +18,18 @@ hypergraph version its tid maps: handed on, edited in place and moved back
 by model._reroot, so any version can be derived from in time that follows
 the deltas.  A delta is checked once: after apply_update, the updated
 instance and the delta's facts are read back from the parent's link.  Only
-the atoms an inserted fact can match are joined, and the vertex set is
-built only when read.  Still growing with the instance, at C speed: the
-copies of the edge and component sequences around the changes.
+the atoms an inserted fact can match are joined, and the vertex set and
+the labeled edges are built only when read.  Still growing with the
+instance, at C speed: the copy of the component sequence around the changes.
 
 One private body stands behind `incmeter update` and both bound checks.
 Every update path checks the whole delta there once, whether or not
 hypergraphs are handed in.  It then builds or reuses the hypergraph before,
 derives the one after through incremental_hypergraph and solves both, the
 one before first, so the second solve reuses the optima of the components
-they share.  For a pure delta it turns the relative update size eps into
-exact-rational sandwich inequalities between the two measures.
+they share; a side that inc_deg_g3 measured already reads its kept report.
+For a pure delta it turns the relative update size eps into exact-rational
+sandwich inequalities between the two measures.
 """
 
 from __future__ import annotations

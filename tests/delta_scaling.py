@@ -9,7 +9,9 @@ goes through apply_update, then incremental_hypergraph on the same delta,
 then measures._g3 on the hypergraph after it.  A second delta then deletes
 one more live row, drawn from the same generator: it is applied and derived
 untimed, and the fourth stage is check_deletion_bounds on it with both
-hypergraphs handed in, as the stream of perfbench/ hands them.  The first
+hypergraphs handed in, as the stream of perfbench/ hands them.  The solve
+stage measured the hypergraph before it, so the check reads that side's
+kept report (see measures._g3) and solves only the side after.  The first
 pair of deltas, and the build and solve of the starting hypergraph, are a
 warm-up; the next 40 pairs are timed with time.perf_counter, and the
 collector is switched off inside each pair only.  Printed: the mean ms per

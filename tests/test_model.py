@@ -527,6 +527,27 @@ def test_delta_values_that_are_no_sequence_are_refused_as_input(apply, values, k
     assert str(info.value) == message
 
 
+def test_check_delta_reads_one_shot_deletions_once():
+    """A delete-and-reinsert of one row, its tid given by a generator, is
+    accepted, as derive accepts it: the deleted row is no duplicate."""
+    inst = load_instance({"p": "A\na\nb\n"}, parse_schema("p(A)\n"))
+    assert inst.check_delta([("p", ("a",))], (t for t in [1])) == [Fact(3, "p", ("a",))]
+    assert inst.derive([("p", ("a",))], (t for t in [1])).facts == (
+        Fact(2, "p", ("b",)), Fact(3, "p", ("a",)))
+
+
+def test_check_delta_reads_one_shot_deletions_past_a_link():
+    """With a link to a child, one-shot deletions are compared with the
+    link's delta, not asked for their length, and checked if they differ."""
+    inst = load_instance({"p": "A\na\nb\n"}, parse_schema("p(A)\n"))
+    child = inst.derive([("p", ("a",))], [1])
+    assert inst._link[0] is child
+    assert inst.check_delta([("p", ("a",))], (t for t in [1])) == [Fact(3, "p", ("a",))]
+    assert inst.check_delta([("p", ("c",))], (t for t in [1, 2])) == [Fact(3, "p", ("c",))]
+    with pytest.raises(InputError, match="duplicate row"):
+        inst.check_delta([("p", ("a",))], (t for t in [2]))
+
+
 def test_a_fact_is_an_immutable_named_tuple():
     f = Fact(2, "q", ("a", "b"))
     for name in Fact._fields:

@@ -24,6 +24,7 @@ from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
 
 from conftest import count_searches, fd_key_groups, random_bundle
 from oracles import restrict
+from test_conflicts import _reference_edges
 
 
 def test_parse_delta_forms():
@@ -1012,12 +1013,14 @@ def _count_joins(monkeypatch):
 
 
 def test_a_delete_only_delta_runs_no_join(monkeypatch, pqr):
+    """It joins nothing and calls evaluation.images for no constraint."""
     _, cs, inst = pqr
     hg = build_hypergraph(inst, cs)
-    calls = _count_joins(monkeypatch)
+    calls, images = _count_joins(monkeypatch), evaluation.images
+    assert images(evaluation.FactIndex(inst.facts), next(iter(cs)), []) == set()
+    monkeypatch.setattr(evaluation, "images", lambda *args: calls.append(args) or images(*args))
     delta = parse_delta("- 2\n- 3\n")
     hg_after = incremental_hypergraph(hg, inst, delta, cs)
-    assert evaluation.images(evaluation.FactIndex(inst.facts), next(iter(cs)), []) == set()
     assert calls == []
     _check_against_rebuild(hg_after, apply_update(inst, delta), cs)
 
@@ -1291,3 +1294,108 @@ def test_the_bound_sides_equal_their_fraction_arithmetic():
         seen[got.applicable, direction, "lower_isolated" in {b.name for b in got.bounds}] += 1
         seen["n=0" if n == 0 else "k=0" if k == 0 else "k>=n" if k >= n else "inside"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _count_solves(monkeypatch):
+    """A list that gets one entry per exact._solve call."""
+    calls = []
+    solve = exact._solve
+    monkeypatch.setattr(exact, "_solve", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_a_bound_check_after_inc_deg_g3_reads_each_versions_kept_report(monkeypatch):
+    """Along a chain of FD deltas measured as an update session does, the
+    bound checks solve nothing: each version is solved once, by inc_deg_g3,
+    and the checks give what they give with no hypergraph handed in.  A
+    smaller budget or another instance size is not served from the report."""
+    cs, inst, _ = fd_key_groups(random.Random(6), 400)
+    hg, rng = build_hypergraph(inst, cs), random.Random(16)
+    solves = _count_solves(monkeypatch)
+    report, checked = measures.inc_deg_g3(inst, cs, hg), 0
+    for i in range(40):
+        delta = _fd_delta(rng, inst, i, 100)
+        after = apply_update(inst, delta)
+        hg_after = incremental_hypergraph(hg, inst, delta, cs)
+        check = (check_insertion_bounds if delta.is_insert_only
+                 else check_deletion_bounds if delta.is_delete_only else None)
+        want = check and check(_rebuilt(inst), delta, cs)
+        solves.clear()
+        report_after = measures.inc_deg_g3(after, cs, hg_after)
+        if check is not None:
+            got = check(inst, delta, cs, hg_before=hg, hg_after=hg_after)
+            assert got == want and (got.before, got.after) == (report.value, report_after.value)
+            checked += 1
+        assert len(solves) == 1 and measures._g3(hg_after, len(after)) is report_after
+        inst, hg, report = after, hg_after, report_after
+    assert checked >= 10
+    nodes, n = hg._answer.nodes, len(inst)
+    assert nodes > 1
+    with pytest.raises(ResourceLimitError) as info:
+        measures._g3(hg, n, node_budget=nodes - 1)
+    assert (info.value.best_size, info.value.lower_bound) == _fresh_search(
+        hg.solving_edges, nodes - 1)
+    solves.clear()
+    other = measures._g3(hg, n + 1)
+    assert solves and (other.numerator, other.denominator) == (report.numerator, n + 1)
+
+
+def test_a_re_presented_delta_is_read_from_the_link_by_value(monkeypatch, pqr):
+    """A delta equal to the one derive applied, in other containers, is read
+    back from the link with no check; one of the same size with another row
+    or tid is checked in full, and so is the caller's list of rows when it
+    was changed after derive."""
+    _, cs, inst = pqr
+    fresh = Instance(inst.schema, inst.facts)
+    checks = _count_checks(monkeypatch)
+    rows, deletions = [("q", ["e", "w"])], [2]
+    child = inst.derive(rows, deletions)
+    assert checks
+    for again in ((tuple(rows), frozenset(deletions)), ([("q", ("e", "w"))], iter([2, 2]))):
+        checks.clear()
+        assert inst._delta(*again)[2] is child and checks == []
+        assert inst.check_delta(*again) == [Fact(5, "q", ("e", "w"))]
+    for text in ("+ q(e, v)\n- 2\n", "+ q(e, w)\n- 3\n", "+ p(w)\n- 2\n", "+ q(e, w)\n- 1\n"):
+        delta = parse_delta(text)
+        checks.clear()
+        assert inst._delta(delta.insertions, delta.deletions)[2] is None and checks, text
+        assert inst.check_delta(delta.insertions, delta.deletions) == \
+            fresh.check_delta(delta.insertions, delta.deletions)
+    apply_update(inst, parse_delta("- 3\n"))  # a sibling: the link now leads there
+    child = inst.derive(rows, deletions)
+    rows[0][1][1] = "v"
+    checks.clear()
+    assert inst._delta(rows, deletions)[2] is None and checks
+    assert inst.check_delta(rows, deletions) == [Fact(5, "q", ("e", "v"))]
+    rows.append(("p", ("z",)))
+    checks.clear()
+    assert inst._delta(rows, deletions)[2] is None and checks
+    assert inst.check_delta(rows, deletions) == [Fact(5, "q", ("e", "v")), Fact(6, "p", ("z",))]
+    assert child.facts == _fresh_after(inst, parse_delta("+ q(e, w)\n- 2\n")).facts
+
+
+def test_derived_edges_are_built_on_first_read_from_the_maps():
+    """No derived version of an update session builds its labeled edges.
+    Read afterwards, each version's edges, in a seeded shuffled order and so
+    mostly after later deltas, equal the eager reference of a fresh instance
+    of its facts, and ==, hash, pickle and deepcopy see that value."""
+    cs, inst = _scan_shaped(random.Random(10), 300)
+    hg, rng, versions = build_hypergraph(inst, cs), random.Random(20), []
+    for i in range(30):
+        delta = _scan_delta(rng, inst, i)
+        after = apply_update(inst, delta)
+        hg_after = incremental_hypergraph(hg, inst, delta, cs)
+        measures.inc_deg_g3(after, cs, hg_after)
+        if delta.is_insert_only or delta.is_delete_only:
+            check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+            check(inst, delta, cs, exact.DEFAULT_NODE_BUDGET, hg, hg_after)
+        inst, hg = after, hg_after
+        versions.append((hg, inst.facts))
+    assert not [v for v, _ in versions if "edges" in vars(v)]
+    rng.shuffle(versions)
+    for version, facts in versions:
+        fresh = Instance(inst.schema, facts)
+        want, rebuilt = _reference_edges(fresh, cs), build_hypergraph(fresh, cs)
+        assert version.edges == want and version == rebuilt and hash(version) == hash(rebuilt)
+        for twin in (pickle.loads(pickle.dumps(version)), copy.deepcopy(version)):
+            assert twin == version and twin.edges == want
