@@ -15,8 +15,11 @@ each component's Optimum (cover, nodes) and each hypergraph version's Answer
 A build keeps each constraint's minimal images as plain tid sets.  The
 solving edges are their antichain, which one constraint's sets already are,
 sorted once in canonical order, and split into components in one
-union-find pass.  The labeled edges are built from the sets only when read,
-and those of a version an update derives from its tid -> edges map.
+union-find pass.  A build of one FD-shaped constraint alone takes its
+components from the key groups instead, and sorts and splits nothing unless
+the solving edges are read.  The labeled edges are built from the sets
+only when read, and those of a version an update derives from its
+tid -> edges map.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 from . import evaluation
 from .errors import InputError
-from .model import ConstraintSet, DenialConstraint, Instance, _reroot
+from .model import ConstraintSet, DenialConstraint, FactIndex, Instance, _reroot
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,17 +48,20 @@ class Hyperedge:
 
 
 class Optimum(NamedTuple):
-    """A searched component's minimum cover and the search nodes it took."""
+    """A solved component's minimum cover, sorted, and the search nodes it
+    took: one for a component closed by formula (see exact._closed_cover)."""
 
     cover: tuple
     nodes: int
 
 
 class Component(tuple):
-    """Edges, in their given order.  index, built on first use and kept, is
-    their sorted elements and their distinct bit masks over those, sorted."""
+    """Edges, in their given order: a split's, or one key group's pairs in
+    canonical order (see build_hypergraph).  index, built on first use and
+    kept, is their sorted elements and their distinct bit masks over those,
+    sorted; a solve that closes the component by formula does not build it."""
 
-    optimum: Optimum | None = None  # set by a solve that searches it
+    optimum: Optimum | None = None  # set by a solve, closed or searched
 
     @cached_property
     def index(self) -> tuple[list, list[int]]:
@@ -91,7 +97,8 @@ class ConflictHypergraph:
     (a set that hits it hits every edge), d, the largest solving edge size
     (0 when the instance is consistent), components, the solving edges
     split for every solver, _solving_count, their number, and size, that
-    of the vertices, are computed on first read and kept.  One that an
+    of the vertices, are computed on first read and kept.  A build of a
+    single FD is given its components (see build_hypergraph).  One that an
     update derives (see derive) is given the last three, the components
     the delta did not reach being the parent's own, optimum and all.  It
     builds its vertex set on first read from the tid map of _instance, the
@@ -227,11 +234,13 @@ def split(edges) -> list[Component]:
     return [Component(groups[head]) for head in sorted(groups)]
 
 
-def constraint_edges(index, dc: DenialConstraint, inserted=None) -> list[Hyperedge]:
+def constraint_edges(index, dc: DenialConstraint, inserted=None, seed=None) -> list[Hyperedge]:
     """Minimal violation sets of dc: the antichain of the images of dc's
-    satisfying assignments, or, given inserted facts, of those that match
-    one of them (see evaluation.images)."""
-    return [Hyperedge(s, dc.name) for s in antichain(evaluation.images(index, dc, inserted))]
+    satisfying assignments, or, given inserted facts and perhaps their
+    FactIndex as seed, of those that match one of them (see
+    evaluation.images)."""
+    return [Hyperedge(s, dc.name)
+            for s in antichain(evaluation.images(index, dc, inserted, seed))]
 
 
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
@@ -264,8 +273,23 @@ def _first(component):
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
     """Enumerate all minimal violation sets of the instance: each constraint's
-    antichain of images (see constraint_edges), kept unlabeled."""
+    antichain of images (see constraint_edges), kept unlabeled.
+
+    One FD-shaped constraint alone gives its components as they are: each
+    key group with two or more dependent values (evaluation._key_groups) is
+    one, its pairs in canonical order, and they go by smallest tid.  No
+    canonical sort of all the pairs and no split runs unless the solving or
+    the labeled edges are read.
+    """
     index = instance._live_index()
+    if len(constraints) == 1:
+        (dc,) = constraints
+        groups = evaluation._key_groups(index, dc)
+        if groups is not None:
+            components = sorted(map(Component, groups), key=_first)
+            hg = _built(instance.tids, ((dc.name, list(chain.from_iterable(groups))),), True)
+            hg.__dict__["components"] = components
+            return hg
     sets = tuple((dc.name, antichain(evaluation.images(index, dc))) for dc in constraints)
     return _built(instance.tids, sets, len(sets) == 1)
 
@@ -286,7 +310,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     delta inserts, with fresh tids, and deleted is the frozenset of the tids
     it deletes.  New edges are each constraint's minimal violation sets
     among the images that hold an inserted tid (see constraint_edges),
-    joined in instance's fact index; a delta that inserts nothing joins
+    joined in instance's fact index and seeded from one FactIndex of the
+    inserted facts for all constraints; a delta that inserts nothing joins
     nothing.  Only what the delta reaches is touched:
     - the edges through a deleted tid go; an edge found stays out if an edge
       of its constraint that survives is a proper subset of it;
@@ -307,8 +332,10 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
         _shift_lookups(hg._lookups, ((), (), ()), ((), hg.edges, hg.components))
     incident, owner = hg._lookups
     found = []
-    for dc in constraints if inserted else ():  # a delta that inserts nothing joins nothing
-        found += constraint_edges(instance._live_index(), dc, inserted)
+    if inserted:  # a delta that inserts nothing joins nothing
+        index, seed = instance._live_index(), FactIndex(inserted)
+        for dc in constraints:
+            found += constraint_edges(index, dc, inserted, seed)
     dropped = set().union(*[incident.get(t, ()) for t in deleted])
     # a dropped edge holds a deleted tid, so it is a subset of no found edge
     added, fresh = [], set()

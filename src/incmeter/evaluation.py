@@ -22,7 +22,11 @@ with one atom of each class seeded.
 
 A full build reads an FD-shaped constraint (_fd_shape) from its key groups,
 as Livshits, Kimelfeld and Roy (PODS 2018) do: the pairs of facts whose
-dependent values differ in each bucket of the table on the determinant positions.
+dependent values differ in each bucket of the table on the determinant
+positions (_key_groups).  Each group's pairs form a complete multipartite
+graph over its dependent values, one connected component; a build of that
+one constraint alone takes its components from the groups as they are (see
+conflicts.build_hypergraph), and the exact solver closes each by formula.
 
 Facts and constants never hold the reserved blank placeholder: the model
 refuses it in every fact and every constraint, so values join, match and
@@ -216,31 +220,52 @@ def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
     del extend
 
 
-def images(index: FactIndex, constraint: DenialConstraint, inserted=None) -> set:
+def _key_groups(index: FactIndex, constraint: DenialConstraint):
+    """An FD-shaped constraint's (_fd_shape) conflicts by key group, or None
+    for any other constraint: for each bucket of the table on the
+    determinant positions that holds two or more dependent values, the pairs
+    of its facts whose dependent values differ, in canonical order (a bucket
+    is in tid order).  A bucket with one dependent value gives nothing."""
+    shape = _fd_shape(constraint)
+    if shape is None:
+        return None
+    positions, d = shape
+    groups = []
+    for bucket in index.table(constraint.atoms[0].predicate, positions).values():
+        if len(bucket) > 1:
+            pairs = []
+            for k, f in enumerate(bucket, 1):
+                value = f[2][d]
+                pairs += [frozenset((f[0], g[0])) for g in bucket[k:] if g[2][d] != value]
+            if pairs:
+                groups.append(pairs)
+    return groups
+
+
+def images(index: FactIndex, constraint: DenialConstraint, inserted=None, seed=None) -> set:
     """The images (tid sets) of the constraint's satisfying assignments,
-    read from key buckets for an FD-shaped constraint (_fd_shape).
+    read from key buckets for an FD-shaped constraint (_key_groups).
 
     With inserted facts, which must belong to the indexed instance, only the
     images of the assignments that match one of them, seeding only the atoms
     whose predicate an inserted fact has: a delete-only delta joins nothing.
+    seed, if given, is the FactIndex of the inserted facts, which a caller
+    seeding several constraints with one delta builds once.
     """
     out: set = set()
 
     def emit(assignment):
         out.add(frozenset(map(_TID, assignment)))
 
-    shape = _fd_shape(constraint) if inserted is None else None
-    if shape is not None:
-        positions, d = shape
-        for bucket in index.table(constraint.atoms[0].predicate, positions).values():
-            if len(bucket) > 1:
-                for k, f in enumerate(bucket, 1):
-                    value = f[2][d]
-                    out.update(frozenset((f[0], g[0])) for g in bucket[k:] if g[2][d] != value)
+    groups = _key_groups(index, constraint) if inserted is None else None
+    if groups is not None:
+        for pairs in groups:
+            out.update(pairs)
     elif inserted is None:
         _join(index, constraint, None, True, None, emit)
     else:
-        seed = FactIndex(inserted)
+        if seed is None:
+            seed = FactIndex(inserted)
         seeded = {f[1] for f in inserted}
         skip = {i for cls in _classes(constraint) for i in cls[1:]}
         for first, atom in enumerate(constraint.atoms):

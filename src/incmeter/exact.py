@@ -1,8 +1,15 @@
 """Exact minimum hitting sets and repair enumeration over conflict hypergraphs.
 
 The minimum is solved one connected component at a time.  A hypergraph
-splits its solving edges once (see conflicts.split), and each
-component, taken in order of its smallest element, gets its own
+splits its solving edges once (see conflicts.split), or, under a single FD,
+takes them from the key groups (see conflicts.build_hypergraph), and the
+components are taken in order of their smallest elements.  A component
+whose edges are exactly the cross-class pairs of a complete multipartite
+graph, as each key group of one FD or of FDs with a common left-hand side
+is, is closed by formula: every class but one largest (_closed_cover).  It
+records and costs one node, as a search closed at its root does, so node
+totals fall only on such components of three or more classes that a
+search took more nodes to close.  Any other component gets its own
 branch-and-bound tree: branch on a smallest unhit edge, try its vertices in
 descending degree order, prune with a greedy disjoint-edge packing lower
 bound.  A node makes one pass over the edges for both its pick and its
@@ -82,20 +89,22 @@ def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
 def _solve(components, node_budget):
     """The minimum cover of the components (see conflicts.split), and its nodes.
 
-    Each component searched records its Optimum.  A recorded component is
-    not searched again, but its recorded nodes still count.  Each search is
+    Each component solved records its Optimum: closed by formula at one
+    node, or searched (see _optimum).  A recorded component is not solved
+    again, but its recorded nodes still count.  Each solve is
     deterministic, so the answer, the node count and an exhausted budget's
-    bracket are those of a search of every component.
+    bracket are those of a solve of every component.  With no node left, a
+    component that would close is searched instead, so the budget runs out
+    at its root with its [packing, incumbent] bracket.
     """
     nodes = 0
     chosen = []
     for i, component in enumerate(components):
         if (optimum := component.optimum) is None or nodes + optimum.nodes > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
-            # search, so that the budget runs out where a fresh solve's does
-            universe, masks = component.index
+            # solve, so that the budget runs out where a fresh solve's does
             try:
-                found, taken = _branch_and_bound(masks, len(universe), node_budget - nodes)
+                optimum = component.optimum = _optimum(component, node_budget - nodes)
             except ResourceLimitError as exc:
                 # solved components are exact; the rest contribute [packing, incumbent]
                 rest = [c.index[1] for c in components[i + 1:]]
@@ -105,10 +114,48 @@ def _solve(components, node_budget):
                     + sum(_incumbent(m).bit_count() for m in rest),
                     lower_bound=len(chosen) + exc.lower_bound
                     + sum(_scan(m, 0)[1] for m in rest)) from None
-            optimum = component.optimum = Optimum(tuple(universe[b] for b in _bits(found)), taken)
         nodes += optimum.nodes
         chosen.extend(optimum.cover)
     return frozenset(chosen), nodes
+
+
+def _optimum(component, budget):
+    """The component's Optimum within budget nodes: closed by formula at one
+    node if _closed_cover finds its cover and a node is left, else searched."""
+    if budget > 0 and (cover := _closed_cover(component)) is not None:
+        return Optimum(cover, 1)
+    universe, masks = component.index
+    found, taken = _branch_and_bound(masks, len(universe), budget)
+    return Optimum(tuple(universe[b] for b in _bits(found)), taken)
+
+
+def _closed_cover(component):
+    """The minimum cover of a component whose edges are exactly the
+    cross-class pairs of a complete multipartite graph, sorted, else None.
+
+    Vertices with the same neighbours form a class, which holds no edge; a
+    class whose neighbours number all vertices outside it is adjacent to
+    each of them.  The cover is every class but one kept largest, the one
+    whose smallest element is largest among ties: the greedy incumbent that
+    _branch_and_bound would return, and optimal, since what a cover leaves
+    holds no edge and so lies inside one class.  Each key group of a single
+    FD is such a graph over its dependent values (Livshits, Kimelfeld and
+    Roy, PODS 2018).
+    """
+    around = {}
+    for e in component:
+        if len(e) != 2:
+            return None
+        a, b = e
+        around.setdefault(a, []).append(b)
+        around.setdefault(b, []).append(a)
+    classes = {}
+    for v, near in around.items():
+        classes.setdefault(frozenset(near), []).append(v)
+    if any(len(near) != len(around) - len(c) for near, c in classes.items()):
+        return None
+    kept = max(classes.values(), key=lambda c: (len(c), min(c)))
+    return tuple(sorted(v for c in classes.values() if c is not kept for v in c))
 
 
 def _branch_and_bound(masks, n, budget):

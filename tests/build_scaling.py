@@ -5,12 +5,16 @@
 The workload is tests/conftest.py::fd_key_groups(Random(1), n), rel(A, B, C)
 under `fd key : rel : A -> B`, at n = 10^4 and 10^5 rows.  Each run loads a
 fresh instance (untimed), then times three stages on it: build_hypergraph,
-the first read of .components (the solving antichain, its canonical sort
-and the split), and exact.min_hitting_set on the result.  Last,
+the first read of .components (under one FD, the key groups the build
+took; else the solving antichain, its canonical sort and the split), and
+exact.min_hitting_set on the result.  Last,
 nullrep.cell_conflicts, the null measure's build of the same shape over
 cells, is timed on fresh 10^4-row instances.  Times are taken with
 time.perf_counter with the cyclic collector on, as a CLI run has it, and
-printed as the min and max ms over the runs.
+printed as the min and max ms over the runs.  The same three stages are
+then timed on one skewed key group (tests/conftest.py::skewed_key_group) of
+250 and 1000 rows, whose components close by formula; its answer must be
+the rows less the largest B-class.
 
 The report is informational: the exit status is 0 whatever it shows.
 The file name does not match test_*.py, so pytest does not collect it.
@@ -25,11 +29,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import fd_key_groups  # noqa: E402
+from conftest import fd_key_groups, skewed_key_group  # noqa: E402
 
 from incmeter import build_hypergraph, cell_conflicts, min_hitting_set  # noqa: E402
 
 SIZES = ((10_000, 5), (100_000, 3))  # (rows, runs)
+SKEWED = ((250, 5), (1000, 3))  # (rows of the one key group, runs)
 CELL_ROWS, CELL_RUNS = 10_000, 5
 STAGES = ("build", "components", "solve")
 
@@ -41,12 +46,17 @@ def timed(call, *args):
     return result, 1000 * (time.perf_counter() - start)
 
 
-def measure(n, runs):
+def fd_workload(n):
+    """fd_key_groups(Random(1), n)."""
+    return fd_key_groups(random.Random(1), n)
+
+
+def measure(workload, n, runs):
     """The edge and component counts, and per stage and in total the ms of
-    each run."""
+    each run, on workload(n): constraints, instance and optimum."""
     spent = {stage: [] for stage in (*STAGES, "total")}
     for _ in range(runs):
-        constraints, instance, optimum = fd_key_groups(random.Random(1), n)
+        constraints, instance, optimum = workload(n)
         hg, built = timed(build_hypergraph, instance, constraints)
         components, split = timed(lambda: hg.components)
         solution, solved = timed(min_hitting_set, hg)
@@ -67,10 +77,12 @@ def main():
           f"(Python {sys.version.split()[0]})")
     print(f"{'rows':>7} {'runs':>4} {'edges':>7} {'components':>10} "
           + " ".join(f"{c:>11}" for c in columns))
-    for n, runs in SIZES:
-        edges, components, spent = measure(n, runs)
-        print(f"{n:>7} {runs:>4} {edges:>7} {components:>10} "
-              + " ".join(f"{span(spent[c]):>11}" for c in columns))
+    for workload, sizes in ((fd_workload, SIZES), (skewed_key_group, SKEWED)):
+        print(workload.__name__)
+        for n, runs in sizes:
+            edges, components, spent = measure(workload, n, runs)
+            print(f"{n:>7} {runs:>4} {edges:>7} {components:>10} "
+                  + " ".join(f"{span(spent[c]):>11}" for c in columns))
     times = []
     for _ in range(CELL_RUNS):
         constraints, instance, _ = fd_key_groups(random.Random(1), CELL_ROWS)

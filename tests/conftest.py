@@ -118,12 +118,32 @@ def fd_key_groups(rng: random.Random, n):
     return constraints, instance, optimum
 
 
+# B-class sizes of one key group of 80, 250 and 1000 rows: 2133, 20783 and
+# 333212 conflicting pairs, optima 53, 159 and 654; the two largest classes
+# of 80 rows tie
+SKEWED_CLASSES = {80: (27, 27, 26), 250: (91, 82, 77), 1000: (346, 328, 326)}
+
+
+def skewed_key_group(n, seed=1):
+    """rel(A, B, C) under A -> B: n rows of one key, their B-classes of the
+    sizes SKEWED_CLASSES names, in a seeded order, and the optimum, the rows
+    outside one largest class."""
+    schema = parse_schema("rel(A, B, C)\n")
+    constraints = parse_constraints("fd key : rel : A -> B\n", schema)
+    sizes = SKEWED_CLASSES[n]
+    values = [f"b{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    random.Random(seed).shuffle(values)
+    instance = Instance(schema, tuple(Fact(i + 1, "rel", ("k", b, f"c{i}"))
+                                      for i, b in enumerate(values)))
+    return constraints, instance, n - max(sizes)
+
+
 def count_searches(monkeypatch):
-    """A list that gets one entry per component search of the exact solver."""
+    """A list that gets one entry per component the exact solver solves,
+    closed by formula or searched."""
     searches = []
-    search = exact._branch_and_bound
-    monkeypatch.setattr(exact, "_branch_and_bound",
-                        lambda *args: searches.append(1) or search(*args))
+    solve = exact._optimum
+    monkeypatch.setattr(exact, "_optimum", lambda *args: searches.append(1) or solve(*args))
     return searches
 
 

@@ -437,6 +437,22 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
     assert main(["measure", "--solver", "randomized", "--eps", "1/5000"] + base) == 2
 
 
+def test_budget_exhaustion_exits_2_on_key_groups(tmp_path, capsys):
+    # two key groups under one FD, each of three B-classes of two rows
+    # (optimum 4 each, root packing 3): each closes by formula at one node,
+    # so 0 nodes run out at the first and 1 at the second, which is
+    # bracketed by its [packing, incumbent] beside the first's exact 4
+    rows = "A,B,C\n" + "".join(f"a{i % 2},b{i % 3},c{i}\n" for i in range(12))
+    base = write_bundle(tmp_path, FD_SCHEMA, "fd f1 : rel : A -> B\n", {"rel": rows})
+    for budget, bracket in (("0", (6, 8)), ("1", (7, 8))):
+        assert main(["measure", "--node-budget", budget, "--format", "json"] + base) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "resource-limit"
+        assert (error["lower_bound"], error["best_size"]) == bracket
+    assert main(["measure", "--node-budget", "2", "--format", "json"] + base) == 0
+    assert json.loads(capsys.readouterr().out)["numerator"] == 8
+
+
 def test_a_deep_search_exits_2_with_its_bracket(tmp_path, capsys):
     # group a_i is a triangle under A -> B; B -> C joins its last row to the
     # next group's first: 150 triangles in a chain, 599 edges, optimum 300

@@ -174,15 +174,20 @@ def test_components_match_an_independent_split(corpus, monkeypatch):
     hg = build_hypergraph(instance, constraints)
     assert len(hg.components) > 200
     _check_components(hg)
-    # the exact, LP and rounding solvers read one split between them
+    # the exact, LP and rounding solvers read one component list between
+    # them: the key groups a single FD's build takes, which no split makes,
+    # or one split of the same edges handed in as a plain edge set
     splits = []
     split = conflicts.split
     monkeypatch.setattr(conflicts, "split", lambda edges: splits.append(1) or split(edges))
-    hg = build_hypergraph(instance, constraints)
-    min_hitting_set(hg)
-    lp_fractional_cover(hg)
-    randomized_rounding_hitting_set(hg)
-    assert len(splits) == 1
+    for hg, split_once in ((build_hypergraph(instance, constraints), False),
+                           (hypergraph_from_edges(instance.tids, hg.solving_edges), True)):
+        splits.clear()
+        components = hg.components
+        min_hitting_set(hg)
+        lp_fractional_cover(hg)
+        randomized_rounding_hitting_set(hg)
+        assert hg.components is components and len(splits) == split_once
 
 
 # --- labeled edges built on first read ---------------------------------------

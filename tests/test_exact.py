@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from incmeter.exact import (enumerate_c_repairs, enumerate_minimal_hitting_sets,
 from incmeter.updates import UpdateDelta, apply_update, incremental_hypergraph
 
 from conftest import (brute_force_min_hitting_set, count_searches, fd_key_groups, random_bundle,
+                      skewed_key_group,
                       shallow_stack)
 from oracles import consistent, restrict
 
@@ -104,6 +107,137 @@ def test_single_fd_matches_the_closed_form():
         sol = min_hitting_set(hg)
         assert len(sol.deleted) == optimum
         assert all(sol.deleted & e for e in hg.solving_edges)
+
+
+# --- components closed by formula ---------------------------------------------
+
+def _searched_cover(component, budget=10 ** 6):
+    """_branch_and_bound's cover of the component's masks, as its sorted
+    elements, and the nodes it took."""
+    universe, masks = component.index
+    found, nodes = exact._branch_and_bound(masks, len(universe), budget)
+    return tuple(universe[b] for b in exact._bits(found)), nodes
+
+
+def _cross_pairs(classes):
+    """The edges of the complete multipartite graph over the classes."""
+    return [frozenset((u, v)) for a, b in itertools.combinations(classes, 2)
+            for u in a for v in b]
+
+
+def test_a_closed_cover_is_the_searched_cover_at_one_node():
+    # random groups, half of them with tied largest classes: the kept class
+    # is a largest one whose smallest element is largest, as the search's
+    # incumbent keeps, and _solve records the cover at one node
+    rng, ties = random.Random(43), 0
+    for _ in range(500):
+        count = rng.randint(2, 6)
+        sizes = [rng.randint(1, 12 // count) for _ in range(count)]
+        if rng.random() < 0.5:
+            sizes[rng.randrange(len(sizes))] = max(sizes)
+        ties += sizes.count(max(sizes)) > 1
+        elements = iter(rng.sample(range(1, 100), sum(sizes)))
+        edges = _cross_pairs([[next(elements) for _ in range(k)] for k in sizes])
+        rng.shuffle(edges)
+        (component,) = split(edges)
+        cover = exact._closed_cover(component)
+        assert cover == _searched_cover(component)[0]
+        assert exact._solve([component], 1) == (frozenset(cover), 1)
+        assert component.optimum == (cover, 1)
+    assert ties > 250, ties
+
+
+def test_a_single_fd_closes_every_key_group_as_the_search_would():
+    cs, inst, optimum = fd_key_groups(random.Random(1), 10 ** 4)
+    hg = build_hypergraph(inst, cs)
+    assert len(min_hitting_set(hg).deleted) == optimum
+    assert hg._answer.nodes == len(hg.components) > 2000
+    for c in hg.components:
+        assert c.optimum == (_searched_cover(c)[0], 1)
+
+
+def test_closed_covers_and_nodes_agree_across_versions_of_the_same_edges():
+    # derived from a solved parent, built, pickled, and handed in as a plain
+    # edge set: each gives the same covers and the same node total
+    cs, inst, _ = fd_key_groups(random.Random(4), 400)
+    parent = build_hypergraph(inst, cs)
+    min_hitting_set(parent)
+    delta = UpdateDelta((("rel", ("k1", "b9", "w1")), ("rel", ("k7", "b0", "w2"))),
+                        frozenset({3, 5}))
+    after = apply_update(inst, delta)
+    built = build_hypergraph(after, cs)
+    versions = (incremental_hypergraph(parent, inst, delta, cs), built,
+                pickle.loads(pickle.dumps(build_hypergraph(after, cs))),
+                hypergraph_from_edges(after.tids, built.solving_edges))
+    got = []
+    for hg in versions:
+        deleted = min_hitting_set(hg).deleted
+        got.append((deleted, hg._answer.nodes, [c.optimum for c in hg.components]))
+    assert got[0][1] == len(built.components)
+    assert all(g == got[0] for g in got[1:])
+
+
+CLOSED = {
+    "edge": [{1, 2}],
+    "triangle": [{1, 2}, {1, 3}, {2, 3}],
+    "star": [{1, 2}, {1, 3}, {1, 4}],
+    "C4": [{1, 2}, {2, 3}, {3, 4}, {1, 4}],  # K_{2,2}
+    "diamond": [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}],  # K4 minus an edge, K_{1,1,2}
+    "K4": [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}],
+}
+SEARCHED = {
+    "P4": [{1, 2}, {2, 3}, {3, 4}],
+    "C5": [{1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5}],
+    "paw": [{1, 2}, {1, 3}, {2, 3}, {3, 4}],  # a triangle with a pendant vertex
+    # 3-regular on 6 vertices, as K_{3,3} is
+    "prism": [{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}, {1, 4}, {2, 5}, {3, 6}],
+    "bowtie": [{1, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 5}],
+    "singleton": [{1}],
+    "triple": [{1, 2, 3}],
+    "pair_and_triple": [{1, 2}, {2, 3, 4}, {1, 4}],
+    "two_triples": [{1, 2, 3}, {1, 2, 4}],
+}
+
+
+@pytest.mark.parametrize("name", [*CLOSED, *SEARCHED])
+def test_only_complete_multipartite_pair_components_close(monkeypatch, name):
+    edges = [frozenset(e) for e in CLOSED.get(name) or SEARCHED[name]]
+    (component,) = split(edges)
+    searched = count_searches(monkeypatch)
+    calls, search = [], exact._branch_and_bound
+    monkeypatch.setattr(exact, "_branch_and_bound", lambda *args: calls.append(1) or search(*args))
+    deleted, nodes = exact._solve([component], 10 ** 6)
+    assert len(deleted) == _brute_minimum(edges) and all(deleted & e for e in edges)
+    assert len(searched) == 1
+    if name in CLOSED:
+        assert exact._closed_cover(component) == tuple(sorted(deleted))
+        assert (len(calls), nodes) == (0, 1)
+    else:
+        assert exact._closed_cover(component) is None and len(calls) == 1
+
+
+def test_a_skewed_key_group_closes_under_the_default_budget():
+    # searched, 80 rows ran out of 2 * 10^6 nodes and 250 rows of 10^4
+    for n, optimum in ((80, 53), (250, 159)):
+        cs, inst, closed_form = skewed_key_group(n)
+        start = time.perf_counter()
+        hg = build_hypergraph(inst, cs)
+        deleted = min_hitting_set(hg).deleted
+        took = time.perf_counter() - start
+        assert len(deleted) == optimum == closed_form and hg._answer.nodes == 1
+        assert all(deleted & e for e in hg.solving_edges)
+        assert took < 1, (n, took)
+        # what is kept is a largest B-class: of the two that tie at 80 rows,
+        # the one whose smallest tid is larger
+        classes = {}
+        for t in inst.tids:
+            classes.setdefault(inst.fact(t).values[1], []).append(t)
+        largest = [ts for ts in classes.values() if len(ts) == n - optimum]
+        assert len(largest) == (2 if n == 80 else 1)
+        assert sorted(set(inst.tids) - deleted) == max(largest)
+    with pytest.raises(ResourceLimitError) as info:
+        min_hitting_set(build_hypergraph(inst, cs), node_budget=0)
+    assert info.value.lower_bound <= 159 <= info.value.best_size
 
 
 def _hard_block(offset=0):
@@ -472,9 +606,11 @@ def test_endogenous_variants(pqr):
 
 
 def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
-    # every tid endogenous, the default: the hypergraph's own split and solve
+    # every tid endogenous, the default: the hypergraph's own components,
+    # the key groups its build takes, and one solve of each
     cs, inst, optimum = fd_key_groups(random.Random(1), 400)
     hg = build_hypergraph(inst, cs)
+    built = hg.components
     # what a search of the solving edges as a plain edge set finds
     components = split(list(set(hg.solving_edges)))
     deleted = exact._solve(components, exact.DEFAULT_NODE_BUDGET)[0]
@@ -486,8 +622,8 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
     for _ in range(2):
         sol = min_endogenous_hitting_set(hg, inst.effective_endogenous())
         assert sol.deleted == deleted and len(deleted) == optimum
-    assert len(hg.components) == 80
-    assert (len(splits), len(searches)) == (1, 80)
+    assert hg.components is built and len(built) == 80
+    assert (len(splits), len(searches)) == (0, 80)
     assert [c.optimum for c in hg.components] == [c.optimum for c in components]
 
 

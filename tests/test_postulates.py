@@ -10,6 +10,12 @@ by the instance size) and g3_null over the seeded corpus.  Consistency and
 the conflicts of an added fact are read from the brute-force oracle, which
 shares no code with the join engine.  The paper's update bounds (C4), a
 continuity property, are checked on every single-fact delta of the corpus.
+
+On the FD workload, rel(A, B, C) under A -> B, the postulates are checked
+at scale: each value there must equal the closed form of one FD or of
+FDs with a common left-hand side, every key group less one largest class
+of the dependent values (Livshits, Kimelfeld and Roy, PODS 2018),
+computed here from the rows alone.
 """
 
 import random
@@ -17,11 +23,12 @@ from collections import Counter
 
 from incmeter.conflicts import build_hypergraph
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
-from incmeter.model import ConstraintSet, Fact, Instance
+from incmeter.model import ConstraintSet, Fact, Instance, parse_constraints
 from incmeter.nullrep import inc_deg_g3_null
 from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph)
 
+from conftest import fd_key_groups, skewed_key_group
 from oracles import brute_force, consistent
 
 
@@ -124,3 +131,70 @@ def test_the_update_bounds_hold_on_every_single_fact_delta(corpus):
             assert report.applicable and report.all_hold(), (delta, inst.facts)
             seen[report.direction, report.deleted_all_isolated] += 1
     assert sum(seen.values()) > 7000 and min(seen.values()) > 300, seen
+
+
+# --- the FD workload ----------------------------------------------------------
+
+def _closed_form(instance, dependent=(1,)):
+    """The smallest deletion count under A -> each attribute at dependent:
+    per A value, its rows less those of one largest class of dependent
+    values."""
+    classes = {}
+    for f in instance.facts:
+        key = tuple(f.values[p] for p in dependent)
+        classes.setdefault(f.values[0], Counter())[key] += 1
+    return sum(sum(c.values()) - max(c.values()) for c in classes.values())
+
+
+def _fd_cases():
+    """fd_key_groups at 2000 rows and the skewed key groups of 80 and 250
+    rows, with their optima."""
+    yield fd_key_groups(random.Random(1), 2000)
+    for n in (80, 250):
+        yield skewed_key_group(n)
+
+
+def _with_rows(instance, rows):
+    """instance with rel rows added under fresh tids."""
+    top = max(instance.tids)
+    return Instance(instance.schema, instance.facts + tuple(
+        Fact(top + i, "rel", r) for i, r in enumerate(rows, 1)))
+
+
+def test_positivity_and_conflict_free_additions_on_key_groups():
+    for cs, inst, optimum in _fd_cases():
+        report = inc_deg_g3(inst, cs)
+        assert report.numerator == optimum == _closed_form(inst) > 0
+        # the repair the witness leaves is consistent, and measures 0
+        repaired = Instance(inst.schema, tuple(f for f in inst.facts
+                                               if f.tid not in report.witness.deleted))
+        assert inc_deg_g3(repaired, cs).value == 0 == _closed_form(repaired)
+        # a row of a new key, and one joining a key group of one B value
+        # with that value, conflict with nothing and change no numerator
+        values = {}
+        for f in inst.facts:
+            values.setdefault(f.values[0], set()).add(f.values[1])
+        additions = [("fresh", "b0", "new")] + [
+            (a, *b, "new") for a, b in values.items() if len(b) == 1][:1]
+        for row in additions:
+            grown = _with_rows(inst, [row])
+            assert inc_deg_g3(grown, cs).numerator == optimum == _closed_form(grown)
+
+
+def test_monotonicity_from_one_fd_to_two_with_a_common_lhs():
+    # A -> B and A -> C: each key group's conflicts are again complete
+    # multipartite, over its (B, C) classes
+    for cs, inst, _ in _fd_cases():
+        rng, rows = random.Random(len(inst)), {}
+        for f in inst.facts:  # C from two values, each row kept once
+            rows.setdefault(f.values[:2] + (f"c{rng.randrange(2)}",), f.tid)
+        inst = Instance(inst.schema, tuple(Fact(t, "rel", r) for r, t in rows.items()))
+        both = parse_constraints("fd key : rel : A -> B\nfd key_c : rel : A -> C\n",
+                                 inst.schema)
+        one, two = inc_deg_g3(inst, cs), inc_deg_g3(inst, both)
+        assert one.numerator == _closed_form(inst)
+        assert two.numerator == _closed_form(inst, (1, 2))
+        assert one.value <= two.value
+        hg = build_hypergraph(inst, both)
+        inc_deg_g3(inst, both, hg)
+        assert hg._answer.nodes == len(hg.components)  # each closed by formula

@@ -1042,6 +1042,42 @@ def test_an_insert_seeds_only_the_atoms_of_its_relations(monkeypatch):
         _check_against_rebuild(hg, inst, cs)
 
 
+def test_an_insert_delta_builds_one_seed_index_for_all_its_constraints(monkeypatch, corpus):
+    cs, inst = _scan_shaped(random.Random(9), 300)
+    hg = build_hypergraph(inst, cs)
+    built, init = [], FactIndex.__init__
+    monkeypatch.setattr(FactIndex, "__init__",
+                        lambda self, facts: built.append(1) or init(self, facts))
+    delta = UpdateDelta((("rel", ("k1", "b9", "c-new")), ("ord", ("o-new", "u1"))), frozenset())
+    derived = incremental_hypergraph(hg, inst, delta, cs)
+    assert len(cs) == 2 and len(built) == 1
+    monkeypatch.undo()
+    _check_against_rebuild(derived, apply_update(inst, delta), cs)
+    # on an insert delta of each corpus instance, the images seeded from the
+    # one index equal those each constraint's own index of the rows gives
+    calls, images = [], evaluation.images
+
+    def recorded(index, dc, inserted=None, seed=None):
+        calls.append((images(index, dc, inserted, seed), images(index, dc, inserted), seed))
+        return calls[-1][0]
+
+    monkeypatch.setattr(evaluation, "images", recorded)
+    rng, deltas = random.Random(6161), 0
+    for item in corpus:
+        inst, cs = item.instance, item.constraints
+        rows = {("r", tuple(rng.choices("abcd", k=2))), ("s", (rng.choice("abcd"),))}
+        delta = UpdateDelta(tuple(sorted(rows - {f[1:] for f in inst.facts})), frozenset())
+        if not delta.insertions:
+            continue
+        hg = build_hypergraph(inst, cs)
+        calls.clear()
+        incremental_hypergraph(hg, inst, delta, cs)
+        assert len(calls) == len(cs) and len({id(seed) for _, _, seed in calls}) == 1
+        assert all(got == want for got, want, _ in calls)
+        deltas += 1
+    assert deltas > 450, deltas
+
+
 def test_delete_only_and_one_relation_deltas_match_a_rebuild_on_the_corpus(corpus):
     rng = random.Random(5151)
     kinds = Counter()
