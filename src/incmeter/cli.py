@@ -307,11 +307,8 @@ def _cmd_conflicts(args, constraints, instance):
         "max_degree": max(degrees.values(), default=0),
         "degrees": dict(zip(map(str, degrees), degrees.values())),
     }
-    return payload, _dump_lines(hg)
-
-
-def _dump_lines(hg):  # lazy, so that only --format text builds the lines
-    yield from hg.dump_lines()
+    # lazy, so that only --format text builds the lines
+    return payload, (f"{e.constraint}: {','.join(map(str, e.key()))}" for e in hg.edges)
 
 
 def _cmd_update(args, constraints, instance):

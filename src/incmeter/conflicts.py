@@ -12,14 +12,14 @@ every measure in this package is built on; an exact solve records them as
 each component's Optimum (cover, nodes) and each hypergraph version's Answer
 (size, nodes, replaced, parts).
 
-A build keeps each constraint's minimal images as plain tid sets.  The
-solving edges are their antichain, which one constraint's sets already are,
-sorted once in canonical order, and split into components in one
-union-find pass.  A build of one FD-shaped constraint alone takes its
-components from the key groups instead, and sorts and splits nothing unless
-the solving edges are read.  The labeled edges are built from the sets
-only when read, and those of a version an update derives from its
-tid -> edges map.
+A build keeps each constraint's minimal images as plain tid sets: an
+FD-shaped constraint's key-group pairs (evaluation._key_groups), any
+other's antichain of joined images (evaluation.images).  The solving edges
+are their antichain, which one constraint's sets already are, sorted once
+in canonical order, and split into components in one union-find pass,
+except that a single FD's key groups are its components as they are.  The
+labeled edges are built from the sets only when read, and those of a
+version an update derives from its tid -> edges map.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import evaluation
 from .errors import InputError
-from .model import ConstraintSet, DenialConstraint, FactIndex, Instance, _reroot
+from .model import ConstraintSet, FactIndex, Instance, _reroot
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +169,6 @@ class ConflictHypergraph:
     def _solving_count(self) -> int:  # a derived version is given it (see derive)
         return sum(map(len, self.components))
 
-    def dump_lines(self) -> list[str]:
-        """Diagnostic dump: one line per edge, `<constraint>: tid,tid,...`."""
-        return [f"{e.constraint}: {','.join(str(t) for t in e.key())}"
-                for e in self.edges]
-
 
 def antichain(sets) -> list:
     """The subset-minimal members of a collection of sets, duplicates dropped.
@@ -234,15 +229,6 @@ def split(edges) -> list[Component]:
     return [Component(groups[head]) for head in sorted(groups)]
 
 
-def constraint_edges(index, dc: DenialConstraint, inserted=None, seed=None) -> list[Hyperedge]:
-    """Minimal violation sets of dc: the antichain of the images of dc's
-    satisfying assignments, or, given inserted facts and perhaps their
-    FactIndex as seed, of those that match one of them (see
-    evaluation.images)."""
-    return [Hyperedge(s, dc.name)
-            for s in antichain(evaluation.images(index, dc, inserted, seed))]
-
-
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
     """The hypergraph of these edges, deduplicated in canonical order.
 
@@ -272,26 +258,26 @@ def _first(component):
 
 
 def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> ConflictHypergraph:
-    """Enumerate all minimal violation sets of the instance: each constraint's
-    antichain of images (see constraint_edges), kept unlabeled.
+    """Enumerate all minimal violation sets of the instance, kept unlabeled:
+    an FD-shaped constraint's pairs from its key groups
+    (evaluation._key_groups), already an antichain, and any other
+    constraint's antichain of images (evaluation.images).
 
-    One FD-shaped constraint alone gives its components as they are: each
-    key group with two or more dependent values (evaluation._key_groups) is
-    one, its pairs in canonical order, and they go by smallest tid.  No
-    canonical sort of all the pairs and no split runs unless the solving or
-    the labeled edges are read.
+    A single FD's key groups are its components as they are, each group's
+    pairs in canonical order and the groups by smallest tid.  No canonical
+    sort of all the pairs and no split runs unless the solving or the
+    labeled edges are read.
     """
     index = instance._live_index()
-    if len(constraints) == 1:
-        (dc,) = constraints
+    sets = []
+    for dc in constraints:
         groups = evaluation._key_groups(index, dc)
-        if groups is not None:
-            components = sorted(map(Component, groups), key=_first)
-            hg = _built(instance.tids, ((dc.name, list(chain.from_iterable(groups))),), True)
-            hg.__dict__["components"] = components
-            return hg
-    sets = tuple((dc.name, antichain(evaluation.images(index, dc))) for dc in constraints)
-    return _built(instance.tids, sets, len(sets) == 1)
+        sets.append((dc.name, antichain(evaluation.images(index, dc)) if groups is None
+                     else list(chain.from_iterable(groups))))
+    hg = _built(instance.tids, tuple(sets), len(sets) == 1)
+    if len(sets) == 1 and groups is not None:
+        hg.__dict__["components"] = sorted(map(Component, groups), key=_first)
+    return hg
 
 
 def _built(vertices, sets, minimal) -> ConflictHypergraph:
@@ -309,7 +295,7 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     instance is the instance after the delta.  inserted holds the facts the
     delta inserts, with fresh tids, and deleted is the frozenset of the tids
     it deletes.  New edges are each constraint's minimal violation sets
-    among the images that hold an inserted tid (see constraint_edges),
+    among the images that hold an inserted tid (see evaluation.images),
     joined in instance's fact index and seeded from one FactIndex of the
     inserted facts for all constraints; a delta that inserts nothing joins
     nothing.  Only what the delta reaches is touched:
@@ -335,7 +321,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     if inserted:  # a delta that inserts nothing joins nothing
         index, seed = instance._live_index(), FactIndex(inserted)
         for dc in constraints:
-            found += constraint_edges(index, dc, inserted, seed)
+            found += [Hyperedge(s, dc.name)
+                      for s in antichain(evaluation.images(index, dc, inserted, seed))]
     dropped = set().union(*[incident.get(t, ()) for t in deleted])
     # a dropped edge holds a deleted tid, so it is a subset of no found edge
     added, fresh = [], set()

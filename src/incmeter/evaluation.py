@@ -20,13 +20,12 @@ assignment keeps its image.  So images, and nullrep's cell sets, are taken
 with interchangeable atoms matched in ascending tid order, or, under a seed,
 with one atom of each class seeded.
 
-A full build reads an FD-shaped constraint (_fd_shape) from its key groups,
-as Livshits, Kimelfeld and Roy (PODS 2018) do: the pairs of facts whose
-dependent values differ in each bucket of the table on the determinant
-positions (_key_groups).  Each group's pairs form a complete multipartite
-graph over its dependent values, one connected component; a build of that
-one constraint alone takes its components from the groups as they are (see
-conflicts.build_hypergraph), and the exact solver closes each by formula.
+A build reads an FD-shaped constraint (_fd_shape) from its key groups
+instead, as Livshits, Kimelfeld and Roy (PODS 2018) do: the pairs of facts
+whose dependent values differ in each bucket of the table on the determinant
+positions (_key_groups), each group's pairs a complete multipartite graph
+over its dependent values.  conflicts.build_hypergraph alone reads them;
+images is the join, for an FD too.
 
 Facts and constants never hold the reserved blank placeholder: the model
 refuses it in every fact and every constraint, so values join, match and
@@ -244,7 +243,7 @@ def _key_groups(index: FactIndex, constraint: DenialConstraint):
 
 def images(index: FactIndex, constraint: DenialConstraint, inserted=None, seed=None) -> set:
     """The images (tid sets) of the constraint's satisfying assignments,
-    read from key buckets for an FD-shaped constraint (_key_groups).
+    found by the join, for an FD-shaped constraint too.
 
     With inserted facts, which must belong to the indexed instance, only the
     images of the assignments that match one of them, seeding only the atoms
@@ -257,11 +256,7 @@ def images(index: FactIndex, constraint: DenialConstraint, inserted=None, seed=N
     def emit(assignment):
         out.add(frozenset(map(_TID, assignment)))
 
-    groups = _key_groups(index, constraint) if inserted is None else None
-    if groups is not None:
-        for pairs in groups:
-            out.update(pairs)
-    elif inserted is None:
+    if inserted is None:
         _join(index, constraint, None, True, None, emit)
     else:
         if seed is None:

@@ -15,7 +15,7 @@ import io
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import chain, count, groupby, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -201,22 +201,6 @@ class Instance:
         if self._fact_index is None:
             self.__dict__["_fact_index"] = FactIndex(self._rows())
         return self._fact_index
-
-    def _check_facts(self, facts, where=None, runs=None) -> None:
-        """Check the loaded rows of facts, (tid, predicate, values) tuples whose
-        tids are distinct and positive, whose values are tuples of strs and
-        whose predicates each make one run.  A row must have its predicate's
-        arity, hold no NULL and be new.  Each run is checked as a whole; if
-        one fails, _walk names the first bad fact.  runs, if given, are the
-        runs as (predicate, list of value tuples) pairs, in the order of facts."""
-        arity = self.schema._arity
-        if runs is None:
-            runs = ((name, list(map(itemgetter(2), run)))
-                    for name, run in groupby(facts, itemgetter(1)))
-        for name, values in runs:
-            if (len(set(values)) < len(values) or not set(map(len, values)) <= {arity.get(name)}
-                    or not {NULL}.isdisjoint(chain.from_iterable(values))):
-                self._walk(list(map(Fact._make, facts)), {}, where)
 
     def _walk(self, facts, rows, where=None) -> None:
         """Check facts one at a time against rows, a map from each predicate to
@@ -473,10 +457,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
             raise InputError(
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
         batch = list(zip(count(len(facts) + 1), repeat(name), body))
-        # a bad batch[i] is on the (i + 2)th nonblank line, counted only then
-        instance._check_facts(batch, lambda i, exc: InputError(f"{name}: {exc}", line=[
-            k for k, row in enumerate(csv.reader(io.StringIO(text)), 1) if row][i + 1]),
-            [(name, body)])
+        # the rows are checked as a whole, and only a bad batch is walked to
+        # name its first bad row; batch[i] is on the (i + 2)th nonblank line
+        if (len(set(body)) < len(body) or not set(map(len, body)) <= {pred.arity}
+                or not {NULL}.isdisjoint(chain.from_iterable(body))):
+            instance._walk(list(map(Fact._make, batch)), {}, lambda i, exc: InputError(
+                f"{name}: {exc}", line=[k for k, row in enumerate(
+                    csv.reader(io.StringIO(text)), 1) if row][i + 1]))
         facts += batch
     instance.__dict__.update(endogenous=frozenset(map(_tid, endogenous_tids or ())))
     return instance._index(dict(zip(count(1), facts)))

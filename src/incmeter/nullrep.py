@@ -8,7 +8,7 @@ its "breaking" cells is blanked: a cell matched by a constant, by a shared
 sets make a ConflictHypergraph over cells, whose exact.min_hitting_set is a
 minimum-change repair; the measure divides its size by the cell count.
 
-Cell conflicts come from the ordered join plan of evaluation.images, which
+Cell conflicts come from the ordered join plan of evaluation._join, which
 matches interchangeable atoms in ascending tid order only.  Their swap keeps
 constants, variable occurrence counts and compared variables, so such atoms
 break at equal positions and an assignment and its swap at the same cells.

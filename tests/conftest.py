@@ -118,6 +118,25 @@ def fd_key_groups(rng: random.Random, n):
     return constraints, instance, optimum
 
 
+SCAN_SCHEMA = "rel(A, B, C)\nord(O, C)\ncust(C, S)\n"
+SCAN_CONSTRAINTS = ('fd key : rel : A -> B\n'
+                    'dc closed : !exists ord(o, c), cust(c, s), s = "closed"\n')
+
+
+def scan_shaped(rng, n):
+    """About n rel, ord and cust rows: key groups under the FD, and orders of
+    a few closed customers, as in the benchmark's scan and stream instances."""
+    schema = parse_schema(SCAN_SCHEMA)
+    cs = parse_constraints(SCAN_CONSTRAINTS, schema)
+    cust = [("cust", (f"u{i}", "closed" if rng.random() < 0.1 else "open"))
+            for i in range(n // 10)]
+    ords = [("ord", (f"o{i}", f"u{rng.randrange(n // 10)}")) for i in range(n // 3)]
+    rel = [("rel", (f"k{rng.randrange(n // 8)}", f"b{rng.randrange(3)}", f"c{i}"))
+           for i in range(n // 2)]
+    rows = cust + ords + rel
+    return cs, Instance(schema, tuple(Fact(t, p, v) for t, (p, v) in enumerate(rows, 1)))
+
+
 # B-class sizes of one key group of 80, 250 and 1000 rows: 2133, 20783 and
 # 333212 conflicting pairs, optima 53, 159 and 654; the two largest classes
 # of 80 rows tie

@@ -12,9 +12,10 @@ NULL: the model refuses the reserved value.
 import gc
 import random
 from collections import Counter
+from itertools import chain
 
 from incmeter import evaluation, nullrep
-from incmeter.conflicts import antichain
+from incmeter.conflicts import antichain, build_hypergraph
 from incmeter.evaluation import FactIndex, compare_values, images
 from incmeter.model import (Atom, Comparison, Const, DenialConstraint, Fact, Instance, Var,
                             parse_constraints, parse_schema)
@@ -385,13 +386,6 @@ NEAR_MISSES = parse_constraints(
     "dc two_predicates : !exists r(x, y), t(x, w, v), y != w\n", SCHEMA)
 
 
-def _generic_images(index, dc):
-    """The images of the ordered join plan, which every other constraint takes."""
-    out = set()
-    evaluation._join(index, dc, None, True, None, lambda a: out.add(frozenset(f[0] for f in a)))
-    return out
-
-
 def _chain_instance(n):
     """rel(A, B, C) under A -> B and B -> C: n distinct rows over n/4 A values,
     n/10 B values and 3 C values."""
@@ -412,11 +406,11 @@ def test_fd_shapes_are_read_from_the_constraint():
         "key": ((0,), 1), "key2": ((0, 1), 2), "two": ((0, 2), 1), "swapped": ((0,), 1)}
 
 
-def test_fd_images_come_from_key_buckets_and_match_the_join(corpus, monkeypatch):
+def test_key_groups_equal_the_join_and_a_build_joins_no_fd(corpus, monkeypatch):
     joined = []
     join = evaluation._join
     monkeypatch.setattr(evaluation, "_join", lambda *args: joined.append(args[1]) or join(*args))
-    # small instances: the FD path, the join and the brute-force oracle agree
+    # small instances: the key groups, the join and the brute-force oracle agree
     small = [(item.constraints, item.instance) for item in corpus]
     small += [((*CONSTRAINTS, *SHAPED, *FD_SHAPED, *NEAR_MISSES), Instance(SCHEMA, facts))
               for _, facts in cases(71, 150)]
@@ -428,13 +422,19 @@ def test_fd_images_come_from_key_buckets_and_match_the_join(corpus, monkeypatch)
     for constraints, instance in small + large:
         index = instance._live_index()
         for dc in constraints:
-            joined.clear()
+            groups = evaluation._key_groups(index, dc)
+            assert (groups is None) == (evaluation._fd_shape(dc) is None), dc
             got = images(index, dc)
-            # an FD-shaped constraint joins nothing; any other takes the ordered plan once
-            assert joined == ([] if evaluation._fd_shape(dc) else [dc]), dc
-            assert got == _generic_images(index, dc), dc
+            if groups is not None:
+                pairs = list(chain.from_iterable(groups))
+                assert {len(p) for p in pairs} <= {2} and len(set(pairs)) == len(pairs), dc
+                assert set(pairs) == got, dc
+                fd_pairs += len(pairs)
             if len(instance) <= 40:
                 want = {frozenset(f.tid for f in a) for a in brute_force(instance.facts, dc)}
                 assert got == want, dc
-            fd_pairs += len(got) if evaluation._fd_shape(dc) else 0
+        # a build joins each other constraint once and no FD-shaped one
+        joined.clear()
+        build_hypergraph(instance, constraints)
+        assert joined == [dc for dc in constraints if evaluation._fd_shape(dc) is None]
     assert fd_pairs > 5000

@@ -327,7 +327,7 @@ def _reference_load(csv_sources, schema, endogenous_tids=None):
                 f"{name}: header {header!r} does not match attributes {pred.attributes!r}")
         body = [tuple(r) for r in rows[1:] if r]
         batch = [Fact(tid, name, values) for tid, values in enumerate(body, len(facts) + 1)]
-        instance._check_facts(batch, lambda i, exc: InputError(
+        instance._walk(batch, {}, lambda i, exc: InputError(
             f"{name}: {exc}", line=[k for k, row in enumerate(rows, 1) if row][i + 1]))
         facts += batch
     instance.__dict__.update(endogenous=frozenset(map(int, endogenous_tids or ())))

@@ -22,7 +22,7 @@ from incmeter.updates import (UpdateDelta, apply_update, check_deletion_bounds,
                               check_insertion_bounds, incremental_hypergraph,
                               parse_delta)
 
-from conftest import count_searches, fd_key_groups, random_bundle
+from conftest import count_searches, fd_key_groups, random_bundle, scan_shaped
 from oracles import restrict
 from test_conflicts import _reference_edges
 
@@ -971,25 +971,6 @@ def test_two_constraints_with_one_tid_set_give_one_solving_edge():
 
 # --- a delta's work, done once and only where it reaches ---------------------
 
-SCAN_SCHEMA = "rel(A, B, C)\nord(O, C)\ncust(C, S)\n"
-SCAN_CONSTRAINTS = ('fd key : rel : A -> B\n'
-                    'dc closed : !exists ord(o, c), cust(c, s), s = "closed"\n')
-
-
-def _scan_shaped(rng, n):
-    """About n rel, ord and cust rows: key groups under the FD, and orders of
-    a few closed customers, as in the benchmark's scan and stream instances."""
-    schema = parse_schema(SCAN_SCHEMA)
-    cs = parse_constraints(SCAN_CONSTRAINTS, schema)
-    cust = [("cust", (f"u{i}", "closed" if rng.random() < 0.1 else "open"))
-            for i in range(n // 10)]
-    ords = [("ord", (f"o{i}", f"u{rng.randrange(n // 10)}")) for i in range(n // 3)]
-    rel = [("rel", (f"k{rng.randrange(n // 8)}", f"b{rng.randrange(3)}", f"c{i}"))
-           for i in range(n // 2)]
-    rows = cust + ords + rel
-    return cs, Instance(schema, tuple(Fact(t, p, v) for t, (p, v) in enumerate(rows, 1)))
-
-
 def _scan_delta(rng, inst, i):
     """A delete-only delta, or one that inserts into one relation and may delete."""
     deletions = frozenset(rng.sample(inst.tids, rng.randint(1, 3)))
@@ -1026,7 +1007,7 @@ def test_a_delete_only_delta_runs_no_join(monkeypatch, pqr):
 
 
 def test_an_insert_seeds_only_the_atoms_of_its_relations(monkeypatch):
-    cs, inst = _scan_shaped(random.Random(8), 300)
+    cs, inst = scan_shaped(random.Random(8), 300)
     hg = build_hypergraph(inst, cs)
     calls = _count_joins(monkeypatch)
     for rows, seeded in (([("ord", ("o-new", "u1"))], [("closed", 0)]),
@@ -1043,7 +1024,7 @@ def test_an_insert_seeds_only_the_atoms_of_its_relations(monkeypatch):
 
 
 def test_an_insert_delta_builds_one_seed_index_for_all_its_constraints(monkeypatch, corpus):
-    cs, inst = _scan_shaped(random.Random(9), 300)
+    cs, inst = scan_shaped(random.Random(9), 300)
     hg = build_hypergraph(inst, cs)
     built, init = [], FactIndex.__init__
     monkeypatch.setattr(FactIndex, "__init__",
@@ -1103,7 +1084,7 @@ def test_a_chain_of_scan_shaped_deltas_matches_a_rebuild(monkeypatch):
     calls = _count_joins(monkeypatch)
     for seed in range(3):
         rng = random.Random(seed)
-        cs, inst = _scan_shaped(rng, 240)
+        cs, inst = scan_shaped(rng, 240)
         hg = build_hypergraph(inst, cs)
         for i in range(40):
             delta = _scan_delta(rng, inst, i)
@@ -1128,7 +1109,7 @@ def _count_checks(monkeypatch):
 
 
 def test_an_applied_delta_is_neither_checked_nor_rerooted_again(monkeypatch):
-    cs, inst = _scan_shaped(random.Random(12), 300)
+    cs, inst = scan_shaped(random.Random(12), 300)
     hg = build_hypergraph(inst, cs)
     checks = _count_checks(monkeypatch)
     rng = random.Random(13)
@@ -1415,7 +1396,7 @@ def test_derived_edges_are_built_on_first_read_from_the_maps():
     Read afterwards, each version's edges, in a seeded shuffled order and so
     mostly after later deltas, equal the eager reference of a fresh instance
     of its facts, and ==, hash, pickle and deepcopy see that value."""
-    cs, inst = _scan_shaped(random.Random(10), 300)
+    cs, inst = scan_shaped(random.Random(10), 300)
     hg, rng, versions = build_hypergraph(inst, cs), random.Random(20), []
     for i in range(30):
         delta = _scan_delta(rng, inst, i)
