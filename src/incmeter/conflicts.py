@@ -15,16 +15,17 @@ each component's Optimum (cover, nodes) and each hypergraph version's Answer
 A build keeps each constraint's minimal images as plain tid sets: an
 FD-shaped constraint's key-group pairs (evaluation._key_groups), any
 other's antichain of joined images (evaluation.images).  The solving edges
-are their antichain, which one constraint's sets already are, sorted once
-in canonical order, and split into components in one union-find pass,
-except that a single FD's key groups are its components as they are.  The
+are their antichain, sorted once in canonical order, and split into
+components in one union-find pass, except that a single FD's key groups are
+its components as they are.  Given its components, as that build and every
+derived version are, a hypergraph reads its solving edges from them.  The
 labeled edges are built from the sets only when read, and those of a
-version an update derives from its tid -> edges map.
+derived version from its tid -> edges map.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,7 +101,10 @@ class ConflictHypergraph:
     of the vertices, are computed on first read and kept.  A build of a
     single FD is given its components (see build_hypergraph).  One that an
     update derives (see derive) is given the last three, the components
-    the delta did not reach being the parent's own, optimum and all.  It
+    the delta did not reach being the parent's own, optimum and all.  One
+    given its components reads its solving edges from them, sorted; the
+    antichain of the labeled edges serves only one handed labeled edges,
+    by assemble, dataclasses.replace or unpickling.  A derived version
     builds its vertex set on first read from the tid map of _instance, the
     instance version it was derived with.  _answer is its Answer once
     exact.min_hitting_set solves it, and _report its exact MeasureReport
@@ -115,7 +119,6 @@ class ConflictHypergraph:
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
     _lookups = _link = _instance = _constraints = _answer = _report = _sets = None  # not fields
-    _minimal = False  # whether _sets is one constraint's antichain, as built
 
     def __getattr__(self, name):  # labeled edges or a derived version's vertex set, on first read
         if name == "edges" and self._sets is not None:
@@ -144,10 +147,10 @@ class ConflictHypergraph:
 
     @cached_property
     def solving_edges(self) -> tuple[frozenset[int], ...]:
-        if self._sets is None:  # given labeled edges: by assemble, a copy or a derive
+        if "components" in self.__dict__:  # given: by a derive or a single FD's build
+            sets = chain.from_iterable(self.components)
+        elif self._sets is None:  # given labeled edges: by assemble, a copy or unpickling
             sets = antichain(e.tids for e in self.edges)
-        elif self._minimal:
-            sets = self._sets[0][1]
         else:
             sets = antichain(chain.from_iterable(sets for _, sets in self._sets))
         return tuple(sorted(sets, key=_canonical))
@@ -274,17 +277,17 @@ def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> Conflict
         groups = evaluation._key_groups(index, dc)
         sets.append((dc.name, antichain(evaluation.images(index, dc)) if groups is None
                      else list(chain.from_iterable(groups))))
-    hg = _built(instance.tids, tuple(sets), len(sets) == 1)
+    hg = _built(instance.tids, tuple(sets))
     if len(sets) == 1 and groups is not None:
         hg.__dict__["components"] = sorted(map(Component, groups), key=_first)
     return hg
 
 
-def _built(vertices, sets, minimal) -> ConflictHypergraph:
+def _built(vertices, sets) -> ConflictHypergraph:
     """The hypergraph of sets, (constraint name, tid sets) pairs in constraint
-    order; minimal says the pairs are one, whose sets are an antichain."""
+    order."""
     hg = object.__new__(ConflictHypergraph)  # its labeled edges are built on first read
-    hg.__dict__.update(vertices=frozenset(vertices), _sets=sets, _minimal=minimal)
+    hg.__dict__.update(vertices=frozenset(vertices), _sets=sets)
     return hg
 
 
@@ -306,7 +309,8 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
       and no other new edge;
     - the components that hold a deleted tid or meet a new solving edge are
       split again with the new solving edges, and the rest are handed on as
-      they are, optimum and all, so the components hold every solving edge.
+      they are, optimum and all, so the components hold every solving edge
+      and the result reads its solving edges from them.
     Surviving components keep their canonical places, and the new ones are
     put in by key.  hg's tid -> edges and tid -> component maps are moved to
     the result, which builds its labeled edges from them when read, and hg
@@ -344,7 +348,7 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     _shift_lookups(hg._lookups, out, into)
     derived = object.__new__(ConflictHypergraph)  # vertex set and edges built on first read
     derived.__dict__.update(size=len(instance), _instance=instance, _constraints=constraints,
-                            components=_splice(hg.components, out[2], parts, _first),
+                            components=_splice(hg.components, out[2], parts),
                             _solving_count=hg._solving_count - sum(map(len, out[2]))
                             + sum(map(len, parts)), _lookups=hg._lookups)
     if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
@@ -375,25 +379,16 @@ def _shift_lookups(maps, out, into) -> None:
         owner.update(dict.fromkeys(set().union(*c), c))
 
 
-def _splice(items, drop, add, key):
-    """items, in ascending key order, without those in drop and with those in
-    add put in by key, as a list; the runs between are copied as slices.
-    Keys are distinct, but an item added may have the key of one dropped."""
-    marks = []
-    for dropping, xs in ((True, drop), (False, add)):
-        for x in xs:
-            k = key(x)
-            marks.append((bisect_left(items, k, key=key), dropping, k, x))
-    out, start = [], 0
-    # an item added goes before the item at its place, which may be dropped
-    for at, dropping, _, x in sorted(marks):
-        out += items[start:at]
-        if dropping:
-            start = at + 1
-        else:
-            out.append(x)
-            start = at
-    out += items[start:]
+def _splice(components, drop, add):
+    """A copy of components, in order of smallest element, less those in drop
+    and with those in add put in by it.  Each is found by bisection, as
+    model._shift finds a fact in its bucket.  Smallest elements are distinct,
+    but a component added may have that of one dropped, so drops go first."""
+    out = list(components)
+    for c in drop:
+        del out[bisect_left(out, _first(c), key=_first)]
+    for c in add:
+        insort(out, c, key=_first)
     return out
 
 
@@ -409,7 +404,7 @@ def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
         if not s <= vertices:
             raise InputError(f"edge {sorted(s)} not within vertex set")
         sets.add(s)
-    return _built(vertices, (("synthetic", sets),), False)
+    return _built(vertices, (("synthetic", sets),))
 
 
 def vertex_degrees(hg: ConflictHypergraph) -> dict[int, int]:

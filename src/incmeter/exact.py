@@ -18,11 +18,12 @@ count, the greedy incumbent and the branching all read it.  The tree is
 searched depth first from an explicit stack, so its depth has no recursion
 limit.  With edge sizes bounded by d a tree has at most d^k nodes for a
 component answer of size k, and the answer is the union of the component
-answers.  One node budget counts the nodes of all trees
-together, so pathological inputs end in a clean error instead of a silent
-timeout or a wrong answer; the error brackets the whole optimum by the exact
-sizes of the solved components and [packing, incumbent] of the rest.  A
-component keeps its conflicts.Optimum and a hypergraph version its
+answers.  One node budget counts the nodes of all trees together, so
+pathological inputs end in a clean error instead of a silent timeout or a
+wrong answer; the error brackets the whole optimum by the exact sizes of
+the solved components and of the rest that close by formula, and by
+[packing, incumbent] of any other (_bracket).  A component keeps its
+conflicts.Optimum and a hypergraph version its
 conflicts.Answer, so a solve searches only what no solve before it did.
 The endogenous minimum restricts and splits again only the components
 holding an exogenous tid.  Plain edge sets are solved as the hypergraph
@@ -93,9 +94,10 @@ def _solve(components, node_budget):
     node, or searched (see _optimum).  A recorded component is not solved
     again, but its recorded nodes still count.  Each solve is
     deterministic, so the answer, the node count and an exhausted budget's
-    bracket are those of a solve of every component.  With no node left, a
-    component that would close is searched instead, so the budget runs out
-    at its root with its [packing, incumbent] bracket.
+    bracket are those of a solve of every component.  With no node left,
+    the budget runs out at the next component to solve, and it and every
+    component after it add their _bracket: a closed size on both sides, or
+    [packing, incumbent], which builds the component's index.
     """
     nodes = 0
     chosen = []
@@ -106,14 +108,13 @@ def _solve(components, node_budget):
             try:
                 optimum = component.optimum = _optimum(component, node_budget - nodes)
             except ResourceLimitError as exc:
-                # solved components are exact; the rest contribute [packing, incumbent]
-                rest = [c.index[1] for c in components[i + 1:]]
+                # solved components are exact; the rest contribute their _bracket
+                rest = [_bracket(c) for c in components[i + 1:]]
                 raise ResourceLimitError(
                     f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                    best_size=len(chosen) + exc.best_size
-                    + sum(_incumbent(m).bit_count() for m in rest),
+                    best_size=len(chosen) + exc.best_size + sum(high for _, high in rest),
                     lower_bound=len(chosen) + exc.lower_bound
-                    + sum(_scan(m, 0)[1] for m in rest)) from None
+                    + sum(low for low, _ in rest)) from None
         nodes += optimum.nodes
         chosen.extend(optimum.cover)
     return frozenset(chosen), nodes
@@ -121,12 +122,26 @@ def _solve(components, node_budget):
 
 def _optimum(component, budget):
     """The component's Optimum within budget nodes: closed by formula at one
-    node if _closed_cover finds its cover and a node is left, else searched."""
-    if budget > 0 and (cover := _closed_cover(component)) is not None:
+    node if _closed_cover finds its cover, else searched.  With no node left
+    it raises, bracketing the component as _bracket does."""
+    if budget <= 0:
+        low, high = _bracket(component)
+        raise ResourceLimitError("node budget exceeded", best_size=high, lower_bound=low)
+    if (cover := _closed_cover(component)) is not None:
         return Optimum(cover, 1)
     universe, masks = component.index
     found, taken = _branch_and_bound(masks, len(universe), budget)
     return Optimum(tuple(universe[b] for b in _bits(found)), taken)
+
+
+def _bracket(component):
+    """Bounds on the component's optimum that take no search node: the size
+    of its closed cover on both sides if _closed_cover finds one, else its
+    root packing and its incumbent, as _branch_and_bound's root gives."""
+    if (cover := _closed_cover(component)) is not None:
+        return len(cover), len(cover)
+    masks = component.index[1]
+    return _scan(masks, 0)[1], _incumbent(masks).bit_count()
 
 
 def _closed_cover(component):

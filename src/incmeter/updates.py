@@ -20,7 +20,7 @@ the deltas.  A delta is checked once: after apply_update, the updated
 instance and the delta's facts are read back from the parent's link.  Only
 the atoms an inserted fact can match are joined, and the vertex set and
 the labeled edges are built only when read.  Still growing with the
-instance, at C speed: the copy of the component sequence around the changes.
+instance, at C speed: the one copy of the component list that a delta edits.
 
 One private body stands behind `incmeter update` and both bound checks.
 Every update path checks the whole delta there once, whether or not

@@ -7,9 +7,12 @@ under `fd key : rel : A -> B`, at n = 10^4 and 10^5 rows.  Each run loads a
 fresh instance (untimed), then times three stages on it: build_hypergraph,
 the first read of .components (under one FD, the key groups the build
 took; else the solving antichain, its canonical sort and the split), and
-exact.min_hitting_set on the result.  Last,
-nullrep.cell_conflicts, the null measure's build of the same shape over
-cells, is timed on fresh 10^4-row instances.  Times are taken with
+exact.min_hitting_set on the result.  Then the first read of
+.solving_edges is timed on the version that one delta, a row in and a row
+out, derives from a build of 10^4 rows; it reads them from its components,
+and must equal a rebuild's.  Last, nullrep.cell_conflicts, the null
+measure's build of the same shape over cells, is timed on fresh 10^4-row
+instances.  Times are taken with
 time.perf_counter with the cyclic collector on, as a CLI run has it, and
 printed as the min and max ms over the runs.  The same three stages are
 then timed on one skewed key group (tests/conftest.py::skewed_key_group) of
@@ -31,10 +34,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import fd_key_groups, skewed_key_group  # noqa: E402
 
-from incmeter import build_hypergraph, cell_conflicts, min_hitting_set  # noqa: E402
+from incmeter import (UpdateDelta, apply_update, build_hypergraph, cell_conflicts,  # noqa: E402
+                      incremental_hypergraph, min_hitting_set)
 
 SIZES = ((10_000, 5), (100_000, 3))  # (rows, runs)
 SKEWED = ((250, 5), (1000, 3))  # (rows of the one key group, runs)
+DERIVED_ROWS, DERIVED_RUNS = 10_000, 5
 CELL_ROWS, CELL_RUNS = 10_000, 5
 STAGES = ("build", "components", "solve")
 
@@ -67,6 +72,22 @@ def measure(workload, n, runs):
     return len(hg.solving_edges), len(components), spent
 
 
+def derived_read(n, runs):
+    """The ms of each run's first read of solving_edges on the version one
+    delta derives from a build of fd_workload(n)."""
+    times = []
+    delta = UpdateDelta((("rel", ("k1", "b9", "c-new")),), frozenset({1}))
+    for _ in range(runs):
+        constraints, instance, _ = fd_workload(n)
+        derived = incremental_hypergraph(build_hypergraph(instance, constraints), instance,
+                                         delta, constraints)
+        edges, took = timed(lambda: derived.solving_edges)
+        rebuilt = build_hypergraph(apply_update(instance, delta), constraints)
+        assert edges == rebuilt.solving_edges
+        times.append(took)
+    return times
+
+
 def span(times):
     return f"{min(times):.0f}-{max(times):.0f}"
 
@@ -83,6 +104,9 @@ def main():
             edges, components, spent = measure(workload, n, runs)
             print(f"{n:>7} {runs:>4} {edges:>7} {components:>10} "
                   + " ".join(f"{span(spent[c]):>11}" for c in columns))
+    times = derived_read(DERIVED_ROWS, DERIVED_RUNS)
+    print(f"first solving_edges read, derived from {DERIVED_ROWS} rows by one delta, "
+          f"{DERIVED_RUNS} runs: {span(times)} ms")
     times = []
     for _ in range(CELL_RUNS):
         constraints, instance, _ = fd_key_groups(random.Random(1), CELL_ROWS)

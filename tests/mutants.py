@@ -40,8 +40,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-EVALUATION, CONFLICTS, EXACT, MODEL = (f"src/incmeter/{m}.py"
-                                       for m in ("evaluation", "conflicts", "exact", "model"))
+EVALUATION, CONFLICTS, EXACT, MODEL, MEASURES, UPDATES = (
+    f"src/incmeter/{m}.py"
+    for m in ("evaluation", "conflicts", "exact", "model", "measures", "updates"))
+C4 = "tests/test_acceptance.py::test_c4_update_bound_inequalities"
+C5 = "tests/test_acceptance.py::test_c5_incremental_conflict_maintenance"
+DERIVED_UNBUILT = ("tests/test_conflicts.py::"
+                   "test_a_derived_version_solves_without_building_its_labeled_edges")
 EAGER_REFERENCE = "tests/test_conflicts.py::test_built_edges_match_the_eager_reference"
 KEY_GROUPS = "tests/test_evaluation.py::test_key_groups_equal_the_join_and_a_build_joins_no_fd"
 BAD_ROW = ("tests/test_model.py::"
@@ -73,7 +78,24 @@ MUTANTS = (
     Mutant("a new edge above another constraint's edge is solving", CONFLICTS,
            "            if not below:\n", "            if True:\n",
            ("tests/test_updates.py::test_a_new_edge_over_a_surviving_solving_edge_is_not_solving",
-            "tests/test_acceptance.py::test_c5_incremental_conflict_maintenance")),
+            C5)),
+    Mutant("a derive leaves the new solving edges out of its components", CONFLICTS,
+           "kept + new_solving", "kept",
+           (C5, DERIVED_UNBUILT,
+            "tests/test_updates.py::test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild")),
+    Mutant("a derive appends its new components", CONFLICTS,
+           "insort(out, c, key=_first)", "out.append(c)",
+           (C5, DERIVED_UNBUILT,
+            "tests/test_updates.py::test_a_chain_of_scan_shaped_deltas_matches_a_rebuild")),
+    # the labeled edges and the split
+    Mutant("labeled edges go in reversed constraint order", CONFLICTS,
+           "for label, sets in self._sets", "for label, sets in reversed(self._sets)",
+           (EAGER_REFERENCE, "tests/test_cli.py::test_conflicts",
+            "tests/test_conflicts.py::test_lazy_edges_compare_hash_and_copy_as_eager_ones")),
+    Mutant("the larger head leads a merged member list", CONFLICTS,
+           "if m[0] < big[0]:", "if m[0] > big[0]:",
+           ("tests/test_conflicts.py::test_split_matches_the_depth_first_reference",
+            "tests/test_conflicts.py::test_components_match_an_independent_split")),
     # the closed cover of a complete multipartite component
     Mutant("the closed cover keeps the tied class of smallest tid", EXACT,
            "key=lambda c: (len(c), min(c))", "key=lambda c: (len(c), -min(c))",
@@ -82,6 +104,38 @@ MUTANTS = (
            "if any(len(near) != len(around) - len(c) for near, c in classes.items()):",
            "if False:",
            ("tests/test_exact.py::test_only_complete_multipartite_pair_components_close",)),
+    Mutant("an exhausted budget brackets a closable component by search bounds", EXACT,
+           "    if (cover := _closed_cover(component)) is not None:\n"
+           "        return len(cover), len(cover)\n", "",
+           ("tests/test_cli.py::test_budget_exhaustion_exits_2_on_key_groups",
+            "tests/test_exact.py::"
+            "test_an_exhausted_budget_brackets_closable_components_by_their_size")),
+    # positivity, the kept report and the update bounds
+    Mutant("g3 reads one-tid edges as consistent", MEASURES,
+           '    if n == 0:\n        return _empty_report("g3")\n    if solver',
+           '    if n == 0 or hg.d == 1:\n        return _empty_report("g3")\n    if solver',
+           ("tests/test_postulates.py::"
+            "test_a_measure_is_positive_exactly_on_inconsistent_instances",
+            "tests/test_measures.py::test_g3_value_definition_on_random_instances")),
+    Mutant("a kept report is read under another node budget", MEASURES,
+           "hg._report[0] == (n, node_budget)", "hg._report[0][0] == n",
+           ("tests/test_updates.py::"
+            "test_a_bound_check_after_inc_deg_g3_reads_each_versions_kept_report",)),
+    Mutant("the insertion upper bound drops its eps/(1+eps) term", UPDATES,
+           "Fraction(b * (n + k) + k * nb, nb * (n + k))", "Fraction(b, nb)",
+           (C4, "tests/test_updates.py::test_the_bound_sides_equal_their_fraction_arithmetic",
+            "tests/test_postulates.py::test_the_update_bounds_hold_on_every_single_fact_delta")),
+    # a delta read back from the link and the buckets it edits
+    Mutant("a link matches a delta by its sizes", MODEL,
+           "link[3:] == ((rows, deletions),)",
+           "link[3:] and tuple(map(len, link[3])) == (len(rows), len(deletions))",
+           ("tests/test_updates.py::test_a_re_presented_delta_is_read_from_the_link_by_value",
+            "tests/test_updates.py::test_another_delta_from_the_parent_is_checked_in_full")),
+    Mutant("a bucket gains a fact at its end", MODEL,
+           "insort(table.setdefault(key(f[2]), []), f, key=_TID)",
+           "table.setdefault(key(f[2]), []).append(f)",
+           ("tests/test_updates.py::test_what_if_deltas_from_older_versions_match_a_rebuild",
+            "tests/test_model.py::test_each_version_of_a_derive_chain_rereads_its_facts")),
     # the loader's bulk row test, which stands for _walk's per-row rule
     Mutant("the loader lets a duplicate row through", MODEL,
            "len(set(body)) < len(body) or not", "not",

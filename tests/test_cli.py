@@ -440,11 +440,11 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
 def test_budget_exhaustion_exits_2_on_key_groups(tmp_path, capsys):
     # two key groups under one FD, each of three B-classes of two rows
     # (optimum 4 each, root packing 3): each closes by formula at one node,
-    # so 0 nodes run out at the first and 1 at the second, which is
-    # bracketed by its [packing, incumbent] beside the first's exact 4
+    # so 0 nodes run out at the first and 1 at the second; a group that
+    # closes is bracketed by its exact 4 on both sides, searched or not
     rows = "A,B,C\n" + "".join(f"a{i % 2},b{i % 3},c{i}\n" for i in range(12))
     base = write_bundle(tmp_path, FD_SCHEMA, "fd f1 : rel : A -> B\n", {"rel": rows})
-    for budget, bracket in (("0", (6, 8)), ("1", (7, 8))):
+    for budget, bracket in (("0", (8, 8)), ("1", (8, 8))):
         assert main(["measure", "--node-budget", budget, "--format", "json"] + base) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "resource-limit"

@@ -10,11 +10,12 @@ from incmeter.approx import (local_ratio_hitting_set, lp_fractional_cover,
 from incmeter.conflicts import (Component, ConflictHypergraph, Hyperedge, antichain,
                                 build_hypergraph, hypergraph_from_edges, vertex_degrees)
 from incmeter.errors import InputError
-from incmeter.exact import min_hitting_set
+from incmeter.exact import enumerate_s_repairs, min_hitting_set
 from incmeter.measures import inc_deg_g3, inc_deg_g3_endogenous
 from incmeter.model import (ConstraintSet, Fact, Instance, load_instance, parse_constraints,
                             parse_schema)
 from incmeter.nullrep import inc_deg_g3_null
+from incmeter.updates import UpdateDelta, apply_update, incremental_hypergraph
 
 from conftest import fd_key_groups, random_bundle, scan_shaped
 from oracles import components, consistent, restrict
@@ -334,6 +335,48 @@ def test_the_measures_and_solvers_leave_the_labeled_edges_unbuilt(monkeypatch):
     local_ratio_hitting_set(hg)
     assert len(built) == 6
     assert [hg for hg in built if "edges" in hg.__dict__] == []
+
+
+def _conflicting_rows(instance, i):
+    """Rows that meet conflicts of instance: one of a new B value under key k1
+    and, in the scan shape, an order of a closed customer."""
+    closed = [f.values[0] for f in instance.facts
+              if f.predicate == "cust" and f.values[1] == "closed"]
+    return (("rel", ("k1", "b9", f"c-new{i}")),
+            *(("ord", (f"o-new{i}", c)) for c in closed[:1]))
+
+
+def test_a_derived_version_solves_without_building_its_labeled_edges():
+    # a single FD, whose build is given its components, and the scan shape,
+    # whose build splits them; the small cases also enumerate their repairs
+    cases = ((fd_key_groups(random.Random(5), 400)[:2], False),
+             (scan_shaped(random.Random(4), 600), False),
+             (fd_key_groups(random.Random(5), 8)[:2], True),
+             (scan_shaped(random.Random(2), 20), True))
+    for (constraints, instance), small in cases:
+        hg = build_hypergraph(instance, constraints)
+        gone = sorted(hg.solving_edges[0])
+        derived = []
+        # an insert delta, a delete delta and a mixed one
+        for i, deletions in enumerate(((), gone[:1], gone[1:])):
+            rows = () if i == 1 else _conflicting_rows(instance, i)
+            delta = UpdateDelta(rows, frozenset(deletions))
+            hg = incremental_hypergraph(hg, instance, delta, constraints)
+            instance = apply_update(instance, delta)
+            for solver in ("exact", "local-ratio", "randomized"):
+                inc_deg_g3(instance, constraints, hg, solver=solver)
+            lp_fractional_cover(hg)
+            local_ratio_hitting_set(hg)
+            vertex_degrees(hg)
+            hg.d
+            if small:  # as a rebuild's
+                assert (enumerate_s_repairs(instance, constraints, hypergraph=hg)
+                        == enumerate_s_repairs(instance, constraints))
+            derived.append((hg, instance))
+        assert [hg for hg, _ in derived if "edges" in hg.__dict__] == []
+        for hg, instance in derived:
+            rebuilt = build_hypergraph(instance, constraints)
+            assert (hg.solving_edges, hg.d) == (rebuilt.solving_edges, rebuilt.d)
 
 
 def _pickled(hg):

@@ -237,7 +237,28 @@ def test_a_skewed_key_group_closes_under_the_default_budget():
         assert sorted(set(inst.tids) - deleted) == max(largest)
     with pytest.raises(ResourceLimitError) as info:
         min_hitting_set(build_hypergraph(inst, cs), node_budget=0)
-    assert info.value.lower_bound <= 159 <= info.value.best_size
+    assert info.value.lower_bound == 159 == info.value.best_size
+
+
+def test_an_exhausted_budget_brackets_closable_components_by_their_size():
+    # the key groups of one FD close, the hard block after them does not:
+    # out of nodes at each component in turn, the bracket is the groups'
+    # sizes, solved or closed, plus the block's [packing, incumbent], and
+    # no group is indexed
+    cs, inst, _ = fd_key_groups(random.Random(3), 40)
+    groups = build_hypergraph(inst, cs).components
+    covers = [exact._closed_cover(c) for c in groups]
+    assert len(groups) >= 3 and None not in covers
+    closed = sum(map(len, covers))
+    block = Component(frozenset(e) for e in _hard_block(10 ** 6))
+    packing, incumbent = _interval(_hard_block(), 0)
+    for budget in range(len(groups) + 1):
+        parts = [Component(c) for c in groups] + [block]
+        with pytest.raises(ResourceLimitError) as info:
+            exact._solve(parts, budget)
+        assert (info.value.lower_bound, info.value.best_size) == (closed + packing,
+                                                                  closed + incumbent)
+        assert not [c for c in parts[:-1] if "index" in vars(c)]
 
 
 def _hard_block(offset=0):
