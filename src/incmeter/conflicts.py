@@ -20,7 +20,7 @@ components in one union-find pass, except that a single FD's key groups are
 its components as they are.  Given its components, as that build and every
 derived version are, a hypergraph reads its solving edges from them.  The
 labeled edges are built from the sets only when read, and those of a
-derived version from its tid -> edges map.
+derived version by a build of its instance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from typing import NamedTuple
 
 from . import evaluation
@@ -89,10 +89,9 @@ class ConflictHypergraph:
     edges keeps one entry per (constraint, tid set) pair.  With vertices,
     these are the fields: the hypergraph's value, and all equality compares.
     One that build_hypergraph or hypergraph_from_edges makes keeps instead
-    _sets, each constraint's name and tid sets, and one that derive makes
-    its tid -> edges map; either builds its labeled edges on first read.
-    Only the conflicts command, equality, hashing, pickling and the first
-    derive from a build read them.
+    _sets, each constraint's name and tid sets, and builds its labeled
+    edges from them on first read; one that derive makes reads a build's.
+    Only the conflicts command, equality, hashing and pickling read them.
 
     solving_edges, the antichain of the edges' tid sets across constraints
     (a set that hits it hits every edge), d, the largest solving edge size
@@ -108,10 +107,10 @@ class ConflictHypergraph:
     builds its vertex set on first read from the tid map of _instance, the
     instance version it was derived with.  _answer is its Answer once
     exact.min_hitting_set solves it, and _report its exact MeasureReport
-    from measures._g3, keyed by (n, node_budget).  _lookups maps
-    each conflicting tid to its edges and to its component, and only this
-    module reads it.  Built once from the edges of a hypergraph that no
-    derive made, it is handed on and moved back as an instance's tid map is
+    from measures._g3, keyed by (n, node_budget).  _lookups is the set of
+    solving edges and the map of each conflicting tid to its component, and
+    only this module reads it.  Built once from the components of a version
+    that no derive made, it is handed on and moved back as a tid map is
     (see model._reroot), so a version kept alive keeps every later one
     alive.  The join index the edges are found with is the instance's own.
     """
@@ -125,9 +124,7 @@ class ConflictHypergraph:
             value = tuple(Hyperedge(s, label) for label, sets in self._sets
                           for s in sorted(sets, key=_canonical))
         elif name == "edges" and self._instance is not None:
-            _reroot(self, _shift_lookups, "_lookups")
-            value = tuple(sorted(set().union(*self._lookups[0].values()),
-                                 key=_edge_key(c.name for c in self._constraints)))
+            value = build_hypergraph(self._instance, self._constraints).edges
         elif name == "vertices" and self._instance is not None:
             value = frozenset(self._instance._live())
         else:
@@ -239,15 +236,9 @@ def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
     it, then by their tids.  Edges are assumed subset-minimal within their
     own constraint; supersets across constraints are left to solving_edges.
     """
-    edges = tuple(sorted(set(hyperedges), key=_edge_key(constraint_order)))
-    return ConflictHypergraph(frozenset(vertices), edges)
-
-
-def _edge_key(constraint_order):
-    """The canonical sort key of a labeled edge: its constraint's place in
-    constraint_order, then its sorted tids."""
     order = {name: i for i, name in enumerate(constraint_order)}
-    return lambda e: (order[e.constraint], _canonical(e.tids))
+    edges = tuple(sorted(set(hyperedges), key=lambda e: (order[e.constraint], _canonical(e.tids))))
+    return ConflictHypergraph(frozenset(vertices), edges)
 
 
 def _canonical(s):
@@ -301,81 +292,63 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     among the images that hold an inserted tid (see evaluation.images),
     joined in instance's fact index and seeded from one FactIndex of the
     inserted facts for all constraints; a delta that inserts nothing joins
-    nothing.  Only what the delta reaches is touched:
-    - the edges through a deleted tid go; an edge found stays out if an edge
-      of its constraint that survives is a proper subset of it;
-    - the surviving solving edges stay solving, since every new edge holds
-      an inserted tid; a new edge is solving if it holds no surviving edge
-      and no other new edge;
+    nothing.  Only the solving edges are kept, and only what the delta
+    reaches is touched:
+    - the solving edges through a deleted tid go, and the others stay
+      solving, since every new edge holds an inserted tid; a new edge is
+      solving if it holds no surviving solving edge and no other new edge
+      (a surviving edge it held would hold a surviving solving edge);
     - the components that hold a deleted tid or meet a new solving edge are
       split again with the new solving edges, and the rest are handed on as
       they are, optimum and all, so the components hold every solving edge
       and the result reads its solving edges from them.
     Surviving components keep their canonical places, and the new ones are
-    put in by key.  hg's tid -> edges and tid -> component maps are moved to
-    the result, which builds its labeled edges from them when read, and hg
-    links to it (see ConflictHypergraph).
+    put in by key.  hg's set of solving edges and tid -> component map are
+    moved to the result, and hg links to it (see ConflictHypergraph).
     """
     _reroot(hg, _shift_lookups, "_lookups")
     if hg._lookups is None:  # built once per hypergraph that no derive made
-        hg.__dict__["_lookups"] = ({}, {})
-        _shift_lookups(hg._lookups, ((), (), ()), ((), hg.edges, hg.components))
-    incident, owner = hg._lookups
+        hg.__dict__["_lookups"] = (set(), {})
+        _shift_lookups(hg._lookups, (), hg.components)
+    solving, owner = hg._lookups
     found = []
     if inserted:  # a delta that inserts nothing joins nothing
         index, seed = instance._live_index(), FactIndex(inserted)
         for dc in constraints:
-            found += [Hyperedge(s, dc.name)
-                      for s in antichain(evaluation.images(index, dc, inserted, seed))]
-    dropped = set().union(*[incident.get(t, ()) for t in deleted])
-    # a dropped edge holds a deleted tid, so it is a subset of no found edge
-    added, fresh = [], set()
-    for e in found:
-        below = {o.constraint for t in e.tids for o in incident.get(t, ()) if o.tids < e.tids}
-        if e.constraint not in below:
-            added.append(e)
-            if not below:
-                fresh.add(e.tids)
-    new_solving = antichain(fresh)
+            found += antichain(evaluation.images(index, dc, inserted, seed))
+    # a found edge holds no deleted tid, so a solving edge below it survives
+    new_solving = antichain([e for e in found if not any(
+        frozenset(s) in solving for k in range(1, len(e)) for s in combinations(e, k))])
     hit = {}
     for t in chain(deleted, *new_solving):
         c = owner.get(t)
         if c is not None:
             hit[_first(c)] = c
-    kept = [s for c in hit.values() for s in c if s.isdisjoint(deleted)]
+    out = tuple(hit.values())
+    kept = [s for c in out for s in c if s.isdisjoint(deleted)]
     parts = tuple(split(sorted(kept + new_solving, key=_canonical)))
-    out, into = (deleted, dropped, tuple(hit.values())), ({f.tid for f in inserted}, added, parts)
-    _shift_lookups(hg._lookups, out, into)
+    _shift_lookups(hg._lookups, out, parts)
     derived = object.__new__(ConflictHypergraph)  # vertex set and edges built on first read
     derived.__dict__.update(size=len(instance), _instance=instance, _constraints=constraints,
-                            components=_splice(hg.components, out[2], parts),
-                            _solving_count=hg._solving_count - sum(map(len, out[2]))
+                            components=_splice(hg.components, out, parts),
+                            _solving_count=hg._solving_count - sum(map(len, out))
                             + sum(map(len, parts)), _lookups=hg._lookups)
     if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
-        derived.__dict__["_answer"] = hg._answer._replace(replaced=out[2], parts=parts)
-    hg.__dict__.update(_lookups=None, _link=(derived, out, into))
+        derived.__dict__["_answer"] = hg._answer._replace(replaced=out, parts=parts)
+    hg.__dict__.update(_lookups=None, _link=(derived, out, parts))
     return derived
 
 
 def _shift_lookups(maps, out, into) -> None:
-    """Take out's labeled edges and components out of maps, the tid -> edges
-    and tid -> component maps, and put into's in.  Each is a (tids, edges,
-    components) triple, its edges all those through its tids, whose edge
-    sets are thus popped whole."""
-    (incident, owner), (tids, edges, components) = maps, out
-    for t in tids:
-        incident.pop(t, None)
-    for e in edges:
-        for t in e.tids.difference(tids):
-            incident[t].remove(e)
-            if not incident[t]:
-                del incident[t]
-    for t in set().union(*chain.from_iterable(components)):
-        del owner[t]
-    for e in into[1]:
-        for t in e.tids:
-            incident.setdefault(t, set()).add(e)
-    for c in into[2]:
+    """Take the components out out of maps, the set of solving edges and the
+    tid -> component map, and put the components into in."""
+    solving, owner = maps
+    for c in out:
+        solving.difference_update(c)
+        for t in set().union(*c):
+            del owner[t]
+    for c in into:
+        solving.update(c)
         owner.update(dict.fromkeys(set().union(*c), c))
 
 

@@ -7,20 +7,22 @@ what the delta did not touch.  New edges come from the assignments that use
 at least one inserted fact: each atom in turn is seeded with the inserted
 facts while the other atoms are looked up in the updated instance's index.
 An assignment seen under several seeds yields one image.  conflicts.derive
-finds them, drops the edges through a deleted tid, puts the new ones in by
-key and splits again only the components the delta reaches.  The other
+finds them, keeps only the solving edges, drops those through a deleted
+tid, puts the new ones in by key and splits again only the components the
+delta reaches.  The other
 components are handed on with the Optimum a solve recorded on each, and a
 solved version's Answer with them, so the next solve searches the changed
 components only and walks no other (see exact.min_hitting_set).
 
 Each instance version holds one tid map and one fact index, and each
-hypergraph version its tid maps: handed on, edited in place and moved back
-by model._reroot, so any version can be derived from in time that follows
-the deltas.  A delta is checked once: after apply_update, the updated
-instance and the delta's facts are read back from the parent's link.  Only
-the atoms an inserted fact can match are joined, and the vertex set and
-the labeled edges are built only when read.  Still growing with the
-instance, at C speed: the one copy of the component list that a delta edits.
+hypergraph version its solving edges and tid -> component map: handed on,
+edited in place and moved back by model._reroot, so any version can be
+derived from in time that follows the deltas.  A delta is checked once:
+after apply_update, the updated instance and the delta's facts are read
+back from the parent's link.  Only the atoms an inserted fact can match are
+joined.  The vertex set is built only when read, and the labeled edges are
+a build's, made only when read.  Still growing with the instance, at C
+speed: the one copy of the component list that a delta edits.
 
 One private body stands behind `incmeter update` and both bound checks.
 Every update path checks the whole delta there once, whether or not

@@ -6,13 +6,13 @@ for it.
 MUTANTS is one table.  A row names a mutant, the module it changes, an exact
 snippet of that module's source, the snippet's replacement, and the test
 node ids that the change must make fail.  For each row (or only those
-named), src/ and tests/ are copied to a temporary directory, the snippet is
-replaced there, and the named ids run with pytest in a subprocess over the
-copy.  A mutant is killed when the tests fail, survived when they pass, and
-stale when the snippet does not occur exactly once in the module or pytest
-cannot run the ids (a renamed test, say): a stale row names code or tests
-that have since changed, and the table needs mending.  The working tree is
-only read.
+named), src/, tests/ and README.md, which some tests read, are copied to a
+temporary directory, the snippet is replaced there, and the named ids run
+with pytest in a subprocess over the copy.  A mutant is killed when the
+tests fail, survived when they pass, and stale when the snippet does not
+occur exactly once in the module or pytest cannot run the ids (a renamed
+test, say): a stale row names code or tests that have since changed, and the
+table needs mending.  The working tree is only read.
 
 The report is informational: the exit status is 0 whatever the outcomes.
 Only the standard library is used, apart from pytest, which runs the ids.
@@ -75,10 +75,14 @@ MUTANTS = (
     Mutant("a delta seeds both atoms of an interchangeable pair", EVALUATION,
            "skip = {i for cls in _classes(constraint) for i in cls[1:]}", "skip = set()",
            ("tests/test_updates.py::test_an_insert_seeds_only_the_atoms_of_its_relations",)),
-    Mutant("a new edge above another constraint's edge is solving", CONFLICTS,
-           "            if not below:\n", "            if True:\n",
+    Mutant("a new edge over a surviving solving edge is solving", CONFLICTS,
+           "frozenset(s) in solving", "False",
            ("tests/test_updates.py::test_a_new_edge_over_a_surviving_solving_edge_is_not_solving",
             C5)),
+    Mutant("a new edge is tested against too few of its subsets", CONFLICTS,
+           "range(1, len(e))", "range(1, len(e) - 1)",
+           (C5, "tests/test_updates.py::"
+            "test_delete_only_and_one_relation_deltas_match_a_rebuild_on_the_corpus")),
     Mutant("a derive leaves the new solving edges out of its components", CONFLICTS,
            "kept + new_solving", "kept",
            (C5, DERIVED_UNBUILT,
@@ -159,6 +163,7 @@ def run(mutant: Mutant) -> tuple[str, str]:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part),
                             ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        shutil.copy(ROOT / "README.md", tmp)
         Path(tmp, mutant.module).write_text(
             source.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")), PYTHONDONTWRITEBYTECODE="1")

@@ -214,8 +214,9 @@ def test_c5_incremental_conflict_maintenance(capsys, corpus):
         # built anew, so that the rebuild joins in a fact index of its own
         full = build_hypergraph(Instance(after.schema, after.facts), item.constraints)
         total += 1
-        # solving_edges is a view of the edges, so the solving side is checked
-        # on the components that derive maintains
+        # a derived version's labeled edges are a build of its instance, so
+        # derive is checked on the components it maintains, which hold its
+        # solving edges
         agreed += (inc == full and [tuple(c) for c in inc.components]
                    == [tuple(c) for c in full.components])
     ok = total >= 500 and agreed == total

@@ -707,12 +707,11 @@ def test_a_bulk_delta_and_a_what_if_one_from_its_parent_match_a_rebuild():
 
 
 def _check_maps(hg):
-    """hg holds its tid -> edges and tid -> component maps, and they equal
-    those built from its edges and components, each tid's component the
+    """hg holds its set of solving edges and its tid -> component map, and
+    they equal those built from its components, each tid's component the
     very object in hg.components."""
-    incident, owner = hg._lookups
-    assert incident == {t: {e for e in hg.edges if t in e.tids}
-                        for t in set().union(*(e.tids for e in hg.edges))}
+    solving, owner = hg._lookups
+    assert solving == set().union(*hg.components)
     assert {t: id(c) for t, c in owner.items()} == {
         t: id(c) for c in hg.components for t in set().union(*c)}
 
@@ -729,16 +728,23 @@ def test_what_if_deltas_from_older_versions_match_a_rebuild(monkeypatch):
     """Deltas along a chain, what-if deltas from the parent and the
     grandparent of its newest version, and reads of older instances, in a
     seeded order: each hypergraph derived matches a rebuild and a fresh
-    solve, and holds the maps a build from its edges gives.  The maps are
-    built from a root's edges once, and then only moved by the deltas."""
+    solve, and holds the maps a build from its components gives.  The maps
+    are built from a root's components once, and each later shift, forward
+    or back, moves the components of one version missing from another: no
+    component that both share."""
     shifts = []
-    shift = conflicts._shift_lookups
-    monkeypatch.setattr(conflicts, "_shift_lookups",
-                        lambda maps, out, into: shifts.append((out, into)) or shift(maps, out, into))
+
+    def shift(maps, out, into, shift=conflicts._shift_lookups):
+        held = {id(c) for c in maps[1].values()}  # the components of the version held
+        shift(maps, out, into)
+        shifts.append((held, {id(c) for c in maps[1].values()}, out, into))
+
+    monkeypatch.setattr(conflicts, "_shift_lookups", shift)
     cs, inst, _ = fd_key_groups(random.Random(2), 400)
     root = build_hypergraph(inst, cs)
     measures._g3(root, len(inst))
     chain, rng, steps = [(inst, root, inst.facts)], random.Random(13), Counter()
+    versions = [root]
     for i in range(80):
         step = rng.choice(("chain", "parent", "grandparent", "read"))
         back = {"chain": 1, "parent": 2, "grandparent": 3}.get(step, 0)
@@ -757,11 +763,14 @@ def test_what_if_deltas_from_older_versions_match_a_rebuild(monkeypatch):
         _check_against_rebuild(hg, after, cs)
         if step == "chain":
             chain.append((after, hg, after.facts))
+        versions.append(hg)
     assert min(steps.values()) >= 10
-    built = [into for out, into in shifts if into[1] == root.edges]
-    assert built and shifts[0][1][1] == root.edges and len(built) == 1
-    # every other shift moves the edges of one delta: a few, not the root's hundreds
-    assert max(len(out[1]) + len(into[1]) for out, into in shifts[1:]) < len(root.edges) // 10
+    assert shifts[0][2] == () and shifts[0][3] is root.components
+    held = {frozenset(map(id, v.components)) for v in versions}
+    for was, now, out, into in shifts[1:]:
+        assert was in held and now in held and into is not root.components
+        assert sorted(map(id, out)) == sorted(was - now)
+        assert sorted(map(id, into)) == sorted(now - was)
 
 
 def test_a_copy_of_a_hypergraph_is_the_hypergraph():
@@ -1391,27 +1400,37 @@ def test_a_re_presented_delta_is_read_from_the_link_by_value(monkeypatch, pqr):
     assert child.facts == _fresh_after(inst, parse_delta("+ q(e, w)\n- 2\n")).facts
 
 
-def test_derived_edges_are_built_on_first_read_from_the_maps():
-    """No derived version of an update session builds its labeled edges.
-    Read afterwards, each version's edges, in a seeded shuffled order and so
-    mostly after later deltas, equal the eager reference of a fresh instance
-    of its facts, and ==, hash, pickle and deepcopy see that value."""
-    cs, inst = scan_shaped(random.Random(10), 300)
-    hg, rng, versions = build_hypergraph(inst, cs), random.Random(20), []
-    for i in range(30):
-        delta = _scan_delta(rng, inst, i)
-        after = apply_update(inst, delta)
-        hg_after = incremental_hypergraph(hg, inst, delta, cs)
-        measures.inc_deg_g3(after, cs, hg_after)
-        if delta.is_insert_only or delta.is_delete_only:
-            check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
-            check(inst, delta, cs, exact.DEFAULT_NODE_BUDGET, hg, hg_after)
-        inst, hg = after, hg_after
-        versions.append((hg, inst.facts))
-    assert not [v for v, _ in versions if "edges" in vars(v)]
+def test_derives_build_no_labeled_edge_and_later_reads_match_the_reference(monkeypatch):
+    """A chain of deltas from a two-constraint build and one from a
+    single-FD build construct no Hyperedge: neither a root's labeled edges
+    nor any derived version's.  Read afterwards, each version's edges, in a
+    seeded shuffled order and so mostly after later deltas, equal the eager
+    reference of a fresh instance of its facts, and ==, hash, pickle and
+    deepcopy see that value."""
+    made, labeled = [], conflicts.Hyperedge
+    monkeypatch.setattr(conflicts, "Hyperedge", lambda *args: made.append(args) or labeled(*args))
+    cases = ((*scan_shaped(random.Random(10), 300), _scan_delta),
+             (*fd_key_groups(random.Random(10), 300)[:2],
+              lambda rng, inst, i: _fd_delta(rng, inst, i, 75)))
+    rng, versions = random.Random(20), []
+    for cs, inst, delta_of in cases:
+        root = hg = build_hypergraph(inst, cs)
+        for i in range(30):
+            delta = delta_of(rng, inst, i)
+            after = apply_update(inst, delta)
+            hg_after = incremental_hypergraph(hg, inst, delta, cs)
+            measures.inc_deg_g3(after, cs, hg_after)
+            if delta.is_insert_only or delta.is_delete_only:
+                check = check_insertion_bounds if delta.is_insert_only else check_deletion_bounds
+                check(inst, delta, cs, exact.DEFAULT_NODE_BUDGET, hg, hg_after)
+            inst, hg = after, hg_after
+            versions.append((hg, cs, inst.schema, inst.facts))
+        assert not made and "edges" not in vars(root)
+    assert not [v for v, *_ in versions if "edges" in vars(v)]
+    monkeypatch.undo()
     rng.shuffle(versions)
-    for version, facts in versions:
-        fresh = Instance(inst.schema, facts)
+    for version, cs, schema, facts in versions:
+        fresh = Instance(schema, facts)
         want, rebuilt = _reference_edges(fresh, cs), build_hypergraph(fresh, cs)
         assert version.edges == want and version == rebuilt and hash(version) == hash(rebuilt)
         for twin in (pickle.loads(pickle.dumps(version)), copy.deepcopy(version)):
