@@ -19,8 +19,8 @@ are their antichain, sorted once in canonical order, and split into
 components in one union-find pass, except that a single FD's key groups are
 its components as they are.  Given its components, as that build and every
 derived version are, a hypergraph reads its solving edges from them.  The
-labeled edges are built from the sets only when read, and those of a
-derived version by a build of its instance.
+sets are its value: labeled edges are built from them only when read, and
+a derived version's sets by a build of its instance.
 """
 
 from __future__ import annotations
@@ -86,45 +86,46 @@ class Answer(NamedTuple):
 class ConflictHypergraph:
     """All minimal violations of an instance, in canonical order.
 
-    edges keeps one entry per (constraint, tid set) pair.  With vertices,
-    these are the fields: the hypergraph's value, and all equality compares.
-    One that build_hypergraph or hypergraph_from_edges makes keeps instead
-    _sets, each constraint's name and tid sets, and builds its labeled
-    edges from them on first read; one that derive makes reads a build's.
-    Only the conflicts command, equality, hashing and pickling read them.
+    Its value is vertices and _sets, each constraint's name and its minimal
+    tid sets, in constraint order: what the constructor takes and a pickle
+    carries.  edges, one labeled entry per (constraint, tid set) pair in
+    canonical order, is built from _sets on first read, and with vertices
+    it is what equality, hashing and repr read.  Only the conflicts
+    command reads it otherwise.  One that derive makes reads its _sets
+    from a build of _instance, the instance version it was derived with,
+    and builds its vertex set on first read from that version's tid map.
 
-    solving_edges, the antichain of the edges' tid sets across constraints
-    (a set that hits it hits every edge), d, the largest solving edge size
-    (0 when the instance is consistent), components, the solving edges
-    split for every solver, _solving_count, their number, and size, that
-    of the vertices, are computed on first read and kept.  A build of a
-    single FD is given its components (see build_hypergraph).  One that an
-    update derives (see derive) is given the last three, the components
-    the delta did not reach being the parent's own, optimum and all.  One
-    given its components reads its solving edges from them, sorted; the
-    antichain of the labeled edges serves only one handed labeled edges,
-    by assemble, dataclasses.replace or unpickling.  A derived version
-    builds its vertex set on first read from the tid map of _instance, the
-    instance version it was derived with.  _answer is its Answer once
-    exact.min_hitting_set solves it, and _report its exact MeasureReport
-    from measures._g3, keyed by (n, node_budget).  _lookups is the set of
-    solving edges and the map of each conflicting tid to its component, and
-    only this module reads it.  Built once from the components of a version
-    that no derive made, it is handed on and moved back as a tid map is
-    (see model._reroot), so a version kept alive keeps every later one
-    alive.  The join index the edges are found with is the instance's own.
+    solving_edges, the antichain of the sets across constraints (a set
+    that hits it hits every edge), d, the largest solving edge size (0 when
+    the instance is consistent), components, the solving edges split for
+    every solver, _solving_count, their number, and size, that of the
+    vertices, are computed on first read and kept.  A build of a single FD
+    is given its components (see build_hypergraph).  One that an update
+    derives (see derive) is given the last three, the components the delta
+    did not reach being the parent's own, optimum and all.  One given its
+    components reads its solving edges from them, sorted.  _answer is its
+    Answer once exact.min_hitting_set solves it, and _report its exact
+    MeasureReport from measures._g3, keyed by (n, node_budget).  _lookups
+    is the map of each conflicting tid to its component, and only this
+    module reads it.  Built once from the components of a version that no
+    derive made, it is handed on and moved back as a tid map is (see
+    model._reroot), so a version kept alive keeps every later one alive.
+    The join index the edges are found with is the instance's own.
     """
 
     vertices: frozenset[int]
     edges: tuple[Hyperedge, ...]
-    _lookups = _link = _instance = _constraints = _answer = _report = _sets = None  # not fields
+    _lookups = _link = _instance = _constraints = _answer = _report = None  # not fields
 
-    def __getattr__(self, name):  # labeled edges or a derived version's vertex set, on first read
-        if name == "edges" and self._sets is not None:
+    def __init__(self, vertices, sets):  # the labeled edges are built on first read
+        self.__dict__.update(vertices=frozenset(vertices), _sets=sets)
+
+    def __getattr__(self, name):  # labeled edges, or a derived version's sets or vertex set
+        if name == "edges":
             value = tuple(Hyperedge(s, label) for label, sets in self._sets
                           for s in sorted(sets, key=_canonical))
-        elif name == "edges" and self._instance is not None:
-            value = build_hypergraph(self._instance, self._constraints).edges
+        elif name == "_sets" and self._instance is not None:
+            value = build_hypergraph(self._instance, self._constraints)._sets
         elif name == "vertices" and self._instance is not None:
             value = frozenset(self._instance._live())
         else:
@@ -136,7 +137,7 @@ class ConflictHypergraph:
         return self
 
     def __reduce__(self):  # the value alone, not the versions its link reaches
-        return ConflictHypergraph, (self.vertices, self.edges)
+        return ConflictHypergraph, (self.vertices, self._sets)
 
     @property
     def is_consistent(self) -> bool:
@@ -146,8 +147,6 @@ class ConflictHypergraph:
     def solving_edges(self) -> tuple[frozenset[int], ...]:
         if "components" in self.__dict__:  # given: by a derive or a single FD's build
             sets = chain.from_iterable(self.components)
-        elif self._sets is None:  # given labeled edges: by assemble, a copy or unpickling
-            sets = antichain(e.tids for e in self.edges)
         else:
             sets = antichain(chain.from_iterable(sets for _, sets in self._sets))
         return tuple(sorted(sets, key=_canonical))
@@ -230,15 +229,16 @@ def split(edges) -> list[Component]:
 
 
 def assemble(vertices, hyperedges, constraint_order) -> ConflictHypergraph:
-    """The hypergraph of these edges, deduplicated in canonical order.
+    """The hypergraph of these labeled edges, their tid sets grouped by constraint.
 
     constraint_order names every edge's constraint, each once; edges go by
     it, then by their tids.  Edges are assumed subset-minimal within their
     own constraint; supersets across constraints are left to solving_edges.
     """
-    order = {name: i for i, name in enumerate(constraint_order)}
-    edges = tuple(sorted(set(hyperedges), key=lambda e: (order[e.constraint], _canonical(e.tids))))
-    return ConflictHypergraph(frozenset(vertices), edges)
+    sets = {name: set() for name in constraint_order}
+    for e in hyperedges:
+        sets[e.constraint].add(e.tids)
+    return ConflictHypergraph(vertices, tuple(sets.items()))
 
 
 def _canonical(s):
@@ -268,17 +268,9 @@ def build_hypergraph(instance: Instance, constraints: ConstraintSet) -> Conflict
         groups = evaluation._key_groups(index, dc)
         sets.append((dc.name, antichain(evaluation.images(index, dc)) if groups is None
                      else list(chain.from_iterable(groups))))
-    hg = _built(instance.tids, tuple(sets))
+    hg = ConflictHypergraph(instance.tids, tuple(sets))
     if len(sets) == 1 and groups is not None:
         hg.__dict__["components"] = sorted(map(Component, groups), key=_first)
-    return hg
-
-
-def _built(vertices, sets) -> ConflictHypergraph:
-    """The hypergraph of sets, (constraint name, tid sets) pairs in constraint
-    order."""
-    hg = object.__new__(ConflictHypergraph)  # its labeled edges are built on first read
-    hg.__dict__.update(vertices=frozenset(vertices), _sets=sets)
     return hg
 
 
@@ -294,61 +286,62 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     inserted facts for all constraints; a delta that inserts nothing joins
     nothing.  Only the solving edges are kept, and only what the delta
     reaches is touched:
+    - the components that hold a deleted tid or meet a new edge are
+      reached; the rest are handed on as they are, optimum and all;
     - the solving edges through a deleted tid go, and the others stay
-      solving, since every new edge holds an inserted tid; a new edge is
-      solving if it holds no surviving solving edge and no other new edge
-      (a surviving edge it held would hold a surviving solving edge);
-    - the components that hold a deleted tid or meet a new solving edge are
-      split again with the new solving edges, and the rest are handed on as
-      they are, optimum and all, so the components hold every solving edge
-      and the result reads its solving edges from them.
+      solving, since every new edge holds an inserted tid;
+    - a new edge is solving if it holds no other new edge and no surviving
+      solving edge of a reached component: a surviving solving edge it
+      held would meet it, so its component is reached, and a surviving
+      edge it held would hold a surviving solving edge;
+    - the reached components are split again with the new solving edges,
+      so the components hold every solving edge and the result reads its
+      solving edges from them.
     Surviving components keep their canonical places, and the new ones are
-    put in by key.  hg's set of solving edges and tid -> component map are
-    moved to the result, and hg links to it (see ConflictHypergraph).
+    put in by key.  hg's tid -> component map is moved to the result, and
+    hg links to it (see ConflictHypergraph).
     """
     _reroot(hg, _shift_lookups, "_lookups")
     if hg._lookups is None:  # built once per hypergraph that no derive made
-        hg.__dict__["_lookups"] = (set(), {})
+        hg.__dict__["_lookups"] = {}
         _shift_lookups(hg._lookups, (), hg.components)
-    solving, owner = hg._lookups
+    owner = hg._lookups
     found = []
     if inserted:  # a delta that inserts nothing joins nothing
         index, seed = instance._live_index(), FactIndex(inserted)
         for dc in constraints:
             found += antichain(evaluation.images(index, dc, inserted, seed))
-    # a found edge holds no deleted tid, so a solving edge below it survives
-    new_solving = antichain([e for e in found if not any(
-        frozenset(s) in solving for k in range(1, len(e)) for s in combinations(e, k))])
     hit = {}
-    for t in chain(deleted, *new_solving):
+    for t in chain(deleted, *found):
         c = owner.get(t)
         if c is not None:
             hit[_first(c)] = c
     out = tuple(hit.values())
     kept = [s for c in out for s in c if s.isdisjoint(deleted)]
-    parts = tuple(split(sorted(kept + new_solving, key=_canonical)))
-    _shift_lookups(hg._lookups, out, parts)
-    derived = object.__new__(ConflictHypergraph)  # vertex set and edges built on first read
+    below = set(kept) if found else ()
+    new_solving = [e for e in antichain(found) if not any(
+        frozenset(s) in below for k in range(1, len(e)) for s in combinations(e, k))]
+    # with no new solving edge each part is cut from one component, in its canonical order
+    parts = tuple(split(sorted(kept + new_solving, key=_canonical) if new_solving else kept))
+    _shift_lookups(owner, out, parts)
+    derived = object.__new__(ConflictHypergraph)  # vertex set and sets built on first read
     derived.__dict__.update(size=len(instance), _instance=instance, _constraints=constraints,
                             components=_splice(hg.components, out, parts),
                             _solving_count=hg._solving_count - sum(map(len, out))
-                            + sum(map(len, parts)), _lookups=hg._lookups)
+                            + sum(map(len, parts)), _lookups=owner)
     if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
         derived.__dict__["_answer"] = hg._answer._replace(replaced=out, parts=parts)
     hg.__dict__.update(_lookups=None, _link=(derived, out, parts))
     return derived
 
 
-def _shift_lookups(maps, out, into) -> None:
-    """Take the components out out of maps, the set of solving edges and the
-    tid -> component map, and put the components into in."""
-    solving, owner = maps
+def _shift_lookups(owner, out, into) -> None:
+    """Take the components out out of owner, the tid -> component map, and
+    put the components into in."""
     for c in out:
-        solving.difference_update(c)
         for t in set().union(*c):
             del owner[t]
     for c in into:
-        solving.update(c)
         owner.update(dict.fromkeys(set().union(*c), c))
 
 
@@ -377,7 +370,7 @@ def hypergraph_from_edges(vertices, edge_sets) -> ConflictHypergraph:
         if not s <= vertices:
             raise InputError(f"edge {sorted(s)} not within vertex set")
         sets.add(s)
-    return _built(vertices, (("synthetic", sets),))
+    return ConflictHypergraph(vertices, (("synthetic", sets),))
 
 
 def vertex_degrees(hg: ConflictHypergraph) -> dict[int, int]:

@@ -15,9 +15,9 @@ solved version's Answer with them, so the next solve searches the changed
 components only and walks no other (see exact.min_hitting_set).
 
 Each instance version holds one tid map and one fact index, and each
-hypergraph version its solving edges and tid -> component map: handed on,
-edited in place and moved back by model._reroot, so any version can be
-derived from in time that follows the deltas.  A delta is checked once:
+hypergraph version its tid -> component map: handed on, edited in place and
+moved back by model._reroot, so any version can be derived from in time
+that follows the deltas.  A delta is checked once:
 after apply_update, the updated instance and the delta's facts are read
 back from the parent's link.  Only the atoms an inserted fact can match are
 joined.  The vertex set is built only when read, and the labeled edges are

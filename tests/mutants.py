@@ -49,6 +49,8 @@ DERIVED_UNBUILT = ("tests/test_conflicts.py::"
                    "test_a_derived_version_solves_without_building_its_labeled_edges")
 EAGER_REFERENCE = "tests/test_conflicts.py::test_built_edges_match_the_eager_reference"
 KEY_GROUPS = "tests/test_evaluation.py::test_key_groups_equal_the_join_and_a_build_joins_no_fd"
+NEW_OVER_SURVIVING = ("tests/test_updates.py::"
+                      "test_a_new_edge_over_a_surviving_solving_edge_is_not_solving")
 BAD_ROW = ("tests/test_model.py::"
            "test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line[{}]")
 
@@ -76,9 +78,11 @@ MUTANTS = (
            "skip = {i for cls in _classes(constraint) for i in cls[1:]}", "skip = set()",
            ("tests/test_updates.py::test_an_insert_seeds_only_the_atoms_of_its_relations",)),
     Mutant("a new edge over a surviving solving edge is solving", CONFLICTS,
-           "frozenset(s) in solving", "False",
-           ("tests/test_updates.py::test_a_new_edge_over_a_surviving_solving_edge_is_not_solving",
-            C5)),
+           "frozenset(s) in below", "False",
+           (NEW_OVER_SURVIVING, C5)),
+    Mutant("a new edge is tested against no surviving solving edge", CONFLICTS,
+           "below = set(kept) if found else ()", "below = ()",
+           (NEW_OVER_SURVIVING, C5)),
     Mutant("a new edge is tested against too few of its subsets", CONFLICTS,
            "range(1, len(e))", "range(1, len(e) - 1)",
            (C5, "tests/test_updates.py::"
@@ -87,11 +91,19 @@ MUTANTS = (
            "kept + new_solving", "kept",
            (C5, DERIVED_UNBUILT,
             "tests/test_updates.py::test_a_chain_of_mixed_deltas_at_scale_matches_a_rebuild")),
+    Mutant("a delete-only derive cuts its parts out of order", CONFLICTS,
+           "if new_solving else kept))", "if new_solving else kept[::-1]))",
+           (C5, "tests/test_updates.py::"
+            "test_delete_only_and_one_relation_deltas_match_a_rebuild_on_the_corpus")),
     Mutant("a derive appends its new components", CONFLICTS,
            "insort(out, c, key=_first)", "out.append(c)",
            (C5, DERIVED_UNBUILT,
             "tests/test_updates.py::test_a_chain_of_scan_shaped_deltas_matches_a_rebuild")),
-    # the labeled edges and the split
+    # the pickled value, the labeled edges and the split
+    Mutant("a pickle carries all but the last constraint's sets", CONFLICTS,
+           "(self.vertices, self._sets)", "(self.vertices, self._sets[:-1])",
+           ("tests/test_conflicts.py::test_lazy_edges_compare_hash_and_copy_as_eager_ones",
+            "tests/test_updates.py::test_a_pickled_or_deep_copied_version_is_its_value_alone")),
     Mutant("labeled edges go in reversed constraint order", CONFLICTS,
            "for label, sets in self._sets", "for label, sets in reversed(self._sets)",
            (EAGER_REFERENCE, "tests/test_cli.py::test_conflicts",

@@ -285,7 +285,8 @@ def test_built_edges_match_the_eager_reference(corpus):
     for constraints, instance in cases:
         want = _reference_edges(instance, constraints)
         _assert_lazy_edges_match(build_hypergraph(instance, constraints), want)
-        assert conflicts.assemble(instance.tids, want, [c.name for c in constraints]).edges == want
+        _assert_lazy_edges_match(
+            conflicts.assemble(instance.tids, want, [c.name for c in constraints]), want)
     # both constraints of the chain conflict, so its edges take the sort by constraint
     constraints, instance = _chain(40)
     assert {e.constraint for e in _reference_edges(instance, constraints)} == {"ab", "bc"}
@@ -321,8 +322,9 @@ def test_cell_edges_match_the_eager_reference(corpus, monkeypatch):
 
 def test_the_measures_and_solvers_leave_the_labeled_edges_unbuilt(monkeypatch):
     built = []
-    make = conflicts._built
-    monkeypatch.setattr(conflicts, "_built", lambda *args: built.append(make(*args)) or built[-1])
+    init = ConflictHypergraph.__init__
+    monkeypatch.setattr(ConflictHypergraph, "__init__",
+                        lambda hg, *args: built.append(hg) or init(hg, *args))
     constraints, instance, _ = fd_key_groups(random.Random(5), 400)
     partitioned = Instance(instance.schema, instance.facts,
                            frozenset(t for t in instance.tids if t % 3), True)
@@ -387,9 +389,12 @@ def test_lazy_edges_compare_hash_and_copy_as_eager_ones(corpus):
     cases = [(item.constraints, item.instance) for item in corpus[:100]]
     cases += [fd_key_groups(random.Random(6), 200)[:2], _chain(40)]
     for constraints, instance in cases:
-        want = ConflictHypergraph(frozenset(instance.tids),
-                                  _reference_edges(instance, constraints))
-        other = ConflictHypergraph(want.vertices | {10**6}, want.edges)
+        reference = _reference_edges(instance, constraints)
+        sets = tuple((c.name, {e.tids for e in reference if e.constraint == c.name})
+                     for c in constraints)
+        want = ConflictHypergraph(instance.tids, sets)
+        assert want.edges == reference
+        other = ConflictHypergraph(want.vertices | {10**6}, sets)
         for read in (lambda hg: hg, _pickled, copy.deepcopy):
             got = read(build_hypergraph(instance, constraints))
             assert got == want and want == got and got != other
@@ -397,7 +402,7 @@ def test_lazy_edges_compare_hash_and_copy_as_eager_ones(corpus):
         hg = build_hypergraph(instance, constraints)
         assert hash(hg) == hash(want)
         assert copy.copy(hg) is hg
-        assert pickle.loads(pickle.dumps(hg)).__dict__.keys() == {"vertices", "edges"}
+        assert pickle.loads(pickle.dumps(hg)).__dict__.keys() == {"vertices", "_sets"}
 
 
 def test_split_matches_the_depth_first_reference():

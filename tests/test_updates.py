@@ -163,12 +163,12 @@ def test_incremental_matches_rebuild_on_random_mixed_deltas():
 
 
 def test_a_hypergraph_without_an_index_derives_the_rebuilt_one():
-    # dataclasses.replace keeps the edges; the index they were found with is
-    # the instance's, so the copy loses nothing
+    # a pickled copy keeps the value alone; the index its edges were found
+    # with is the instance's, so the copy loses nothing
     rng = random.Random(778)
     for _ in range(60):
         cs, inst = random_bundle(rng)
-        hg = dataclasses.replace(build_hypergraph(inst, cs))
+        hg = pickle.loads(pickle.dumps(build_hypergraph(inst, cs)))
         assert "_index" not in vars(hg) and inst._fact_index is not None
         deletions = frozenset(rng.sample(inst.tids, min(len(inst.tids), rng.randint(0, 2))))
         taken = {(f.predicate, f.values) for f in inst.facts if f.tid not in deletions}
@@ -707,12 +707,9 @@ def test_a_bulk_delta_and_a_what_if_one_from_its_parent_match_a_rebuild():
 
 
 def _check_maps(hg):
-    """hg holds its set of solving edges and its tid -> component map, and
-    they equal those built from its components, each tid's component the
-    very object in hg.components."""
-    solving, owner = hg._lookups
-    assert solving == set().union(*hg.components)
-    assert {t: id(c) for t, c in owner.items()} == {
+    """hg holds its tid -> component map, and it equals the one built from
+    its components, each tid's component the very object in hg.components."""
+    assert {t: id(c) for t, c in hg._lookups.items()} == {
         t: id(c) for c in hg.components for t in set().union(*c)}
 
 
@@ -734,10 +731,10 @@ def test_what_if_deltas_from_older_versions_match_a_rebuild(monkeypatch):
     component that both share."""
     shifts = []
 
-    def shift(maps, out, into, shift=conflicts._shift_lookups):
-        held = {id(c) for c in maps[1].values()}  # the components of the version held
-        shift(maps, out, into)
-        shifts.append((held, {id(c) for c in maps[1].values()}, out, into))
+    def shift(owner, out, into, shift=conflicts._shift_lookups):
+        held = {id(c) for c in owner.values()}  # the components of the version held
+        shift(owner, out, into)
+        shifts.append((held, {id(c) for c in owner.values()}, out, into))
 
     monkeypatch.setattr(conflicts, "_shift_lookups", shift)
     cs, inst, _ = fd_key_groups(random.Random(2), 400)
@@ -960,6 +957,24 @@ def test_a_new_edge_over_a_surviving_solving_edge_is_not_solving():
     delta = parse_delta("- 1\n")
     hg = incremental_hypergraph(hg, inst, delta, cs)
     _check_against_rebuild(hg, apply_update(inst, delta), cs)
+    # the new image {1, 2, 4} holds lone's {1} and meets link's {2, 3} through
+    # 2 alone, so it is not solving, and both components are split again
+    schema = parse_schema("s(A)\nu(A)\nt(A, B)\n")
+    cs = parse_constraints("dc lone : !exists s(x), x = \"a\"\n"
+                           "dc link : !exists s(x), u(x)\n"
+                           "dc tri : !exists s(x), s(y), t(x, y)\n", schema)
+    inst = Instance(schema, (Fact(1, "s", ("a",)), Fact(2, "s", ("b",)), Fact(3, "u", ("b",))))
+    hg = build_hypergraph(inst, cs)
+    min_hitting_set(hg)
+    delta = parse_delta("+ t(a, b)\n")
+    hg = incremental_hypergraph(hg, inst, delta, cs)
+    inst = apply_update(inst, delta)
+    fresh = build_hypergraph(inst, cs)
+    assert [(e.constraint, e.key()) for e in fresh.edges] == [
+        ("lone", (1,)), ("link", (2, 3)), ("tri", (1, 2, 4))]
+    assert min_hitting_set(hg).deleted == min_hitting_set(fresh).deleted
+    assert hg._answer.nodes == fresh._answer.nodes
+    _check_against_rebuild(hg, inst, cs)
 
 
 def test_two_constraints_with_one_tid_set_give_one_solving_edge():
