@@ -10,7 +10,7 @@ Deleting one vertex from every solving edge is exactly what a deletion
 repair must do, so minimum hitting sets of the solving edges are the object
 every measure in this package is built on; an exact solve records them as
 each component's Optimum (cover, nodes) and each hypergraph version's Answer
-(size, nodes, replaced, parts).
+(size, nodes, parts).
 
 A build keeps each constraint's minimal images as plain tid sets: an
 FD-shaped constraint's key-group pairs (evaluation._key_groups), any
@@ -72,13 +72,12 @@ class Component(tuple):
 
 
 class Answer(NamedTuple):
-    """A hypergraph version's minimum cover size and its components' search
-    nodes.  One derived from a solved parent is given the parent's, with the
-    parent's components that the delta replaced and the new parts."""
+    """A hypergraph version's minimum cover size and search nodes, less those
+    of parts, its components still to solve; with no parts it is settled,
+    and derive hands it on (see derive)."""
 
     size: int
     nodes: int
-    replaced: tuple[Component, ...] = ()
     parts: tuple[Component, ...] = ()
 
 
@@ -104,7 +103,7 @@ class ConflictHypergraph:
     derives (see derive) is given the last three, the components the delta
     did not reach being the parent's own, optimum and all.  One given its
     components reads its solving edges from them, sorted.  _answer is its
-    Answer once exact.min_hitting_set solves it, and _report its exact
+    Answer, from derive or exact.min_hitting_set, and _report its exact
     MeasureReport from measures._g3, keyed by (n, node_budget).  _lookups
     is the map of each conflicting tid to its component, and only this
     module reads it.  Built once from the components of a version that no
@@ -298,8 +297,9 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
       so the components hold every solving edge and the result reads its
       solving edges from them.
     Surviving components keep their canonical places, and the new ones are
-    put in by key.  hg's tid -> component map is moved to the result, and
-    hg links to it (see ConflictHypergraph).
+    put in by key.  hg's settled Answer goes on less the reached components'
+    cover sizes and nodes, the new ones its parts.  hg's tid -> component
+    map is moved to the result, and hg links to it (see ConflictHypergraph).
     """
     _reroot(hg, _shift_lookups, "_lookups")
     if hg._lookups is None:  # built once per hypergraph that no derive made
@@ -310,7 +310,7 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
     if inserted:  # a delta that inserts nothing joins nothing
         index, seed = instance._live_index(), FactIndex(inserted)
         for dc in constraints:
-            found += antichain(evaluation.images(index, dc, inserted, seed))
+            found += antichain(evaluation.images(index, dc, seed))
     hit = {}
     for t in chain(deleted, *found):
         c = owner.get(t)
@@ -329,8 +329,10 @@ def derive(hg: ConflictHypergraph, instance: Instance, inserted, deleted,
                             components=_splice(hg.components, out, parts),
                             _solving_count=hg._solving_count - sum(map(len, out))
                             + sum(map(len, parts)), _lookups=owner)
-    if hg._answer is not None and not (hg._answer.replaced or hg._answer.parts):  # solved
-        derived.__dict__["_answer"] = hg._answer._replace(replaced=out, parts=parts)
+    if hg._answer is not None and not hg._answer.parts:  # settled
+        derived.__dict__["_answer"] = Answer(
+            hg._answer.size - sum(len(c.optimum.cover) for c in out),
+            hg._answer.nodes - sum(c.optimum.nodes for c in out), parts)
     hg.__dict__.update(_lookups=None, _link=(derived, out, parts))
     return derived
 

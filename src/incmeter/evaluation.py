@@ -11,14 +11,14 @@ positions fixed when it is reached; a call fetches each step's table once
 and runs plain nested loops.  Each comparison, and each variable repeated
 inside one atom, is checked at the first step that binds its variables.
 
-An optional seed restricts one atom to given facts and matches it first;
-seeding atoms in turn with inserted facts finds every assignment that touches
-one of them, the delta rule of counting/DRed view maintenance.  Two atoms are
-interchangeable when swapping them, with a renaming of variables, maps the
-constraint onto itself, as the two atoms of an FD do; swapping them in an
-assignment keeps its image.  So images, and nullrep's cell sets, are taken
-with interchangeable atoms matched in ascending tid order, or, under a seed,
-with one atom of each class seeded.
+An optional seed, a FactIndex of inserted facts, restricts the atom matched
+first to its facts; seeding in turn each atom of a relation it holds a fact
+of finds every assignment that touches one of them, the delta rule of
+counting/DRed view maintenance.  Two atoms are interchangeable when swapping
+them, with a renaming of variables, maps the constraint onto itself, as the
+two atoms of an FD do; swapping them in an assignment keeps its image.  So a
+full join, which names no first atom, matches interchangeable atoms in
+ascending tid order, and a seeded one seeds one atom of each class.
 
 A build reads an FD-shaped constraint (_fd_shape) from its key groups
 instead, as Livshits, Kimelfeld and Roy (PODS 2018) do: the pairs of facts
@@ -121,7 +121,7 @@ def _fd_shape(constraint: DenialConstraint):
 
 
 @lru_cache(maxsize=256)
-def _plan(constraint: DenialConstraint, first: int | None, ordered: bool):
+def _plan(constraint: DenialConstraint, first: int | None):
     """The compiled join: (steps, initial slot values).
 
     Variables and constants live in slots of one value list, the constants
@@ -129,8 +129,8 @@ def _plan(constraint: DenialConstraint, first: int | None, ordered: bool):
     index, predicate, key positions, key over the slots, binds, checks,
     after): binds are (slot, position) pairs storing the values of
     variables, checks are (test, slot, slot) triples that must hold, and
-    after, when ordered, is the atom of the same class matched before, whose
-    tid this atom's may not undercut.  Atom first, if given, is matched first.
+    after, with first None, is the atom of the same class matched before,
+    whose tid this atom's may not undercut; else atom first is matched first.
     """
     atoms = constraint.atoms
     init: list = []
@@ -152,7 +152,7 @@ def _plan(constraint: DenialConstraint, first: int | None, ordered: bool):
             slots[var] = slot(const)
         else:
             comparisons.append(c)
-    classes = _classes(constraint) if ordered else ()
+    classes = _classes(constraint) if first is None else ()
     order, steps = [], []
     while len(order) < len(atoms):
         i = first if not order and first is not None else max(
@@ -183,11 +183,11 @@ def _plan(constraint: DenialConstraint, first: int | None, ordered: bool):
     return tuple(steps), tuple(init)
 
 
-def _join(index: FactIndex, constraint, first, ordered, seed, emit) -> None:
-    """Call emit with each satisfying assignment of the _plan, a list of facts
-    by atom position that the next match overwrites; seed, when given, is the
-    FactIndex that atom first is matched in."""
-    steps, init = _plan(constraint, first, ordered)
+def _join(index: FactIndex, constraint, first, seed, emit) -> None:
+    """Call emit with each satisfying assignment of _plan(constraint, first),
+    a list of facts by atom position that the next match overwrites; seed,
+    when given, is the FactIndex that atom first is matched in."""
+    steps, init = _plan(constraint, first)
     run = [(i, (seed if k == 0 and seed is not None else index).table(predicate, positions),
             key, binds, checks, after)
            for k, (i, predicate, positions, key, binds, checks, after) in enumerate(steps)]
@@ -241,29 +241,26 @@ def _key_groups(index: FactIndex, constraint: DenialConstraint):
     return groups
 
 
-def images(index: FactIndex, constraint: DenialConstraint, inserted=None, seed=None) -> set:
+def images(index: FactIndex, constraint: DenialConstraint, seed=None) -> set:
     """The images (tid sets) of the constraint's satisfying assignments,
     found by the join, for an FD-shaped constraint too.
 
-    With inserted facts, which must belong to the indexed instance, only the
-    images of the assignments that match one of them, seeding only the atoms
-    whose predicate an inserted fact has: a delete-only delta joins nothing.
-    seed, if given, is the FactIndex of the inserted facts, which a caller
-    seeding several constraints with one delta builds once.
+    With a seed, the FactIndex of inserted facts that belong to the indexed
+    instance, only the images of the assignments that match one of them,
+    seeding only the atoms of a relation the seed holds a fact of: one with
+    none has an empty () table.  A caller seeding several constraints with
+    one delta builds the seed once.
     """
     out: set = set()
 
     def emit(assignment):
         out.add(frozenset(map(_TID, assignment)))
 
-    if inserted is None:
-        _join(index, constraint, None, True, None, emit)
+    if seed is None:
+        _join(index, constraint, None, None, emit)
     else:
-        if seed is None:
-            seed = FactIndex(inserted)
-        seeded = {f[1] for f in inserted}
         skip = {i for cls in _classes(constraint) for i in cls[1:]}
         for first, atom in enumerate(constraint.atoms):
-            if atom.predicate in seeded and first not in skip:
-                _join(index, constraint, first, False, seed, emit)
+            if first not in skip and seed.table(atom.predicate, ()):
+                _join(index, constraint, first, seed, emit)
     return out

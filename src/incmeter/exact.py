@@ -22,13 +22,13 @@ answers.  One node budget counts the nodes of all trees together, so
 pathological inputs end in a clean error instead of a silent timeout or a
 wrong answer; the error brackets the whole optimum by the exact sizes of
 the solved components and of the rest that close by formula, and by
-[packing, incumbent] of any other (_bracket).  A component keeps its
-conflicts.Optimum and a hypergraph version its
-conflicts.Answer, so a solve searches only what no solve before it did.
-The endogenous minimum restricts and splits again only the components
-holding an exogenous tid.  Plain edge sets are solved as the hypergraph
-conflicts.hypergraph_from_edges makes.  Berge's rule builds all minimal
-hitting sets.
+[packing, incumbent] of any other (_bracket).  A solve keeps each cover
+on its component's conflicts.Optimum and returns only sizes and nodes,
+which a hypergraph version keeps as its conflicts.Answer, so a solve
+searches only what no solve before it did.  The endogenous minimum
+restricts and splits again only the components holding an exogenous tid.
+Plain edge sets are solved as conflicts.hypergraph_from_edges makes them.
+Berge's rule builds all minimal hitting sets.
 """
 
 from __future__ import annotations
@@ -88,19 +88,18 @@ def solve_min_hitting_set(edge_sets, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def _solve(components, node_budget):
-    """The minimum cover of the components (see conflicts.split), and its nodes.
+    """The minimum cover size of split components, and its nodes.
 
-    Each component solved records its Optimum: closed by formula at one
-    node, or searched (see _optimum).  A recorded component is not solved
-    again, but its recorded nodes still count.  Each solve is
-    deterministic, so the answer, the node count and an exhausted budget's
+    Each component solved records its Optimum, which keeps its cover,
+    closed by formula at one node or searched (see _optimum).  A recorded
+    component is not solved again, but its nodes still count.  Each solve
+    is deterministic, so the size, the node count and an exhausted budget's
     bracket are those of a solve of every component.  With no node left,
     the budget runs out at the next component to solve, and it and every
     component after it add their _bracket: a closed size on both sides, or
     [packing, incumbent], which builds the component's index.
     """
-    nodes = 0
-    chosen = []
+    size = nodes = 0
     for i, component in enumerate(components):
         if (optimum := component.optimum) is None or nodes + optimum.nodes > node_budget:
             # unrecorded, or recorded with more nodes than the budget has left:
@@ -112,12 +111,12 @@ def _solve(components, node_budget):
                 rest = [_bracket(c) for c in components[i + 1:]]
                 raise ResourceLimitError(
                     f"hitting-set search exceeded the node budget ({node_budget} nodes)",
-                    best_size=len(chosen) + exc.best_size + sum(high for _, high in rest),
-                    lower_bound=len(chosen) + exc.lower_bound
+                    best_size=size + exc.best_size + sum(high for _, high in rest),
+                    lower_bound=size + exc.lower_bound
                     + sum(low for low, _ in rest)) from None
         nodes += optimum.nodes
-        chosen.extend(optimum.cover)
-    return frozenset(chosen), nodes
+        size += len(optimum.cover)
+    return size, nodes
 
 
 def _optimum(component, budget):
@@ -284,25 +283,21 @@ def min_hitting_set(hg: ConflictHypergraph,
     """Smallest deletion set covering every solving edge; always optimal.
 
     It searches hg's components and keeps the Answer on hg.  One derived
-    from a solved parent reads the Answer handed on: the parent's size and
-    nodes, less those of the replaced components, plus a search of only its
-    new parts.  A budget short of the nodes, or a part that runs out, walks
-    every component, as a fresh search does.  The deletion set is built
-    from the components on first read.
+    from a solved parent adds to the Answer that derive handed on a search
+    of its parts alone: none for a settled Answer.  A budget short of the
+    nodes, or a part that runs out, walks every component, as a fresh
+    search does.  The deletion set unites the components' covers on first read.
     """
     answer, size = hg._answer, None
     if answer is not None:
-        nodes = answer.nodes - sum(c.optimum.nodes for c in answer.replaced)
         try:
-            found, taken = _solve(answer.parts, node_budget - nodes)
+            size, nodes = _solve(answer.parts, node_budget - answer.nodes)
         except ResourceLimitError:  # so does the search of every component below
             pass
         else:
-            nodes += taken
-            size = answer.size + len(found) - sum(len(c.optimum.cover) for c in answer.replaced)
+            size, nodes = answer.size + size, answer.nodes + nodes
     if size is None or nodes > node_budget:  # a part ran out, or the budget is short
-        found, nodes = _solve(hg.components, node_budget)
-        size = len(found)
+        size, nodes = _solve(hg.components, node_budget)
     hg.__dict__["_answer"] = Answer(size, nodes)
     solution = object.__new__(RepairSolution)
     solution.__dict__.update(repair_size=hg.size - size, method="exact", optimal=True,
@@ -319,7 +314,8 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
     of hg inside the partition is solved as it is, with any Optimum recorded
     on it; any other is restricted to the endogenous tids and split again.
     Restriction never merges components, so sorted by smallest element the
-    parts are those a split of all restricted edges gives.
+    parts are those a split of all restricted edges gives; the deletion set
+    is the union of their covers.
     """
     endogenous = frozenset(endogenous)
     parts = []
@@ -333,7 +329,8 @@ def min_endogenous_hitting_set(hg: ConflictHypergraph, endogenous,
         # edges by smallest element: each part's first edge holds its own (_first)
         parts += split(sorted(edges, key=min))
     parts.sort(key=_first)
-    deleted = _solve(parts, node_budget)[0]
+    _solve(parts, node_budget)
+    deleted = frozenset().union(*(c.optimum.cover for c in parts))
     return RepairSolution(deleted, hg.size - len(deleted), "exact", True)
 
 

@@ -69,7 +69,7 @@ def _cell_hypergraph(instance: Instance, constraints: ConstraintSet):
     for dc in constraints:
         cells = [(i, j) for i, positions in enumerate(_breaking_positions(dc))
                  for j in positions]
-        evaluation._join(index, dc, None, True, None, lambda assignment: edges.add(
+        evaluation._join(index, dc, None, None, lambda assignment: edges.add(
             frozenset([CellChange(assignment[i][0], j) for i, j in cells])))
     irreparable = frozenset() in edges
     edges.discard(frozenset())

@@ -9,20 +9,19 @@ facts while the other atoms are looked up in the updated instance's index.
 An assignment seen under several seeds yields one image.  conflicts.derive
 finds them, keeps only the solving edges, drops those through a deleted
 tid, puts the new ones in by key and splits again only the components the
-delta reaches.  The other
-components are handed on with the Optimum a solve recorded on each, and a
-solved version's Answer with them, so the next solve searches the changed
-components only and walks no other (see exact.min_hitting_set).
+delta reaches.  The others are handed on with the Optimum a solve recorded
+on each, and a settled Answer less the reached ones, so the next solve
+searches the new components only (see exact.min_hitting_set).
 
 Each instance version holds one tid map and one fact index, and each
 hypergraph version its tid -> component map: handed on, edited in place and
 moved back by model._reroot, so any version can be derived from in time
-that follows the deltas.  A delta is checked once:
-after apply_update, the updated instance and the delta's facts are read
-back from the parent's link.  Only the atoms an inserted fact can match are
-joined.  The vertex set is built only when read, and the labeled edges are
-a build's, made only when read.  Still growing with the instance, at C
-speed: the one copy of the component list that a delta edits.
+that follows the deltas.  A delta is checked once: after apply_update, the
+updated instance and the delta's facts are read back from the parent's
+link.  Only the atoms an inserted fact can match are joined.  The vertex
+set, and the labeled edges, a build's, are made only when read.  Still
+growing with the instance, at C speed: the one copy of the component list
+that a delta edits.
 
 One private body stands behind `incmeter update` and both bound checks.
 Every update path checks the whole delta there once, whether or not
@@ -92,9 +91,6 @@ class BoundCheckReport:
     applicable: bool
     bounds: tuple[BoundInequality, ...]
     deleted_all_isolated: bool | None = None
-
-    def all_hold(self) -> bool:
-        return all(b.holds for b in self.bounds)
 
     def to_json_dict(self) -> dict:
         return {

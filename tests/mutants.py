@@ -77,6 +77,13 @@ MUTANTS = (
     Mutant("a delta seeds both atoms of an interchangeable pair", EVALUATION,
            "skip = {i for cls in _classes(constraint) for i in cls[1:]}", "skip = set()",
            ("tests/test_updates.py::test_an_insert_seeds_only_the_atoms_of_its_relations",)),
+    Mutant("a seeded join runs for a relation the seed holds no fact of", EVALUATION,
+           "if first not in skip and seed.table(atom.predicate, ()):", "if first not in skip:",
+           ("tests/test_updates.py::test_an_insert_seeds_only_the_atoms_of_its_relations",)),
+    Mutant("a full join stops ordering interchangeable atoms", EVALUATION,
+           "classes = _classes(constraint) if first is None else ()", "classes = ()",
+           ("tests/test_evaluation.py::"
+            "test_plans_fold_fixed_values_and_pair_interchangeable_atoms",)),
     Mutant("a new edge over a surviving solving edge is solving", CONFLICTS,
            "frozenset(s) in below", "False",
            (NEW_OVER_SURVIVING, C5)),
@@ -95,6 +102,14 @@ MUTANTS = (
            "if new_solving else kept))", "if new_solving else kept[::-1]))",
            (C5, "tests/test_updates.py::"
             "test_delete_only_and_one_relation_deltas_match_a_rebuild_on_the_corpus")),
+    Mutant("a derive keeps the replaced components' nodes", CONFLICTS,
+           "hg._answer.nodes - sum(c.optimum.nodes for c in out), parts)",
+           "hg._answer.nodes, parts)",
+           ("tests/test_exact.py::"
+            "test_a_derived_version_is_handed_the_answer_and_the_components_replaced",
+            "tests/test_exact.py::"
+            "test_closed_covers_and_nodes_agree_across_versions_of_the_same_edges",
+            NEW_OVER_SURVIVING)),
     Mutant("a derive appends its new components", CONFLICTS,
            "insort(out, c, key=_first)", "out.append(c)",
            (C5, DERIVED_UNBUILT,

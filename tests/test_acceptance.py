@@ -173,7 +173,7 @@ def test_c4_update_bound_inequalities(capsys, corpus):
                                              hg_before=item.hg)
                 if rep.applicable:
                     checked += 1
-                    held += rep.all_hold()
+                    held += all(b.holds for b in rep.bounds)
                 break
         k = rng.randint(1, max(1, len(inst.tids) - 1))
         dels = frozenset(rng.sample(inst.tids, min(k, len(inst.tids) - 1)))
@@ -181,7 +181,7 @@ def test_c4_update_bound_inequalities(capsys, corpus):
                                     hg_before=item.hg)
         if rep.applicable:
             checked += 1
-            held += rep.all_hold()
+            held += all(b.holds for b in rep.bounds)
             isolated_seen += bool(rep.deleted_all_isolated)
     ok = checked >= 500 and held == checked and isolated_seen > 50
     report(capsys, "C4", "update bound inequalities", ok,

@@ -65,8 +65,8 @@ def iter_satisfying_assignments(index, constraint, seed=None):
     the indexed instance.
     """
     out: list = []
-    first, facts = (None, None) if seed is None else (seed[0], FactIndex(seed[1]))
-    evaluation._join(index, constraint, first, False, facts, lambda a: out.append(tuple(a)))
+    first, facts = (0, index) if seed is None else (seed[0], FactIndex(seed[1]))
+    evaluation._join(index, constraint, first, facts, lambda a: out.append(tuple(a)))
     return iter(out)
 
 
@@ -290,7 +290,7 @@ def _check_against_reference(instance, dc, seed):
         part = list(_reference_assignments(facts, dc, (i, seed)))
         assert Counter(iter_satisfying_assignments(index, dc, (i, seed))) == Counter(part)
         seeded |= {frozenset(f.tid for f in a) for a in part}
-    assert images(index, dc, seed) == seeded, (dc, seed)
+    assert images(index, dc, FactIndex(seed)) == seeded, (dc, seed)
     assert nullrep.cell_conflicts(instance, (dc,)) == _reference_cell_conflicts(facts, dc), dc
     return len(want)
 
@@ -344,12 +344,12 @@ def test_plans_fold_fixed_values_and_pair_interchangeable_atoms():
         for cls in evaluation._classes(dc):
             assert all(positions[i] == positions[cls[0]] for i in cls), dc.name
     # s = "a" fixes s: the plan starts from r(c, "a"), looked up on position 1
-    steps, _ = evaluation._plan(by_name["closed"], None, True)
+    steps, _ = evaluation._plan(by_name["closed"], None)
     assert [(i, positions) for i, _, positions, *_ in steps] == [(1, (1,)), (0, (1,))]
     # ordered images match the second atom of an FD pair at or above the first's tid
-    steps, _ = evaluation._plan(by_name["key"], None, True)
+    steps, _ = evaluation._plan(by_name["key"], None)
     assert [step[-1] for step in steps] == [None, 0]
-    steps, _ = evaluation._plan(by_name["key"], 1, False)
+    steps, _ = evaluation._plan(by_name["key"], 1)
     assert [step[-1] for step in steps] == [None, None]
 
 
@@ -363,7 +363,7 @@ def test_a_join_leaves_no_cycle_for_the_collector():
     try:
         for dc in SHAPED:
             images(index, dc)
-            images(index, dc, facts[:3])
+            images(index, dc, FactIndex(facts[:3]))
             list(iter_satisfying_assignments(index, dc))
         assert gc.collect() == 0
     finally:

@@ -141,7 +141,7 @@ def test_a_closed_cover_is_the_searched_cover_at_one_node():
         (component,) = split(edges)
         cover = exact._closed_cover(component)
         assert cover == _searched_cover(component)[0]
-        assert exact._solve([component], 1) == (frozenset(cover), 1)
+        assert exact._solve([component], 1) == (len(cover), 1)
         assert component.optimum == (cover, 1)
     assert ties > 250, ties
 
@@ -205,8 +205,9 @@ def test_only_complete_multipartite_pair_components_close(monkeypatch, name):
     searched = count_searches(monkeypatch)
     calls, search = [], exact._branch_and_bound
     monkeypatch.setattr(exact, "_branch_and_bound", lambda *args: calls.append(1) or search(*args))
-    deleted, nodes = exact._solve([component], 10 ** 6)
-    assert len(deleted) == _brute_minimum(edges) and all(deleted & e for e in edges)
+    size, nodes = exact._solve([component], 10 ** 6)
+    deleted = _covers([component])
+    assert size == len(deleted) == _brute_minimum(edges) and all(deleted & e for e in edges)
     assert len(searched) == 1
     if name in CLOSED:
         assert exact._closed_cover(component) == tuple(sorted(deleted))
@@ -303,6 +304,11 @@ def test_exhaustion_across_components_brackets_the_whole_optimum():
 def _recorded_nodes(components):
     """The search nodes of the components' last solve, from their records."""
     return sum(c.optimum[1] for c in components)
+
+
+def _covers(components):
+    """The union of the covers the components' last solve recorded."""
+    return frozenset().union(*(c.optimum.cover for c in components))
 
 
 def test_a_hypergraph_is_solved_once_per_budget_that_covers_the_search(monkeypatch):
@@ -489,10 +495,10 @@ def _masks(edges):
 def _outcome(edges, node_budget):
     components = split(list({frozenset(e) for e in edges}))
     try:
-        cover = exact._solve(components, node_budget)[0]
+        exact._solve(components, node_budget)
     except ResourceLimitError as exc:
         return exc.best_size, exc.lower_bound
-    return cover, _recorded_nodes(components)
+    return _covers(components), _recorded_nodes(components)
 
 
 def test_search_matches_the_reference_branch_and_bound(monkeypatch):
@@ -633,7 +639,8 @@ def test_all_endogenous_reads_the_components_and_optima(monkeypatch):
     built = hg.components
     # what a search of the solving edges as a plain edge set finds
     components = split(list(set(hg.solving_edges)))
-    deleted = exact._solve(components, exact.DEFAULT_NODE_BUDGET)[0]
+    exact._solve(components, exact.DEFAULT_NODE_BUDGET)
+    deleted = _covers(components)
     splits = []
     for module in (conflicts, exact):
         monkeypatch.setattr(module, "split",
@@ -657,7 +664,9 @@ def _fallback(hg, endogenous, node_budget=exact.DEFAULT_NODE_BUDGET):
     edges = {e & endogenous for e in hg.solving_edges}
     if frozenset() in edges:
         return None
-    return exact._solve(split(list(edges)), node_budget)[0]
+    parts = split(list(edges))
+    exact._solve(parts, node_budget)
+    return _covers(parts)
 
 
 def _partitions(corpus, seed):
@@ -756,7 +765,7 @@ def _check_records(hg):
     assert isinstance(answer, conflicts.Answer)
     assert answer.size == sum(len(c.optimum.cover) for c in hg.components)
     assert answer.nodes == sum(c.optimum.nodes for c in hg.components)
-    assert not answer.replaced and not answer.parts
+    assert not answer.parts
 
 
 def test_the_solve_records_read_by_name_on_the_corpus(corpus):
@@ -768,7 +777,7 @@ def test_the_solve_records_read_by_name_on_the_corpus(corpus):
         assert hg._answer.size == len(sol.deleted) == len(item.brute.deleted)
 
 
-def test_a_derived_version_is_handed_the_answer_and_the_components_replaced():
+def test_a_derived_version_is_handed_the_answer_and_the_components_replaced(monkeypatch):
     cs, inst, _ = fd_key_groups(random.Random(5), 400)
     hg = build_hypergraph(inst, cs)
     min_hitting_set(hg)
@@ -786,21 +795,44 @@ def test_a_derived_version_is_handed_the_answer_and_the_components_replaced():
         reached = [c for c in hg.components
                    if any(e & gone or any(e & n for n in new) for e in c)]
         fresh = [c for c in child.components if all(c is not p for p in hg.components)]
+        kept = [c for c in hg.components if all(c is not r for r in reached)]
+        assert sorted(map(id, child.components)) == sorted(map(id, kept + fresh))
+        # the parent's size and nodes less those of the reached components
         answer = child._answer
-        assert (answer.size, answer.nodes) == (hg._answer.size, hg._answer.nodes)
-        assert sorted(map(id, answer.replaced)) == sorted(map(id, reached))
+        assert answer.size == hg._answer.size - sum(len(c.optimum.cover) for c in reached)
+        assert answer.nodes == hg._answer.nodes - sum(c.optimum.nodes for c in reached)
         assert sorted(map(id, answer.parts)) == sorted(map(id, fresh))
         seen.update(reached=bool(reached), fresh=bool(fresh))
         # derived from a version not yet solved, one gets no answer, unless
-        # that version had nothing to take out or search
+        # that version's answer has no part to search, and so is settled
         inst = apply_update(inst, delta)
         grandchild = incremental_hypergraph(child, inst, UpdateDelta((), frozenset()), cs)
-        assert grandchild._answer == (None if reached or fresh else answer)
+        assert grandchild._answer == (None if fresh else answer)
         want = min_hitting_set(build_hypergraph(inst, cs))
         assert len(min_hitting_set(child).deleted) == len(want.deleted)
         _check_records(child)
         hg = child
     assert seen["reached"] >= 6 and seen["fresh"] >= 6, seen
+    # deleting one tid of a lone conflicting pair, or a conflict-free tid,
+    # makes no part: the settled answer is handed on once more before any
+    # solve, and the solve after that searches no component
+    lone = next(c[0] for c in hg.components if len(c) == 1 and len(c[0]) == 2)
+    free = next(t for t in inst.tids if all(t not in e for e in hg.solving_edges))
+    searches = count_searches(monkeypatch)
+    for t, cut in ((min(lone), 1), (free, 0)):
+        delta = UpdateDelta((), frozenset({t}))
+        child = incremental_hypergraph(hg, inst, delta, cs)
+        after = apply_update(inst, delta)
+        assert child._answer == (hg._answer.size - cut, hg._answer.nodes - cut, ())
+        grandchild = incremental_hypergraph(child, after, UpdateDelta((), frozenset()), cs)
+        assert grandchild._answer == child._answer
+        searches.clear()
+        sol = min_hitting_set(grandchild)
+        assert searches == []
+        fresh = build_hypergraph(after, cs)
+        assert len(sol.deleted) == len(min_hitting_set(fresh).deleted)
+        assert grandchild._answer == fresh._answer
+        _check_records(grandchild)
 
 
 def test_enumerate_minimal_hitting_sets_small():

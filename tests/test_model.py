@@ -737,7 +737,7 @@ def test_a_constraint_pickled_under_another_hash_seed_equals_a_fresh_parse():
     for loaded in (pickle.loads(proc.stdout), pickle.loads(pickle.dumps(fresh))):
         # its hash is taken afresh here, so the join's plan cache finds the fresh one's plan
         assert loaded == fresh and hash(loaded) == hash(fresh)
-        assert evaluation._plan(loaded, None, True) is evaluation._plan(fresh, None, True)
+        assert evaluation._plan(loaded, None) is evaluation._plan(fresh, None)
 
 
 def test_constraint_str_reparses():
