@@ -147,13 +147,22 @@ def _parse_endogenous(text: str) -> list[int]:
 
 
 _CONTAINERS = (dict, list, tuple)
+# the scalars written without a json.dumps call each, as json.dumps writes them
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a str quoted, an int or other
+    scalar as its JSON text in quotes."""
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
 
 
 def _dumps(payload) -> str:
-    """json.dumps(payload, indent=2), byte for byte, for str keys, without the
-    pure-Python encoder that indent runs: a list of ints is joined, any other
-    container of no containers goes to the C encoder, whose item separator
-    carries the indent, and the rest is walked."""
+    """json.dumps(payload, indent=2), byte for byte, for keys of str, int,
+    float, bool or None, without the pure-Python encoder that indent runs: a
+    list of ints is joined, any other container of no containers goes to the
+    C encoder, whose item separator carries the indent, and the rest is
+    walked, its str and int scalars written by the encoder's own functions."""
     out, stack = [], []
     items, sep, comma, close = iter(((None, payload),)), "", "", ""
     while True:
@@ -163,7 +172,7 @@ def _dumps(payload) -> str:
             if key is not None:
                 out += [key, ": "]
             if not value or not isinstance(value, _CONTAINERS):
-                out.append(json.dumps(value))
+                out.append(_SCALARS.get(type(value), json.dumps)(value))
                 continue
             pad = "\n" + "  " * (len(stack) + 1)
             opener, end = "{}" if isinstance(value, dict) else "[]"
@@ -176,7 +185,7 @@ def _dumps(payload) -> str:
                 out += [opener, pad, flat[1:-1], end]
             else:  # walked, on the stack, before the rest of items
                 stack.append((items, comma, close))
-                items = (zip(map(encode_basestring_ascii, value), value.values())
+                items = (zip(map(_json_key, value), value.values())
                          if opener == "{" else zip(repeat(None), value))
                 out.append(opener)
                 sep, comma, close = pad, "," + pad, end
@@ -305,7 +314,7 @@ def _cmd_conflicts(args, constraints, instance):
         "solving_edges": list(map(sorted, hg.solving_edges)),
         "d": hg.d,
         "max_degree": max(degrees.values(), default=0),
-        "degrees": dict(zip(map(str, degrees), degrees.values())),
+        "degrees": degrees,  # int keys, which JSON writes as their decimal strings
     }
     # lazy, so that only --format text builds the lines
     return payload, (f"{e.constraint}: {','.join(map(str, e.key()))}" for e in hg.edges)

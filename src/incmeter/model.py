@@ -196,10 +196,13 @@ class Instance:
         return map(self._live().__getitem__, self.tids)
 
     def _live_index(self) -> "FactIndex":
-        """The fact index of this version, moved here with the tid map."""
+        """The fact index of this version, moved here with the tid map.  A
+        loaded version that has not been derived from builds it from the
+        loader's rows of each relation rather than regrouping its rows."""
         self._live()
         if self._fact_index is None:
-            self.__dict__["_fact_index"] = FactIndex(self._rows())
+            groups = self.__dict__.pop("_groups", None)
+            self.__dict__["_fact_index"] = FactIndex(self._rows(), groups)
         return self._fact_index
 
     def _walk(self, facts, rows, where=None) -> None:
@@ -307,6 +310,7 @@ class Instance:
         child.__dict__.update(schema=self.schema, endogenous=self.endogenous.difference(gone),
                               _by_tid=by_tid, _fact_index=index, _link=None, _n=len(by_tid),
                               _top=top, declared=self.declared)
+        self.__dict__.pop("_groups", None)  # the rows as loaded, which the delta changes
         self.__dict__.update(_by_tid=None, _fact_index=None, _link=(
             child, list(gone.values()), facts, (tuple(f[1:] for f in facts), frozenset(gone))))
         return child
@@ -338,20 +342,23 @@ def _key(positions):
 class FactIndex:
     """Facts by predicate, with hash tables keyed by (predicate, positions).
 
-    It is built from facts in tid order, and each bucket of a table is a
-    list in tid order; a predicate's facts are the one bucket of its table
-    at no positions.  Tables are built on first use and shared by every
+    It is built from facts in tid order, or from grouped, a map from each
+    predicate to the nonempty list of its facts in tid order, which it then
+    keeps as the predicate's bucket; each bucket of a table is a list in tid
+    order, and a predicate's facts are the one bucket of its table at no
+    positions.  Tables are built on first use and shared by every
     constraint evaluated against the same FactIndex.  An instance version
     holds one, built on first use and handed on with its tid map, and _shift
     edits it in place for each delta.
     """
 
-    def __init__(self, facts):
+    def __init__(self, facts, grouped=None):
         self._indexes: dict[tuple, dict] = {}
         self._keyed: dict[str, list] = {}  # each predicate's (table, key) pairs
-        grouped: dict[str, list] = {}
-        for f in facts:
-            grouped.setdefault(f[1], []).append(f)
+        if grouped is None:
+            grouped = {}
+            for f in facts:
+                grouped.setdefault(f[1], []).append(f)
         for predicate, group in grouped.items():
             self.table(predicate, ())[()] = group
 
@@ -425,6 +432,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     are assigned deterministically: predicates in ascending name order, then
     file row order, counting from 1.  endogenous_tids holds ints or decimal
     strings.
+
+    The header is read by csv.reader.  A text that holds no '"', CR or NUL
+    and no line longer than csv.field_size_limit() cannot hold quoting, so
+    the lines after its header are split at commas, giving the rows
+    csv.reader would; any other text is read by csv.reader whole.  Each
+    relation's rows are kept, for _live_index, until the instance is first
+    derived from.
     """
     unknown = set(csv_sources) - set(schema.predicate_names)
     if unknown:
@@ -433,6 +447,7 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
     instance = object.__new__(Instance)
     instance.__dict__.update(schema=schema)
     facts: list[tuple] = []
+    groups = instance.__dict__["_groups"] = {}  # each relation's rows, for _live_index
     for name in sorted(schema.predicate_names):
         if name not in csv_sources:
             continue
@@ -444,10 +459,19 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
                 text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"{name}: csv source is not UTF-8: {exc}") from None
-        reader = csv.reader(io.StringIO(text))
+        # a text with no quote, CR or NUL holds no quoting: each line is a row
+        # and each comma ends a field, as csv.reader would read them; a line
+        # past the field limit is left to csv.reader, which may refuse it
+        quoted, limit = '"' in text or "\r" in text or "\0" in text, csv.field_size_limit()
+        lines = () if quoted else text.split("\n")
+        if not quoted and (len(text) <= limit or max(map(len, lines)) <= limit):
+            reader = csv.reader(lines[:1] if text else ())
+            rows = map(str.split, filter(None, lines[1:]), repeat(","))
+        else:
+            reader = rows = csv.reader(io.StringIO(text))
         try:
             header = next(reader, None)
-            body = list(map(tuple, filter(None, reader)))  # a stray blank line takes no tid
+            body = list(map(tuple, filter(None, rows)))  # a stray blank line takes no tid
         except csv.Error as exc:  # a bare CR ending a row, or an oversized field
             raise InputError(f"{name}: malformed csv: {exc}", line=reader.line_num) from None
         if header is None:
@@ -460,11 +484,13 @@ def load_instance(csv_sources, schema: Schema, endogenous_tids=None) -> Instance
         # the rows are checked as a whole, and only a bad batch is walked to
         # name its first bad row; batch[i] is on the (i + 2)th nonblank line
         if (len(set(body)) < len(body) or not set(map(len, body)) <= {pred.arity}
-                or not {NULL}.isdisjoint(chain.from_iterable(body))):
+                or NULL in text and not {NULL}.isdisjoint(chain.from_iterable(body))):
             instance._walk(list(map(Fact._make, batch)), {}, lambda i, exc: InputError(
                 f"{name}: {exc}", line=[k for k, row in enumerate(
                     csv.reader(io.StringIO(text)), 1) if row][i + 1]))
         facts += batch
+        if batch:
+            groups[name] = batch
     instance.__dict__.update(endogenous=frozenset(map(_tid, endogenous_tids or ())))
     return instance._index(dict(zip(count(1), facts)))
 

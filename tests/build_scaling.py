@@ -3,11 +3,13 @@
     PYTHONPATH=src python tests/build_scaling.py
 
 The workload is tests/conftest.py::fd_key_groups(Random(1), n), rel(A, B, C)
-under `fd key : rel : A -> B`, at n = 10^4 and 10^5 rows.  Each run loads a
-fresh instance (untimed), then times three stages on it: build_hypergraph,
-the first read of .components (under one FD, the key groups the build
-took; else the solving antichain, its canonical sort and the split), and
-exact.min_hitting_set on the result.  Then the first read of
+under `fd key : rel : A -> B`, at n = 10^4 and 10^5 rows.  Each run makes
+a fresh instance and writes it as CSV text (untimed), then times four
+stages: load_instance of that text, build_hypergraph on the loaded
+instance, the first read of .components (under one FD, the key groups the
+build took; else the solving antichain, its canonical sort and the split),
+and exact.min_hitting_set on the result; the total is the three stages
+from build to solve.  Then the first read of
 .solving_edges is timed on the version that one delta, a row in and a row
 out, derives from a build of 10^4 rows; it reads them from its components,
 and must equal a rebuild's.  Last, nullrep.cell_conflicts, the null
@@ -32,10 +34,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import fd_key_groups, skewed_key_group  # noqa: E402
+from conftest import csv_sources, fd_key_groups, skewed_key_group  # noqa: E402
 
 from incmeter import (UpdateDelta, apply_update, build_hypergraph, cell_conflicts,  # noqa: E402
-                      incremental_hypergraph, min_hitting_set)
+                      incremental_hypergraph, load_instance, min_hitting_set)
 
 SIZES = ((10_000, 5), (100_000, 3))  # (rows, runs)
 SKEWED = ((250, 5), (1000, 3))  # (rows of the one key group, runs)
@@ -59,9 +61,12 @@ def fd_workload(n):
 def measure(workload, n, runs):
     """The edge and component counts, and per stage and in total the ms of
     each run, on workload(n): constraints, instance and optimum."""
-    spent = {stage: [] for stage in (*STAGES, "total")}
+    spent = {stage: [] for stage in ("load", *STAGES, "total")}
     for _ in range(runs):
-        constraints, instance, optimum = workload(n)
+        constraints, made, optimum = workload(n)
+        instance, loaded = timed(load_instance, csv_sources(made), made.schema)
+        assert instance == made
+        spent["load"].append(loaded)
         hg, built = timed(build_hypergraph, instance, constraints)
         components, split = timed(lambda: hg.components)
         solution, solved = timed(min_hitting_set, hg)
@@ -93,7 +98,7 @@ def span(times):
 
 
 def main():
-    columns = (*STAGES, "total")
+    columns = ("load", *STAGES, "total")
     print(f"ms per stage, min-max over the runs, collector on "
           f"(Python {sys.version.split()[0]})")
     print(f"{'rows':>7} {'runs':>4} {'edges':>7} {'components':>10} "

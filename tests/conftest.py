@@ -1,7 +1,9 @@
 """Shared fixtures: worked-example bundles, a seeded random corpus, oracles."""
 
 import contextlib
+import csv
 import inspect
+import io
 import itertools
 import random
 import sys
@@ -97,6 +99,21 @@ def random_bundle(rng: random.Random, max_rows=12):
         sources["s"] = "A\n" + "".join(f"{a}\n" for (a,) in sorted(rows_s))
     instance = load_instance(sources, RANDOM_SCHEMA)
     return constraints, instance
+
+
+def csv_sources(instance):
+    """CSV texts that load back to instance: one file per predicate, in tid
+    order, with LF line ends."""
+    files = {}
+    for f in instance.facts:
+        files.setdefault(f.predicate, [instance.schema.predicate(f.predicate).attributes])
+        files[f.predicate].append(f.values)
+    sources = {}
+    for name, rows in files.items():
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        sources[name] = out.getvalue()
+    return sources
 
 
 def fd_key_groups(rng: random.Random, n):

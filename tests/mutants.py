@@ -40,9 +40,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-EVALUATION, CONFLICTS, EXACT, MODEL, MEASURES, UPDATES = (
+EVALUATION, CONFLICTS, EXACT, MODEL, MEASURES, UPDATES, CLI = (
     f"src/incmeter/{m}.py"
-    for m in ("evaluation", "conflicts", "exact", "model", "measures", "updates"))
+    for m in ("evaluation", "conflicts", "exact", "model", "measures", "updates", "cli"))
 C4 = "tests/test_acceptance.py::test_c4_update_bound_inequalities"
 C5 = "tests/test_acceptance.py::test_c5_incremental_conflict_maintenance"
 DERIVED_UNBUILT = ("tests/test_conflicts.py::"
@@ -53,6 +53,7 @@ NEW_OVER_SURVIVING = ("tests/test_updates.py::"
                       "test_a_new_edge_over_a_surviving_solving_edge_is_not_solving")
 BAD_ROW = ("tests/test_model.py::"
            "test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line[{}]")
+REFERENCE_LOADER = "tests/test_model.py::test_loading_matches_the_reference_loader"
 
 MUTANTS = (
     # the FD key-group read and the shape that admits a constraint to it
@@ -175,8 +176,23 @@ MUTANTS = (
            " or not set(map(len, body)) <= {pred.arity}", "",
            (BAD_ROW.format("arity"),)),
     Mutant("the loader lets NULL through", MODEL,
-           "\n                or not {NULL}.isdisjoint(chain.from_iterable(body)))", ")",
+           "\n                or NULL in text and not {NULL}.isdisjoint("
+           "chain.from_iterable(body)))", ")",
            (BAD_ROW.format("reserved value"), "tests/test_model.py::test_load_instance_errors")),
+    Mutant("the loader checks for NULL only where the text has none", MODEL,
+           "or NULL in text and not", "or NULL not in text and not",
+           (BAD_ROW.format("reserved value"), REFERENCE_LOADER)),
+    # the split of unquoted text, the loader's rows as the index, and JSON keys
+    Mutant("the loader splits quoted text", MODEL,
+           """quoted, limit = '"' in text or""", "quoted, limit =",
+           (REFERENCE_LOADER,)),
+    Mutant("a loaded index takes each relation's rows reversed", MODEL,
+           "groups[name] = batch", "groups[name] = batch[::-1]",
+           ("tests/test_model.py::test_a_loaded_instance_seeds_its_index_from_the_loaders_rows",)),
+    Mutant("a walked dict writes an int key unquoted", CLI,
+           "return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))",
+           "return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)",
+           ("tests/test_cli.py::test_json_output_matches_the_indenting_encoder_byte_for_byte",)),
 )
 
 

@@ -531,7 +531,9 @@ def _uncapped():
             sys.set_int_max_str_digits(cap)
 
 
-_KEYS = ("command", "tids", "", "caf\u00e9", "\u2603 \"q\"", "a\\b\nc", "\U0001f600")
+# str keys, and int keys, which JSON writes as their decimal strings
+_KEYS = ("command", "tids", "", "caf\u00e9", "\u2603 \"q\"", "a\\b\nc", "\U0001f600",
+         0, -7, 2 ** 64)
 
 
 def _random_value(rng, depth):

@@ -18,13 +18,15 @@ from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError
 from incmeter.evaluation import compare_values
 from incmeter.model import (NULL, Atom, Comparison, Const, ConstraintSet,
-                            DenialConstraint, Fact, Instance, Predicate, Var,
+                            DenialConstraint, Fact, FactIndex, Instance, Predicate, Var,
                             load_instance, parse_constraints, parse_schema)
 from incmeter.measures import inc_deg_g3
 from incmeter.updates import UpdateDelta, apply_update
 
+from conftest import csv_sources
 from oracles import consistent, restrict
 from test_cli_golden import BUNDLES
+from test_updates import _check_tables
 
 
 def test_parse_schema_basics():
@@ -364,6 +366,14 @@ _LAYOUTS = [
     "",
     "\n\nA,B\na,b\n",
     "A,C\na,b\n",
+    # unquoted files, which the loader splits without csv.reader
+    "A,B\nxNULLy,b\nNULLx,yNULL\n",
+    "A,B\na,b\n\nc,NULL\n",
+    "A,B\na,b\nc,d",
+    "A,B\n,\na,\n,b\n",
+    "A,B\na,b\n,\n  \t\n",
+    "A,B\n",
+    "A,B",
 ]
 
 
@@ -373,9 +383,25 @@ def test_loading_matches_the_reference_loader():
     cases += [{"q": text} for text in _LAYOUTS]
     cases += [{"p": "A\r\nx\r\n\r\ny\r\n", "q": text} for text in _LAYOUTS]
     cases += [{"p": 'A\n"x\n\ny"\n\nx\ny\n"x\n\ny"\n', "q": "A,B\na,b\n"}]
+    # whitespace rows, and a line past csv's field limit whose fields are not
+    cases += [{"p": "A\n \n\t\nx\n"}, {"q": "A,B\na,b\n" + "y" * 99_999 + "," + "z" * 99_999}]
     for sources in cases:
         assert _outcome(load_instance, sources, schema) == \
             _outcome(_reference_load, sources, schema), sources
+
+
+def test_a_nul_loads_as_a_value_where_csv_reads_it():
+    """csv.reader reads a NUL as part of a value from Python 3.11 on, and
+    refuses it before that; the loader does the same on each."""
+    sources, schema = {"p": "A\nx\na\0b\n"}, parse_schema("p(A)\n")
+    if sys.version_info >= (3, 11):
+        assert load_instance(sources, schema).facts == (
+            Fact(1, "p", ("x",)), Fact(2, "p", ("a\0b",)))
+        return
+    with pytest.raises(InputError) as info:
+        load_instance(sources, schema)
+    assert (str(info.value), info.value.line) == (
+        "line 3: p: malformed csv: line contains NUL", 3)
 
 
 def test_load_instance_refuses_a_field_past_csvs_size_limit():
@@ -420,47 +446,54 @@ def test_load_instance_endogenous_tids_are_ints_or_decimal_strings(tids, endogen
     assert str(info.value) == endogenous
 
 
-def _csv_sources(instance):
-    """CSV texts that load back to instance: one file per predicate, in tid order."""
-    files = {}
-    for f in instance.facts:
-        files.setdefault(f.predicate, [instance.schema.predicate(f.predicate).attributes])
-        files[f.predicate].append(f.values)
-    sources = {}
-    for name, rows in files.items():
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        sources[name] = out.getvalue()
-    return sources
-
-
 def test_loading_building_and_deriving_give_one_instance(corpus):
     rng = random.Random(5)
     for item in corpus:
         schema, facts = item.instance.schema, item.instance.facts
         endogenous = frozenset(rng.sample([f.tid for f in facts], len(facts) // 2))
-        loaded = load_instance(_csv_sources(item.instance), schema, endogenous)
+        loaded = load_instance(csv_sources(item.instance), schema, endogenous)
         built = Instance(schema, facts, endogenous)
         assert loaded == built
         assert (loaded.facts, loaded.tids, loaded.endogenous) == \
             (built.facts, built.tids, built.endogenous)
         assert all(type(f) is Fact for f in loaded.facts)
-        # the same rows inserted a few at a time, from the empty instance
-        derived = Instance(schema, ())
-        rows = [(f.predicate, f.values) for f in facts]
-        while rows:
-            k = rng.randint(1, 4)
-            derived, rows = derived.derive(rows[:k], []), rows[k:]
-        assert derived == Instance(schema, facts)
-        assert derived.tids == loaded.tids
-        assert [derived.fact(t) for t in derived.tids] == list(loaded.facts)
+        # the same rows inserted a few at a time, from the empty instance and
+        # from the loaded instance of a first few
+        inserted, first = [(f.predicate, f.values) for f in facts], rng.randint(0, len(facts))
+        for derived, rows in ((Instance(schema, ()), inserted), (load_instance(
+                csv_sources(Instance(schema, facts[:first])), schema), inserted[first:])):
+            while rows:
+                k = rng.randint(1, 4)
+                derived, rows = derived.derive(rows[:k], []), rows[k:]
+            assert derived == Instance(schema, facts)
+            assert derived.tids == loaded.tids
+            assert [derived.fact(t) for t in derived.tids] == list(loaded.facts)
+
+
+def test_a_loaded_instance_seeds_its_index_from_the_loaders_rows(corpus):
+    """The first index of a loaded instance, built from the rows the loader
+    kept, equals one built from its rows; so do the index that a derive
+    hands on, built there or before it, and the one a reroot brings back."""
+    rng = random.Random(7)
+    for item in corpus:
+        sources, schema = csv_sources(item.instance), item.instance.schema
+        inst = load_instance(sources, schema)
+        index, fresh = inst._live_index(), FactIndex(inst._rows())
+        assert list(index._indexes.items()) == list(fresh._indexes.items())
+        for built in (False, True):
+            inst = load_instance(sources, schema)
+            if built:
+                inst._live_index()
+            child = inst.derive([("s", ("fresh",))], rng.sample(inst.tids, min(2, len(inst))))
+            _check_tables(child)
+            _check_tables(inst)
 
 
 def _loaded_bundles(corpus):
     """(schema, constraints, csv sources, endogenous tids) of the corpus and
     of the golden CLI bundles."""
     for item in corpus:
-        yield item.instance.schema, item.constraints, _csv_sources(item.instance), []
+        yield item.instance.schema, item.constraints, csv_sources(item.instance), []
     for schema, constraints, sources, endogenous, *_ in BUNDLES.values():
         schema = parse_schema(schema)
         yield schema, parse_constraints(constraints, schema), sources, endogenous.split()
@@ -490,7 +523,7 @@ def test_a_loaded_instance_reads_as_before(corpus):
 def test_each_version_of_a_derive_chain_rereads_its_facts(corpus):
     rng = random.Random(11)
     for item in corpus[:100]:
-        inst = load_instance(_csv_sources(item.instance), item.instance.schema)
+        inst = load_instance(csv_sources(item.instance), item.instance.schema)
         versions, expected = [inst], [list(item.instance.facts)]
         for k in range(6):
             facts = expected[-1]
