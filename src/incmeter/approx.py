@@ -3,8 +3,10 @@
 Every conflict has at most d tids.  Local ratio (Bar-Yehuda and Even, 1985)
 takes unhit edges whole, a d-approximation.  The LP is solved per component
 of the hypergraph: vertex lengths grow multiplicatively along minimum-length
-edges until all reach 1, giving a feasible cover and an integer dual packing
-that certify the (1 + eps) gap in exact rationals, computed on ints: each
+edges (Garg and Koenemann, 1998).  After every step the lengths over the
+minimum edge sum are a feasible cover and the step counts per edge over the
+largest vertex load a dual packing; the scheme stops at the first step whose
+pair certifies the (1 + eps) gap in exact rationals, computed on ints: each
 float length is n / 2^k, and all are taken over one common denominator.
 Threshold rounding (Williamson and Shmoys, 2011, section 1.7) keeps
 S = {v : d * w_v >= alpha} for a uniform alpha in (0, 1]: each v with
@@ -55,10 +57,12 @@ def local_ratio_hitting_set(hg: ConflictHypergraph) -> RepairSolution:
 def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> FractionalCover:
     """Near-optimal fractional cover of the solving edges.
 
-    Each component runs the length scheme at step min(eps, 1), halving it
-    until its exact certificate objective <= (1 + eps) * dual_bound holds,
-    and so do the sums.  The textbook step eps/3 bounds the gap in the worst
-    case, so a certificate that fails at the first step at or below it raises
+    Each component runs the length scheme at step min(eps, 1).  The run stops
+    at its first iterate whose exact certificate objective <= (1 + eps) *
+    dual_bound holds; a run that brings every edge sum to 1 without one is
+    retried at half the step.  The sums over components then hold the gap
+    too.  The textbook step eps/3 bounds the gap in the worst case by the end
+    of a run, so a failed run at the first step at or below it raises
     ResourceLimitError.  The gap is checked exactly, so the optimistic start
     is safe, and it certifies at once with far fewer iterations on the
     graphs seen.  At step 1 a one-edge component starts at sum 1 already.
@@ -75,24 +79,30 @@ def lp_fractional_cover(hg: ConflictHypergraph, eps=Fraction(1, 10)) -> Fraction
     for component in hg.components:
         edges = [tuple(sorted(e)) for e in component]
         inner, last = float(min(eps, 1)), min(eps / 3, 1)
-        while True:
-            cover, part, bound = _rationalize(edges, *_length_scheme(edges, inner))
-            if part <= (1 + eps) * bound:
-                break
+        while (certificate := _length_scheme(edges, inner, eps)[2]) is None:
             if inner <= last:
                 raise ResourceLimitError("fractional cover failed to certify its gap")
             inner /= 2.0
+        cover, part, bound = certificate
         weights.update(cover)
         objective += part
         dual_bound += bound
     return FractionalCover(weights, objective, dual_bound)
 
 
-def _length_scheme(edges, inner):
-    """Grow vertex lengths along minimum-length edges until all reach 1.
+def _length_scheme(edges, inner, eps):
+    """Grow vertex lengths along minimum-length edges until the first
+    iterate whose exact certificate meets 1 + eps, or until every edge sum
+    reaches 1.
 
-    An iteration costs one argmin over the edge sums, done in C by min and
-    list.index (the first minimal edge), plus d * max-degree float updates.
+    Returns the last iterate's lengths and duals and its certificate
+    (cover, objective, dual_bound), or None for a run that ended without one.
+    Every iterate's lengths over the minimum edge sum are a cover, and its
+    duals over the largest vertex load a packing, so a float test of the same
+    gap, on a running length total and load maximum, picks the iterates that
+    run the exact check.  An iteration costs one argmin over the edge sums,
+    done in C by min and list.index (the first minimal edge), plus d *
+    max-degree float updates.
     """
     vertices = sorted({t for e in edges for t in e})
     position = {t: i for i, t in enumerate(vertices)}
@@ -108,6 +118,10 @@ def _length_scheme(edges, inner):
     steps = [[(position[t], incident[position[t]]) for t in e] for e in edges]
     sums = [sum(delta for _ in e) for e in edges]
     grow = 1.0 + inner
+    load, top, taken, total = [0] * len(vertices), 0, 0, delta * len(vertices)
+    # the float side of 1 + eps, clamped inside the float range and widened so
+    # that rounding never hides a step the exact check would pass
+    bar = float(min(1 + eps, 2 ** 64)) * (1.0 + 1e-9)
     # each pass raises the minimum edge sum; bounded by the usual
     # O(m log(1/delta) / log(1+inner)) iteration count.  At least one step
     # is taken, or the dual bound is 0 (one edge at inner 1 starts at sum 1)
@@ -115,17 +129,25 @@ def _length_scheme(edges, inner):
     while True:
         best = sums.index(low)
         duals[best] += 1
+        taken += 1
         for v, touched in steps[best]:
             old = lengths[v]
             new = old * grow
             lengths[v] = new
             diff = new - old
+            total += diff
             for j in touched:
                 sums[j] += diff
+            load[v] += 1
+            top = max(top, load[v])
         low = min(sums)
-        if low >= 1.0:
-            break
-    return dict(zip(vertices, lengths)), duals
+        if total * top <= bar * taken * low or low >= 1.0:
+            final = dict(zip(vertices, lengths))
+            certificate = _rationalize(edges, final, duals)
+            if certificate[1] <= (1 + eps) * certificate[2]:
+                return final, duals, certificate
+            if low >= 1.0:
+                return final, duals, None
 
 
 def _rationalize(edges, lengths, duals):

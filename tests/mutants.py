@@ -40,9 +40,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-EVALUATION, CONFLICTS, EXACT, MODEL, MEASURES, UPDATES, CLI = (
-    f"src/incmeter/{m}.py"
-    for m in ("evaluation", "conflicts", "exact", "model", "measures", "updates", "cli"))
+EVALUATION, CONFLICTS, EXACT, MODEL, MEASURES, UPDATES, CLI, APPROX = (
+    f"src/incmeter/{m}.py" for m in (
+        "evaluation", "conflicts", "exact", "model", "measures", "updates", "cli", "approx"))
 C4 = "tests/test_acceptance.py::test_c4_update_bound_inequalities"
 C5 = "tests/test_acceptance.py::test_c5_incremental_conflict_maintenance"
 DERIVED_UNBUILT = ("tests/test_conflicts.py::"
@@ -54,6 +54,7 @@ NEW_OVER_SURVIVING = ("tests/test_updates.py::"
 BAD_ROW = ("tests/test_model.py::"
            "test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line[{}]")
 REFERENCE_LOADER = "tests/test_model.py::test_loading_matches_the_reference_loader"
+PINNED_COUNT = "tests/test_approx.py::test_length_scheme_iteration_count_is_pinned"
 
 MUTANTS = (
     # the FD key-group read and the shape that admits a constraint to it
@@ -193,6 +194,19 @@ MUTANTS = (
            "return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))",
            "return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)",
            ("tests/test_cli.py::test_json_output_matches_the_indenting_encoder_byte_for_byte",)),
+    # the length scheme's stop at its first exactly certified iterate
+    Mutant("the length scheme runs until every edge sum reaches 1", APPROX,
+           "if total * top <= bar * taken * low or low >= 1.0:", "if low >= 1.0:",
+           (PINNED_COUNT, "tests/test_approx.py::"
+            "test_the_smallest_eps_certifies_a_benchmark_shaped_graph_in_a_second")),
+    Mutant("the float test alone stops the length scheme", APPROX,
+           "if certificate[1] <= (1 + eps) * certificate[2]:", "if True:",
+           ("tests/test_approx.py::test_certification_retries_at_half_the_step",)),
+    Mutant("the load maximum is read before the step's update", APPROX,
+           "load[v] += 1\n            top = max(top, load[v])",
+           "top = max(top, load[v])\n            load[v] += 1",
+           (PINNED_COUNT,
+            "tests/test_approx.py::test_benchmark_shaped_components_certify_at_the_first_rung")),
 )
 
 

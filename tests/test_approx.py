@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from incmeter.conflicts import build_hypergraph, hypergraph_from_edges
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.exact import min_hitting_set
 
-from conftest import fd_key_groups, random_bundle
+from conftest import brute_force_min_hitting_set, fd_key_groups, random_bundle
 
 
 def test_single_edge_cover_is_symmetric():
@@ -180,9 +181,10 @@ def test_rounding_repair_pass_takes_unhit_edges_whole():
     assert sol.deleted == local_ratio_hitting_set(hg).deleted == frozenset({2, 3})
 
 
-def _reference_length_scheme(edges, inner):
+def _reference_length_scheme(edges, inner, cap=None):
     """The length scheme as first written: a keyed min over the edge indices,
-    since changed only to take at least one step.
+    since changed only to take at least one step and, for tests, to stop
+    after cap steps.
 
     Kept frozen so that faster loops can be held to its exact floats.
     """
@@ -197,7 +199,7 @@ def _reference_length_scheme(edges, inner):
             incident[t].append(j)
     sums = [sum(lengths[t] for t in e) for e in edges]
     grow = 1.0 + inner
-    while True:
+    while sum(duals) != cap:
         best = min(range(len(edges)), key=lambda i: sums[i])
         if sums[best] >= 1.0 and any(duals):
             break
@@ -239,35 +241,77 @@ def _length_scheme_inputs():
 LENGTH_SCHEME_INPUTS = _length_scheme_inputs()
 
 
+def _certifies(certificate, eps):
+    _, objective, bound = certificate
+    return objective <= (1 + eps) * bound
+
+
 @pytest.mark.parametrize("rung", [1, 2, 4])
 def test_length_scheme_matches_the_reference_bit_for_bit(rung):
     # the first rungs of lp_fractional_cover's retry ladder at eps = 1; finer
-    # steps only take longer, and the pinned count below covers the default eps
-    inner = 1.0 / rung
+    # steps only take longer, and the pinned count below covers the default
+    # eps.  The scheme stops at the reference's first step whose exact
+    # certificate meets 1 + eps: it holds there and fails one step before
+    inner, eps = 1.0 / rung, Fraction(1)
     assert len(LENGTH_SCHEME_INPUTS) >= 200
     for edges in LENGTH_SCHEME_INPUTS:
-        lengths, duals = approx._length_scheme(edges, inner)
-        want_lengths, want_duals = _reference_length_scheme(edges, inner)
+        lengths, duals, certificate = approx._length_scheme(edges, inner, eps)
+        taken = sum(duals)
+        want_lengths, want_duals = _reference_length_scheme(edges, inner, taken)
         assert list(lengths.items()) == list(want_lengths.items())
-        assert duals == want_duals and sum(duals) == sum(want_duals)
+        assert duals == want_duals
+        assert certificate is not None
+        assert _certifies(_reference_rationalize(edges, lengths, duals), eps)
+        if taken > 1:
+            before = _reference_length_scheme(edges, inner, taken - 1)
+            assert not _certifies(_reference_rationalize(edges, *before), eps)
 
 
-def test_length_scheme_iteration_count_is_pinned():
+def test_length_scheme_iteration_count_is_pinned(monkeypatch):
     # a benchmark-shaped 3-uniform graph, 16 vertices and 40 edges, at the
-    # first rung of the default eps = 1/10
+    # first rung of the default eps = 1/10, where bringing every edge sum to
+    # 1 takes 1542 steps.  Only the stopping step runs the exact check
     edges = _uniform_edges(random.Random(2), 16, 40, 3)
-    lengths, duals = approx._length_scheme(edges, 0.1)
-    assert (lengths, duals) == _reference_length_scheme(edges, 0.1)
-    assert sum(duals) == 1542
+    checks = _record_checks(monkeypatch)
+    lengths, duals, _ = approx._length_scheme(edges, 0.1, Fraction(1, 10))
+    assert (lengths, duals) == _reference_length_scheme(edges, 0.1, sum(duals))
+    assert sum(duals) == 5 and len(checks) == 1
+    assert sum(_reference_length_scheme(edges, 0.1)[1]) == 1542
+
+
+def _record_checks(monkeypatch):
+    checks = []
+    rationalize = approx._rationalize
+    monkeypatch.setattr(approx, "_rationalize",
+                        lambda *scheme: checks.append(scheme) or rationalize(*scheme))
+    return checks
+
+
+def _reference_cover(hg, eps, steps):
+    """The cover lp_fractional_cover builds from the reference's iterates
+    after the given (step, steps taken) per component."""
+    weights = dict.fromkeys(sorted(hg.vertices), Fraction(0))
+    objective = bound = Fraction(0)
+    for component, (inner, taken) in zip(hg.components, steps):
+        edges = [tuple(sorted(e)) for e in component]
+        cover, part, low = _reference_rationalize(
+            edges, *_reference_length_scheme(edges, inner, taken))
+        assert part <= (1 + eps) * low
+        weights.update(cover)
+        objective += part
+        bound += low
+    return FractionalCover(weights, objective, bound)
 
 
 def test_lp_cover_matches_the_reference_length_scheme(monkeypatch):
     rng = random.Random(405)
     hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(60))]
-    got = [lp_fractional_cover(hg) for hg in hgs]
-    monkeypatch.setattr(approx, "_length_scheme", _reference_length_scheme)
-    for hg, cover in zip(hgs, got):
-        want = lp_fractional_cover(hg)
+    inners, results = _record_inner(monkeypatch)
+    for hg in hgs:
+        del inners[:], results[:]
+        cover = lp_fractional_cover(hg)
+        want = _reference_cover(hg, Fraction(1, 10),
+                                [(i, sum(duals)) for i, (_, duals, _) in zip(inners, results)])
         assert cover.weights == want.weights
         assert (cover.objective, cover.dual_bound) == (want.objective, want.dual_bound)
 
@@ -291,10 +335,12 @@ def _reference_rationalize(edges, lengths, duals):
     return cover, objective, dual_bound
 
 
-def _assert_certificate_matches_the_reference(edges, inner):
-    lengths, duals = approx._length_scheme(edges, inner)
-    cover, objective, bound = approx._rationalize(edges, lengths, duals)
-    want_cover, want_objective, want_bound = _reference_rationalize(edges, lengths, duals)
+def _assert_certificate_matches_the_reference(edges, inner, eps):
+    # the certificate the scheme stops with, against the reference's
+    # certificate of the reference's iterate after as many steps
+    _, duals, (cover, objective, bound) = approx._length_scheme(edges, inner, eps)
+    want_cover, want_objective, want_bound = _reference_rationalize(
+        edges, *_reference_length_scheme(edges, inner, sum(duals)))
     assert list(cover.items()) == list(want_cover.items())
     assert all(type(w) is Fraction for w in cover.values())
     assert (objective, bound) == (want_objective, want_bound)
@@ -305,11 +351,12 @@ def test_certificate_matches_the_reference_exactly(rung):
     # a graph's lengths carry different powers of two in their denominators,
     # so a cover read without the lift to one denominator comes out wrong
     for edges in LENGTH_SCHEME_INPUTS:
-        _assert_certificate_matches_the_reference(edges, 1.0 / rung)
+        _assert_certificate_matches_the_reference(edges, 1.0 / rung, Fraction(1))
 
 
 def test_pinned_graph_certificate_matches_the_reference_exactly():
-    _assert_certificate_matches_the_reference(_uniform_edges(random.Random(2), 16, 40, 3), 0.1)
+    _assert_certificate_matches_the_reference(_uniform_edges(random.Random(2), 16, 40, 3), 0.1,
+                                              Fraction(1, 10))
 
 
 def _reference_randomized_rounding(hg, seed, reps, cover):
@@ -344,7 +391,9 @@ def test_rounding_matches_the_reference_sample(monkeypatch):
     monkeypatch.setattr(approx, "_sample", drawn)
     rng = random.Random(407)
     hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(60))]
-    hgs += [hypergraph_from_edges(set().union(*e), e) for e in LENGTH_SCHEME_INPUTS[:40]]
+    # the first random uniform graphs, and every FD key-group component
+    inputs = LENGTH_SCHEME_INPUTS[:40] + LENGTH_SCHEME_INPUTS[160:]
+    hgs += [hypergraph_from_edges(set().union(*e), e) for e in inputs]
     runs = [(hg, cover, seed, reps) for hg, cover in zip(hgs, map(lp_fractional_cover, hgs))
             for seed in range(10) for reps in range(1, 6)]
     got = [randomized_rounding_hitting_set(hg, seed=seed, reps=reps, cover=cover).deleted
@@ -429,58 +478,69 @@ def test_rounding_takes_int_and_float_weights_as_the_equal_fractions():
                     assert got == want
 
 
-def _record_inner(monkeypatch, length_scheme=approx._length_scheme):
-    inners = []
+def _record_inner(monkeypatch):
+    inners, results = [], []
+    length_scheme = approx._length_scheme
 
-    def recorded(edges, inner):
+    def recorded(edges, inner, eps):
         inners.append(inner)
-        return length_scheme(edges, inner)
+        results.append(length_scheme(edges, inner, eps))
+        return results[-1]
 
     monkeypatch.setattr(approx, "_length_scheme", recorded)
-    return inners
+    return inners, results
 
 
 def test_certification_retries_at_half_the_step(monkeypatch):
+    # every check of the first rung fails, so it runs until every edge sum
+    # reaches 1, as the reference does, and the second rung certifies
     tri = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
+    edges = [(1, 2), (1, 3), (2, 3)]
     eps = Fraction(1, 10)
-    inners = _record_inner(monkeypatch)
+    inners, results = _record_inner(monkeypatch)
     rationalize = approx._rationalize
     certificates = []
 
-    def first_fails(edges, lengths, duals):
+    def first_rung_fails(edges, lengths, duals):
         cover, objective, bound = rationalize(edges, lengths, duals)
-        certificates.append((objective, bound))
+        certificates.append((len(inners), objective, bound))
         # a zero dual bound certifies no positive objective
-        return cover, objective, bound if len(certificates) > 1 else Fraction(0)
+        return cover, objective, bound if len(inners) > 1 else Fraction(0)
 
-    monkeypatch.setattr(approx, "_rationalize", first_fails)
+    monkeypatch.setattr(approx, "_rationalize", first_rung_fails)
     cover = lp_fractional_cover(tri, eps)
     assert inners == [float(eps), float(eps) / 2.0]
-    assert (cover.objective, cover.dual_bound) == certificates[1]
+    assert results[0] == (*_reference_length_scheme(edges, float(eps)), None)
+    assert [rung for rung, *_ in certificates] == [1] * (len(certificates) - 1) + [2]
+    assert (cover.objective, cover.dual_bound) == certificates[-1][1:]
     assert cover.objective <= (1 + eps) * cover.dual_bound
 
 
 def test_certification_gives_up_after_the_textbook_step(monkeypatch):
     # every certificate fails: the ladder halves from min(eps, 1), and its
-    # first step at or below eps/3, where the analysis certifies, is its last
+    # first step at or below eps/3, where the analysis certifies, is its last;
+    # each rung runs until every edge sum reaches 1
     tri = hypergraph_from_edges([1, 2, 3], [{1, 2}, {2, 3}, {1, 3}])
     edges = [(1, 2), (1, 3), (2, 3)]
-    schemes = []
+    inners, results = _record_inner(monkeypatch)
     monkeypatch.setattr(approx, "_rationalize",
-                        lambda *scheme: schemes.append(scheme) or ({}, Fraction(1), Fraction(0)))
+                        lambda *scheme: ({}, Fraction(1), Fraction(0)))
     for eps, steps in ((Fraction(1), [1.0, 0.5, 0.25]),
                        (Fraction(1, 10), [0.1, 0.05, 0.025]),
                        (Fraction(3), [1.0]), (Fraction(10 ** 400), [1.0])):
-        del schemes[:]
+        del inners[:], results[:]
         with pytest.raises(ResourceLimitError, match="fractional cover failed to certify"):
             lp_fractional_cover(tri, eps)
-        assert schemes == [(edges, *approx._length_scheme(edges, step)) for step in steps]
+        assert inners == steps
+        assert results == [(*_reference_length_scheme(edges, step), None) for step in steps]
 
 
 def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
     # the gap is checked exactly, so the ladder may start at step eps; a
-    # retry on these graphs would double or triple the LP's cost unseen
-    inners = _record_inner(monkeypatch)
+    # retry on these graphs would double or triple the LP's cost unseen, and
+    # each exact check past one a component would go unseen as well
+    inners, _ = _record_inner(monkeypatch)
+    checks = _record_checks(monkeypatch)
     rng = random.Random(406)
     hgs = [hypergraph_from_edges(range(1, 17), _uniform_edges(rng, 16, 40, 3))
            for _ in range(20)]
@@ -488,9 +548,10 @@ def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
         constraints, instance, _ = fd_key_groups(rng, rng.randint(8, 40))
         hgs.append(build_hypergraph(instance, constraints))
     for hg in hgs:
-        del inners[:]
+        del inners[:], checks[:]
         cover = lp_fractional_cover(hg)
         assert inners == [0.1] * len(hg.components)
+        assert len(checks) == len(hg.components)
         assert cover.objective <= Fraction(11, 10) * cover.dual_bound
 
 
@@ -498,7 +559,7 @@ def test_benchmark_shaped_components_certify_at_the_first_rung(monkeypatch):
 def test_one_edge_components_certify_at_the_first_rung(monkeypatch, eps):
     # at step 1 the start lengths of one edge sum to exactly 1; a rung that
     # took no step there would have a zero dual bound and need a second rung
-    inners = _record_inner(monkeypatch)
+    inners, _ = _record_inner(monkeypatch)
     for edge in ({1, 2}, {1, 2, 3}):
         del inners[:]
         cover = lp_fractional_cover(hypergraph_from_edges(edge, [edge]), eps)
@@ -519,3 +580,43 @@ def test_large_eps_certifies(eps):
         assert all(sum(cover.weights[t] for t in s) >= 1 for s in hg.solving_edges)
         assert 0 < cover.dual_bound <= len(min_hitting_set(hg).deleted)
         assert cover.objective <= (1 + eps) * cover.dual_bound
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """Inconsistent corpus graphs and 3-uniform 14/30 and 16/40 graphs, each
+    with its brute-force minimum cover size."""
+    rng = random.Random(412)
+    hgs = [build_hypergraph(inst, cs) for cs, inst in (random_bundle(rng) for _ in range(80))]
+    for vertices, edges in ((14, 30), (16, 40)):
+        hgs += [hypergraph_from_edges(range(1, vertices + 1),
+                                      _uniform_edges(rng, vertices, edges, 3)) for _ in range(4)]
+    return [(hg, len(brute_force_min_hitting_set(hg).deleted))
+            for hg in hgs if hg.solving_edges]
+
+
+def _assert_oracle_holds(hg, opt, cover, eps):
+    # Fraction sums over the solving edges and the brute-force optimum alone
+    for s in hg.solving_edges:
+        assert sum(cover.weights[t] for t in s) >= 1
+    assert cover.objective == sum(cover.weights.values())
+    assert cover.objective <= (1 + eps) * cover.dual_bound
+    assert 0 < cover.dual_bound <= opt
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 10), Fraction(1, 100)])
+def test_cover_meets_an_independent_oracle(oracle_graphs, eps):
+    assert len(oracle_graphs) >= 40
+    for hg, opt in oracle_graphs:
+        _assert_oracle_holds(hg, opt, lp_fractional_cover(hg, eps), eps)
+
+
+def test_the_smallest_eps_certifies_a_benchmark_shaped_graph_in_a_second():
+    # run until every edge sum reaches 1, the scheme takes about 10 s on this
+    # graph at eps 1/1000 (Python 3.11, 2-vCPU VM); its first certified
+    # iterate comes within milliseconds
+    hg = hypergraph_from_edges(range(1, 17), _uniform_edges(random.Random(0), 16, 40, 3))
+    start = time.perf_counter()
+    cover = lp_fractional_cover(hg, approx.MIN_EPS)
+    assert time.perf_counter() - start < 1.0
+    _assert_oracle_holds(hg, len(brute_force_min_hitting_set(hg).deleted), cover, approx.MIN_EPS)
