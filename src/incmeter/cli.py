@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line interface; every JSON object that it prints is built here.
 
 Inputs are a schema file, a constraint file, and a data directory holding
 one <predicate>.csv per nonempty relation (plus an optional endogenous.txt
@@ -217,12 +217,27 @@ def _emit(args, start: float, payload: dict, text_lines) -> None:
 
 
 def _measure_payload(report: measures.MeasureReport) -> dict:
-    changes = None
-    if isinstance(report.witness, nullrep.NullRepairSolution):
+    # the witness: a deletion repair's tids or a null repair's cells, sorted
+    deleted = changes = None
+    if isinstance(report.witness, exact.RepairSolution):
+        deleted = sorted(report.witness.deleted)
+    elif isinstance(report.witness, nullrep.NullRepairSolution):
         changes = [{"tid": c.tid, "position": c.position}
                    for c in sorted(report.witness.changes)]
-    return {**report.to_json_dict(), "normalization": report.normalization,
-            "note": report.note, "witness_changes": changes}
+    return {"kind": report.kind, "numerator": report.numerator,
+            "denominator": report.denominator, "decimal": float(report.value),
+            "exact": report.exact, "witness_deleted_tids": deleted, "method": report.method,
+            "normalization": report.normalization, "note": report.note,
+            "witness_changes": changes}
+
+
+def _bounds_payload(bounds: updates.BoundCheckReport) -> dict:
+    return {"direction": bounds.direction, "epsilon": str(bounds.epsilon),
+            "before": str(bounds.before), "after": str(bounds.after),
+            "applicable": bounds.applicable,
+            "deleted_all_isolated": bounds.deleted_all_isolated,
+            "bounds": [{"name": b.name, "lhs": str(b.lhs), "rhs": str(b.rhs),
+                        "holds": b.holds} for b in bounds.bounds]}
 
 
 def _check_flags(args) -> None:
@@ -293,7 +308,7 @@ def _cmd_alt_measures(args, constraints, instance):
     reports = [
         measures.measure_count_srep(instance, constraints, args.enum_limit, hg),
         measures.measure_count_all(instance, constraints, args.enum_limit, hg),
-        measures.measure_jaccard(instance, constraints, args.enum_limit, hg),
+        measures.measure_jaccard(instance, constraints, hypergraph=hg),
     ]
     payload = {"command": "alt-measures",
                "measures": [_measure_payload(r) for r in reports]}
@@ -335,7 +350,7 @@ def _cmd_update(args, constraints, instance):
         "size_after": size_after,
         "measure_before": _measure_payload(before_m),
         "measure_after": _measure_payload(after_m),
-        "bounds": bounds.to_json_dict() if bounds else None,
+        "bounds": _bounds_payload(bounds) if bounds else None,
     }
     lines = [
         f"size: {len(instance)} -> {size_after}",

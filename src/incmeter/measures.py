@@ -43,20 +43,6 @@ class MeasureReport:
             return Fraction(0)
         return Fraction(self.numerator, self.denominator)
 
-    def to_json_dict(self) -> dict:
-        deleted = None
-        if isinstance(self.witness, exact.RepairSolution):
-            deleted = sorted(self.witness.deleted)
-        return {
-            "kind": self.kind,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "decimal": float(self.value),
-            "exact": self.exact,
-            "witness_deleted_tids": deleted,
-            "method": self.method,
-        }
-
 
 def _empty_report(kind, witness=exact.RepairSolution(frozenset(), 0, "exact", True),
                   method="exact", normalization=None) -> MeasureReport:
@@ -167,7 +153,7 @@ def measure_jaccard(instance: Instance, constraints: ConstraintSet,
     The solving edges are an antichain, so each tid v of an edge e lies in a
     minimal hitting set: (V - e) | {v} hits every edge, and any minimal one
     inside it keeps v to hit e.  So the repairs agree on the conflict-free facts.
-    This enumerates nothing; limit is unused, kept for positional callers.
+    This enumerates nothing; limit is unused: perfbench's traced_alt_measures passes it.
     """
     n = len(instance)
     hg = hypergraph if hypergraph is not None else build_hypergraph(instance, constraints)

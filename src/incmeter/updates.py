@@ -92,18 +92,6 @@ class BoundCheckReport:
     bounds: tuple[BoundInequality, ...]
     deleted_all_isolated: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "epsilon": str(self.epsilon),
-            "before": str(self.before),
-            "after": str(self.after),
-            "applicable": self.applicable,
-            "deleted_all_isolated": self.deleted_all_isolated,
-            "bounds": [{"name": b.name, "lhs": str(b.lhs), "rhs": str(b.rhs),
-                        "holds": b.holds} for b in self.bounds],
-        }
-
 
 _INSERT_RE = re.compile(r"\+\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\Z")
 _DELETE_RE = re.compile(r"-\s*([0-9]+)\s*\Z")

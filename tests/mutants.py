@@ -14,7 +14,9 @@ occur exactly once in the module or pytest cannot run the ids (a renamed
 test, say): a stale row names code or tests that have since changed, and the
 table needs mending.  The working tree is only read.
 
-The report is informational: the exit status is 0 whatever the outcomes.
+The exit status is 0 when every mutant run is killed and 1 when any
+survives or is stale, so a run can gate a build; it is also 1 for an
+unknown mutant name.
 Only the standard library is used, apart from pytest, which runs the ids.
 The file name does not match test_*.py, so pytest does not collect it.
 """
@@ -55,6 +57,7 @@ BAD_ROW = ("tests/test_model.py::"
            "test_load_instance_gives_a_bad_row_the_row_checks_message_and_its_line[{}]")
 REFERENCE_LOADER = "tests/test_model.py::test_loading_matches_the_reference_loader"
 PINNED_COUNT = "tests/test_approx.py::test_length_scheme_iteration_count_is_pinned"
+GOLDEN = "tests/test_cli_golden.py::test_cli_output_matches_golden[{}]"
 
 MUTANTS = (
     # the FD key-group read and the shape that admits a constraint to it
@@ -194,6 +197,17 @@ MUTANTS = (
            "return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))",
            "return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)",
            ("tests/test_cli.py::test_json_output_matches_the_indenting_encoder_byte_for_byte",)),
+    # a measure's and a bound check's JSON objects, built in the CLI alone
+    Mutant("a null witness's cells are left out of the measure object", CLI,
+           "elif isinstance(report.witness, nullrep.NullRepairSolution):", "elif False:",
+           (*map(GOLDEN.format, ("fd-measure-null", "null-measure-null", "pqr-measure-null",
+                                 "seeded-measure-null")),
+            "tests/test_measures.py::test_report_json_shape")),
+    Mutant("each bound writes its rhs as its lhs", CLI,
+           '"lhs": str(b.lhs)', '"lhs": str(b.rhs)',
+           (*map(GOLDEN.format, ("pqr-update-delete", "pqr-update-insert",
+                                 "seeded-update-delete", "seeded-update-insert")),
+            "tests/test_updates.py::test_the_bound_sides_equal_their_fraction_arithmetic")),
     # the length scheme's stop at its first exactly certified iterate
     Mutant("the length scheme runs until every edge sum reaches 1", APPROX,
            "if total * top <= bar * taken * low or low >= 1.0:", "if low >= 1.0:",
@@ -237,7 +251,7 @@ def main(argv=None) -> int:
     unknown = names.difference(m.name for m in MUTANTS)
     if unknown:
         print(f"unknown mutant(s): {sorted(unknown)}")
-        return 0
+        return 1
     tally: dict[str, int] = {}
     for mutant in MUTANTS:
         if names and mutant.name not in names:
@@ -246,7 +260,7 @@ def main(argv=None) -> int:
         tally[outcome] = tally.get(outcome, 0) + 1
         print(f"{outcome:<9} {mutant.name}: {note}", flush=True)
     print(", ".join(f"{n} {outcome}" for outcome, n in sorted(tally.items())))
-    return 0
+    return 0 if set(tally) <= {"killed"} else 1
 
 
 if __name__ == "__main__":

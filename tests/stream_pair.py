@@ -14,7 +14,8 @@ with both hypergraphs handed in.  The sides alternate which runs first on
 each delta, so a slow spell of a shared host falls on both.
 
 It asserts that both sides give the same deleted tids, instance size and
-bound report on every delta, and the same labeled edges at the end.  It
+bound report (its dataclass fields, which both trees share) on every delta,
+and the same labeled edges at the end.  It
 prints each side's mean microseconds per delta and their ratio, this tree's
 over the other's.  Paired this way, two copies of one tree read about 0.99.
 
@@ -25,6 +26,7 @@ It uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -79,7 +81,7 @@ class Side:
                            pkg.exact.DEFAULT_NODE_BUDGET, self.hg, hg_after)
         self.spent += time.perf_counter() - start
         self.instance, self.hg = after, hg_after
-        return sorted(deleted), len(after), bounds and bounds.to_json_dict()
+        return sorted(deleted), len(after), bounds and dataclasses.astuple(bounds)
 
     def edges(self):
         return [(e.constraint, sorted(e.tids)) for e in self.hg.edges]

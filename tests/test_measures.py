@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incmeter import cli
 from incmeter.conflicts import build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.exact import enumerate_s_repairs
@@ -11,6 +12,7 @@ from incmeter.measures import (MeasureReport, inc_deg_g3, inc_deg_g3_endogenous,
                                measure_count_all, measure_count_srep,
                                measure_jaccard)
 from incmeter.model import Fact, Instance
+from incmeter.nullrep import inc_deg_g3_null
 
 from conftest import random_bundle
 from oracles import consistent, restrict
@@ -216,15 +218,28 @@ def test_enumeration_gate_counts_conflicting_facts_only(pqr):
     assert measure_jaccard(wide, cs).value == Fraction(3, 24)
 
 
-def test_report_json_shape(pqr):
+def test_report_json_shape(pqr, nullb):
+    """The CLI writes a measure's ten keys in one order for every witness
+    kind: deleted tids for a deletion repair, blanked cells for a null one."""
+    keys = ["kind", "numerator", "denominator", "decimal", "exact",
+            "witness_deleted_tids", "method", "normalization", "note", "witness_changes"]
     _, cs, inst = pqr
-    d = inc_deg_g3(inst, cs).to_json_dict()
-    assert set(d) == {"kind", "numerator", "denominator", "decimal", "exact",
-                      "witness_deleted_tids", "method"}
+    d = cli._measure_payload(inc_deg_g3(inst, cs))
+    assert list(d) == keys
     assert d["kind"] == "g3"
     assert d["numerator"] == 1 and d["denominator"] == 4
     assert d["decimal"] == 0.25
-    assert d["witness_deleted_tids"] == [1]
+    assert d["witness_deleted_tids"] == [1] and d["witness_changes"] is None
+    d = cli._measure_payload(inc_deg_g3_endogenous(inst, cs, normalization="endogenous_size"))
+    assert list(d) == keys
+    assert (d["kind"], d["normalization"]) == ("g3_endogenous", "endogenous_size")
+    assert d["witness_deleted_tids"] == [1] and d["witness_changes"] is None
+    _, cs, inst = nullb
+    d = cli._measure_payload(inc_deg_g3_null(inst, cs))
+    assert list(d) == keys
+    assert (d["kind"], d["numerator"], d["denominator"]) == ("g3_null", 1, 8)
+    assert d["witness_deleted_tids"] is None
+    assert d["witness_changes"] == [{"tid": 2, "position": 1}]
 
 
 def test_reports_reuse_supplied_hypergraph(pqr):

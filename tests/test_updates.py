@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from incmeter import conflicts, evaluation, exact, measures, updates
+from incmeter import cli, conflicts, evaluation, exact, measures, updates
 from incmeter.conflicts import ConflictHypergraph, build_hypergraph
 from incmeter.errors import InputError, ResourceLimitError
 from incmeter.evaluation import FactIndex
@@ -299,9 +299,9 @@ def test_bounds_inapplicable_outside_premises(pqr):
 
 def test_bound_report_json_shape(pqr):
     _, cs, inst = pqr
-    d = check_deletion_bounds(inst, parse_delta("- 2\n"), cs).to_json_dict()
-    assert set(d) == {"direction", "epsilon", "before", "after", "applicable",
-                      "deleted_all_isolated", "bounds"}
+    d = cli._bounds_payload(check_deletion_bounds(inst, parse_delta("- 2\n"), cs))
+    assert list(d) == ["direction", "epsilon", "before", "after", "applicable",
+                       "deleted_all_isolated", "bounds"]
     assert d["epsilon"] == "1/4"
     assert all(set(b) == {"name", "lhs", "rhs", "holds"} for b in d["bounds"])
 
@@ -1334,7 +1334,7 @@ def test_the_bound_sides_equal_their_fraction_arithmetic():
                 [(b.name, b.lhs, b.rhs) for b in got.bounds], got.deleted_all_isolated) == want
         assert [b.holds for b in got.bounds] == [lhs <= rhs for _, lhs, rhs in want[5]]
         assert all(type(x) is Fraction for b in got.bounds for x in (b.lhs, b.rhs))
-        assert got.to_json_dict()["bounds"] == [
+        assert cli._bounds_payload(got)["bounds"] == [
             {"name": name, "lhs": str(lhs), "rhs": str(rhs), "holds": lhs <= rhs}
             for name, lhs, rhs in want[5]]
         seen[got.applicable, direction, "lower_isolated" in {b.name for b in got.bounds}] += 1
